@@ -1147,6 +1147,7 @@ func run() int {
 
 	if *scale {
 		rep, ok := runScale(*baseN, *scaleN, *scaleTopK, *scaleMaxRSS)
+		ok = rep.bytesThresholdOK() && ok
 		writeJSON(*out, rep, fmt.Sprintf(
 			"wrote %s (streamed bytes/op -%.1f%% vs materialized, ns ratio %.2f; %d records streamed in %.1fs, recall %.3f, peak RSS %.0f MB)",
 			*out, rep.BytesReduction*100, rep.NsRatio, rep.ScaleRecords, rep.ScaleWallSeconds, rep.ScaleMatchRecall, rep.PeakRSSMB))

@@ -172,9 +172,10 @@ func TestRunServeSmall(t *testing.T) {
 	}
 }
 
-// runScale on small workloads: the streaming gates — bytes/op reduction,
+// runScale on small workloads: the streaming gates — ns/op ratio,
 // stream ≡ materialized, delta ≡ scratch, full recall on the synthetic
-// scale dataset — hold at any size.
+// scale dataset, compressed < flat — hold at any size and GOMAXPROCS.
+// The ≥ 50% bytes/op threshold is the CLI's (ScaleReport.bytesThresholdOK).
 func TestRunScaleSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench gate")
@@ -188,9 +189,6 @@ func TestRunScaleSmall(t *testing.T) {
 	}
 	if !rep.DeltaEqualsScratch {
 		t.Error("two-batch delta union diverged from the one-shot join")
-	}
-	if rep.BytesReduction < 0.5 {
-		t.Errorf("bytes reduction = %.3f; gate requires >= 0.5", rep.BytesReduction)
 	}
 	if rep.ScaleMatchRecall != 1 {
 		t.Errorf("scale recall = %v; every planted duplicate must be found", rep.ScaleMatchRecall)

@@ -329,9 +329,11 @@ type Options struct {
 	// likelihood ranking (the "simjoin" baseline of Section 7.3).
 	MachineOnly bool
 	// Parallelism bounds the worker goroutines used by the machine pass
-	// (sharded similarity join) and the simulated crowd (concurrent HIT
-	// execution). 0 means GOMAXPROCS. Results are bit-identical at every
-	// parallelism level.
+	// (tokenizing and interning the appended records, then the sharded
+	// similarity join) and the simulated crowd (concurrent HIT
+	// execution). 0 means GOMAXPROCS; 1 keeps the whole machine pass on
+	// one goroutine. Results are bit-identical at every parallelism
+	// level.
 	Parallelism int
 	// MaxCandidates, when positive, bounds the machine pass's ranked
 	// candidate list: only the MaxCandidates most likely new pairs of
@@ -688,6 +690,9 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
+	// Tokenizing the delta is part of the machine pass and runs on its
+	// workers; every later TokenIDs call finds the cache warm.
+	rv.table.inner.WarmTokens(engine.WorkerCount(rv.opts.Parallelism, rv.table.inner.Len()))
 	if rv.sidx != nil && rv.opts.Candidates == SourceSimJoin {
 		if err := stagePruneSharded(st); err != nil {
 			return nil, err

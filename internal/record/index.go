@@ -16,7 +16,7 @@ package record
 func (t *Table) Postings() [][]int32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ensureTokenIDs()
+	t.ensureTokenIDs(1)
 	for len(t.postings) < t.interner.Len() {
 		t.postings = append(t.postings, nil)
 	}

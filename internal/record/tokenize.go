@@ -24,6 +24,8 @@ func Normalize(s string) string {
 }
 
 // Tokenize splits a normalized string into whitespace-delimited tokens.
+// Together with Normalize it defines a value's tokens; the table's token
+// cache reproduces it byte by byte without the intermediate strings.
 func Tokenize(s string) []string {
 	return strings.Fields(Normalize(s))
 }

@@ -1,176 +1,16 @@
 package simjoin
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Absorb indexes table records [Indexed(), upto) without probing or
-// emitting candidates: it is update() minus the scan — the same frozen
-// weight assignment, the same prefixes, the same postings — so a
-// recovered session that replays its logged absorb boundaries in order
-// rebuilds an index bit-identical to the crashed one. Frozen weights
-// are per-delta frequencies, which is why recovery must replay the
-// *original* boundaries rather than absorbing the whole table at once.
-func (ix *Index) Absorb(upto int) {
-	t := ix.t
-	n := upto
-	if m := t.Len(); n > m {
-		n = m
-	}
-	lo := ix.n
-	if n <= lo {
-		return
-	}
-	ix.n = n
-	ids := t.TokenIDs()
-	tau := ix.opts.Threshold
-	if tau <= 0 {
-		// deltaAllPairs keeps no per-token state; the cursor is the index.
-		return
-	}
-
-	universe := t.TokenUniverse()
-	for len(ix.weight) < universe {
-		ix.weight = append(ix.weight, -1)
-	}
-	for len(ix.postings) < universe {
-		ix.postings = append(ix.postings, PostingList{})
-	}
-	fresh := make(map[int32]int32)
-	for i := lo; i < n; i++ {
-		for _, tok := range ids[i] {
-			if ix.weight[tok] < 0 {
-				fresh[tok]++
-			}
-		}
-	}
-	for tok, f := range fresh {
-		ix.weight[tok] = f
-	}
-
-	arena := ix.prefArena[:0]
-	offs := append(ix.prefOffs[:0], 0)
-	for i := lo; i < n; i++ {
-		base := len(arena)
-		arena = append(arena, ids[i]...)
-		p := arena[base:]
-		slices.SortFunc(p, func(a, b int32) int {
-			if c := cmp.Compare(ix.weight[a], ix.weight[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		arena = arena[:base+prefixLen(len(p), tau)]
-		offs = append(offs, int32(len(arena)))
-		for _, tok := range arena[base:] {
-			ix.postings[tok].Append(int32(i))
-		}
-	}
-	ix.prefArena, ix.prefOffs = arena, offs
-
-	if tau <= 1 {
-		for i := lo; i < n; i++ {
-			if len(ids[i]) == 0 {
-				ix.empties = append(ix.empties, int32(i))
-			}
-		}
-	}
-}
+// emitting candidates. It runs the very delta UpdateSeq runs, minus the
+// scan — the same frozen weight assignment, the same prefixes, summaries
+// and postings — so a recovered session that replays its logged absorb
+// boundaries in order rebuilds an index bit-identical to the crashed
+// one. Frozen weights are per-delta frequencies, which is why recovery
+// must replay the *original* boundaries rather than absorbing the whole
+// table at once.
+func (ix *Index) Absorb(upto int) { ix.delta(upto, nil) }
 
 // Absorb is the sharded replay twin of Index.Absorb: UpdateScatter minus
 // the probes. Shard ownership, frozen weights, per-shard posting-slot
 // assignment and member order all replicate the live path exactly.
-func (sx *Sharded) Absorb(upto int) {
-	t := sx.t
-	n := upto
-	if m := t.Len(); n > m {
-		n = m
-	}
-	lo := sx.n
-	if n <= lo {
-		return
-	}
-	sx.n = n
-	ids := t.TokenIDs()
-	tau := sx.opts.Threshold
-	ns := len(sx.shards)
-
-	owner := make([]int32, n-lo)
-	for i := lo; i < n; i++ {
-		owner[i-lo] = int32(ShardOfTokens(ids[i], ns))
-	}
-
-	if tau <= 0 {
-		sx.scanShards(func(s int) {
-			sh := &sx.shards[s]
-			for i := lo; i < n; i++ {
-				if owner[i-lo] == int32(s) {
-					sh.members = append(sh.members, int32(i))
-				}
-			}
-		})
-		return
-	}
-
-	universe := t.TokenUniverse()
-	for len(sx.weight) < universe {
-		sx.weight = append(sx.weight, -1)
-	}
-	fresh := make(map[int32]int32)
-	for i := lo; i < n; i++ {
-		for _, tok := range ids[i] {
-			if sx.weight[tok] < 0 {
-				fresh[tok]++
-			}
-		}
-	}
-	for tok, f := range fresh {
-		sx.weight[tok] = f
-	}
-
-	arena := sx.prefArena[:0]
-	offs := append(sx.prefOffs[:0], 0)
-	for i := lo; i < n; i++ {
-		base := len(arena)
-		arena = append(arena, ids[i]...)
-		p := arena[base:]
-		slices.SortFunc(p, func(a, b int32) int {
-			if c := cmp.Compare(sx.weight[a], sx.weight[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		arena = arena[:base+prefixLen(len(p), tau)]
-		offs = append(offs, int32(len(arena)))
-	}
-	sx.prefArena, sx.prefOffs = arena, offs
-	pref := func(i int) []int32 { return arena[offs[i-lo]:offs[i-lo+1]] }
-
-	sx.scanShards(func(s int) {
-		sh := &sx.shards[s]
-		for i := lo; i < n; i++ {
-			if owner[i-lo] != int32(s) {
-				continue
-			}
-			sh.members = append(sh.members, int32(i))
-			for _, tok := range pref(i) {
-				slot, ok := sh.tokIdx[tok]
-				if !ok {
-					slot = int32(len(sh.postings))
-					sh.tokIdx[tok] = slot
-					sh.postings = append(sh.postings, PostingList{})
-				}
-				sh.postings[slot].Append(int32(i))
-			}
-		}
-	})
-
-	if tau <= 1 {
-		for i := lo; i < n; i++ {
-			if len(ids[i]) == 0 {
-				sx.empties = append(sx.empties, int32(i))
-			}
-		}
-	}
-}
+func (sx *Sharded) Absorb(upto int) { sx.delta(upto, nil) }

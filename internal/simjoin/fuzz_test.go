@@ -17,7 +17,11 @@ import (
 // must, once drained and canonically ranked, be bit-identical to the
 // Update() deltas. A sharded index (shard count also derived from the
 // fuzz input) driven through UpdateScatter over the same batches must
-// scatter exactly the same multiset of pairs across its shards.
+// scatter exactly the same multiset of pairs across its shards. Last, a
+// recovery replay: an index and a sharded index that Absorb the first
+// batch and Update the rest as one delta must emit exactly the batch
+// join's pairs with an endpoint past the absorbed prefix — Absorb has to
+// leave behind everything a later probe reads.
 //
 // The fuzz inputs drive a deterministic generator (random tables over a
 // small token vocabulary, so collisions, empty records, duplicate rows
@@ -117,6 +121,33 @@ func FuzzIndexDeltaEquivalence(f *testing.F) {
 		var scattered []ScoredPair
 		for _, list := range perShard {
 			scattered = append(scattered, list...)
+		}
+
+		// Replay: absorb [0, s1) silently, then one delta over the rest.
+		var wantTail []ScoredPair
+		for _, sp := range batch {
+			if int(sp.Pair.B) >= s1 {
+				wantTail = append(wantTail, sp)
+			}
+		}
+		rix := NewIndex(batchTab, streamOpts)
+		rix.Absorb(s1)
+		rsx := NewSharded(batchTab, shards, streamOpts)
+		rsx.Absorb(s1)
+		for label, got := range map[string][]ScoredPair{"index": rix.Update(), "sharded": drainScatter(rsx)} {
+			if rix.Indexed() != nRec || rsx.Indexed() != nRec {
+				t.Fatalf("replayed indexes cover %d and %d of %d records", rix.Indexed(), rsx.Indexed(), nRec)
+			}
+			if len(got) != len(wantTail) {
+				t.Fatalf("%s absorbed to %d then updated: %d pairs, want %d (n=%d tau=%v cross=%v shards=%d)",
+					label, s1, len(got), len(wantTail), nRec, tau, cross, shards)
+			}
+			for i := range wantTail {
+				if got[i] != wantTail[i] {
+					t.Fatalf("%s absorbed to %d then updated: pair %d is %+v, want %+v (n=%d tau=%v cross=%v shards=%d)",
+						label, s1, i, got[i], wantTail[i], nRec, tau, cross, shards)
+				}
+			}
 		}
 
 		SortScored(batch)

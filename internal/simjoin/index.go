@@ -1,7 +1,6 @@
 package simjoin
 
 import (
-	"cmp"
 	"iter"
 	"slices"
 	"sync"
@@ -34,8 +33,10 @@ import (
 // Storage and access are built for scale: postings are block-compressed
 // (delta-encoded uvarints with per-block max-ID skip pointers, see
 // PostingList) instead of flat []int32 slices, probes terminate block
-// scans through the skip pointers, and candidate verification gallops
-// when token-set sizes are skewed. Candidates stream out of UpdateSeq
+// scans through the skip pointers and reject most collisions on a
+// contiguous per-record summary (joinState.summary) before touching a
+// token array, and the exact score gallops when token-set sizes are
+// skewed. Candidates stream out of UpdateSeq
 // one at a time — Update is the materializing wrapper — so a consumer
 // such as a bounded top-K ranking heap never holds the full candidate
 // set.
@@ -44,26 +45,12 @@ import (
 // Update calls. The table must only grow (append-only), matching the
 // contract of record.Table's token cache.
 type Index struct {
-	t    *record.Table
-	opts Options
+	joinState
 
-	// n is the number of records already indexed and probed.
-	n int
-	// weight[tok] is the token's frozen ordering weight, or -1 if the
-	// token has not been indexed yet.
-	weight []int32
 	// postings[tok] lists, ascending and block-compressed, the records
 	// whose prefix contains tok. Only prefix tokens are indexed
 	// (standard prefix filtering).
 	postings []PostingList
-	// empties lists the records with empty token sets, which pair with
-	// each other at likelihood 1 under the empty-set convention.
-	empties []int32
-
-	// prefArena backs the delta's prefixes as one flat allocation,
-	// reused across Update calls.
-	prefArena []int32
-	prefOffs  []int32
 
 	// scratch is the pool of per-worker probe state (dedup stamps and
 	// block-decode buffers), reused across Update calls so the
@@ -88,7 +75,7 @@ type probeScratch struct {
 // NewIndex creates an empty join index over the table. No records are
 // indexed until the first Update call.
 func NewIndex(t *record.Table, opts Options) *Index {
-	return &Index{t: t, opts: opts}
+	return &Index{joinState: joinState{t: t, opts: opts}}
 }
 
 // Indexed returns the number of records the index has absorbed so far.
@@ -127,12 +114,18 @@ func (ix *Index) getScratch(n int) *probeScratch {
 	if sc == nil {
 		sc = &probeScratch{}
 	}
-	if len(sc.stamp) < n {
-		grown := make([]int32, n)
-		copy(grown, sc.stamp)
-		sc.stamp = grown
-	}
+	sc.stamp = growStamp(sc.stamp, n)
 	return sc
+}
+
+// growStamp extends a stamp array to cover n records. Capacity grows
+// geometrically, so a session of many small deltas reallocates it
+// O(log n) times instead of copying the whole array on every delta.
+func growStamp(stamp []int32, n int) []int32 {
+	if len(stamp) >= n {
+		return stamp
+	}
+	return slices.Grow(stamp, n-len(stamp))[:n]
 }
 
 func (ix *Index) putScratch(sc *probeScratch) {
@@ -173,111 +166,57 @@ func (ix *Index) Update() []ScoredPair {
 // delta is absorbed when the sequence is iterated, so iterate it exactly
 // once. Breaking early is safe (workers are cancelled) but discards the
 // delta's remaining candidates — they will not reappear in later
-// Updates.
+// Updates. The delta itself is absorbed in full, as by Absorb, its
+// token-less records included.
 func (ix *Index) UpdateSeq() iter.Seq[ScoredPair] {
 	return func(yield func(ScoredPair) bool) {
-		ix.update(yield)
+		ix.delta(ix.t.Len(), yield)
 	}
 }
 
-// update runs one delta: freeze token weights, compute and insert the
-// new records' prefixes, then probe and stream candidates.
-func (ix *Index) update(yield func(ScoredPair) bool) {
-	t := ix.t
-	n := t.Len()
-	lo := ix.n
+// delta absorbs table records [Indexed(), upto): the shared prepare
+// step, then the prefixes go into the postings, then — unless yield is
+// nil, which is Absorb — every new record probes them and candidates
+// stream to yield.
+func (ix *Index) delta(upto int, yield func(ScoredPair) bool) {
+	ids, lo, n := ix.prepare(upto)
 	if n <= lo {
 		return
 	}
-	ix.n = n
-	ids := t.TokenIDs()
-	tau := ix.opts.Threshold
-	if tau <= 0 {
+	if ix.opts.Threshold <= 0 {
 		// Every pair survives a non-positive threshold, so the prefix
 		// index buys nothing: score new×all directly.
-		ix.deltaAllPairs(ids, lo, n, yield)
+		if yield != nil {
+			ix.deltaAllPairs(ids, lo, n, yield)
+		}
 		return
 	}
 
-	// Freeze ordering weights for tokens first seen in this delta: their
-	// frequency within the delta. On the first Update over a whole table
-	// this is the global frequency ordering of the batch join.
-	universe := t.TokenUniverse()
-	for len(ix.weight) < universe {
-		ix.weight = append(ix.weight, -1)
+	// Insert the new records' prefixes before any probing, so pairs
+	// between two records of the same delta are found too (the probe of
+	// record i only looks at postings entries j < i).
+	if grow := len(ix.weight) - len(ix.postings); grow > 0 {
+		ix.postings = slices.Grow(ix.postings, grow)[:len(ix.weight)]
 	}
-	for len(ix.postings) < universe {
-		ix.postings = append(ix.postings, PostingList{})
-	}
-	fresh := make(map[int32]int32)
 	for i := lo; i < n; i++ {
-		for _, tok := range ids[i] {
-			if ix.weight[tok] < 0 {
-				fresh[tok]++
-			}
-		}
-	}
-	for tok, f := range fresh {
-		ix.weight[tok] = f
-	}
-
-	// Compute the new records' prefixes under the frozen order and insert
-	// them into the postings before any probing, so pairs between two
-	// records of the same delta are found too (the probe of record i only
-	// looks at postings entries j < i). The prefixes live in one flat
-	// arena reused across Updates.
-	arena := ix.prefArena[:0]
-	offs := append(ix.prefOffs[:0], 0)
-	for i := lo; i < n; i++ {
-		base := len(arena)
-		arena = append(arena, ids[i]...)
-		p := arena[base:]
-		slices.SortFunc(p, func(a, b int32) int {
-			if c := cmp.Compare(ix.weight[a], ix.weight[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		arena = arena[:base+prefixLen(len(p), tau)]
-		offs = append(offs, int32(len(arena)))
-		for _, tok := range arena[base:] {
+		for _, tok := range ix.pref(i, lo) {
 			ix.postings[tok].Append(int32(i))
 		}
 	}
-	ix.prefArena, ix.prefOffs = arena, offs
-	pref := func(i int) []int32 { return arena[offs[i-lo]:offs[i-lo+1]] }
 
 	// probe scans record i's prefix tokens' postings for candidates,
 	// emitting every verified pair. Skip pointers bound each posting
 	// scan to entries below i without decoding trailing blocks.
 	probe := func(i int, sc *probeScratch, emit func(ScoredPair) bool) bool {
-		li := len(ids[i])
-		i32 := int32(i)
+		si, i32 := ix.summary[i], int32(i)
 		ok := true
-		for _, tok := range pref(i) {
+		for _, tok := range ix.pref(i, lo) {
 			ix.postings[tok].forEachLess(i32, &sc.dbuf, func(j32 int32) bool {
-				j := int(j32)
-				if sc.stamp[j] == i32 {
-					return true
+				if sc.stamp[j32] != i32 {
+					sc.stamp[j32] = i32
+					ok = ix.verify(ids, si, i, int(j32), emit)
 				}
-				sc.stamp[j] = i32
-				if !ix.opts.crossOK(t, record.ID(j), record.ID(i)) {
-					return true
-				}
-				if !passesLengthFilter(li, len(ids[j]), tau) {
-					return true
-				}
-				sim := similarity.Jaccard(ids[i], ids[j])
-				if sim >= tau {
-					if !emit(ScoredPair{
-						Pair:       record.Pair{A: record.ID(j), B: record.ID(i)},
-						Likelihood: sim,
-					}) {
-						ok = false
-						return false
-					}
-				}
-				return true
+				return ok
 			})
 			if !ok {
 				return false
@@ -285,29 +224,10 @@ func (ix *Index) update(yield func(ScoredPair) bool) {
 		}
 		return true
 	}
-
-	if !ix.streamScan(lo, n, yield, probe) {
-		return
+	if yield != nil && !ix.streamScan(lo, n, yield, probe) {
+		yield = nil
 	}
-
-	// Token-less records never collide in the index, but the empty-set
-	// convention gives them similarity 1 with each other.
-	if tau <= 1 {
-		for i := lo; i < n; i++ {
-			if len(ids[i]) != 0 {
-				continue
-			}
-			for _, j32 := range ix.empties {
-				a, b := record.ID(j32), record.ID(i)
-				if ix.opts.crossOK(t, a, b) {
-					if !yield(ScoredPair{Pair: record.Pair{A: a, B: b}, Likelihood: 1}) {
-						return
-					}
-				}
-			}
-			ix.empties = append(ix.empties, int32(i))
-		}
-	}
+	ix.pairEmpties(ids, lo, n, yield)
 }
 
 // deltaAllPairs scores every admissible pair with a new endpoint; at

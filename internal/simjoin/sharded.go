@@ -1,8 +1,6 @@
 package simjoin
 
 import (
-	"cmp"
-	"slices"
 	"sync/atomic"
 
 	"github.com/crowder/crowder/internal/engine"
@@ -46,22 +44,10 @@ import (
 // serializes Update calls, and the concurrency inside one update is
 // managed here.
 type Sharded struct {
-	t    *record.Table
-	opts Options
-
-	// n is the number of records already indexed and probed.
-	n int
-	// weight is the frozen token order shared by every shard; identical
-	// to Index.weight over the same append sequence.
-	weight []int32
+	// joinState is shared read-only by every shard goroutine during a
+	// delta; over the same append sequence it is identical to Index's.
+	joinState
 	shards []joinShard
-	// empties lists the records with empty token sets (see Index).
-	empties []int32
-
-	// prefArena backs the delta's prefixes, shared read-only by all
-	// shard goroutines and reused across updates.
-	prefArena []int32
-	prefOffs  []int32
 }
 
 // joinShard is one shard's owned state. Every field is touched by
@@ -111,7 +97,7 @@ func NewSharded(t *record.Table, shards int, opts Options) *Sharded {
 	if shards < 1 {
 		shards = 1
 	}
-	sx := &Sharded{t: t, opts: opts, shards: make([]joinShard, shards)}
+	sx := &Sharded{joinState: joinState{t: t, opts: opts}, shards: make([]joinShard, shards)}
 	for s := range sx.shards {
 		sx.shards[s].tokIdx = make(map[int32]int32)
 	}
@@ -173,16 +159,19 @@ func (sx *Sharded) PostingsEntries() int {
 // joined. Returning false stops the scan; like Index, the delta is
 // still absorbed and its remaining candidates are discarded.
 func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
-	t := sx.t
-	n := t.Len()
-	lo := sx.n
+	sx.delta(sx.t.Len(), sink)
+}
+
+// delta absorbs table records [Indexed(), upto): the shared prepare
+// step, then every shard inserts the prefixes of the records it owns
+// and — unless sink is nil, which is Absorb — probes every new record
+// against its own postings.
+func (sx *Sharded) delta(upto int, sink func(shard int, sp ScoredPair) bool) {
+	ids, lo, n := sx.prepare(upto)
 	if n <= lo {
 		return
 	}
-	sx.n = n
-	ids := t.TokenIDs()
-	tau := sx.opts.Threshold
-	ns := len(sx.shards)
+	t, ns := sx.t, len(sx.shards)
 
 	// Assign each new record to its owning shard by content hash.
 	owner := make([]int32, n-lo)
@@ -201,7 +190,7 @@ func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
 		}
 	}
 
-	if tau <= 0 {
+	if sx.opts.Threshold <= 0 {
 		// Every pair survives a non-positive threshold (see
 		// Index.deltaAllPairs): shard s scores its own members j < i
 		// against every new record i, which over all shards is every
@@ -212,6 +201,9 @@ func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
 				if owner[i-lo] == int32(s) {
 					sh.members = append(sh.members, int32(i))
 				}
+			}
+			if sink == nil {
+				return
 			}
 			emit := emitFor(s)
 			for i := lo; i < n; i++ {
@@ -238,45 +230,6 @@ func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
 		return
 	}
 
-	// Freeze ordering weights for tokens first seen in this delta,
-	// exactly as Index.update does — the weights (and therefore every
-	// prefix) must be bit-identical to the single-index path.
-	universe := t.TokenUniverse()
-	for len(sx.weight) < universe {
-		sx.weight = append(sx.weight, -1)
-	}
-	fresh := make(map[int32]int32)
-	for i := lo; i < n; i++ {
-		for _, tok := range ids[i] {
-			if sx.weight[tok] < 0 {
-				fresh[tok]++
-			}
-		}
-	}
-	for tok, f := range fresh {
-		sx.weight[tok] = f
-	}
-
-	// Compute the new records' prefixes into the shared arena under the
-	// frozen order; shards read it concurrently but never write it.
-	arena := sx.prefArena[:0]
-	offs := append(sx.prefOffs[:0], 0)
-	for i := lo; i < n; i++ {
-		base := len(arena)
-		arena = append(arena, ids[i]...)
-		p := arena[base:]
-		slices.SortFunc(p, func(a, b int32) int {
-			if c := cmp.Compare(sx.weight[a], sx.weight[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		arena = arena[:base+prefixLen(len(p), tau)]
-		offs = append(offs, int32(len(arena)))
-	}
-	sx.prefArena, sx.prefOffs = arena, offs
-	pref := func(i int) []int32 { return arena[offs[i-lo]:offs[i-lo+1]] }
-
 	// Each shard inserts its owned records' prefixes, then probes every
 	// new record against its own postings. Inserts precede probes within
 	// a shard, and the probe bound j < i excludes records inserted after
@@ -289,7 +242,7 @@ func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
 				continue
 			}
 			sh.members = append(sh.members, int32(i))
-			for _, tok := range pref(i) {
+			for _, tok := range sx.pref(i, lo) {
 				slot, ok := sh.tokIdx[tok]
 				if !ok {
 					slot = int32(len(sh.postings))
@@ -299,52 +252,32 @@ func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
 				sh.postings[slot].Append(int32(i))
 			}
 		}
-		if len(sh.stamp) < n {
-			grown := make([]int32, n)
-			copy(grown, sh.stamp)
-			sh.stamp = grown
+		if sink == nil {
+			return
 		}
+		sh.stamp = growStamp(sh.stamp, n)
 		emit := emitFor(s)
-		for i := lo; i < n; i++ {
-			if stop.Load() {
-				return
-			}
-			if !sx.probeShard(sh, ids, i, pref(i), tau, emit) {
+		for i := lo; i < n && !stop.Load(); i++ {
+			if !sx.probeShard(sh, ids, i, sx.pref(i, lo), emit) {
 				return
 			}
 		}
 	})
-	if stop.Load() {
-		return
-	}
 
-	// Token-less records pair with each other at likelihood 1 (the
-	// empty-set convention), globally — they own no postings anywhere.
-	if tau <= 1 {
-		for i := lo; i < n; i++ {
-			if len(ids[i]) != 0 {
-				continue
-			}
-			for _, j32 := range sx.empties {
-				a, b := record.ID(j32), record.ID(i)
-				if sx.opts.crossOK(t, a, b) {
-					if !sink(0, ScoredPair{Pair: record.Pair{A: a, B: b}, Likelihood: 1}) {
-						return
-					}
-				}
-			}
-			sx.empties = append(sx.empties, int32(i))
-		}
+	// Token-less records pair with each other globally — they own no
+	// postings anywhere — and are delivered for shard 0.
+	var yield func(ScoredPair) bool
+	if sink != nil && !stop.Load() {
+		yield = func(sp ScoredPair) bool { return sink(0, sp) }
 	}
+	sx.pairEmpties(ids, lo, n, yield)
 }
 
 // probeShard scans record i's prefix tokens against one shard's
 // postings, emitting every verified pair — the same probe as
-// Index.update restricted to the slots this shard owns.
-func (sx *Sharded) probeShard(sh *joinShard, ids [][]int32, i int, pref []int32, tau float64, emit func(ScoredPair) bool) bool {
-	t := sx.t
-	li := len(ids[i])
-	i32 := int32(i)
+// Index.delta restricted to the slots this shard owns.
+func (sx *Sharded) probeShard(sh *joinShard, ids [][]int32, i int, pref []int32, emit func(ScoredPair) bool) bool {
+	si, i32 := sx.summary[i], int32(i)
 	ok := true
 	for _, tok := range pref {
 		slot, hit := sh.tokIdx[tok]
@@ -352,28 +285,11 @@ func (sx *Sharded) probeShard(sh *joinShard, ids [][]int32, i int, pref []int32,
 			continue
 		}
 		sh.postings[slot].forEachLess(i32, &sh.dbuf, func(j32 int32) bool {
-			j := int(j32)
-			if sh.stamp[j] == i32 {
-				return true
+			if sh.stamp[j32] != i32 {
+				sh.stamp[j32] = i32
+				ok = sx.verify(ids, si, i, int(j32), emit)
 			}
-			sh.stamp[j] = i32
-			if !sx.opts.crossOK(t, record.ID(j), record.ID(i)) {
-				return true
-			}
-			if !passesLengthFilter(li, len(ids[j]), tau) {
-				return true
-			}
-			sim := similarity.Jaccard(ids[i], ids[j])
-			if sim >= tau {
-				if !emit(ScoredPair{
-					Pair:       record.Pair{A: record.ID(j), B: record.ID(i)},
-					Likelihood: sim,
-				}) {
-					ok = false
-					return false
-				}
-			}
-			return true
+			return ok
 		})
 		if !ok {
 			return false

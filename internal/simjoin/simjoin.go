@@ -4,14 +4,20 @@
 // threshold (Section 7.1's "simjoin").
 //
 // Rather than comparing all O(n²) pairs, Join uses prefix filtering with an
-// inverted index plus a length filter — the indexing the paper's footnote 1
-// alludes to ("we can adopt some indexing techniques ... to avoid all-pairs
-// comparison"). The implementation runs over the table's interned token IDs
+// inverted index — the indexing the paper's footnote 1 alludes to ("we can
+// adopt some indexing techniques ... to avoid all-pairs comparison"). The
+// implementation runs over the table's interned token IDs
 // (record.Table.TokenIDs): the inverted index maps dense token IDs to
 // block-compressed posting lists (PostingList: delta-encoded IDs with
-// per-block skip pointers), similarities are merges — galloping when the
-// set sizes are skewed — over sorted []int32, and the probe phase is
-// sharded across Options.Parallelism workers. The Index type is the
+// per-block skip pointers), and both the per-delta prefix build and the
+// probe phase are spread across Options.Parallelism workers. A probe
+// handles each posting collision in this order: dedupe against the
+// worker's stamp array, source admissibility, the summary filter — a
+// 16-byte per-record {signature, size} that bounds |x Δ y| from below
+// and rejects, exactly, pairs that cannot reach the threshold without
+// touching their token arrays (see recSummary) — and only then the exact
+// score, a merge (galloping when the set sizes are skewed) over sorted
+// []int32. The Index type is the
 // persistent, incrementally maintained form of the same join: new records
 // probe the postings built by earlier batches and then insert themselves,
 // so a delta of d records costs O(d·candidates) instead of a full
@@ -91,8 +97,8 @@ func (o Options) crossOK(t *record.Table, a, b record.ID) bool {
 // is at least opts.Threshold, sorted by likelihood descending. It uses
 // prefix filtering: tokens are ordered by ascending global frequency, each
 // record indexes only its first len−⌈τ·len⌉+1 tokens, and candidates are
-// generated from index collisions, then confirmed with a length filter and
-// an exact merge-intersection. Records with empty token sets pair with each
+// generated from index collisions, then confirmed with the summary filter
+// (size and signature bounds) and an exact merge-intersection. Records with empty token sets pair with each
 // other at likelihood 1 (the empty-set convention), keeping Join ≡
 // BruteForce on every input. With τ = 0 the prefix degenerates to every
 // token, so Join switches to a sharded all-pairs scan instead.

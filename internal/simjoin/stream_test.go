@@ -3,6 +3,7 @@ package simjoin
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,6 +161,27 @@ func TestUpdateSeqEarlyBreak(t *testing.T) {
 		}
 		if ix.Indexed() != tab.Len() {
 			t.Fatalf("par=%d: Indexed=%d want %d", par, ix.Indexed(), tab.Len())
+		}
+	}
+
+	// An abandoned delta still remembers its token-less records (as
+	// Absorb does), so a later empty record pairs with them.
+	for _, par := range []int{1, 4} {
+		tab := record.NewTable("text")
+		for _, v := range []string{"alpha beta", "alpha beta", "", "--"} {
+			tab.Append(v)
+		}
+		ix := NewIndex(tab, Options{Threshold: 0.5, Parallelism: par})
+		for range ix.UpdateSeq() {
+			break // the first pair: {0,1} or {2,3}
+		}
+		tab.Append("!?")
+		want := []ScoredPair{
+			{Pair: record.Pair{A: 2, B: 4}, Likelihood: 1},
+			{Pair: record.Pair{A: 3, B: 4}, Likelihood: 1},
+		}
+		if got := ix.Update(); !slices.Equal(got, want) {
+			t.Fatalf("par=%d: empty record after abandoned stream paired as %+v, want %+v", par, got, want)
 		}
 	}
 }
