@@ -12,11 +12,16 @@ import (
 func aggTestWorkload(t *testing.T) (*dataset.Dataset, []Pair) {
 	t.Helper()
 	d := dataset.RestaurantN(6, 300, 60)
+	return d, oracleOf(d)
+}
+
+// oracleOf is a dataset's planted truth as the simulator's oracle.
+func oracleOf(d *dataset.Dataset) []Pair {
 	var oracle []Pair
 	for _, p := range d.Matches.Slice() {
 		oracle = append(oracle, Pair{A: int(p.A), B: int(p.B)})
 	}
-	return d, oracle
+	return oracle
 }
 
 func buildTable(d *dataset.Dataset) *Table {
@@ -136,6 +141,36 @@ func TestAggregationMAPDeltaEqualsScratch(t *testing.T) {
 		if full.Matches[i] != last.Matches[i] {
 			t.Fatalf("k-batch MAP match %d differs: %v vs %v", i, last.Matches[i], full.Matches[i])
 		}
+	}
+}
+
+// End to end, MAP must score accepted matches at F1 ≥ the default
+// aggregator on the reference datasets (measured 0.946 → 0.952 on
+// Restaurant and 0.957 → 0.966 on Product+Dup).
+func TestAggregationMAPF1AtLeastDefault(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		d    *dataset.Dataset
+		tau  float64
+	}{
+		{"restaurant", dataset.RestaurantN(3, 2000, 400), 0.4},
+		{"product+dup", dataset.ProductDup(2, dataset.Product(1)), 0.5},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			f1 := func(mode AggregationMode) float64 {
+				res, err := Resolve(buildTable(w.d), Options{
+					Threshold: w.tau, HITType: PairHITs, ClusterSize: 10,
+					Oracle: oracleOf(w.d), Seed: 1, Aggregation: mode,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f1Against(w.d.Matches, res)
+			}
+			if def, mp := f1(AggregationDawidSkene), f1(AggregationDawidSkeneMAP); mp < def {
+				t.Errorf("MAP F1 %.4f below default %.4f", mp, def)
+			}
+		})
 	}
 }
 

@@ -210,10 +210,10 @@ const (
 	// on every worker confusion row plus pool-mean anchoring of workers
 	// whose history covers only one class. It fixes the sparse-coverage
 	// degeneracy in which a high learned prevalence flips a unanimously
-	// rejected pair to a confident match (see the ROADMAP and
-	// cmd/bench -aggregate, whose gate this mode ships behind); outputs
-	// differ from the default, converging to it as worker histories
-	// grow dense.
+	// rejected pair to a confident match (see the ROADMAP;
+	// TestDawidSkeneMAPNeverInvertsUnanimous and
+	// TestAggregationMAPF1AtLeastDefault hold its gate); outputs differ
+	// from the default, converging to it as worker histories grow dense.
 	AggregationDawidSkeneMAP
 )
 

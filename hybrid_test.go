@@ -109,8 +109,9 @@ func TestHybridOffIsDefault(t *testing.T) {
 
 // Tentpole acceptance at test scale: over a multi-delta session the
 // learning router resolves a growing share of candidates by machine, so
-// the session posts fewer HITs at equal-or-better F1 than the identical
-// session without the router — and every candidate is still judged.
+// the session posts at least 40% fewer HITs at equal-or-better F1 than
+// the identical session without the router — and every candidate is
+// still judged.
 func TestHybridSessionFewerHITsEqualOrBetterF1(t *testing.T) {
 	rows, schema, oracle, truth := productDupDataset()
 	base := Options{
@@ -139,8 +140,9 @@ func TestHybridSessionFewerHITsEqualOrBetterF1(t *testing.T) {
 	if onMachine == 0 {
 		t.Fatal("hybrid session resolved nothing by machine")
 	}
-	if onHITs >= offHITs {
-		t.Errorf("hybrid posted %d HITs; baseline posted %d — no savings", onHITs, offHITs)
+	// At least 40% fewer HITs; measured 57 → 14 here.
+	if float64(onHITs) > 0.6*float64(offHITs) {
+		t.Errorf("hybrid posted %d HITs; baseline posted %d — under the 40%% saving floor", onHITs, offHITs)
 	}
 	// The first delta routes nothing (no verdicts to train from yet);
 	// the savings come from later deltas, so crowd cost falls over the

@@ -87,8 +87,8 @@ const coverageUnit = 1.0
 // In the dense-coverage limit — long per-worker histories over both
 // classes, weak priors — the MAP estimate converges to plain DawidSkene:
 // every prior term is O(1/n) against the data. The default aggregation
-// path does not use this estimator; it ships as its own Aggregator
-// behind cmd/bench -aggregate acceptance gates.
+// path does not use this estimator; it ships as its own Aggregator,
+// gated by TestDawidSkeneMAPNeverInvertsUnanimous.
 func DawidSkeneMAP(answers []Answer, opts MAPOptions) Posterior {
 	opts.defaults()
 	if len(answers) == 0 {

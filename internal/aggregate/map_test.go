@@ -2,10 +2,41 @@ package aggregate
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
 )
+
+// sparseCohorts builds cohorts of three single-round workers: nMatch
+// cohorts whose whole history is 10 pairs unanimously judged matches,
+// then nReject cohorts whose whole history is perReject pairs
+// unanimously judged non-matches. Everyone answers truthfully, so any
+// inversion is the aggregator's alone.
+func sparseCohorts(nMatch, nReject, perReject int) (answers []Answer, rejected []record.Pair, workers int) {
+	pid := 0
+	cohort := func(pairs int, match bool) {
+		for i := 0; i < pairs; i++ {
+			p := mk(2*pid, 2*pid+1)
+			pid++
+			if !match {
+				rejected = append(rejected, p)
+			}
+			for w := workers; w < workers+3; w++ {
+				answers = append(answers, Answer{Pair: p, Worker: w, Match: match})
+			}
+		}
+		workers += 3
+	}
+	for c := 0; c < nMatch; c++ {
+		cohort(10, true)
+	}
+	for c := 0; c < nReject; c++ {
+		cohort(perReject, false)
+	}
+	SortCanonical(answers)
+	return answers, rejected, workers
+}
 
 // sparseDegeneracyAnswers reconstructs the PR 4 stress-test degeneracy
 // in its minimal form: 24 single-round workers — 7 cohorts of 3 whose
@@ -15,25 +46,8 @@ import (
 // rows are unsupported by any data, and plain Dawid–Skene flips the
 // false 3-0 pair to a confident match.
 func sparseDegeneracyAnswers() (answers []Answer, falsePair record.Pair, workers int) {
-	var out []Answer
-	worker, pid := 0, 0
-	for c := 0; c < 7; c++ {
-		ws := []int{worker, worker + 1, worker + 2}
-		worker += 3
-		for i := 0; i < 10; i++ {
-			p := mk(2*pid, 2*pid+1)
-			pid++
-			for _, w := range ws {
-				out = append(out, Answer{Pair: p, Worker: w, Match: true})
-			}
-		}
-	}
-	falsePair = mk(2*pid, 2*pid+1)
-	for _, w := range []int{worker, worker + 1, worker + 2} {
-		out = append(out, Answer{Pair: falsePair, Worker: w, Match: false})
-	}
-	SortCanonical(out)
-	return out, falsePair, worker + 3
+	answers, rejected, workers := sparseCohorts(7, 1, 1)
+	return answers, rejected[0], workers
 }
 
 // Satellite regression: the exact ROADMAP degeneracy. 24 single-round
@@ -70,17 +84,83 @@ func TestSparseCoverageDegeneracyRegression(t *testing.T) {
 
 // No unanimous-verdict inversion, the general property: whatever the
 // coverage pattern, a pair whose answers are unanimous must not be
-// decided against them by the MAP aggregator.
+// decided against them by the MAP aggregator. The second input is the
+// retired aggregation gate's stress workload — 90 single-round workers,
+// 260 unanimous pairs — on which plain Dawid–Skene inverts 10 pairs. On
+// each input plain Dawid–Skene must invert at least one, or the case
+// proves nothing.
 func TestDawidSkeneMAPNeverInvertsUnanimous(t *testing.T) {
-	answers, _, _ := sparseDegeneracyAnswers()
-	post := DawidSkeneMAP(answers, MAPOptions{})
-	assertNoUnanimousInversions(t, answers, post, "MAP")
+	minimal, _, _ := sparseDegeneracyAnswers()
+	gate, _, _ := sparseCohorts(25, 5, 2)
+	for _, in := range []struct {
+		name    string
+		answers []Answer
+	}{{"minimal", minimal}, {"gate", gate}} {
+		t.Run(in.name, func(t *testing.T) {
+			if inv := unanimousInversions(in.answers, DawidSkeneMAP(in.answers, MAPOptions{})); len(inv) > 0 {
+				t.Errorf("MAP inverted %d unanimous verdicts: %v", len(inv), inv)
+			}
+			if inv := unanimousInversions(in.answers, DawidSkene(in.answers, DawidSkeneOptions{})); len(inv) == 0 {
+				t.Error("plain Dawid–Skene inverts nothing here; the case is vacuous")
+			}
+		})
+	}
 }
 
-// assertNoUnanimousInversions fails if any unanimously judged pair's
-// posterior decision contradicts its unanimous verdict.
-func assertNoUnanimousInversions(t *testing.T, answers []Answer, post Posterior, label string) {
-	t.Helper()
+// The workload builder behind the sparse-coverage tests: five cohorts of
+// three, and every answer agrees with the design — rejected pairs are
+// unanimously false, all others unanimously true — so an inversion found
+// on it is the aggregator's, not the workload's.
+func TestSparseWorkloadShape(t *testing.T) {
+	answers, rejected, workers := sparseCohorts(3, 2, 2)
+	if workers != 15 {
+		t.Errorf("workers = %d; want 15 (5 cohorts of 3)", workers)
+	}
+	if len(rejected) != 4 {
+		t.Errorf("rejected pairs = %d; want 4 (2 cohorts x 2 pairs)", len(rejected))
+	}
+	// 3 cohorts x 10 pairs x 3 answers + 2 cohorts x 2 pairs x 3 answers.
+	if want := 3*10*3 + 2*2*3; len(answers) != want {
+		t.Errorf("answers = %d; want %d", len(answers), want)
+	}
+	for _, a := range answers {
+		if a.Match == slices.Contains(rejected, a.Pair) {
+			t.Fatalf("answer %+v contradicts the workload's design", a)
+		}
+	}
+}
+
+// The inversion counter must see both directions and skip split pairs,
+// or "MAP inverts nothing" above could hold vacuously.
+func TestUnanimousInversions(t *testing.T) {
+	answers := []Answer{
+		{Pair: mk(0, 1), Worker: 1, Match: true},
+		{Pair: mk(0, 1), Worker: 2, Match: true},
+		{Pair: mk(2, 3), Worker: 1, Match: false},
+		{Pair: mk(2, 3), Worker: 2, Match: false},
+		{Pair: mk(4, 5), Worker: 1, Match: true}, // split: not unanimous
+		{Pair: mk(4, 5), Worker: 2, Match: false},
+	}
+	inv := unanimousInversions(answers, Posterior{
+		mk(0, 1): 0.2,  // inverts the unanimous yes
+		mk(2, 3): 0.91, // inverts the unanimous no
+		mk(4, 5): 0.99, // split pair: never counted
+	})
+	record.SortPairs(inv)
+	if want := []record.Pair{mk(0, 1), mk(2, 3)}; !slices.Equal(inv, want) {
+		t.Errorf("inversions = %v; want %v", inv, want)
+	}
+	if inv := unanimousInversions(answers, Posterior{
+		mk(0, 1): 0.9, mk(2, 3): 0.1, mk(4, 5): 0.5,
+	}); len(inv) != 0 {
+		t.Errorf("faithful posterior counted inversions %v", inv)
+	}
+}
+
+// unanimousInversions lists the unanimously judged pairs whose
+// posterior decision contradicts their unanimous verdict.
+func unanimousInversions(answers []Answer, post Posterior) []record.Pair {
+	var inv []record.Pair
 	yes := make(map[record.Pair]int)
 	total := make(map[record.Pair]int)
 	for _, a := range answers {
@@ -90,18 +170,11 @@ func assertNoUnanimousInversions(t *testing.T, answers []Answer, post Posterior,
 		}
 	}
 	for p, tot := range total {
-		unanimousYes := yes[p] == tot
-		unanimousNo := yes[p] == 0
-		if !unanimousYes && !unanimousNo {
-			continue
-		}
-		if unanimousYes && post[p] < 0.5 {
-			t.Errorf("%s inverted unanimous match %v to posterior %v", label, p, post[p])
-		}
-		if unanimousNo && post[p] >= 0.5 {
-			t.Errorf("%s inverted unanimous non-match %v to posterior %v", label, p, post[p])
+		if (yes[p] == tot && post[p] < 0.5) || (yes[p] == 0 && post[p] >= 0.5) {
+			inv = append(inv, p)
 		}
 	}
+	return inv
 }
 
 // Property: in the dense-coverage limit — long per-worker histories over

@@ -213,23 +213,6 @@ func TestRecordTokensPaperExample(t *testing.T) {
 	}
 }
 
-func TestTableTokens(t *testing.T) {
-	tab := NewTable("name")
-	tab.Append("alpha beta")
-	tab.Append("beta gamma")
-	ts := TableTokens(tab)
-	if len(ts) != 2 {
-		t.Fatalf("len = %d; want 2", len(ts))
-	}
-	if !ts[0].Has("alpha") || !ts[1].Has("gamma") {
-		t.Error("TableTokens missing expected tokens")
-	}
-	st := SortedRecordTokens(tab)
-	if len(st[0]) != 2 || st[0][0] != "alpha" {
-		t.Errorf("SortedRecordTokens[0] = %v", st[0])
-	}
-}
-
 // Property: MakePair always yields A <= B and is order-insensitive.
 func TestMakePairProperty(t *testing.T) {
 	f := func(a, b int16) bool {

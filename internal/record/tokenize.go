@@ -105,24 +105,3 @@ func AttrTokens(r *Record, attr int) TokenSet {
 	}
 	return s
 }
-
-// TableTokens materializes RecordTokens for every record in the table,
-// indexed by record ID.
-func TableTokens(t *Table) []TokenSet {
-	out := make([]TokenSet, t.Len())
-	for i := range t.Records {
-		out[i] = RecordTokens(&t.Records[i])
-	}
-	return out
-}
-
-// SortedRecordTokens returns each record's tokens as a sorted slice,
-// indexed by record ID. The similarity-join code uses this form for
-// prefix filtering.
-func SortedRecordTokens(t *Table) [][]string {
-	out := make([][]string, t.Len())
-	for i := range t.Records {
-		out[i] = RecordTokens(&t.Records[i]).Sorted()
-	}
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,8 +332,9 @@ func TestResolveAdmissionQueue(t *testing.T) {
 // resolve concurrently over several rounds while one worker pool drains
 // them all through the cross-table claim plane, under -race in CI. It
 // asserts no lost answers (per tenant, acked answers == assignments the
-// jobs consumed) and no cross-tenant verdict leakage (each tenant's
-// accepted matches are a subset of that tenant's own truth).
+// jobs consumed), no cross-tenant verdict leakage (each tenant's
+// accepted matches are a subset of that tenant's own truth), and that
+// each tenant's match list equals its table resolved alone.
 func TestMultiTenantStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -347,76 +349,44 @@ func TestMultiTenantStress(t *testing.T) {
 	c := srv.Client()
 
 	type tenant struct {
-		table string
-		rows  [][]string
-		truth record.PairSet
-		paid  atomic.Int64
-		acked atomic.Int64
+		table  string
+		schema []string
+		opts   optionsRequest
+		rows   [][]string
+		truth  record.PairSet
+		paid   atomic.Int64
 	}
 	ts := make([]*tenant, tenants)
+	truth := map[string]record.PairSet{}
 	for i := range ts {
 		// Different sizes ⇒ different truths: a verdict leaking across
 		// tenants shows up as an untrue accepted pair.
 		d := dataset.RestaurantN(4, 60+30*i, 10+5*i)
-		tn := &tenant{table: fmt.Sprintf("t%d", i), truth: d.Matches}
+		tn := &tenant{table: fmt.Sprintf("t%d", i), schema: d.Table.Schema, truth: d.Matches}
+		tn.opts = optionsRequest{
+			Threshold: 0.4, HITType: "pair", ClusterSize: 5, Seed: int64(11 + i),
+			Backend: "queue", Tenant: "tenant" + tn.table, Priority: 1 + i%2,
+			// Majority vote keeps unanimous truthful answers exactly
+			// truthful. The default Dawid–Skene can invert verdicts for
+			// workers with sparse per-table coverage (see ROADMAP), and
+			// a shared pool spread across tenants makes coverage sparse
+			// by construction — that degeneracy would masquerade as
+			// cross-tenant leakage here.
+			Aggregation: "majority-vote",
+		}
 		for j := range d.Table.Records {
 			tn.rows = append(tn.rows, d.Table.Records[j].Values)
 		}
 		ts[i] = tn
-		if code := call(t, c, "POST", srv.URL+"/tables/"+tn.table, tableRequest{
-			Schema: d.Table.Schema,
-			Options: optionsRequest{
-				Threshold: 0.4, HITType: "pair", ClusterSize: 5, Seed: int64(11 + i),
-				Backend: "queue", Tenant: "tenant" + tn.table, Priority: 1 + i%2,
-				// Majority vote keeps unanimous truthful answers exactly
-				// truthful. The default Dawid–Skene can invert verdicts for
-				// workers with sparse per-table coverage (see ROADMAP), and
-				// a shared pool spread across tenants makes coverage sparse
-				// by construction — that degeneracy would masquerade as
-				// cross-tenant leakage here.
-				Aggregation: "majority-vote",
-			},
-		}, nil); code != http.StatusCreated {
+		truth[tn.table] = tn.truth
+		if code := call(t, c, "POST", srv.URL+"/tables/"+tn.table,
+			tableRequest{Schema: tn.schema, Options: tn.opts}, nil); code != http.StatusCreated {
 			t.Fatalf("create %s returned %d", tn.table, code)
 		}
 	}
-	byTable := map[string]*tenant{}
-	for _, tn := range ts {
-		byTable[tn.table] = tn
-	}
 
-	var done atomic.Bool
-	var wg sync.WaitGroup
 	// The shared pool: workers see all tenants through one endpoint.
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for !done.Load() {
-				var cl globalClaimResponse
-				code := call(t, c, "POST", srv.URL+"/claim",
-					map[string]any{"worker": fmt.Sprintf("w%d", w), "max_wait_ms": 50}, &cl)
-				if code != http.StatusOK {
-					continue
-				}
-				tn := byTable[cl.Table]
-				if tn == nil {
-					t.Errorf("claim from unknown table %q", cl.Table)
-					return
-				}
-				var answers []map[string]any
-				for _, p := range cl.HIT.Pairs {
-					answers = append(answers, map[string]any{
-						"a": p.A, "b": p.B, "match": tn.truth.Has(record.ID(p.A), record.ID(p.B)),
-					})
-				}
-				if call(t, c, "POST", srv.URL+"/answer",
-					map[string]any{"token": cl.Token, "answers": answers}, nil) == http.StatusOK {
-					tn.acked.Add(1)
-				}
-			}
-		}(w)
-	}
+	acked, stopPool := truthfulPool(t, c, srv.URL, workers, truth)
 
 	// Each tenant drives its own append→resolve→poll rounds concurrently.
 	var terr atomic.Bool
@@ -457,32 +427,92 @@ func TestMultiTenantStress(t *testing.T) {
 		}(tn)
 	}
 	tenantWG.Wait()
-	done.Store(true)
-	wg.Wait()
+	stopPool()
 	if terr.Load() {
 		t.FailNow()
 	}
 
 	for _, tn := range ts {
-		// No lost answers: each tenant's jobs consumed exactly the
-		// assignments its acked answers delivered.
-		if tn.acked.Load() != tn.paid.Load() {
-			t.Errorf("%s: %d answers acked, jobs consumed %d", tn.table, tn.acked.Load(), tn.paid.Load())
-		}
-		// No cross-tenant leakage: truthful workers answered from THIS
-		// tenant's truth, so an accepted pair outside it means another
-		// tenant's verdicts bled in.
-		accepted := 0
-		for _, m := range getMatches(t, c, srv.URL, tn.table) {
-			if m.Confidence >= 0.5 {
-				accepted++
-				if !tn.truth.Has(record.ID(m.A), record.ID(m.B)) {
-					t.Errorf("%s accepted pair (%d,%d) outside its own truth", tn.table, m.A, m.B)
+		t.Run(tn.table, func(t *testing.T) {
+			// No lost answers: each tenant's jobs consumed exactly the
+			// assignments its acked answers delivered.
+			if got := acked[tn.table].Load(); got != tn.paid.Load() {
+				t.Errorf("%d answers acked, jobs consumed %d", got, tn.paid.Load())
+			}
+			// No cross-tenant leakage: truthful workers answered from THIS
+			// tenant's truth, so an accepted pair outside it means another
+			// tenant's verdicts bled in.
+			shared := getMatches(t, c, srv.URL, tn.table)
+			accepted := 0
+			for _, m := range shared {
+				if m.Confidence >= 0.5 {
+					accepted++
+					if !tn.truth.Has(record.ID(m.A), record.ID(m.B)) {
+						t.Errorf("accepted pair (%d,%d) outside its own truth", m.A, m.B)
+					}
 				}
 			}
-		}
-		if accepted == 0 {
-			t.Errorf("%s accepted no matches", tn.table)
-		}
+			if accepted == 0 {
+				t.Error("accepted no matches")
+			}
+
+			// Tenants share workers, never verdicts: the same table resolved
+			// alone on a fresh server yields the identical match list.
+			solo := httptest.NewServer(New(Options{}))
+			defer solo.Close()
+			sc := solo.Client()
+			job := startQueueResolve(t, sc, solo.URL, tn.table, tn.opts, tn.schema, tn.rows)
+			_, stopSolo := truthfulPool(t, sc, solo.URL, 3, map[string]record.PairSet{tn.table: tn.truth})
+			status := pollJob(t, sc, solo.URL, tn.table, job)
+			stopSolo()
+			if status["state"] != "done" {
+				t.Fatalf("alone: job ended %v: %v", status["state"], status["error"])
+			}
+			if alone := getMatches(t, sc, solo.URL, tn.table); !slices.Equal(shared, alone) {
+				t.Errorf("%d matches under the shared pool differ from %d alone on a fresh server",
+					len(shared), len(alone))
+			}
+		})
 	}
+}
+
+// truthfulPool runs workers on base's shared claim plane until stop is
+// called, answering every claimed pair from its table's truth. acked
+// counts the answers the server accepted, per table.
+func truthfulPool(t *testing.T, c *http.Client, base string, workers int, truth map[string]record.PairSet) (acked map[string]*atomic.Int64, stop func()) {
+	acked = make(map[string]*atomic.Int64, len(truth))
+	for table := range truth {
+		acked[table] = new(atomic.Int64)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for !done.Load() {
+				var cl globalClaimResponse
+				if call(t, c, "POST", base+"/claim",
+					map[string]any{"worker": fmt.Sprintf("w%d", w), "max_wait_ms": 50}, &cl) != http.StatusOK {
+					continue
+				}
+				tr := truth[cl.Table]
+				if tr == nil {
+					t.Errorf("claim from unknown table %q", cl.Table)
+					return
+				}
+				var answers []map[string]any
+				for _, p := range cl.HIT.Pairs {
+					answers = append(answers, map[string]any{
+						"a": p.A, "b": p.B, "match": tr.Has(record.ID(p.A), record.ID(p.B)),
+					})
+				}
+				if call(t, c, "POST", base+"/answer",
+					map[string]any{"token": cl.Token, "answers": answers}, nil) == http.StatusOK {
+					acked[cl.Table].Add(1)
+				}
+			}
+		}(w)
+	}
+	return acked, func() { done.Store(true); wg.Wait() }
 }

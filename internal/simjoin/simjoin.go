@@ -27,8 +27,7 @@
 // wrappers, canonically sorted and bit-identical at every parallelism
 // level. BruteForce provides the reference all-pairs
 // implementation used for testing equivalence and for self-joins of tiny
-// tables; LegacyJoin preserves the original single-threaded map-of-strings
-// implementation as a benchmark baseline and differential-testing oracle.
+// tables.
 package simjoin
 
 import (

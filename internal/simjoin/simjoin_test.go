@@ -252,17 +252,6 @@ func TestJoinParallelEquivalenceDatasets(t *testing.T) {
 	}
 }
 
-// The retained legacy implementation must agree with the interned one —
-// it is only useful as a baseline if it computes the same join.
-func TestJoinMatchesLegacy(t *testing.T) {
-	tab := dataset.RestaurantN(7, 150, 25).Table
-	for _, tau := range []float64{0, 0.3, 0.6} {
-		got := Join(tab, Options{Threshold: tau})
-		want := LegacyJoin(tab, Options{Threshold: tau})
-		equalScored(t, fmt.Sprintf("tau=%v", tau), got, want)
-	}
-}
-
 // Records with empty token sets follow the empty-set convention
 // (similarity 1 with each other) on both the indexed and brute-force
 // paths.
@@ -365,18 +354,6 @@ func BenchmarkJoinBruteForce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BruteForce(tab, Options{Threshold: 0.4})
-	}
-}
-
-// BenchmarkJoinLegacySeed measures the seed repo's original map-of-strings
-// implementation — the baseline BENCH_baseline.json records speedups
-// against.
-func BenchmarkJoinLegacySeed(b *testing.B) {
-	tab := randomTable(42, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LegacyJoin(tab, Options{Threshold: 0.4})
 	}
 }
 

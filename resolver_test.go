@@ -53,53 +53,55 @@ func TestResolveDeltaEquivalentToFromScratch(t *testing.T) {
 	batches := [][][]string{rows[:100], rows[100:140], rows[140:141], rows[141:]}
 
 	for _, par := range []int{1, 2, 8} {
-		opts := Options{
-			Threshold:   0.4,
-			HITType:     PairHITs,
-			ClusterSize: 5,
-			Oracle:      oracle,
-			Seed:        7,
-			Parallelism: par,
-		}
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			opts := Options{
+				Threshold:   0.4,
+				HITType:     PairHITs,
+				ClusterSize: 5,
+				Oracle:      oracle,
+				Seed:        7,
+				Parallelism: par,
+			}
 
-		union := NewTable(schema...)
-		for _, row := range rows {
-			union.Append(row...)
-		}
-		want, err := Resolve(union, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		rv, err := NewResolver(NewTable(schema...), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *Result
-		totalHITs, totalCost := 0, 0.0
-		for _, batch := range batches {
-			rv.AppendBatch(batch...)
-			got, err = rv.ResolveDelta()
+			union := NewTable(schema...)
+			for _, row := range rows {
+				union.Append(row...)
+			}
+			want, err := Resolve(union, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			totalHITs += got.HITs
-			totalCost += got.CostDollars
-		}
 
-		assertSameMatches(t, "parallelism", want.Matches, got.Matches)
-		if got.Candidates != want.Candidates {
-			t.Fatalf("parallelism %d: session candidates %d vs from-scratch %d", par, got.Candidates, want.Candidates)
-		}
-		if got.TotalPairs != want.TotalPairs {
-			t.Fatalf("parallelism %d: TotalPairs %d vs %d", par, got.TotalPairs, want.TotalPairs)
-		}
-		// Every candidate pair was judged exactly once across the deltas:
-		// the session's total crowd spend covers the same pairs the batch
-		// run paid for (HIT packing differs, pair coverage must not).
-		if totalHITs == 0 || totalCost <= 0 {
-			t.Fatalf("parallelism %d: incremental session did no crowd work", par)
-		}
+			rv, err := NewResolver(NewTable(schema...), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got *Result
+			totalHITs, totalCost := 0, 0.0
+			for _, batch := range batches {
+				rv.AppendBatch(batch...)
+				got, err = rv.ResolveDelta()
+				if err != nil {
+					t.Fatal(err)
+				}
+				totalHITs += got.HITs
+				totalCost += got.CostDollars
+			}
+
+			assertSameMatches(t, "session", want.Matches, got.Matches)
+			if got.Candidates != want.Candidates {
+				t.Fatalf("session candidates %d vs from-scratch %d", got.Candidates, want.Candidates)
+			}
+			if got.TotalPairs != want.TotalPairs {
+				t.Fatalf("TotalPairs %d vs %d", got.TotalPairs, want.TotalPairs)
+			}
+			// Every candidate pair was judged exactly once across the deltas:
+			// the session's total crowd spend covers the same pairs the batch
+			// run paid for (HIT packing differs, pair coverage must not).
+			if totalHITs == 0 || totalCost <= 0 {
+				t.Fatal("incremental session did no crowd work")
+			}
+		})
 	}
 }
 

@@ -70,7 +70,7 @@ func assertSameCache(t *testing.T, label string, want, got *verdicts.Cache) {
 func TestShardedResolutionBitIdentical(t *testing.T) {
 	rows, schema, oracle, _ := productDupDataset()
 
-	resolveScratch := func(shards int) (*Resolver, *Result) {
+	resolveScratch := func(t *testing.T, shards int) (*Resolver, *Result) {
 		opts := shardedEqualityOptions(oracle, shards)
 		opts.Threshold = 0.5
 		rv, err := NewResolver(NewTable(schema...), opts)
@@ -85,7 +85,7 @@ func TestShardedResolutionBitIdentical(t *testing.T) {
 		return rv, res
 	}
 
-	baseline, baseRes := resolveScratch(0)
+	baseline, baseRes := resolveScratch(t, 0)
 	if len(baseRes.Matches) == 0 {
 		t.Fatal("baseline resolution produced no matches")
 	}
@@ -94,34 +94,36 @@ func TestShardedResolutionBitIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4, 8} {
-		rv, res := resolveScratch(shards)
-		label := "scratch"
-		assertSameMatches(t, label, baseRes.Matches, res.Matches)
-		assertSameCache(t, label, baseline.cache, rv.cache)
-		if res.HITs != baseRes.HITs || res.DeducedPairs != baseRes.DeducedPairs {
-			t.Fatalf("shards=%d: %d HITs / %d deduced, want %d / %d", shards,
-				res.HITs, res.DeducedPairs, baseRes.HITs, baseRes.DeducedPairs)
-		}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rv, res := resolveScratch(t, shards)
+			label := "scratch"
+			assertSameMatches(t, label, baseRes.Matches, res.Matches)
+			assertSameCache(t, label, baseline.cache, rv.cache)
+			if res.HITs != baseRes.HITs || res.DeducedPairs != baseRes.DeducedPairs {
+				t.Fatalf("%d HITs / %d deduced, want %d / %d",
+					res.HITs, res.DeducedPairs, baseRes.HITs, baseRes.DeducedPairs)
+			}
 
-		// k-batch incremental session at the same shard count.
-		incOpts := shardedEqualityOptions(oracle, shards)
-		incOpts.Threshold = 0.5
-		inc, err := NewResolver(NewTable(schema...), incOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last *Result
-		const batches = 3
-		size := (len(rows) + batches - 1) / batches
-		for lo := 0; lo < len(rows); lo += size {
-			hi := min(lo+size, len(rows))
-			inc.AppendBatch(rows[lo:hi]...)
-			if last, err = inc.ResolveDelta(); err != nil {
+			// k-batch incremental session at the same shard count.
+			incOpts := shardedEqualityOptions(oracle, shards)
+			incOpts.Threshold = 0.5
+			inc, err := NewResolver(NewTable(schema...), incOpts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		assertSameMatches(t, "k-batch", baseRes.Matches, last.Matches)
-		assertSameCache(t, "k-batch", baseline.cache, inc.cache)
+			var last *Result
+			const batches = 3
+			size := (len(rows) + batches - 1) / batches
+			for lo := 0; lo < len(rows); lo += size {
+				hi := min(lo+size, len(rows))
+				inc.AppendBatch(rows[lo:hi]...)
+				if last, err = inc.ResolveDelta(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertSameMatches(t, "k-batch", baseRes.Matches, last.Matches)
+			assertSameCache(t, "k-batch", baseline.cache, inc.cache)
+		})
 	}
 }
 

@@ -44,6 +44,24 @@ func f1Against(truth record.PairSet, res *Result) float64 {
 	return 2 * p * r / (p + r)
 }
 
+// f1Against scores the equal-or-better-F1 gates, so it must not reward
+// an empty answer or short-change a perfect one.
+func TestTransitiveF1(t *testing.T) {
+	truth := record.NewPairSet()
+	truth.Add(0, 1)
+	if got := f1Against(truth, &Result{}); got != 0 {
+		t.Errorf("F1 with no accepted matches = %v; want 0", got)
+	}
+	perfect := &Result{Matches: []Match{{Pair: Pair{A: 0, B: 1}, Confidence: 0.9}}}
+	if got := f1Against(truth, perfect); got != 1 {
+		t.Errorf("perfect single-match F1 = %v; want 1", got)
+	}
+	wrong := &Result{Matches: []Match{{Pair: Pair{A: 0, B: 2}, Confidence: 0.9}}}
+	if got := f1Against(truth, wrong); got != 0 {
+		t.Errorf("F1 with only a false match = %v; want 0", got)
+	}
+}
+
 // Tentpole acceptance: with Transitivity on, the adaptive scheduler
 // posts strictly fewer HITs than the one-shot batching at equal-or-
 // better F1, reports the savings, and never re-asks a deduced pair.
