@@ -24,7 +24,8 @@
 // execute (the crowd) and aggregate (Dawid–Skene EM) — connected by
 // channels, with per-stage wall-clock timings surfaced on Result.Stages.
 // The machine pass operates on interned token IDs cached on the table and
-// shards its prefix-filtered join across Options.Parallelism goroutines.
+// runs its prefix-filtered join over one live index, probing across
+// Options.Parallelism goroutines.
 //
 // The execute stage is an asynchronous HIT lifecycle behind the Backend
 // interface: HITs are posted, assignments stream back as workers finish
@@ -268,33 +269,11 @@ func ParseAggregationMode(s string) (AggregationMode, error) {
 	}
 }
 
-// CandidateSource selects how candidate pairs are generated before the
-// likelihood threshold is applied.
-type CandidateSource int
-
-const (
-	// SourceSimJoin uses the prefix-filtered similarity join (default).
-	SourceSimJoin CandidateSource = iota
-	// SourceTokenBlocking uses token blocking: records sharing at least
-	// one token become candidates, then candidates are Jaccard-scored.
-	// Complete for thresholds > 0; combined with MaxBlock it trades a
-	// little recall for scale (the paper's footnote 1 and the Section 9
-	// scaling direction).
-	SourceTokenBlocking
-)
-
 // Options configures Resolve.
 type Options struct {
 	// Threshold is the minimum machine likelihood (Jaccard similarity) for
 	// a pair to be sent to the crowd. Default 0.3.
 	Threshold float64
-	// Candidates selects the candidate-generation scheme (default
-	// SourceSimJoin).
-	Candidates CandidateSource
-	// MaxBlock, with SourceTokenBlocking, drops blocks larger than this
-	// many records (0 = no cap). Capping ubiquitous-token blocks is the
-	// standard blocking lever for very large tables.
-	MaxBlock int
 	// ClusterSize is k: the maximum records per cluster-based HIT, or
 	// pairs per pair-based HIT. Default 10.
 	ClusterSize int
@@ -329,11 +308,11 @@ type Options struct {
 	// likelihood ranking (the "simjoin" baseline of Section 7.3).
 	MachineOnly bool
 	// Parallelism bounds the worker goroutines used by the machine pass
-	// (tokenizing and interning the appended records, then the sharded
-	// similarity join) and the simulated crowd (concurrent HIT
-	// execution). 0 means GOMAXPROCS; 1 keeps the whole machine pass on
-	// one goroutine. Results are bit-identical at every parallelism
-	// level.
+	// (tokenizing and interning the appended records, sorting their
+	// prefixes, then probing the similarity-join index) and the simulated
+	// crowd (concurrent HIT execution). 0 means GOMAXPROCS; 1 keeps the
+	// whole machine pass on one goroutine. Results are bit-identical at
+	// every parallelism level.
 	Parallelism int
 	// MaxCandidates, when positive, bounds the machine pass's ranked
 	// candidate list: only the MaxCandidates most likely new pairs of
@@ -348,21 +327,6 @@ type Options struct {
 	// unbounded. Dropped pairs are not remembered: they are re-discovered
 	// only if a later delta re-emits them.
 	MaxCandidates int
-	// Shards partitions the machine pass's derived state (SourceSimJoin
-	// postings, probe scratch, ranking heaps) into this many
-	// shared-nothing shards, keyed by a stable hash of each record's
-	// token signature, and runs one delta's index-then-probe with one
-	// goroutine per shard. Per-shard top-K heaps are merged
-	// deterministically under the canonical candidate order, so results
-	// — matches, verdict cache contents, deduction proofs — are
-	// bit-identical to the unsharded path at every shard count and
-	// parallelism level. 0 or 1 (the default) selects the single-index
-	// path. Raise it toward the core count when resolve throughput on
-	// large tables is machine-pass-bound; it has no effect on crowd cost
-	// or on SourceTokenBlocking sessions. Values above 1024 are
-	// rejected: far past any plausible core count, per-shard overhead
-	// only fragments the postings.
-	Shards int
 	// Backend selects the crowd executing the HITs. nil (the default)
 	// uses the reference simulator driven by Oracle; NewQueueBackend
 	// returns a backend where external workers claim and answer HITs
@@ -400,7 +364,7 @@ type Options struct {
 	// HybridRisk is the per-class machine-error budget the router's
 	// uncertainty band is cut from: at most this fraction of either
 	// training class may land on the machine's side of the band. 0
-	// selects the default (0.02); values above 0.25 are rejected. The
+	// selects the default (0.001); values above 0.25 are rejected. The
 	// effective risk is scaled up when the measured worker pool is
 	// inaccurate (buying HITs from a noisy pool purchases less
 	// certainty) and when the projected crowd cost of the uncertain
@@ -441,15 +405,6 @@ func (o *Options) validate() error {
 	if o.MaxCandidates < 0 {
 		return fmt.Errorf("crowder: Options.MaxCandidates = %d; must not be negative (0 keeps every qualifying candidate)", o.MaxCandidates)
 	}
-	if o.MaxBlock < 0 {
-		return fmt.Errorf("crowder: Options.MaxBlock = %d; must not be negative (0 keeps every block)", o.MaxBlock)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("crowder: Options.Shards = %d; must not be negative (0 selects the single-index path)", o.Shards)
-	}
-	if o.Shards > maxShards {
-		return fmt.Errorf("crowder: Options.Shards = %d; must not exceed %d (sharding past any plausible core count only fragments the postings)", o.Shards, maxShards)
-	}
 	if o.ClusterSize < 0 {
 		return fmt.Errorf("crowder: Options.ClusterSize = %d; must not be negative (0 selects the default of 10)", o.ClusterSize)
 	}
@@ -458,6 +413,9 @@ func (o *Options) validate() error {
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("crowder: Options.Parallelism = %d; must not be negative (0 means GOMAXPROCS)", o.Parallelism)
+	}
+	if o.Generator < GenTwoTiered || o.Generator > GenApprox {
+		return fmt.Errorf("crowder: Options.Generator = %d; must be GenTwoTiered (0), GenRandom (1), GenBFS (2), GenDFS (3) or GenApprox (4)", o.Generator)
 	}
 	if o.Transitivity < TransitivityOff || o.Transitivity > TransitivityOn {
 		return fmt.Errorf("crowder: Options.Transitivity = %d; must be TransitivityOff (0) or TransitivityOn (1)", o.Transitivity)
@@ -478,18 +436,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("crowder: Options.HybridBudgetDollars = %v; must not be negative (0 means no budget pressure)", o.HybridBudgetDollars)
 	}
 	return nil
-}
-
-// maxShards bounds Options.Shards. See the field's godoc.
-const maxShards = 1024
-
-// shardCount normalizes Options.Shards to the effective shard count
-// (≥ 1).
-func (o *Options) shardCount() int {
-	if o.Shards < 1 {
-		return 1
-	}
-	return o.Shards
 }
 
 // transitive reports whether this resolution deduces verdicts from the
@@ -592,8 +538,9 @@ type Result struct {
 	// actually posted. It is negative when adaptive rounds fragmented
 	// the batching without deducing enough to pay for it — possible on
 	// workloads with little transitive structure when deferred pairs'
-	// chains fail to confirm (the bench gate pins the reference
-	// workloads where savings must be strictly positive).
+	// chains fail to confirm (TestTransitiveFewerHITsEqualOrBetterF1
+	// pins the reference workload where savings must be strictly
+	// positive).
 	HITsSaved int
 	// RetractedHITs counts posted tasks withdrawn mid-flight because
 	// their verdicts became deducible while they were answering. Their
@@ -678,14 +625,14 @@ func (st *resolveState) skipCrowd() bool {
 // join index and the pending set — which is the only long write-held
 // window of a resolve; reads resume as soon as the machine pass ends.
 //
-// The candidates stream out of the source one at a time and feed a
-// ranking collector (a bounded top-K heap when Options.MaxCandidates is
-// set), so this stage holds O(MaxCandidates) scored pairs rather than
+// The candidates stream out of the join index one at a time
+// (simjoin.Index.UpdateSeq, which absorbs the delta as it goes) and feed
+// a ranking collector (a bounded top-K heap when Options.MaxCandidates
+// is set), so this stage holds O(MaxCandidates) scored pairs rather than
 // the delta's full candidate set. The collector's total order makes the
 // ranking deterministic even though the parallel join emits in
 // nondeterministic order; unbounded, it is bit-identical to sorting a
-// materialized slice. With Options.Shards > 1 the stage scatters into
-// per-shard collectors instead (stagePruneSharded).
+// materialized slice.
 func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
 	rv.mu.Lock()
@@ -693,16 +640,6 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 	// Tokenizing the delta is part of the machine pass and runs on its
 	// workers; every later TokenIDs call finds the cache warm.
 	rv.table.inner.WarmTokens(engine.WorkerCount(rv.opts.Parallelism, rv.table.inner.Len()))
-	if rv.sidx != nil && rv.opts.Candidates == SourceSimJoin {
-		if err := stagePruneSharded(st); err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
-	seq, err := rv.deltaCandidateSeq()
-	if err != nil {
-		return nil, err
-	}
 	pendBefore := len(rv.pending)
 	// A plan-only run over a live session (keepPending) records its
 	// discoveries exactly as a resolving delta: the join index absorbed
@@ -719,7 +656,9 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 			}
 		}
 	}
-	for sp := range seq {
+	// Draining the stream absorbs the delta into the index: it must run
+	// exactly once per prune.
+	for sp := range rv.idx.UpdateSeq() {
 		if recording {
 			rv.pending = append(rv.pending, sp)
 		}
@@ -727,84 +666,18 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 			rank.Push(sp)
 		}
 	}
-	st.finishPrune(rank.Ranked())
+	st.scored = rank.Ranked()
+	st.pairs = simjoin.Pairs(st.scored)
+	st.res.TotalPairs = rv.table.inner.PairUniverse(rv.opts.CrossSourceOnly)
+	st.res.NewCandidates = len(st.scored)
+	st.res.CachedCandidates = rv.cache.Len()
+	st.res.Candidates = st.res.NewCandidates + st.res.CachedCandidates
 	if recording {
 		if err := rv.logPrune(rv.pending[pendBefore:]); err != nil {
 			return nil, err
 		}
 	}
 	return st, nil
-}
-
-// stagePruneSharded is the machine pass for a sharded session: the join
-// index scatters each shard's candidate stream into that shard's own
-// pending accumulator and top-K heap (single-writer, no locks — the
-// sink is serial per shard), and the per-shard survivors are merged
-// through one final heap under the canonical candidate order. The
-// merged ranking is bit-identical to the single-index stage above: the
-// shard streams union to the same candidate multiset, bounded heaps are
-// pure functions of their input multisets, and merging per-shard top-K
-// survivors cannot lose a global top-K element. The caller holds the
-// session write lock.
-func stagePruneSharded(st *resolveState) error {
-	rv := st.rv
-	pendBefore := len(rv.pending)
-	ns := rv.sidx.NumShards()
-	ranks := make([]*engine.TopK[simjoin.ScoredPair], ns)
-	for s := range ranks {
-		ranks[s] = engine.NewTopK(rv.opts.MaxCandidates, simjoin.CompareScored)
-	}
-	pendings := make([][]simjoin.ScoredPair, ns)
-	recording := !st.planOnly || st.keepPending
-	rv.sidx.UpdateScatter(func(s int, sp simjoin.ScoredPair) bool {
-		if recording {
-			pendings[s] = append(pendings[s], sp)
-		}
-		// Concurrent lookups are safe: the cache is read-only during the
-		// scatter, and its banks are hash-partitioned by pair.
-		if !rv.cache.Has(sp.Pair) {
-			ranks[s].Push(sp)
-		}
-		return true
-	})
-	lists := make([][]simjoin.ScoredPair, 0, ns+1)
-	if recording {
-		// Fold in candidates left pending by a failed delta, exactly as
-		// the single-index path does; shard order is deterministic, so
-		// the rebuilt pending set is too.
-		var retry []simjoin.ScoredPair
-		for _, sp := range rv.pending {
-			if !rv.cache.Has(sp.Pair) {
-				retry = append(retry, sp)
-			}
-		}
-		lists = append(lists, retry)
-		for _, p := range pendings {
-			rv.pending = append(rv.pending, p...)
-		}
-	}
-	for _, r := range ranks {
-		lists = append(lists, r.Ranked())
-	}
-	st.finishPrune(engine.MergeRanked(rv.opts.MaxCandidates, simjoin.CompareScored, lists...))
-	if recording {
-		if err := rv.logPrune(rv.pending[pendBefore:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// finishPrune records the machine pass's ranked fresh candidates and
-// the delta's candidate accounting on the state.
-func (st *resolveState) finishPrune(fresh []simjoin.ScoredPair) {
-	rv := st.rv
-	st.scored = fresh
-	st.pairs = simjoin.Pairs(fresh)
-	st.res.TotalPairs = rv.table.inner.PairUniverse(rv.opts.CrossSourceOnly)
-	st.res.NewCandidates = len(fresh)
-	st.res.CachedCandidates = rv.cache.Len()
-	st.res.Candidates = st.res.NewCandidates + st.res.CachedCandidates
 }
 
 // stageGenerate batches the new candidate pairs into HITs. Cached pairs
@@ -1128,10 +1001,6 @@ func ResolveContext(ctx context.Context, t *Table, opts Options) (*Result, error
 		return nil, err
 	}
 	return r.ResolveDeltaContext(ctx)
-}
-
-func errUnknownCandidateSource(c CandidateSource) error {
-	return fmt.Errorf("crowder: unknown candidate source %d", c)
 }
 
 // generatorFor maps the public enum to the internal strategy.

@@ -151,7 +151,7 @@ func TestResolveDeterministic(t *testing.T) {
 }
 
 // The whole workflow must be bit-identical at every parallelism level:
-// the sharded join merges deterministically and every HIT has its own
+// the parallel join ranks deterministically and every HIT has its own
 // seeded RNG stream.
 func TestResolveParallelismInvariance(t *testing.T) {
 	tab, oracle := paperTable()
@@ -319,57 +319,5 @@ func TestEstimateCostPairHITs(t *testing.T) {
 	}
 	if est.HITs != (est.Candidates+1)/2 {
 		t.Errorf("pair-HIT estimate = %d HITs for %d candidates", est.HITs, est.Candidates)
-	}
-}
-
-func TestTokenBlockingSourceEquivalence(t *testing.T) {
-	// Token blocking is complete for thresholds > 0, so the machine-only
-	// ranking must match the simjoin path exactly.
-	tab, _ := paperTable()
-	a, err := Resolve(tab, Options{Threshold: 0.3, MachineOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Resolve(tab, Options{Threshold: 0.3, MachineOnly: true, Candidates: SourceTokenBlocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Matches) != len(b.Matches) {
-		t.Fatalf("simjoin found %d pairs, token blocking %d", len(a.Matches), len(b.Matches))
-	}
-	for i := range a.Matches {
-		if a.Matches[i] != b.Matches[i] {
-			t.Fatalf("mismatch at %d: %v vs %v", i, a.Matches[i], b.Matches[i])
-		}
-	}
-}
-
-func TestTokenBlockingMaxBlockReduces(t *testing.T) {
-	tab, _ := paperTable()
-	full, err := Resolve(tab, Options{Threshold: 0.1, MachineOnly: true, Candidates: SourceTokenBlocking})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "apple"/"white"/"16gb" blocks dominate; a tight cap must shrink the
-	// candidate set.
-	capped, err := Resolve(tab, Options{
-		Threshold: 0.1, MachineOnly: true,
-		Candidates: SourceTokenBlocking, MaxBlock: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Candidates >= full.Candidates {
-		t.Errorf("MaxBlock should reduce candidates: %d vs %d", capped.Candidates, full.Candidates)
-	}
-}
-
-func TestUnknownCandidateSource(t *testing.T) {
-	tab, _ := paperTable()
-	if _, err := Resolve(tab, Options{MachineOnly: true, Candidates: CandidateSource(9)}); err == nil {
-		t.Error("unknown candidate source should error")
-	}
-	if _, err := EstimateCost(tab, Options{Candidates: CandidateSource(9)}); err == nil {
-		t.Error("unknown candidate source should error in EstimateCost")
 	}
 }

@@ -30,7 +30,7 @@ import (
 // uncertain band's projected HIT cost exceeds the remaining
 // HybridBudgetDollars, the risk doubles — capped at learn.MaxRisk —
 // until the projection fits). Everything is deterministic in the cache
-// state and Options, preserving delta and shard bit-identity.
+// state and Options, preserving delta and parallelism bit-identity.
 //
 // The stage also audits: machine verdicts from earlier deltas that the
 // freshly retrained model no longer endorses are demoted back into the

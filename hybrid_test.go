@@ -1,6 +1,7 @@
 package crowder
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -195,42 +196,39 @@ func TestHybridSessionFewerHITsEqualOrBetterF1(t *testing.T) {
 }
 
 // Satellite pinning: the hybrid session — training, routing, machine
-// verdicts, matches — is bit-identical at every parallelism level and
-// shard count. Map-order nondeterminism anywhere in the train/route path
-// would break this across reruns and configurations.
-func TestHybridDeterminismAcrossParallelismAndShards(t *testing.T) {
+// verdicts, matches — is bit-identical on a rerun and at every
+// parallelism level. Map-order nondeterminism anywhere in the train/route
+// path would break this across reruns and configurations.
+func TestHybridDeterminismAcrossParallelism(t *testing.T) {
 	rows, schema, oracle, _ := shuffledResolverDataset(13, 400, 80)
-	var ref *Resolver
-	var refResults []*Result
-	for _, shards := range []int{0, 4} {
-		for _, par := range []int{1, 2, 8} {
-			opts := Options{
-				Threshold: 0.4, HITType: PairHITs, ClusterSize: 10,
-				Oracle: oracle, Seed: 1, SpammerRate: NoSpammers,
-				Hybrid: HybridOn, Parallelism: par, Shards: shards,
-			}
-			rv, results := hybridSession(t, schema, rows, 4, opts)
-			if ref == nil {
-				ref, refResults = rv, results
-				if _, machine := sumHITs(results); machine == 0 {
-					t.Fatal("fixture session routed nothing by machine; the pinning is vacuous")
-				}
-				continue
-			}
+	optsAt := func(par int) Options {
+		return Options{
+			Threshold: 0.4, HITType: PairHITs, ClusterSize: 10,
+			Oracle: oracle, Seed: 1, SpammerRate: NoSpammers,
+			Hybrid: HybridOn, Parallelism: par,
+		}
+	}
+	ref, refResults := hybridSession(t, schema, rows, 4, optsAt(1))
+	if _, machine := sumHITs(refResults); machine == 0 {
+		t.Fatal("fixture session routed nothing by machine; the pinning is vacuous")
+	}
+	for _, par := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			rv, results := hybridSession(t, schema, rows, 4, optsAt(par))
 			for i, res := range results {
 				want := refResults[i]
 				if res.HITs != want.HITs || res.MachinePairs != want.MachinePairs ||
 					res.CostDollars != want.CostDollars || res.NewCandidates != want.NewCandidates {
-					t.Errorf("shards=%d par=%d delta %d accounting differs: got HITs=%d machine=%d, want HITs=%d machine=%d",
-						shards, par, i, res.HITs, res.MachinePairs, want.HITs, want.MachinePairs)
+					t.Errorf("delta %d accounting differs: got HITs=%d machine=%d, want HITs=%d machine=%d",
+						i, res.HITs, res.MachinePairs, want.HITs, want.MachinePairs)
 				}
 			}
 			assertSameMatches(t, "hybrid matches", refResults[len(refResults)-1].Matches, results[len(results)-1].Matches)
 			a, b := ref.HybridStats(), rv.HybridStats()
 			if a != b {
-				t.Errorf("shards/par variant diverged: %+v vs %+v", a, b)
+				t.Errorf("variant diverged: %+v vs %+v", a, b)
 			}
-		}
+		})
 	}
 }
 

@@ -1,32 +1,19 @@
-// Package blocking implements the candidate-generation indexing the paper
-// points to in footnote 1 ("we can adopt some indexing techniques such as
-// blocking and Q-gram based indexing [7] to avoid all-pairs comparison")
-// and discusses in Section 8's related work: ways of producing a candidate
-// pair set far smaller than n·(n−1)/2 before any similarity is computed.
+// Package blocking implements token blocking, the candidate-generation
+// indexing the paper points to in footnote 1 ("we can adopt some indexing
+// techniques such as blocking and Q-gram based indexing [7] to avoid
+// all-pairs comparison"): records sharing at least one token are
+// candidates. It is complete for any Jaccard threshold > 0 (a pair with
+// no shared token has similarity 0), so it pairs safely with the machine
+// pass, and a MaxBlock cap drops blocks bigger than the cap (stop tokens
+// like "the" or a ubiquitous brand), trading a little recall for a large
+// candidate reduction.
 //
-// Three classic schemes from Christen's survey (the paper's [7]):
-//
-//   - Token blocking: records sharing at least one token are candidates.
-//     Complete for any Jaccard threshold > 0 (a pair with no shared token
-//     has similarity 0), so it pairs safely with the machine pass.
-//   - Q-gram blocking: records sharing at least one q-gram of a key
-//     attribute are candidates; catches token-level typos that token
-//     blocking misses at the cost of larger blocks.
-//   - Sorted neighborhood: records are sorted by a key and candidates are
-//     drawn from a sliding window; bounded output but incomplete.
-//
-// All schemes support a MaxBlock cap: blocks bigger than the cap (stop
-// tokens like "the" or a ubiquitous brand) are dropped, trading a little
-// recall for a large candidate reduction.
+// The resolver's machine pass is the similarity join (internal/simjoin);
+// capped token blocking is the baseline of the Section 9 scaling study
+// (internal/experiments).
 package blocking
 
-import (
-	"sort"
-	"strings"
-
-	"github.com/crowder/crowder/internal/record"
-	"github.com/crowder/crowder/internal/similarity"
-)
+import "github.com/crowder/crowder/internal/record"
 
 // Options configures candidate generation.
 type Options struct {
@@ -36,37 +23,17 @@ type Options struct {
 	CrossSourceOnly bool
 }
 
-func (o Options) crossOK(t *record.Table, a, b record.ID) bool {
-	return t.CrossOK(o.CrossSourceOnly, a, b)
-}
-
 // TokenBlocking returns all pairs of records sharing at least one token,
 // in canonical order. Blocks are read from the table's live inverted index
-// (record.Table.Postings — incrementally maintained and shared with the
-// resolver's delta machinery), so the blocking index is a flat slice
-// rather than a string-keyed map and records are never re-tokenized or
-// re-indexed across calls.
+// (record.Table.Postings), so the blocking index is a flat slice rather
+// than a string-keyed map and records are never re-tokenized.
 func TokenBlocking(t *record.Table, opts Options) []record.Pair {
-	return TokenBlockingSince(t, opts, 0)
-}
-
-// TokenBlockingSince returns the token-blocking pairs with at least one
-// endpoint ≥ since: the delta candidates introduced by the records
-// appended after the first `since` records. TokenBlockingSince(t, opts, 0)
-// is the full TokenBlocking; across a sequence of appends the union of the
-// deltas equals the full blocking of the final table (for uncapped
-// blocking — a MaxBlock cap is evaluated against the block size at call
-// time, so a block crossing the cap between deltas stops contributing new
-// pairs from then on, while a batch run would drop the block wholesale).
-func TokenBlockingSince(t *record.Table, opts Options, since int) []record.Pair {
 	out := record.NewPairSet()
 	for _, ids := range t.Postings() {
 		if opts.MaxBlock > 0 && len(ids) > opts.MaxBlock {
 			continue
 		}
-		// Postings ascend by record ID: pair every in-delta record with
-		// all earlier records of the block.
-		for j := len(ids) - 1; j >= 0 && int(ids[j]) >= since; j-- {
+		for j := 1; j < len(ids); j++ {
 			for i := 0; i < j; i++ {
 				a, b := record.ID(ids[i]), record.ID(ids[j])
 				if t.CrossOK(opts.CrossSourceOnly, a, b) {
@@ -76,109 +43,4 @@ func TokenBlockingSince(t *record.Table, opts Options, since int) []record.Pair 
 		}
 	}
 	return out.Slice()
-}
-
-// QGramBlocking returns all pairs of records sharing at least one padded
-// q-gram of the given attribute.
-func QGramBlocking(t *record.Table, attr, q int, opts Options) []record.Pair {
-	blocks := make(map[string][]record.ID)
-	for i := range t.Records {
-		seen := map[string]bool{}
-		norm := record.Normalize(t.Records[i].Attr(attr))
-		for _, g := range similarity.QGrams(norm, q) {
-			if !seen[g] {
-				seen[g] = true
-				blocks[g] = append(blocks[g], record.ID(i))
-			}
-		}
-	}
-	return pairsFromBlocks(t, blocks, opts)
-}
-
-// SortedNeighborhood sorts records by the normalized concatenation of
-// their attribute values and emits every pair within a sliding window of
-// the given size (window ≥ 2).
-func SortedNeighborhood(t *record.Table, window int, opts Options) []record.Pair {
-	if window < 2 {
-		window = 2
-	}
-	type keyed struct {
-		key string
-		id  record.ID
-	}
-	ks := make([]keyed, t.Len())
-	for i := range t.Records {
-		ks[i] = keyed{
-			key: record.Normalize(strings.Join(t.Records[i].Values, " ")),
-			id:  record.ID(i),
-		}
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].key != ks[j].key {
-			return ks[i].key < ks[j].key
-		}
-		return ks[i].id < ks[j].id
-	})
-	out := record.NewPairSet()
-	for i := range ks {
-		for j := i + 1; j < len(ks) && j < i+window; j++ {
-			if opts.crossOK(t, ks[i].id, ks[j].id) {
-				out.Add(ks[i].id, ks[j].id)
-			}
-		}
-	}
-	return out.Slice()
-}
-
-// pairsFromBlocks expands blocks into a deduplicated canonical pair list,
-// honoring the MaxBlock cap.
-func pairsFromBlocks(t *record.Table, blocks map[string][]record.ID, opts Options) []record.Pair {
-	out := record.NewPairSet()
-	for _, ids := range blocks {
-		expandBlock(t, ids, opts, out)
-	}
-	return out.Slice()
-}
-
-// expandBlock adds every admissible pair within one block to out.
-func expandBlock(t *record.Table, ids []record.ID, opts Options, out record.PairSet) {
-	if opts.MaxBlock > 0 && len(ids) > opts.MaxBlock {
-		return
-	}
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if opts.crossOK(t, ids[i], ids[j]) {
-				out.Add(ids[i], ids[j])
-			}
-		}
-	}
-}
-
-// Stats summarizes a blocking result against ground truth: the candidate
-// count, the reduction ratio vs all pairs, and pairs completeness (the
-// fraction of true matches retained) — the standard blocking quality
-// metrics from the paper's [7].
-type Stats struct {
-	Candidates        int
-	ReductionRatio    float64
-	PairsCompleteness float64
-}
-
-// Evaluate computes blocking quality metrics for a candidate set.
-func Evaluate(t *record.Table, candidates []record.Pair, truth record.PairSet, crossSourceOnly bool) Stats {
-	total := t.PairUniverse(crossSourceOnly)
-	found := 0
-	for _, p := range candidates {
-		if truth.Has(p.A, p.B) {
-			found++
-		}
-	}
-	s := Stats{Candidates: len(candidates)}
-	if total > 0 {
-		s.ReductionRatio = 1 - float64(len(candidates))/float64(total)
-	}
-	if truth.Len() > 0 {
-		s.PairsCompleteness = float64(found) / float64(truth.Len())
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/dataset"
@@ -38,22 +39,50 @@ func TestTokenBlockingBasics(t *testing.T) {
 	}
 }
 
-// Token blocking is complete for Jaccard > 0: every pair with non-zero
-// similarity shares a token and must appear among the candidates.
+// Without a cap token blocking yields exactly the token-sharing pairs in
+// canonical order: complete for Jaccard > 0 (every pair with non-zero
+// similarity shares a token), and nothing else.
 func TestTokenBlockingCompleteness(t *testing.T) {
 	d := dataset.RestaurantN(3, 120, 15)
-	pairs := TokenBlocking(d.Table, Options{})
-	set := record.NewPairSet(pairs...)
 	ids := d.Table.TokenIDs()
-	n := d.Table.Len()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	var want []record.Pair
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
 			if similarity.Jaccard(ids[i], ids[j]) > 0 {
-				if !set.Has(record.ID(i), record.ID(j)) {
-					t.Fatalf("pair (%d,%d) has positive similarity but is not a candidate", i, j)
-				}
+				want = append(want, record.MakePair(record.ID(i), record.ID(j)))
 			}
 		}
+	}
+	if got := TokenBlocking(d.Table, Options{}); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("token blocking gave %d pairs; want the %d token-sharing pairs", len(got), len(want))
+	}
+}
+
+// The table's postings are maintained as records arrive, so blocking a
+// table grown batch by batch gives the same candidates as blocking the
+// same rows appended at once, and each batch's candidates keep every
+// pair the earlier batches produced.
+func TestTokenBlockingAfterAppends(t *testing.T) {
+	d := dataset.RestaurantN(7, 120, 25)
+	full := TokenBlocking(d.Table, Options{})
+
+	grown := record.NewTable(d.Table.Schema...)
+	var prev []record.Pair
+	for _, cut := range []int{40, 41, 90, d.Table.Len()} {
+		for i := grown.Len(); i < cut; i++ {
+			grown.Append(d.Table.Records[i].Values...)
+		}
+		cur := TokenBlocking(grown, Options{})
+		set := record.NewPairSet(cur...)
+		for _, p := range prev {
+			if !set.Has(p.A, p.B) {
+				t.Fatalf("pair %v lost after growing the table to %d records", p, cut)
+			}
+		}
+		prev = cur
+	}
+	if !slices.Equal(prev, full) {
+		t.Fatalf("grown table blocks to %d pairs; appended at once %d", len(prev), len(full))
 	}
 }
 
@@ -78,84 +107,22 @@ func TestTokenBlockingMaxBlock(t *testing.T) {
 	}
 }
 
-func TestQGramBlockingCatchesTypos(t *testing.T) {
-	tab := record.NewTable("name")
-	tab.Append("oceana")
-	tab.Append("oceanaa") // typo: extra letter, still shares q-grams
-	tab.Append("zzzzzz")
-	pairs := QGramBlocking(tab, 0, 3, Options{})
-	set := record.NewPairSet(pairs...)
-	if !set.Has(0, 1) {
-		t.Error("typo variants should share q-grams")
-	}
-	if set.Has(0, 2) {
-		t.Error("disjoint strings should not be candidates")
-	}
-}
-
-func TestSortedNeighborhood(t *testing.T) {
-	tab := record.NewTable("name")
-	tab.Append("aaa restaurant") // 0
-	tab.Append("aab restaurant") // 1 — adjacent to 0 in sort order
-	tab.Append("mmm diner")      // 2
-	tab.Append("zzz cafe")       // 3
-	pairs := SortedNeighborhood(tab, 2, Options{})
-	set := record.NewPairSet(pairs...)
-	if !set.Has(0, 1) {
-		t.Error("adjacent keys should be candidates")
-	}
-	if set.Has(0, 3) {
-		t.Error("window 2 should not pair distant keys")
-	}
-	// Window size n covers all pairs.
-	all := SortedNeighborhood(tab, 4, Options{})
-	if len(all) != 6 {
-		t.Errorf("window=n should give all %d pairs; got %d", 6, len(all))
-	}
-}
-
+// CrossSourceOnly works for arbitrary source tags and more than two
+// sources: only pairs whose tags differ survive.
 func TestCrossSourceOnly(t *testing.T) {
 	tab := record.NewTable("name")
-	tab.AppendFrom(0, "apple ipod nano")
-	tab.AppendFrom(0, "apple ipod touch")
-	tab.AppendFrom(1, "apple ipod classic")
-	for name, pairs := range map[string][]record.Pair{
-		"token":  TokenBlocking(tab, Options{CrossSourceOnly: true}),
-		"qgram":  QGramBlocking(tab, 0, 2, Options{CrossSourceOnly: true}),
-		"sorted": SortedNeighborhood(tab, 3, Options{CrossSourceOnly: true}),
-	} {
-		for _, p := range pairs {
-			if tab.Source[p.A] == tab.Source[p.B] {
-				t.Errorf("%s: same-source pair %v leaked", name, p)
-			}
-		}
+	tab.AppendFrom(5, "alpha beta")
+	tab.AppendFrom(5, "alpha beta gamma")
+	tab.AppendFrom(8, "alpha delta")
+	tab.AppendFrom(2, "epsilon zeta delta")
+	// "alpha" links 0, 1 and 2 and "delta" links 2 and 3; (0,1) is
+	// same-source.
+	want := []record.Pair{{A: 0, B: 2}, {A: 1, B: 2}, {A: 2, B: 3}}
+	if got := TokenBlocking(tab, Options{CrossSourceOnly: true}); !slices.Equal(got, want) {
+		t.Fatalf("cross-source blocking = %v; want %v", got, want)
 	}
-}
-
-func TestEvaluateMetrics(t *testing.T) {
-	d := dataset.RestaurantN(5, 200, 25)
-	cands := TokenBlocking(d.Table, Options{MaxBlock: 50})
-	stats := Evaluate(d.Table, cands, d.Matches, false)
-	if stats.Candidates != len(cands) {
-		t.Errorf("Candidates = %d; want %d", stats.Candidates, len(cands))
-	}
-	if stats.ReductionRatio <= 0.5 {
-		t.Errorf("reduction ratio = %.3f; blocking should cut most pairs", stats.ReductionRatio)
-	}
-	if stats.PairsCompleteness < 0.9 {
-		t.Errorf("pairs completeness = %.3f; token blocking should keep nearly all matches", stats.PairsCompleteness)
-	}
-}
-
-func TestEvaluateCrossSource(t *testing.T) {
-	d := dataset.ProductN(5, 60, 70, 40)
-	cands := TokenBlocking(d.Table, Options{CrossSourceOnly: true})
-	stats := Evaluate(d.Table, cands, d.Matches, true)
-	if stats.Candidates > 60*70 {
-		t.Errorf("more candidates (%d) than cross pairs (%d)", stats.Candidates, 60*70)
-	}
-	if stats.PairsCompleteness < 0.9 {
-		t.Errorf("pairs completeness = %.3f", stats.PairsCompleteness)
+	if all := TokenBlocking(tab, Options{}); len(all) != len(want)+1 {
+		t.Fatalf("unrestricted blocking = %v; want the cross pairs plus (0,1)", all)
 	}
 }
 
@@ -165,68 +132,5 @@ func BenchmarkTokenBlockingRestaurant(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TokenBlocking(d.Table, Options{MaxBlock: 200})
-	}
-}
-
-func BenchmarkSortedNeighborhoodRestaurant(b *testing.B) {
-	d := dataset.Restaurant(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SortedNeighborhood(d.Table, 10, Options{})
-	}
-}
-
-// The union of TokenBlockingSince deltas over a sequence of appends must
-// equal the full TokenBlocking of the final table, and each delta must
-// only contain pairs touching the new records.
-func TestTokenBlockingSinceEquivalence(t *testing.T) {
-	d := dataset.RestaurantN(7, 120, 25)
-	full := TokenBlocking(d.Table, Options{})
-
-	inc := record.NewTable(d.Table.Schema...)
-	union := record.NewPairSet()
-	for _, cut := range []int{40, 41, 90, d.Table.Len()} {
-		since := inc.Len()
-		for i := inc.Len(); i < cut; i++ {
-			inc.Append(d.Table.Records[i].Values...)
-		}
-		for _, p := range TokenBlockingSince(inc, Options{}, since) {
-			if int(p.B) < since {
-				t.Fatalf("delta since %d emitted old-only pair %v", since, p)
-			}
-			if union.Has(p.A, p.B) {
-				t.Fatalf("pair %v emitted by two deltas", p)
-			}
-			union.Add(p.A, p.B)
-		}
-	}
-	if union.Len() != len(full) {
-		t.Fatalf("delta union has %d pairs; full blocking %d", union.Len(), len(full))
-	}
-	for _, p := range full {
-		if !union.Has(p.A, p.B) {
-			t.Fatalf("full pair %v missing from delta union", p)
-		}
-	}
-}
-
-// PairUniverse-based Evaluate totals: arbitrary source tags and 3+
-// sources no longer zero out the reduction ratio.
-func TestEvaluateArbitrarySourceTags(t *testing.T) {
-	tab := record.NewTable("name")
-	tab.AppendFrom(5, "alpha beta")
-	tab.AppendFrom(5, "alpha beta gamma")
-	tab.AppendFrom(8, "alpha delta")
-	tab.AppendFrom(2, "epsilon zeta")
-	cands := TokenBlocking(tab, Options{CrossSourceOnly: true})
-	stats := Evaluate(tab, cands, record.NewPairSet(), true)
-	// Cross universe: 2·1 + 2·1 + 1·1 = 5; "alpha" links records 0,1,2 but
-	// only the cross-source pairs (0,2) and (1,2) qualify.
-	if stats.Candidates != 2 {
-		t.Fatalf("candidates = %d; want 2", stats.Candidates)
-	}
-	if want := 1 - 2.0/5.0; stats.ReductionRatio != want {
-		t.Errorf("reduction ratio = %v; want %v", stats.ReductionRatio, want)
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 // WorkerCount resolves a requested parallelism level against n work
 // items: non-positive means GOMAXPROCS, and the result is clamped to
-// [1, n]. Every data-parallel fan-out in the repository (the sharded
-// similarity join, concurrent HIT execution) sizes itself with this so
-// the scheduling policy lives in one place.
+// [1, n]. Every data-parallel fan-out in the repository (tokenizing, the
+// similarity join's prefix sort and probe, concurrent HIT execution)
+// sizes itself with this so the scheduling policy lives in one place.
 func WorkerCount(requested, n int) int {
 	p := requested
 	if p <= 0 {

@@ -75,8 +75,9 @@ func (t *TopK[T]) Ranked() []T {
 // multiset, sorted best-first. Because a bounded collector only ever
 // discards items worse than k retained ones, merging per-shard top-k
 // survivors through another top-k collector is bit-identical to ranking
-// the union stream through a single collector — the deterministic-merge
-// step of the sharded machine pass.
+// the union stream through a single collector. simjoin.Sharded's ranked
+// update, which the perf ledger probes, merges its per-shard heaps with
+// it.
 func MergeRanked[T any](k int, cmp func(a, b T) int, lists ...[]T) []T {
 	t := NewTopK(k, cmp)
 	for _, l := range lists {

@@ -12,8 +12,8 @@
 // pair order, the SVM's stochastic example order is driven by the
 // session seed, and the band is a pure function of (labels, risk). A
 // learner retrained from the same cache is bit-identical at every
-// parallelism level and shard count, which is what preserves the
-// resolver's delta ≡ scratch and shard-identity guarantees.
+// parallelism level, which is what preserves the resolver's delta ≡
+// scratch and parallelism-identity guarantees.
 package learn
 
 import (

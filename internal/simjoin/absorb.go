@@ -9,8 +9,3 @@ package simjoin
 // must replay the *original* boundaries rather than absorbing the whole
 // table at once.
 func (ix *Index) Absorb(upto int) { ix.delta(upto, nil) }
-
-// Absorb is the sharded replay twin of Index.Absorb: UpdateScatter minus
-// the probes. Shard ownership, frozen weights, per-shard posting-slot
-// assignment and member order all replicate the live path exactly.
-func (sx *Sharded) Absorb(upto int) { sx.delta(upto, nil) }

@@ -18,10 +18,10 @@ import (
 // Update() deltas. A sharded index (shard count also derived from the
 // fuzz input) driven through UpdateScatter over the same batches must
 // scatter exactly the same multiset of pairs across its shards. Last, a
-// recovery replay: an index and a sharded index that Absorb the first
-// batch and Update the rest as one delta must emit exactly the batch
-// join's pairs with an endpoint past the absorbed prefix — Absorb has to
-// leave behind everything a later probe reads.
+// recovery replay: an index that Absorbs the first batch and Updates the
+// rest as one delta must emit exactly the batch join's pairs with an
+// endpoint past the absorbed prefix — Absorb has to leave behind
+// everything a later probe reads.
 //
 // The fuzz inputs drive a deterministic generator (random tables over a
 // small token vocabulary, so collisions, empty records, duplicate rows
@@ -132,21 +132,18 @@ func FuzzIndexDeltaEquivalence(f *testing.F) {
 		}
 		rix := NewIndex(batchTab, streamOpts)
 		rix.Absorb(s1)
-		rsx := NewSharded(batchTab, shards, streamOpts)
-		rsx.Absorb(s1)
-		for label, got := range map[string][]ScoredPair{"index": rix.Update(), "sharded": drainScatter(rsx)} {
-			if rix.Indexed() != nRec || rsx.Indexed() != nRec {
-				t.Fatalf("replayed indexes cover %d and %d of %d records", rix.Indexed(), rsx.Indexed(), nRec)
-			}
-			if len(got) != len(wantTail) {
-				t.Fatalf("%s absorbed to %d then updated: %d pairs, want %d (n=%d tau=%v cross=%v shards=%d)",
-					label, s1, len(got), len(wantTail), nRec, tau, cross, shards)
-			}
-			for i := range wantTail {
-				if got[i] != wantTail[i] {
-					t.Fatalf("%s absorbed to %d then updated: pair %d is %+v, want %+v (n=%d tau=%v cross=%v shards=%d)",
-						label, s1, i, got[i], wantTail[i], nRec, tau, cross, shards)
-				}
+		got := rix.Update()
+		if rix.Indexed() != nRec {
+			t.Fatalf("replayed index covers %d of %d records", rix.Indexed(), nRec)
+		}
+		if len(got) != len(wantTail) {
+			t.Fatalf("absorbed to %d then updated: %d pairs, want %d (n=%d tau=%v cross=%v)",
+				s1, len(got), len(wantTail), nRec, tau, cross)
+		}
+		for i := range wantTail {
+			if got[i] != wantTail[i] {
+				t.Fatalf("absorbed to %d then updated: pair %d is %+v, want %+v (n=%d tau=%v cross=%v)",
+					s1, i, got[i], wantTail[i], nRec, tau, cross)
 			}
 		}
 

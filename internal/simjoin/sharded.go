@@ -40,9 +40,13 @@ import (
 // posting lists only for the tokens that actually own records in it,
 // so N shards cost O(total prefix tokens) — not N× the token universe.
 //
-// A Sharded index is not safe for concurrent use; the owning resolver
-// serializes Update calls, and the concurrency inside one update is
-// managed here.
+// The resolver does not use it: on this code base the single Index,
+// whose tokenising, prefix sort and probe are already parallel, is
+// faster. Sharded survives as the perf ledger's sharded-vs-single probe.
+//
+// A Sharded index is not safe for concurrent use; callers serialize
+// UpdateScatter calls, and the concurrency inside one update is managed
+// here.
 type Sharded struct {
 	// joinState is shared read-only by every shard goroutine during a
 	// delta; over the same append sequence it is identical to Index's.
@@ -158,16 +162,12 @@ func (sx *Sharded) PostingsEntries() int {
 // pairs are delivered for shard 0 after every shard goroutine has
 // joined. Returning false stops the scan; like Index, the delta is
 // still absorbed and its remaining candidates are discarded.
+//
+// The delta runs the shared prepare step, then every shard inserts the
+// prefixes of the records it owns and probes every new record against
+// its own postings.
 func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
-	sx.delta(sx.t.Len(), sink)
-}
-
-// delta absorbs table records [Indexed(), upto): the shared prepare
-// step, then every shard inserts the prefixes of the records it owns
-// and — unless sink is nil, which is Absorb — probes every new record
-// against its own postings.
-func (sx *Sharded) delta(upto int, sink func(shard int, sp ScoredPair) bool) {
-	ids, lo, n := sx.prepare(upto)
+	ids, lo, n := sx.prepare(sx.t.Len())
 	if n <= lo {
 		return
 	}
@@ -201,9 +201,6 @@ func (sx *Sharded) delta(upto int, sink func(shard int, sp ScoredPair) bool) {
 				if owner[i-lo] == int32(s) {
 					sh.members = append(sh.members, int32(i))
 				}
-			}
-			if sink == nil {
-				return
 			}
 			emit := emitFor(s)
 			for i := lo; i < n; i++ {
@@ -252,9 +249,6 @@ func (sx *Sharded) delta(upto int, sink func(shard int, sp ScoredPair) bool) {
 				sh.postings[slot].Append(int32(i))
 			}
 		}
-		if sink == nil {
-			return
-		}
 		sh.stamp = growStamp(sh.stamp, n)
 		emit := emitFor(s)
 		for i := lo; i < n && !stop.Load(); i++ {
@@ -267,7 +261,7 @@ func (sx *Sharded) delta(upto int, sink func(shard int, sp ScoredPair) bool) {
 	// Token-less records pair with each other globally — they own no
 	// postings anywhere — and are delivered for shard 0.
 	var yield func(ScoredPair) bool
-	if sink != nil && !stop.Load() {
+	if !stop.Load() {
 		yield = func(sp ScoredPair) bool { return sink(0, sp) }
 	}
 	sx.pairEmpties(ids, lo, n, yield)

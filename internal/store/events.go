@@ -80,15 +80,15 @@ func (*Append) tag() byte     { return tagAppend }
 func (*Append) durable() bool { return true }
 
 // Prune records one candidate-generation boundary: the prefix of the
-// table the similarity index absorbed, the token-blocking cursor, and
-// the candidate pairs newly discovered this prune (already-pending
-// retries are not re-logged). Replaying the boundaries rebuilds the
-// index incrementally exactly as the live session built it, which is
-// what keeps frozen prefix weights — and therefore candidate sets —
-// bit-identical after recovery.
+// table the similarity index absorbed, and the candidate pairs newly
+// discovered this prune (already-pending retries are not re-logged).
+// Replaying the boundaries rebuilds the index incrementally exactly as
+// the live session built it, which is what keeps frozen prefix weights
+// — and therefore candidate sets — bit-identical after recovery. Logs
+// written while the resolver also offered token blocking carry a
+// "blocked" cursor as well; decoding ignores it.
 type Prune struct {
 	Absorbed   int                  `json:"absorbed"`
-	Blocked    int                  `json:"blocked"`
 	Discovered []simjoin.ScoredPair `json:"discovered,omitempty"`
 }
 

@@ -15,7 +15,7 @@ func seedPayloads(tb testing.TB) [][]byte {
 	events := []Event{
 		&Meta{Schema: []string{"name"}, Aggregator: "dawid-skene"},
 		&Append{Rows: []Row{{Src: -1, Values: []string{"a", "b"}}}},
-		&Prune{Absorbed: 2, Blocked: 1, Discovered: []simjoin.ScoredPair{{Pair: record.MakePair(0, 1), Likelihood: 0.5}}},
+		&Prune{Absorbed: 2, Discovered: []simjoin.ScoredPair{{Pair: record.MakePair(0, 1), Likelihood: 0.5}}},
 		&Commit{Ops: []Op{{Put: &PutOp{Pair: record.MakePair(0, 1), Likelihood: 0.5}}, {ClearPending: true}}},
 		&QueueRetracted{IDs: []int{3, 4}},
 		&Pending{Scored: []simjoin.ScoredPair{{Pair: record.MakePair(1, 2), Likelihood: 0.25}}},

@@ -21,7 +21,6 @@ type replayState struct {
 	hasMeta    bool
 	rows       []Row
 	boundaries []int // absorb boundaries, strictly increasing
-	blocked    int
 	pending    []simjoin.ScoredPair
 	cache      *verdicts.Cache
 	q          queueMirror
@@ -60,7 +59,6 @@ func (st *replayState) apply(ev Event) error {
 		if e.Absorbed > last {
 			st.boundaries = append(st.boundaries, e.Absorbed)
 		}
-		st.blocked = e.Blocked
 		st.pending = append(st.pending, e.Discovered...)
 	case *Commit:
 		for _, op := range e.Ops {
@@ -125,10 +123,7 @@ func (st *replayState) snapshotEvents() []Event {
 		evs = append(evs, &Append{Rows: st.rows[lo:hi]})
 	}
 	for _, b := range st.boundaries {
-		evs = append(evs, &Prune{Absorbed: b, Blocked: st.blocked})
-	}
-	if len(st.boundaries) == 0 && st.blocked > 0 {
-		evs = append(evs, &Prune{Blocked: st.blocked})
+		evs = append(evs, &Prune{Absorbed: b})
 	}
 	if len(st.pending) > 0 {
 		evs = append(evs, &Pending{Scored: append([]simjoin.ScoredPair(nil), st.pending...)})
@@ -151,8 +146,6 @@ type Recovered struct {
 	Rows []Row
 	// Boundaries are the similarity-index absorb points, in order.
 	Boundaries []int
-	// Blocked is the token-blocking cursor.
-	Blocked int
 	// Pending are the candidate pairs awaiting crowdsourcing.
 	Pending []simjoin.ScoredPair
 	// Cache is the verdict cache — paid answers, posteriors, provenance,
@@ -193,7 +186,6 @@ func (st *replayState) recovered() *Recovered {
 		Meta:       st.meta,
 		Rows:       append([]Row(nil), st.rows...),
 		Boundaries: append([]int(nil), st.boundaries...),
-		Blocked:    st.blocked,
 		Pending:    append([]simjoin.ScoredPair(nil), st.pending...),
 		Cache:      verdicts.RestoreCache(entries, partials),
 		Events:     st.events,

@@ -26,7 +26,7 @@ func logSampleSession(t *testing.T, fl *FileLog) {
 			{Src: -1, Values: []string{"iPad 2nd gen 16 GB", "$469"}},
 			{Src: -1, Values: []string{"iPhone 4 16GB", "$520"}},
 		}},
-		&Prune{Absorbed: 3, Blocked: 1, Discovered: []simjoin.ScoredPair{
+		&Prune{Absorbed: 3, Discovered: []simjoin.ScoredPair{
 			{Pair: record.MakePair(0, 1), Likelihood: 0.8},
 			{Pair: record.MakePair(0, 2), Likelihood: 0.4},
 		}},
@@ -47,7 +47,7 @@ func logSampleSession(t *testing.T, fl *FileLog) {
 			{Posteriors: []PairVal{{Pair: record.MakePair(0, 1), Val: 0.97}}},
 			{ClearPending: true},
 		}},
-		&Prune{Absorbed: 3, Blocked: 1, Discovered: []simjoin.ScoredPair{
+		&Prune{Absorbed: 3, Discovered: []simjoin.ScoredPair{
 			{Pair: record.MakePair(1, 2), Likelihood: 0.3},
 		}},
 	}
@@ -71,9 +71,6 @@ func checkSampleRecovered(t *testing.T, rec *Recovered) {
 	}
 	if got, want := rec.Boundaries, []int{3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Boundaries = %v; want %v", got, want)
-	}
-	if rec.Blocked != 1 {
-		t.Errorf("Blocked = %d; want 1", rec.Blocked)
 	}
 	// The commit cleared the first prune's pending; the second prune's
 	// discovery is carried over.

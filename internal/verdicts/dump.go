@@ -13,11 +13,9 @@ import (
 // is what makes a restored cache bit-identical regardless of the
 // Put/PutDeduced/AddAnswers order the live session happened to use.
 func (c *Cache) Dump() (entries []Entry, partials []aggregate.Answer) {
-	var ptr []*Entry
-	for i := range c.banks {
-		for _, e := range c.banks[i].entries {
-			ptr = append(ptr, e)
-		}
+	ptr := make([]*Entry, 0, len(c.entries))
+	for _, e := range c.entries {
+		ptr = append(ptr, e)
 	}
 	sortEntries(ptr)
 	entries = make([]Entry, len(ptr))
@@ -26,14 +24,12 @@ func (c *Cache) Dump() (entries []Entry, partials []aggregate.Answer) {
 	}
 
 	var pairs []record.Pair
-	for i := range c.banks {
-		for p := range c.banks[i].partial {
-			pairs = append(pairs, p)
-		}
+	for p := range c.partial {
+		pairs = append(pairs, p)
 	}
 	record.SortPairs(pairs)
 	for _, p := range pairs {
-		partials = append(partials, c.bank(p).partial[p]...)
+		partials = append(partials, c.partial[p]...)
 	}
 	return entries, partials
 }
@@ -61,11 +57,10 @@ func RestoreCache(entries []Entry, partials []aggregate.Answer) *Cache {
 	c := NewCache()
 	for i := range entries {
 		e := copyEntry(&entries[i])
-		c.bank(e.Pair).entries[e.Pair] = &e
+		c.entries[e.Pair] = &e
 	}
 	for _, a := range partials {
-		b := c.bank(a.Pair)
-		b.partial[a.Pair] = append(b.partial[a.Pair], a)
+		c.partial[a.Pair] = append(c.partial[a.Pair], a)
 	}
 	return c
 }

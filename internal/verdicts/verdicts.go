@@ -78,28 +78,11 @@ type Entry struct {
 	Deduction *transitivity.Deduction
 }
 
-// cacheBanks is the number of hash banks the cache's maps are split
-// into. The count is fixed (not tied to Options.Shards) so a cache's
-// layout never depends on session options; 16 comfortably exceeds the
-// resolver's supported shard counts.
-const cacheBanks = 16
-
-// cacheBank is one hash partition of the cache: the entries and partial
-// fragments of every pair with the matching record.Pair.Shard.
-type cacheBank struct {
-	entries map[record.Pair]*Entry
-	partial map[record.Pair][]aggregate.Answer
-}
-
-// Cache is a verdict store keyed by pair. Internally it is banked: the
-// maps are partitioned by a stable hash of the pair (record.Pair.Shard),
-// so the sharded resolver's per-shard goroutines each effectively own a
-// disjoint slice of the cache — concurrent lookups during a sharded
-// machine pass touch independent maps instead of contending on one. The
-// cache is not safe for concurrent mutation; the owning resolver
-// serializes mutating access, and concurrent reads are safe only while
-// no mutation is in flight. Every iteration order is canonical, so the
-// banked layout is observationally identical to a single map.
+// Cache is a verdict store keyed by pair: one map of entries and one of
+// partial fragments. It is not safe for concurrent mutation; the owning
+// resolver serializes mutating access, and concurrent reads are safe
+// only while no mutation is in flight. Every sequence it returns is in
+// canonical order, never map order.
 //
 // Besides final verdicts, the cache persists partial assignment sets:
 // answers collected by a resolution that was cancelled or failed before
@@ -109,7 +92,8 @@ type cacheBank struct {
 // eventually judged in full (the complete answer set supersedes the
 // fragment).
 type Cache struct {
-	banks [cacheBanks]cacheBank
+	entries map[record.Pair]*Entry
+	partial map[record.Pair][]aggregate.Answer
 	// aggregator is the identity of the method every posterior in the
 	// cache was produced by, set by the first BindAggregator call.
 	// Posteriors from different aggregators are not comparable — a
@@ -120,19 +104,10 @@ type Cache struct {
 
 // NewCache creates an empty verdict cache.
 func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.banks {
-		c.banks[i] = cacheBank{
-			entries: make(map[record.Pair]*Entry),
-			partial: make(map[record.Pair][]aggregate.Answer),
-		}
+	return &Cache{
+		entries: make(map[record.Pair]*Entry),
+		partial: make(map[record.Pair][]aggregate.Answer),
 	}
-	return c
-}
-
-// bank returns the hash bank owning the pair.
-func (c *Cache) bank(p record.Pair) *cacheBank {
-	return &c.banks[p.Shard(cacheBanks)]
 }
 
 // BindAggregator records the aggregator identity whose posteriors the
@@ -161,24 +136,18 @@ func (c *Cache) BindAggregator(name string) error {
 func (c *Cache) AggregatorName() string { return c.aggregator }
 
 // Len returns the number of judged pairs.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.banks {
-		n += len(c.banks[i].entries)
-	}
-	return n
-}
+func (c *Cache) Len() int { return len(c.entries) }
 
 // Has reports whether the pair already has a cache entry.
 func (c *Cache) Has(p record.Pair) bool {
-	_, ok := c.bank(p).entries[p]
+	_, ok := c.entries[p]
 	return ok
 }
 
 // Get returns the entry for the pair, or nil if the pair has never been
 // judged.
 func (c *Cache) Get(p record.Pair) *Entry {
-	return c.bank(p).entries[p]
+	return c.entries[p]
 }
 
 // Put creates (or returns) the entry for the pair, recording its machine
@@ -187,8 +156,7 @@ func (c *Cache) Get(p record.Pair) *Entry {
 // upgrades to an asked entry: the crowd's own judgment supersedes the
 // inference or the model's guess.
 func (c *Cache) Put(p record.Pair, likelihood float64) *Entry {
-	b := c.bank(p)
-	if e, ok := b.entries[p]; ok {
+	if e, ok := c.entries[p]; ok {
 		if e.Provenance == Deduced || e.Provenance == Machine {
 			e.Provenance = Asked
 			e.Deduction = nil
@@ -199,7 +167,7 @@ func (c *Cache) Put(p record.Pair, likelihood float64) *Entry {
 		return e
 	}
 	e := &Entry{Pair: p, Likelihood: likelihood}
-	b.entries[p] = e
+	c.entries[p] = e
 	return e
 }
 
@@ -210,29 +178,18 @@ func (c *Cache) Put(p record.Pair, likelihood float64) *Entry {
 // any provenance wins — a pair the crowd judged, deduction proved, or
 // an earlier delta machine-resolved is never re-judged.
 func (c *Cache) PutMachine(p record.Pair, likelihood, posterior float64) *Entry {
-	b := c.bank(p)
-	if e, ok := b.entries[p]; ok {
+	if e, ok := c.entries[p]; ok {
 		return e
 	}
 	e := &Entry{Pair: p, Likelihood: likelihood, Posterior: posterior, Provenance: Machine}
-	b.entries[p] = e
-	delete(b.partial, p)
+	c.entries[p] = e
+	delete(c.partial, p)
 	return e
 }
 
 // MachineLen returns the number of pairs resolved by the machine
 // classifier rather than asked or deduced.
-func (c *Cache) MachineLen() int {
-	n := 0
-	for i := range c.banks {
-		for _, e := range c.banks[i].entries {
-			if e.Provenance == Machine {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) MachineLen() int { return c.count(Machine) }
 
 // PutDeduced records a deduced verdict with its proof. An existing asked
 // entry is never downgraded (the crowd's direct judgment wins); an
@@ -243,8 +200,7 @@ func (c *Cache) MachineLen() int {
 // initial posterior is the hard deduced verdict (1 or 0); each
 // aggregation pass re-derives it from the proof's supporting pairs.
 func (c *Cache) PutDeduced(likelihood float64, d transitivity.Deduction) *Entry {
-	b := c.bank(d.Pair)
-	if e, ok := b.entries[d.Pair]; ok && e.Provenance != Machine {
+	if e, ok := c.entries[d.Pair]; ok && e.Provenance != Machine {
 		return e
 	}
 	e := &Entry{Pair: d.Pair, Likelihood: likelihood, Provenance: Deduced}
@@ -253,20 +209,21 @@ func (c *Cache) PutDeduced(likelihood float64, d transitivity.Deduction) *Entry 
 	if d.Match {
 		e.Posterior = 1
 	}
-	b.entries[d.Pair] = e
-	delete(b.partial, d.Pair)
+	c.entries[d.Pair] = e
+	delete(c.partial, d.Pair)
 	return e
 }
 
 // DeducedLen returns the number of pairs whose verdicts were deduced
 // rather than asked.
-func (c *Cache) DeducedLen() int {
+func (c *Cache) DeducedLen() int { return c.count(Deduced) }
+
+// count returns the number of entries with the given provenance.
+func (c *Cache) count(prov Provenance) int {
 	n := 0
-	for i := range c.banks {
-		for _, e := range c.banks[i].entries {
-			if e.Provenance == Deduced {
-				n++
-			}
+	for _, e := range c.entries {
+		if e.Provenance == prov {
+			n++
 		}
 	}
 	return n
@@ -276,11 +233,9 @@ func (c *Cache) DeducedLen() int {
 // observation sequence for rebuilding a deduction graph.
 func (c *Cache) AskedEntries() []*Entry {
 	var out []*Entry
-	for i := range c.banks {
-		for _, e := range c.banks[i].entries {
-			if e.Provenance == Asked {
-				out = append(out, e)
-			}
+	for _, e := range c.entries {
+		if e.Provenance == Asked {
+			out = append(out, e)
 		}
 	}
 	sortEntries(out)
@@ -294,11 +249,9 @@ func (c *Cache) AskedEntries() []*Entry {
 // AskedEntries.
 func (c *Cache) GroundEntries() []*Entry {
 	var out []*Entry
-	for i := range c.banks {
-		for _, e := range c.banks[i].entries {
-			if e.Provenance == Asked || e.Provenance == Machine {
-				out = append(out, e)
-			}
+	for _, e := range c.entries {
+		if e.Provenance == Asked || e.Provenance == Machine {
+			out = append(out, e)
 		}
 	}
 	sortEntries(out)
@@ -321,8 +274,7 @@ func sortEntries(es []*Entry) {
 // left behind: the complete set supersedes the fragment.
 func (c *Cache) AddAnswers(answers []aggregate.Answer) {
 	for _, a := range answers {
-		b := c.bank(a.Pair)
-		e, ok := b.entries[a.Pair]
+		e, ok := c.entries[a.Pair]
 		if !ok {
 			e = c.Put(a.Pair, 0)
 		}
@@ -332,7 +284,7 @@ func (c *Cache) AddAnswers(answers []aggregate.Answer) {
 			e.Provenance = Asked
 		}
 		e.Answers = append(e.Answers, a)
-		delete(b.partial, a.Pair)
+		delete(c.partial, a.Pair)
 	}
 }
 
@@ -349,31 +301,24 @@ func (c *Cache) AddPartialAnswers(answers []aggregate.Answer) {
 		if c.Has(a.Pair) {
 			continue // already judged in full; the fragment is moot
 		}
-		b := c.bank(a.Pair)
 		if !fresh[a.Pair] {
 			fresh[a.Pair] = true
 			// A fresh slice, not a truncation: slices handed out by
 			// PartialAnswers must not be mutated under their callers.
-			b.partial[a.Pair] = nil
+			c.partial[a.Pair] = nil
 		}
-		b.partial[a.Pair] = append(b.partial[a.Pair], a)
+		c.partial[a.Pair] = append(c.partial[a.Pair], a)
 	}
 }
 
 // PartialAnswers returns the answers collected for a not-yet-judged pair
 // by aborted resolutions, or nil.
 func (c *Cache) PartialAnswers(p record.Pair) []aggregate.Answer {
-	return c.bank(p).partial[p]
+	return c.partial[p]
 }
 
 // PartialLen returns the number of pairs holding partial answer sets.
-func (c *Cache) PartialLen() int {
-	n := 0
-	for i := range c.banks {
-		n += len(c.banks[i].partial)
-	}
-	return n
-}
+func (c *Cache) PartialLen() int { return len(c.partial) }
 
 // AllAnswers returns every cached answer in canonical order
 // (aggregate.SortCanonical): a pure function of the answer *set*,
@@ -382,10 +327,8 @@ func (c *Cache) PartialLen() int {
 // single from-scratch run.
 func (c *Cache) AllAnswers() []aggregate.Answer {
 	var out []aggregate.Answer
-	for i := range c.banks {
-		for _, e := range c.banks[i].entries {
-			out = append(out, e.Answers...)
-		}
+	for _, e := range c.entries {
+		out = append(out, e.Answers...)
 	}
 	aggregate.SortCanonical(out)
 	return out
@@ -393,11 +336,9 @@ func (c *Cache) AllAnswers() []aggregate.Answer {
 
 // Pairs returns every judged pair in canonical order.
 func (c *Cache) Pairs() []record.Pair {
-	out := make([]record.Pair, 0, c.Len())
-	for i := range c.banks {
-		for p := range c.banks[i].entries {
-			out = append(out, p)
-		}
+	out := make([]record.Pair, 0, len(c.entries))
+	for p := range c.entries {
+		out = append(out, p)
 	}
 	record.SortPairs(out)
 	return out
@@ -406,7 +347,7 @@ func (c *Cache) Pairs() []record.Pair {
 // SetPosteriors records the latest aggregation result on the entries.
 func (c *Cache) SetPosteriors(post aggregate.Posterior) {
 	for p, prob := range post {
-		if e, ok := c.bank(p).entries[p]; ok {
+		if e, ok := c.entries[p]; ok {
 			e.Posterior = prob
 		}
 	}

@@ -105,13 +105,8 @@ func RestoreResolver(rec *Recovered, opts Options) (*Resolver, error) {
 		return nil, fmt.Errorf("crowder: recovered session was aggregated with %q; options select %q (one session, one aggregation mode)", rec.Meta.Aggregator, r.agg.Name())
 	}
 	for _, b := range rec.Boundaries {
-		if r.sidx != nil {
-			r.sidx.Absorb(b)
-		} else if r.idx != nil {
-			r.idx.Absorb(b)
-		}
+		r.idx.Absorb(b)
 	}
-	r.blocked = rec.Blocked
 	r.pending = append(r.pending, rec.Pending...)
 	r.resume = rec.Resume
 	// The hybrid router's budget accounting survives the crash; its

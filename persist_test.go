@@ -1,11 +1,16 @@
 package crowder
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/crowder/crowder/internal/simjoin"
 )
 
 // openTestStore opens a FileStore in a fresh temp dir and returns it
@@ -24,39 +29,42 @@ func openTestStore(t *testing.T, dir string) *FileStore {
 
 // TestRestoreResolverBitIdentical: a session logged to disk, reloaded
 // with RestoreResolver, must continue bit-identically to one that never
-// went down — same matches, same candidates, and zero re-issued HITs for
-// pairs already judged. Covered for the single-index path and the
-// sharded (Shards=4) session, whose frozen per-delta index weights are
+// went down — same matches, same candidates, zero re-issued HITs for
+// pairs already judged, and in the end the same verdict cache. The
+// session crashes after each of its first three deltas in turn, so the
+// replay rebuilds one, two and three frozen per-delta index weightings:
 // the hard part of replay.
 func TestRestoreResolverBitIdentical(t *testing.T) {
 	rows, schema, oracle := resolverDataset(11, 160, 30)
-	batches := [][][]string{rows[:70], rows[70:110], rows[110:140]}
-	extra := rows[140:]
+	batches := [][][]string{rows[:70], rows[70:110], rows[110:140], rows[140:]}
 
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			opts := Options{
-				Threshold: 0.4,
-				HITType:   PairHITs,
-				Oracle:    oracle,
-				Seed:      7,
-				Shards:    shards,
-			}
+	opts := Options{
+		Threshold: 0.4,
+		HITType:   PairHITs,
+		Oracle:    oracle,
+		Seed:      7,
+	}
 
-			// Control: the session that never crashes.
-			control, err := NewResolver(NewTable(schema...), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range batches {
-				control.AppendBatch(b...)
-				if _, err := control.ResolveDelta(); err != nil {
-					t.Fatal(err)
-				}
-			}
+	// Control: the session that never crashes.
+	control, err := NewResolver(NewTable(schema...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wants []*Result
+	for _, b := range batches {
+		control.AppendBatch(b...)
+		res, err := control.ResolveDelta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, res)
+	}
 
-			// Durable twin: same deltas, logged to disk, then "crashed"
-			// (dropped without Close — every paid verdict is fsynced).
+	for crash := 1; crash < len(batches); crash++ {
+		t.Run(fmt.Sprintf("crash-after=%d", crash), func(t *testing.T) {
+			// Durable twin: the first deltas, logged to disk, then
+			// "crashed" (dropped without Close — every paid verdict is
+			// fsynced).
 			dir := t.TempDir()
 			dopts := opts
 			dopts.Store = openTestStore(t, dir)
@@ -64,7 +72,7 @@ func TestRestoreResolverBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, b := range batches {
+			for _, b := range batches[:crash] {
 				durable.AppendBatch(b...)
 				if _, err := durable.ResolveDelta(); err != nil {
 					t.Fatal(err)
@@ -84,30 +92,30 @@ func TestRestoreResolverBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Continuing both sessions with one more delta must agree
-			// bit-for-bit, and the restored session must pay for exactly
-			// what the control pays for — nothing re-issued.
-			control.AppendBatch(extra...)
-			want, err := control.ResolveDelta()
-			if err != nil {
-				t.Fatal(err)
+			// Every remaining delta must agree with the control's
+			// bit-for-bit, and the restored session must pay for
+			// exactly what the control paid for — nothing re-issued.
+			for i := crash; i < len(batches); i++ {
+				restored.AppendBatch(batches[i]...)
+				got, err := restored.ResolveDelta()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := wants[i]
+				label := fmt.Sprintf("delta %d", i)
+				assertSameMatches(t, label, want.Matches, got.Matches)
+				if got.HITs != want.HITs {
+					t.Errorf("%s: restored session issued %d HITs; control issued %d", label, got.HITs, want.HITs)
+				}
+				if got.Candidates != want.Candidates || got.TotalPairs != want.TotalPairs {
+					t.Errorf("%s: restored accounting (%d cand, %d pairs) vs control (%d, %d)",
+						label, got.Candidates, got.TotalPairs, want.Candidates, want.TotalPairs)
+				}
+				if got.CostDollars != want.CostDollars {
+					t.Errorf("%s: restored CostDollars %v vs control %v", label, got.CostDollars, want.CostDollars)
+				}
 			}
-			restored.AppendBatch(extra...)
-			got, err := restored.ResolveDelta()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameMatches(t, "restored", want.Matches, got.Matches)
-			if got.HITs != want.HITs {
-				t.Errorf("restored delta issued %d HITs; control issued %d", got.HITs, want.HITs)
-			}
-			if got.Candidates != want.Candidates || got.TotalPairs != want.TotalPairs {
-				t.Errorf("restored accounting (%d cand, %d pairs) vs control (%d, %d)",
-					got.Candidates, got.TotalPairs, want.Candidates, want.TotalPairs)
-			}
-			if got.CostDollars != want.CostDollars {
-				t.Errorf("restored CostDollars %v vs control %v", got.CostDollars, want.CostDollars)
-			}
+			assertSameCache(t, "restored vs control", control.cache, restored.cache)
 		})
 	}
 }
@@ -134,6 +142,95 @@ func TestRestoreResolverAggregatorMismatch(t *testing.T) {
 	bad := Options{Threshold: 0.4, HITType: PairHITs, Oracle: oracle, Seed: 1, Aggregation: AggregationMajorityVote}
 	if _, err := RestoreResolver(rec, bad); err == nil {
 		t.Fatal("recovering a dawid-skene session as majority-vote should fail")
+	}
+}
+
+// TestRestoreResolverIgnoresLegacyBlockedCursor: logs written while the
+// resolver also offered token blocking carry a "blocked" cursor on every
+// Prune frame. Such a log still opens and restores: the field is
+// ignored, the absorb boundary and the pending candidates replay, and the
+// restored session finishes exactly as a fresh resolve of the table.
+func TestRestoreResolverIgnoresLegacyBlockedCursor(t *testing.T) {
+	rows, schema, _ := resolverDataset(5, 60, 10)
+	opts := Options{Threshold: 0.3, MachineOnly: true}
+
+	// Session identity and rows logged the ordinary way; the machine pass
+	// then crashed after logging its prune, before any verdict commit.
+	dir := t.TempDir()
+	fl := openTestStore(t, dir)
+	dopts := opts
+	dopts.Store = fl
+	rv, err := NewResolver(NewTable(schema...), dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv.AppendBatch(rows...)
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cands := simjoin.Join(rv.table.inner, simjoin.Options{Threshold: opts.Threshold})
+	if len(cands) == 0 {
+		t.Fatal("fixture has no candidates; the pending replay is vacuous")
+	}
+	disc, err := json.Marshal(cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tagPrune = 3 // the store's Prune event tag
+	prune := fmt.Sprintf(`{"absorbed":%d,"blocked":3,"discovered":%s}`, len(rows), disc)
+	appendWALFrame(t, filepath.Join(dir, "wal-00000000.log"), append([]byte{tagPrune}, prune...))
+
+	fl2, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl2.Close()
+	if len(rec.Boundaries) != 1 || rec.Boundaries[0] != len(rows) || len(rec.Pending) != len(cands) {
+		t.Fatalf("recovered boundaries %v and %d pending; want [%d] and %d",
+			rec.Boundaries, len(rec.Pending), len(rows), len(cands))
+	}
+	ropts := opts
+	ropts.Store = fl2
+	restored, err := RestoreResolver(rec, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewTable(schema...)
+	for _, row := range rows {
+		fresh.Append(row...)
+	}
+	want, err := Resolve(fresh, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMatches(t, "legacy log", want.Matches, got.Matches)
+}
+
+// appendWALFrame appends one frame to a store log file in its on-disk
+// layout: magic 0xC7 | payload length | header CRC | payload CRC |
+// payload, little-endian, CRC32-Castagnoli.
+func appendWALFrame(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	frame := make([]byte, 13, 13+len(payload))
+	frame[0] = 0xC7
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:9], crc32.Checksum(frame[:5], castagnoli))
+	binary.LittleEndian.PutUint32(frame[9:13], crc32.Checksum(payload, castagnoli))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

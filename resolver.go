@@ -4,12 +4,10 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"iter"
 	"slices"
 	"sync"
 
 	"github.com/crowder/crowder/internal/aggregate"
-	"github.com/crowder/crowder/internal/blocking"
 	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
@@ -38,12 +36,7 @@ import (
 // remain fully deterministic in the batch sequence, but their answers
 // couple pairs within a HIT (the worker's transitive closure), so a
 // different batching can legitimately reach different judgments on
-// borderline pairs. Likewise, SourceTokenBlocking with a MaxBlock cap
-// evaluates the cap against block sizes at delta time: a block that
-// grows past the cap mid-session stops contributing new pairs, whereas
-// a batch run would have dropped it wholesale — already-judged pairs are
-// never retracted. The exact-equivalence guarantee therefore covers
-// SourceSimJoin and uncapped token blocking.
+// borderline pairs.
 //
 // If a delta fails mid-flight (e.g. HIT generation rejects an option),
 // the candidate pairs already discovered stay pending and are retried by
@@ -69,18 +62,9 @@ type Resolver struct {
 	table *Table
 	opts  Options
 
-	// idx is the persistent similarity-join index (SourceSimJoin,
-	// Shards ≤ 1); exactly one of idx and sidx is non-nil for a
-	// SourceSimJoin session.
+	// idx is the persistent similarity-join index: the session's one
+	// machine pass.
 	idx *simjoin.Index
-	// sidx is the sharded join index (SourceSimJoin, Shards > 1): one
-	// posting shard per hash bucket of the records' token signatures,
-	// probed concurrently with per-shard ranking heaps merged
-	// deterministically. Bit-identical to idx at every shard count.
-	sidx *simjoin.Sharded
-	// blocked counts the records already consumed by the delta blocking
-	// path (SourceTokenBlocking).
-	blocked int
 	// agg is the session's answer aggregator, fixed by
 	// Options.Aggregation: every delta re-aggregates the cached∪fresh
 	// answer union with it, and its identity is bound to the verdict
@@ -165,24 +149,18 @@ func newResolverWith(t *Table, opts Options, cache *verdicts.Cache) (*Resolver, 
 	if opts.Store != nil {
 		log = opts.Store
 	}
-	r := &Resolver{
+	return &Resolver{
 		table: t,
 		opts:  opts,
 		agg:   agg,
 		cache: cache,
 		log:   log,
-	}
-	jopts := simjoin.Options{
-		Threshold:       opts.Threshold,
-		CrossSourceOnly: opts.CrossSourceOnly,
-		Parallelism:     opts.Parallelism,
-	}
-	if opts.Shards > 1 {
-		r.sidx = simjoin.NewSharded(t.inner, opts.Shards, jopts)
-	} else {
-		r.idx = simjoin.NewIndex(t.inner, jopts)
-	}
-	return r, nil
+		idx: simjoin.NewIndex(t.inner, simjoin.Options{
+			Threshold:       opts.Threshold,
+			CrossSourceOnly: opts.CrossSourceOnly,
+			Parallelism:     opts.Parallelism,
+		}),
+	}, nil
 }
 
 // Append adds a record and returns its ID. The record is resolved by the
@@ -247,25 +225,13 @@ func (r *Resolver) returnResume(rs *crowd.ResumeState) {
 	r.resume = rs
 }
 
-// indexedLen is the join index's absorb cursor — the Prune event's
-// boundary, replayed by RestoreResolver via Absorb.
-func (r *Resolver) indexedLen() int {
-	if r.sidx != nil {
-		return r.sidx.Indexed()
-	}
-	if r.idx != nil {
-		return r.idx.Indexed()
-	}
-	return 0
-}
-
-// logPrune records a machine pass: the absorb boundary, the blocking
-// cursor, and the candidates this delta discovered (the pending set's
-// new tail). The caller holds r.mu for writing.
+// logPrune records a machine pass: the join index's absorb boundary
+// (replayed by RestoreResolver via Absorb) and the candidates this delta
+// discovered (the pending set's new tail). The caller holds r.mu for
+// writing.
 func (r *Resolver) logPrune(discovered []simjoin.ScoredPair) error {
 	return r.log.Log(&store.Prune{
-		Absorbed:   r.indexedLen(),
-		Blocked:    r.blocked,
+		Absorbed:   r.idx.Indexed(),
 		Discovered: discovered,
 	})
 }
@@ -386,8 +352,8 @@ func (r *Resolver) Verdict(p Pair) (float64, bool) {
 }
 
 // ResolveDelta resolves the records appended since the previous call
-// against the whole table: the delta probes the live join index (or delta
-// blocking), pairs already judged reuse their cached verdicts, and only
+// against the whole table: the delta probes the live join index, pairs
+// already judged reuse their cached verdicts, and only
 // genuinely new candidate pairs are batched into HITs and crowdsourced.
 // The returned Result covers the full session — Matches ranks every
 // judged pair, while HITs, CostDollars and ElapsedSeconds account only
@@ -441,31 +407,4 @@ func (r *Resolver) resolve(ctx context.Context, p *resolverPipeline) (*Result, e
 		final.res.Stages = append(final.res.Stages, StageStat{Name: s.Name, Seconds: s.Duration.Seconds()})
 	}
 	return final.res, nil
-}
-
-// deltaCandidateSeq streams the scored candidate pairs introduced by the
-// records appended since the last delta, per the configured candidate
-// source (single-index path; the sharded path scatters through
-// r.sidx.UpdateScatter instead). The caller holds r.mu for writing and
-// must drain the sequence exactly once
-// (both sources absorb the delta as a side effect). SourceSimJoin is a
-// true stream — candidates are scored as the join index probes, never
-// materialized; token blocking computes its (typically much smaller,
-// MaxBlock-capped) candidate set eagerly and streams over it.
-func (r *Resolver) deltaCandidateSeq() (iter.Seq[simjoin.ScoredPair], error) {
-	switch r.opts.Candidates {
-	case SourceSimJoin:
-		return r.idx.UpdateSeq(), nil
-	case SourceTokenBlocking:
-		since := r.blocked
-		r.blocked = r.table.Len()
-		cands := blocking.TokenBlockingSince(r.table.inner, blocking.Options{
-			MaxBlock:        r.opts.MaxBlock,
-			CrossSourceOnly: r.opts.CrossSourceOnly,
-		}, since)
-		scored := simjoin.ScoreCandidates(r.table.inner, cands, r.opts.Threshold)
-		return slices.Values(scored), nil
-	default:
-		return nil, errUnknownCandidateSource(r.opts.Candidates)
-	}
 }

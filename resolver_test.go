@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/crowder/crowder/internal/dataset"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 )
 
@@ -46,7 +47,7 @@ func assertSameMatches(t *testing.T, label string, want, got []Match) {
 // bit-identical Matches to a from-scratch Resolve of the union table, at
 // every parallelism level. Pair-based HITs make crowd verdicts a pure
 // function of (Seed, pair), so re-batching across deltas cannot change
-// any judgment. Run with -race: ResolveDelta shards the join probe and
+// any judgment. Run with -race: ResolveDelta spreads the join probe and
 // the crowd execution across goroutines.
 func TestResolveDeltaEquivalentToFromScratch(t *testing.T) {
 	rows, schema, oracle := resolverDataset(11, 240, 40)
@@ -106,34 +107,32 @@ func TestResolveDeltaEquivalentToFromScratch(t *testing.T) {
 }
 
 // Machine-only deltas must likewise reproduce the from-scratch likelihood
-// ranking bit-for-bit, for both candidate sources.
+// ranking bit-for-bit.
 func TestResolveDeltaMachineOnlyEquivalence(t *testing.T) {
 	rows, schema, _ := resolverDataset(3, 180, 30)
-	for _, src := range []CandidateSource{SourceSimJoin, SourceTokenBlocking} {
-		opts := Options{Threshold: 0.3, MachineOnly: true, Candidates: src}
+	opts := Options{Threshold: 0.3, MachineOnly: true}
 
-		union := NewTable(schema...)
-		for _, row := range rows {
-			union.Append(row...)
-		}
-		want, err := Resolve(union, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		rv, err := NewResolver(NewTable(schema...), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *Result
-		for _, batch := range [][][]string{rows[:60], rows[60:61], rows[61:]} {
-			rv.AppendBatch(batch...)
-			if got, err = rv.ResolveDelta(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertSameMatches(t, "source", want.Matches, got.Matches)
+	union := NewTable(schema...)
+	for _, row := range rows {
+		union.Append(row...)
 	}
+	want, err := Resolve(union, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rv, err := NewResolver(NewTable(schema...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Result
+	for _, batch := range [][][]string{rows[:60], rows[60:61], rows[61:]} {
+		rv.AppendBatch(batch...)
+		if got, err = rv.ResolveDelta(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameMatches(t, "machine-only", want.Matches, got.Matches)
 }
 
 // Acceptance: a delta that introduces no new candidate pairs issues zero
@@ -349,14 +348,23 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative aggregation", Options{Aggregation: -1, MachineOnly: true}, "Options.Aggregation = -1"},
 		{"unknown aggregation mode", Options{Aggregation: 3, MachineOnly: true}, "Options.Aggregation = 3"},
 		{"negative max candidates", Options{MaxCandidates: -5, MachineOnly: true}, "Options.MaxCandidates = -5"},
-		{"negative max block", Options{MaxBlock: -2, MachineOnly: true}, "Options.MaxBlock = -2"},
-		{"negative shards", Options{Shards: -4, MachineOnly: true}, "Options.Shards = -4"},
-		{"shards beyond the cap", Options{Shards: 1025, MachineOnly: true}, "Options.Shards = 1025"},
+		{"unknown generator", Options{Generator: 9, MachineOnly: true}, "Options.Generator = 9"},
+		{"negative generator", Options{Generator: -1, MachineOnly: true}, "Options.Generator = -1"},
+		{"negative hybrid", Options{Hybrid: -1, MachineOnly: true}, "Options.Hybrid = -1"},
+		{"unknown hybrid mode", Options{Hybrid: 2, MachineOnly: true}, "Options.Hybrid = 2"},
+		{"negative hybrid risk", Options{HybridRisk: -0.1, MachineOnly: true}, "Options.HybridRisk = -0.1"},
+		{"hybrid risk above the cap", Options{HybridRisk: 0.5, MachineOnly: true}, "Options.HybridRisk = 0.5"},
+		{"negative hybrid min labels", Options{HybridMinLabels: -4, MachineOnly: true}, "Options.HybridMinLabels = -4"},
+		{"negative hybrid budget", Options{HybridBudgetDollars: -1.5, MachineOnly: true}, "Options.HybridBudgetDollars = -1.5"},
 
 		{"zero values select defaults", Options{MachineOnly: true}, ""},
 		{"zero max candidates keeps everything", Options{MaxCandidates: 0, MachineOnly: true}, ""},
-		{"single shard is valid", Options{Shards: 1, MachineOnly: true}, ""},
-		{"shard cap is inclusive", Options{Shards: 1024, MachineOnly: true}, ""},
+		{"random generator is valid", Options{Generator: GenRandom, MachineOnly: true}, ""},
+		{"bfs generator is valid", Options{Generator: GenBFS, MachineOnly: true}, ""},
+		{"dfs generator is valid", Options{Generator: GenDFS, MachineOnly: true}, ""},
+		{"approx generator is valid", Options{Generator: GenApprox, MachineOnly: true}, ""},
+		{"hybrid on is valid", Options{Hybrid: HybridOn, MachineOnly: true}, ""},
+		{"hybrid risk cap is inclusive", Options{HybridRisk: learn.MaxRisk, MachineOnly: true}, ""},
 		{"transitivity off is valid", Options{Transitivity: TransitivityOff, MachineOnly: true}, ""},
 		{"transitivity on is valid", Options{Transitivity: TransitivityOn, MachineOnly: true}, ""},
 		{"majority-vote aggregation is valid", Options{Aggregation: AggregationMajorityVote, MachineOnly: true}, ""},
@@ -510,5 +518,98 @@ func TestResolveDeltaContextCancellation(t *testing.T) {
 	}
 	if !acc[Pair{0, 1}] || !acc[Pair{0, 6}] || !acc[Pair{1, 6}] {
 		t.Errorf("iPad trio not recovered by queue workers: %v", res.Accepted())
+	}
+}
+
+// Session reads proceed during a resolve. A queue-backed resolution
+// blocks on the crowd; while it waits, Verdict, JudgedPairs,
+// WorkerStats, PendingPairs, Record and Len must all answer from the
+// shared lock instead of queueing behind the job. Run under -race (CI
+// does): the assertions here are secondary to the interleaving itself.
+func TestResolverReadsDuringResolve(t *testing.T) {
+	rows, schema, oracle := resolverDataset(7, 120, 24)
+	truth := map[Pair]bool{}
+	for _, p := range oracle {
+		truth[p] = true
+	}
+	q := NewQueueBackend(QueueOptions{})
+	rv, err := NewResolver(NewTable(schema...), Options{
+		Threshold:    0.4,
+		HITType:      PairHITs,
+		ClusterSize:  10,
+		Backend:      q,
+		Seed:         1,
+		SpammerRate:  NoSpammers,
+		Transitivity: TransitivityOn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv.AppendBatch(rows...)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := rv.ResolveDeltaContext(context.Background())
+		done <- err
+	}()
+
+	// Worker goroutine: claim and answer HITs with ground truth until
+	// the resolution finishes. Worker identities rotate — the queue
+	// hands each HIT to a given worker at most once, and multi-
+	// assignment HITs need as many distinct workers as assignments.
+	stop := make(chan struct{})
+	go func() {
+		worker := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			worker++
+			c, ok := q.Claim(fmt.Sprintf("w%d", worker%16))
+			if !ok {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			var vs []Verdict
+			for _, p := range c.HIT.Pairs {
+				vs = append(vs, Verdict{A: record.ID(p.A), B: record.ID(p.B), Match: truth[Pair{A: int(p.A), B: int(p.B)}]})
+			}
+			if err := q.Answer(c.Token, vs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	// Reader loop on the test goroutine: every session read runs many
+	// times while the resolve is in flight. The loop yields briefly each
+	// pass so the resolve and worker goroutines get CPU on small hosts.
+	reads := 0
+	for {
+		select {
+		case err := <-done:
+			close(stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reads == 0 {
+				t.Fatal("resolve finished before any concurrent read ran")
+			}
+			if rv.JudgedPairs() == 0 {
+				t.Fatal("queue-backed resolve judged nothing")
+			}
+			return
+		case <-time.After(100 * time.Microsecond):
+		}
+		rv.Len()
+		rv.Record(reads % len(rows))
+		rv.JudgedPairs()
+		rv.PendingPairs()
+		rv.PartialPairs()
+		rv.WorkerStats()
+		rv.Verdict(Pair{A: 0, B: 1})
+		reads++
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
-	"github.com/crowder/crowder/internal/engine"
 	"github.com/crowder/crowder/internal/hitgen"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
@@ -279,15 +278,6 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 // standard the unanimity test applies to crowd answers. With Hybrid off
 // the cache holds no machine entries and the rebuild is bit-identical
 // to the asked-only one.
-//
-// For a sharded session the rebuild is partitioned by pair hash — each
-// shard observes its own slice of the verdict cache, in canonical order,
-// on its own goroutine — and the per-shard union-find forests are merged
-// at the exchange (transitivity.Merge), preserving witness and proof
-// provenance. Each pair lands in exactly one shard (record.Pair.Shard is
-// a pure content hash), so the merge precondition holds and the merged
-// graph is bit-identical to the sequential rebuild: deltas deduce the
-// same verdicts with the same proofs at every shard count.
 func rebuildGraph(rv *Resolver, underReview record.PairSet) *transitivity.Graph {
 	asked := rv.cache.GroundEntries()
 	if underReview != nil {
@@ -304,38 +294,14 @@ func rebuildGraph(rv *Resolver, underReview record.PairSet) *transitivity.Graph 
 		}
 		asked = kept
 	}
-	observe := func(g *transitivity.Graph, e *verdicts.Entry) {
+	g := transitivity.New()
+	g.MaxProof = transitiveMaxProof
+	for _, e := range asked {
 		match := e.Posterior >= 0.5
 		strong := e.Provenance == verdicts.Machine || unanimous(e.Answers, match)
 		g.ObserveStrength(e.Pair, match, strong)
 	}
-	shards := rv.opts.shardCount()
-	if shards <= 1 || len(asked) < 2 {
-		g := transitivity.New()
-		g.MaxProof = transitiveMaxProof
-		for _, e := range asked {
-			observe(g, e)
-		}
-		return g
-	}
-	buckets := make([][]*verdicts.Entry, shards)
-	for _, e := range asked {
-		s := e.Pair.Shard(shards)
-		buckets[s] = append(buckets[s], e)
-	}
-	parts := make([]*transitivity.Graph, shards)
-	workers := engine.WorkerCount(rv.opts.Parallelism, shards)
-	engine.Workers(workers, func(w int) {
-		for s := w; s < shards; s += workers {
-			pg := transitivity.New()
-			pg.MaxProof = transitiveMaxProof
-			for _, e := range buckets[s] {
-				observe(pg, e)
-			}
-			parts[s] = pg
-		}
-	})
-	return transitivity.Merge(transitiveMaxProof, parts...)
+	return g
 }
 
 // selectWindow picks up to max pairs from remaining (highest likelihood

@@ -1,6 +1,8 @@
 package crowder
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/crowder/crowder/internal/dataset"
@@ -170,10 +172,44 @@ func TestTransitiveParallelismInvariance(t *testing.T) {
 	}
 }
 
+// assertSameCache compares two sessions' verdict caches entry by entry:
+// same pairs, same provenance, same posteriors and likelihoods, same raw
+// answers and — for deduced pairs — identical proofs (path, witness,
+// polarity). Not just the same matches, but the same evidence.
+func assertSameCache(t *testing.T, label string, want, got *verdicts.Cache) {
+	t.Helper()
+	wantPairs, gotPairs := want.Pairs(), got.Pairs()
+	if !reflect.DeepEqual(wantPairs, gotPairs) {
+		t.Fatalf("%s: cache holds %d pairs, want %d", label, len(gotPairs), len(wantPairs))
+	}
+	if want.DeducedLen() != got.DeducedLen() {
+		t.Fatalf("%s: %d deduced pairs, want %d", label, got.DeducedLen(), want.DeducedLen())
+	}
+	for _, p := range wantPairs {
+		we, ge := want.Get(p), got.Get(p)
+		if we.Provenance != ge.Provenance {
+			t.Fatalf("%s: pair %v is %v, want %v", label, p, ge.Provenance, we.Provenance)
+		}
+		if we.Posterior != ge.Posterior || we.Likelihood != ge.Likelihood {
+			t.Fatalf("%s: pair %v posterior/likelihood %v/%v, want %v/%v",
+				label, p, ge.Posterior, ge.Likelihood, we.Posterior, we.Likelihood)
+		}
+		if !reflect.DeepEqual(we.Answers, ge.Answers) {
+			t.Fatalf("%s: pair %v answers differ", label, p)
+		}
+		if !reflect.DeepEqual(we.Deduction, ge.Deduction) {
+			t.Fatalf("%s: pair %v proof differs:\n got %+v\nwant %+v",
+				label, p, ge.Deduction, we.Deduction)
+		}
+	}
+}
+
 // Acceptance: k-batch ResolveDelta with transitivity equals from-scratch
-// Resolve with transitivity. On the heavy-transitivity workload with a
-// clean pool the Matches are bit-identical; the judged pair set is equal
-// by construction (every candidate ends asked or deduced either way).
+// resolution with transitivity. On the heavy-transitivity workload with a
+// clean pool the Matches are bit-identical, and so is the verdict cache
+// behind them: provenance, posteriors, answers and deduction proofs.
+// Product+Dup's duplicate cliques make a large share of the compared
+// verdicts transitive deductions, so the proof comparison is not vacuous.
 func TestTransitiveDeltaEqualsFromScratch(t *testing.T) {
 	rows, schema, oracle, _ := productDupDataset()
 	opts := Options{
@@ -182,16 +218,7 @@ func TestTransitiveDeltaEqualsFromScratch(t *testing.T) {
 		SpammerRate: NoSpammers,
 	}
 
-	union := NewTable(schema...)
-	for _, r := range rows {
-		union.Append(r...)
-	}
-	full, err := Resolve(union, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, batches := range []int{2, 4} {
+	session := func(batches int) (*Resolver, *Result) {
 		rv, err := NewResolver(NewTable(schema...), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -199,19 +226,27 @@ func TestTransitiveDeltaEqualsFromScratch(t *testing.T) {
 		size := (len(rows) + batches - 1) / batches
 		var last *Result
 		for lo := 0; lo < len(rows); lo += size {
-			hi := lo + size
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			rv.AppendBatch(rows[lo:hi]...)
+			rv.AppendBatch(rows[lo:min(lo+size, len(rows))]...)
 			if last, err = rv.ResolveDelta(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		assertSameMatches(t, "k-batch vs scratch", full.Matches, last.Matches)
-		if last.Candidates != full.Candidates {
-			t.Errorf("%d-batch judged %d candidates; scratch judged %d", batches, last.Candidates, full.Candidates)
-		}
+		return rv, last
+	}
+
+	scratch, full := session(1)
+	if full.DeducedPairs == 0 {
+		t.Fatal("scratch resolution deduced nothing; the proof comparison is vacuous")
+	}
+	for _, batches := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("batches=%d", batches), func(t *testing.T) {
+			rv, last := session(batches)
+			assertSameMatches(t, "k-batch vs scratch", full.Matches, last.Matches)
+			if last.Candidates != full.Candidates {
+				t.Errorf("%d-batch judged %d candidates; scratch judged %d", batches, last.Candidates, full.Candidates)
+			}
+			assertSameCache(t, "k-batch vs scratch", scratch.cache, rv.cache)
+		})
 	}
 }
 
