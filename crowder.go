@@ -604,9 +604,11 @@ type resolveState struct {
 	// While under review a verdict is not ground truth, so transitive
 	// execution must not use its edge to deduce it right back.
 	demoted record.PairSet
-	// generate →
+	// generate → covers[i] lists clusterHITs[i]'s covered pairs in the
+	// order of pairs.
 	pairHITs    []hitgen.PairHIT
 	clusterHITs []hitgen.ClusterHIT
+	covers      [][]record.Pair
 
 	res *Result
 }
@@ -709,10 +711,11 @@ func stageGenerate(_ context.Context, st *resolveState) (*resolveState, error) {
 		if err != nil {
 			return nil, err
 		}
-		if verr := hitgen.ValidateCover(st.pairs, hits, opts.ClusterSize); verr != nil {
+		covers, verr := hitgen.Covers(st.pairs, hits, opts.ClusterSize)
+		if verr != nil {
 			return nil, fmt.Errorf("crowder: generated HITs violate the covering invariant: %w", verr)
 		}
-		st.clusterHITs = hits
+		st.clusterHITs, st.covers = hits, covers
 		st.res.HITs = len(hits)
 	default:
 		return nil, fmt.Errorf("crowder: unknown HIT type %d", opts.HITType)
@@ -757,12 +760,10 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 		hits = crowd.PairHITsFromGen(pairLists, opts.Assignments)
 	} else {
 		records := make([][]record.ID, len(st.clusterHITs))
-		covered := make([][]record.Pair, len(st.clusterHITs))
 		for i, h := range st.clusterHITs {
 			records[i] = h.Records
-			covered[i] = h.CoveredPairs(st.pairs)
 		}
-		hits = crowd.ClusterHITsFromGen(records, covered, opts.Assignments)
+		hits = crowd.ClusterHITsFromGen(records, st.covers, opts.Assignments)
 	}
 
 	backend, err := st.newBackend()

@@ -153,11 +153,16 @@ func mapClassPrior(priorSum float64, nPairs int, alpha, beta float64) float64 {
 	return prior
 }
 
-// vote is one worker's dense-indexed verdict on a pair.
+// vote is one worker's dense-indexed verdict on a pair; l is 1 for a
+// match and 0 for a non-match.
 type vote struct {
-	w   int
-	yes bool
+	w, l int
 }
+
+// confusion is one worker's confusion matrix conf[c][l] = P(answers l |
+// class c), or its expected counts; classes and labels: 0 = non-match,
+// 1 = match.
+type confusion = [2][2]float64
 
 // answerIndex is the dense view of an answer set shared by the EM
 // aggregators: pairs and workers renumbered to contiguous indices, the
@@ -189,16 +194,18 @@ func indexAnswers(answers []Answer) *answerIndex {
 	}
 	byPair := make([][]vote, len(pairs))
 	for _, a := range answers {
+		v := vote{w: workerIdx[a.Worker]}
+		if a.Match {
+			v.l = 1
+		}
 		i := pairIdx[a.Pair]
-		byPair[i] = append(byPair[i], vote{w: workerIdx[a.Worker], yes: a.Match})
+		byPair[i] = append(byPair[i], v)
 	}
 	post := make([]float64, len(pairs))
 	for i, vs := range byPair {
 		yes := 0
 		for _, v := range vs {
-			if v.yes {
-				yes++
-			}
+			yes += v.l
 		}
 		post[i] = float64(yes) / float64(len(vs))
 	}
@@ -214,6 +221,74 @@ func (ix *answerIndex) posterior() Posterior {
 	return out
 }
 
+// em runs the EM loop both aggregators share, in place on ix.post, for at
+// most maxIter iterations or until no posterior moves by tol. Each
+// iteration is the M-step — the class prior under Beta(alpha, beta), then
+// every worker's expected confusion counts given the posteriors, which
+// rows turns into confusion rows conf[w][c][l] = P(worker answers l |
+// class c) — followed by the E-step, which recomputes each posterior in
+// log space.
+//
+// The E-step takes the logs of the confusion rows and of the prior once
+// per iteration, not once per vote. math.Log is pure, so each pair's sum
+// adds the same operands in the same order as a per-vote log would, and
+// the posteriors are bit-identical to it.
+func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(counts, conf []confusion)) Posterior {
+	post := ix.post
+	counts := make([]confusion, ix.nWorkers)
+	conf := make([]confusion, ix.nWorkers)
+	logConf := make([]confusion, ix.nWorkers)
+	for iter := 0; iter < maxIter; iter++ {
+		var priorSum float64
+		for i := range post {
+			priorSum += post[i]
+		}
+		prior := mapClassPrior(priorSum, len(post), alpha, beta)
+		clear(counts)
+		for i, vs := range ix.byPair {
+			for _, v := range vs {
+				counts[v.w][1][v.l] += post[i]
+				counts[v.w][0][v.l] += 1 - post[i]
+			}
+		}
+		rows(counts, conf)
+
+		for w := range conf {
+			for c := 0; c < 2; c++ {
+				for l := 0; l < 2; l++ {
+					logConf[w][c][l] = math.Log(conf[w][c][l])
+				}
+			}
+		}
+		logPrior1, logPrior0 := math.Log(prior), math.Log(1-prior)
+		maxDelta := 0.0
+		for i, vs := range ix.byPair {
+			logP1, logP0 := logPrior1, logPrior0
+			for _, v := range vs {
+				logP1 += logConf[v.w][1][v.l]
+				logP0 += logConf[v.w][0][v.l]
+			}
+			// p1/(p1+p0) with p = exp(logP − max): the larger term's p is
+			// exp(0) = 1 exactly, so only the other needs math.Exp.
+			var newPost float64
+			if logP0 > logP1 {
+				p1 := math.Exp(logP1 - logP0)
+				newPost = p1 / (p1 + 1)
+			} else {
+				newPost = 1 / (1 + math.Exp(logP0-logP1))
+			}
+			if d := math.Abs(newPost - post[i]); d > maxDelta {
+				maxDelta = d
+			}
+			post[i] = newPost
+		}
+		if maxDelta < tol {
+			break
+		}
+	}
+	return ix.posterior()
+}
+
 // DawidSkene runs the EM algorithm: it alternates estimating each pair's
 // match posterior given worker confusion matrices (E-step) with
 // re-estimating worker confusion matrices and the class prior given the
@@ -224,73 +299,18 @@ func DawidSkene(answers []Answer, opts DawidSkeneOptions) Posterior {
 		return Posterior{}
 	}
 
-	ix := indexAnswers(answers)
-	byPair, post := ix.byPair, ix.post
-	nPairs, nWorkers := len(ix.pairs), ix.nWorkers
-
-	// Worker confusion: conf[w][c][l] = P(worker answers l | class c),
-	// classes/labels: 0 = non-match, 1 = match.
-	conf := make([][2][2]float64, nWorkers)
-	prior := 0.5
-
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		// M-step: estimate prior and confusion matrices from posteriors.
-		var priorSum float64
-		for i := range post {
-			priorSum += post[i]
-		}
-		prior = mapClassPrior(priorSum, nPairs, opts.PriorAlpha, opts.PriorBeta)
-		counts := make([][2][2]float64, nWorkers)
-		for i, vs := range byPair {
-			for _, v := range vs {
-				l := 0
-				if v.yes {
-					l = 1
-				}
-				counts[v.w][1][l] += post[i]
-				counts[v.w][0][l] += 1 - post[i]
-			}
-		}
+	// Confusion rows are the additively smoothed expected counts.
+	s := opts.Smoothing
+	return indexAnswers(answers).em(opts.MaxIterations, opts.Tolerance, opts.PriorAlpha, opts.PriorBeta, func(counts, conf []confusion) {
 		for w := range conf {
 			for c := 0; c < 2; c++ {
-				den := counts[w][c][0] + counts[w][c][1] + 2*opts.Smoothing
+				den := counts[w][c][0] + counts[w][c][1] + 2*s
 				for l := 0; l < 2; l++ {
-					conf[w][c][l] = (counts[w][c][l] + opts.Smoothing) / den
+					conf[w][c][l] = (counts[w][c][l] + s) / den
 				}
 			}
 		}
-
-		// E-step: recompute posteriors in log space.
-		maxDelta := 0.0
-		for i, vs := range byPair {
-			logP1 := math.Log(prior)
-			logP0 := math.Log(1 - prior)
-			for _, v := range vs {
-				l := 0
-				if v.yes {
-					l = 1
-				}
-				logP1 += math.Log(conf[v.w][1][l])
-				logP0 += math.Log(conf[v.w][0][l])
-			}
-			m := logP1
-			if logP0 > m {
-				m = logP0
-			}
-			p1 := math.Exp(logP1 - m)
-			p0 := math.Exp(logP0 - m)
-			newPost := p1 / (p1 + p0)
-			if d := math.Abs(newPost - post[i]); d > maxDelta {
-				maxDelta = d
-			}
-			post[i] = newPost
-		}
-		if maxDelta < opts.Tolerance {
-			break
-		}
-	}
-
-	return ix.posterior()
+	})
 }
 
 // WorkerStats is one worker's session diagnostic: empirical agreement

@@ -1,7 +1,5 @@
 package aggregate
 
-import "math"
-
 // MAPOptions configures DawidSkeneMAP. The defaults encode the two
 // pieces of prior knowledge that plain Dawid–Skene EM lacks and whose
 // absence causes the sparse-coverage degeneracy: crowd workers are
@@ -95,34 +93,9 @@ func DawidSkeneMAP(answers []Answer, opts MAPOptions) Posterior {
 		return Posterior{}
 	}
 
-	ix := indexAnswers(answers)
-	byPair, post := ix.byPair, ix.post
-	nPairs, nWorkers := len(ix.pairs), ix.nWorkers
-
-	conf := make([][2][2]float64, nWorkers)
-	prior := 0.5
-
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		// M-step: MAP prevalence under Beta(αp, βp).
-		var priorSum float64
-		for i := range post {
-			priorSum += post[i]
-		}
-		prior = mapClassPrior(priorSum, nPairs, opts.PriorAlpha, opts.PriorBeta)
-
-		// Expected per-worker confusion counts given the posteriors.
-		counts := make([][2][2]float64, nWorkers)
-		for i, vs := range byPair {
-			for _, v := range vs {
-				l := 0
-				if v.yes {
-					l = 1
-				}
-				counts[v.w][1][l] += post[i]
-				counts[v.w][0][l] += 1 - post[i]
-			}
-		}
-
+	// The prevalence is the MAP value under Beta(αp, βp); the rows below
+	// are the MAP confusion rows.
+	return indexAnswers(answers).em(opts.MaxIterations, opts.Tolerance, opts.PriorAlpha, opts.PriorBeta, func(counts, conf []confusion) {
 		// Pool-mean confusion rows: the whole crowd's expected counts
 		// under the same diagonal prior — the anchor target for workers
 		// whose own history cannot support a row of their own.
@@ -170,36 +143,5 @@ func DawidSkeneMAP(answers []Answer, opts MAPOptions) Posterior {
 				}
 			}
 		}
-
-		// E-step: identical to plain Dawid–Skene.
-		maxDelta := 0.0
-		for i, vs := range byPair {
-			logP1 := math.Log(prior)
-			logP0 := math.Log(1 - prior)
-			for _, v := range vs {
-				l := 0
-				if v.yes {
-					l = 1
-				}
-				logP1 += math.Log(conf[v.w][1][l])
-				logP0 += math.Log(conf[v.w][0][l])
-			}
-			m := logP1
-			if logP0 > m {
-				m = logP0
-			}
-			p1 := math.Exp(logP1 - m)
-			p0 := math.Exp(logP0 - m)
-			newPost := p1 / (p1 + p0)
-			if d := math.Abs(newPost - post[i]); d > maxDelta {
-				maxDelta = d
-			}
-			post[i] = newPost
-		}
-		if maxDelta < opts.Tolerance {
-			break
-		}
-	}
-
-	return ix.posterior()
+	})
 }

@@ -200,7 +200,10 @@ func PairHITsFromGen(pairs [][]record.Pair, assignments int) []HIT {
 }
 
 // ClusterHITsFromGen converts generated cluster-based HITs into backend
-// tasks. covered[i] must list the candidate pairs covered by records[i].
+// tasks. covered[i] must list the candidate pairs covered by records[i]
+// in the order of the input pair list, as hitgen.Covers returns them:
+// the simulator draws its RNG values pair by pair in that order, so a
+// reordered cover changes the answers.
 func ClusterHITsFromGen(records [][]record.ID, covered [][]record.Pair, assignments int) []HIT {
 	hits := make([]HIT, len(records))
 	base := nextHITID(len(records))

@@ -3,6 +3,7 @@ package crowd
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -258,17 +259,20 @@ func RunPairHITs(hits []hitgen.PairHIT, truth record.PairSet, pop *Population, c
 // colour-labelling interface of Figure 4 forces records with the same
 // label into one entity). The worker's completion time follows the
 // Section 6 comparison model applied to their own inferred partition.
+// The HITs must cover every pair (hitgen.Covers, with no size bound).
 func RunClusterHITs(hits []hitgen.ClusterHIT, pairs []record.Pair, truth record.PairSet, pop *Population, cfg Config) (*Result, error) {
 	cfg.defaults()
 	sim, err := NewSimulator(truth, pop, cfg)
 	if err != nil {
 		return nil, err
 	}
+	covered, err := hitgen.Covers(pairs, hits, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
 	records := make([][]record.ID, len(hits))
-	covered := make([][]record.Pair, len(hits))
 	for i, h := range hits {
 		records[i] = h.Records
-		covered[i] = h.CoveredPairs(pairs)
 	}
 	return ExecuteHITs(context.Background(), sim, ClusterHITsFromGen(records, covered, cfg.Assignments), ExecuteOptions{})
 }

@@ -1,7 +1,8 @@
 // Package graph implements the undirected pair graph used by CrowdER's
 // cluster-based HIT generation (Sections 4 and 5): vertices are record IDs,
 // edges are record pairs to verify. It provides adjacency queries, degrees,
-// connected components, BFS/DFS traversal orders, and edge-cover checks.
+// connected components, BFS/DFS traversal orders, and the edges a vertex
+// group covers.
 package graph
 
 import (
@@ -143,19 +144,6 @@ func (g *Graph) Clone() *Graph {
 		c.adj[v] = cm
 	}
 	return c
-}
-
-// MaxDegreeVertex returns the vertex with the maximum degree, breaking ties
-// by smallest ID for determinism. ok is false when the graph is empty.
-func (g *Graph) MaxDegreeVertex() (v record.ID, ok bool) {
-	best := -1
-	for u, m := range g.adj {
-		d := len(m)
-		if d > best || (d == best && u < v) {
-			best, v, ok = d, u, true
-		}
-	}
-	return v, ok
 }
 
 // Component is a connected component: a sorted set of vertex IDs.
@@ -356,20 +344,4 @@ func (g *Graph) DFSPrefix(max int) []record.ID {
 		}
 	}
 	return order
-}
-
-// CoversAll reports whether the given vertex groups cover every edge of g:
-// for every edge {a, b} there is a group containing both a and b
-// (requirement 2 of Definition 1).
-func (g *Graph) CoversAll(groups [][]record.ID) bool {
-	remaining := make(map[record.Pair]bool, g.edges)
-	for _, e := range g.Edges() {
-		remaining[e] = true
-	}
-	for _, grp := range groups {
-		for _, e := range g.EdgesCoveredBy(grp) {
-			delete(remaining, e)
-		}
-	}
-	return len(remaining) == 0
 }

@@ -77,23 +77,6 @@ func TestDegreePaperExample(t *testing.T) {
 	if d := g.Degree(1); d != 2 {
 		t.Errorf("Degree(r1) = %d; want 2", d)
 	}
-	v, ok := g.MaxDegreeVertex()
-	if !ok || v != 4 {
-		t.Errorf("MaxDegreeVertex = %v, %v; want r4", v, ok)
-	}
-}
-
-func TestMaxDegreeVertexEmptyAndTie(t *testing.T) {
-	g := New()
-	if _, ok := g.MaxDegreeVertex(); ok {
-		t.Error("empty graph should report ok=false")
-	}
-	g.AddEdge(5, 6)
-	g.AddEdge(2, 3)
-	v, ok := g.MaxDegreeVertex()
-	if !ok || v != 2 {
-		t.Errorf("tie should break to smallest ID; got %v", v)
-	}
 }
 
 func TestConnectedComponentsPaperExample(t *testing.T) {
@@ -206,32 +189,6 @@ func TestEdgesCoveredBy(t *testing.T) {
 	cov := g.EdgesCoveredBy([]record.ID{1, 2, 3, 7})
 	if len(cov) != 4 {
 		t.Errorf("covered %d edges; want 4", len(cov))
-	}
-}
-
-func TestCoversAllPaperOptimal(t *testing.T) {
-	// Section 3.2: H1={r1,r2,r3,r7}, H2={r3,r4,r5,r6}, H3={r4,r7,r8,r9}
-	// cover all ten pairs.
-	g := FromPairs(paperPairs())
-	groups := [][]record.ID{
-		{1, 2, 3, 7},
-		{3, 4, 5, 6},
-		{4, 7, 8, 9},
-	}
-	if !g.CoversAll(groups) {
-		t.Fatal("the paper's optimal 3-HIT solution must cover all edges")
-	}
-	// Dropping any group must break coverage.
-	for i := range groups {
-		partial := make([][]record.ID, 0, 2)
-		for j, grp := range groups {
-			if j != i {
-				partial = append(partial, grp)
-			}
-		}
-		if g.CoversAll(partial) {
-			t.Errorf("dropping group %d should break coverage", i)
-		}
 	}
 }
 

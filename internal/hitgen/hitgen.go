@@ -18,6 +18,7 @@ package hitgen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/crowder/crowder/internal/graph"
@@ -38,23 +39,6 @@ type ClusterHIT struct {
 
 // Size returns the number of records in the HIT.
 func (h ClusterHIT) Size() int { return len(h.Records) }
-
-// CoveredPairs returns the subset of pairs checkable by this HIT: those
-// with both endpoints in the HIT (Section 3.2: "a cluster-based HIT allows
-// a pair of records to be matched iff both records are in the HIT").
-func (h ClusterHIT) CoveredPairs(pairs []record.Pair) []record.Pair {
-	in := make(map[record.ID]bool, len(h.Records))
-	for _, r := range h.Records {
-		in[r] = true
-	}
-	var out []record.Pair
-	for _, p := range pairs {
-		if in[p.A] && in[p.B] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // GeneratePairHITs batches the pairs into ⌈|P|/k⌉ pair-based HITs of at
 // most k pairs each, preserving input order (Section 3.1).
@@ -86,47 +70,76 @@ type ClusterGenerator interface {
 	Generate(pairs []record.Pair, k int) ([]ClusterHIT, error)
 }
 
-// ValidateCover checks Definition 1's two requirements against the
-// generated HITs and returns a descriptive error on the first violation.
-// It is used by tests and by the workflow's internal sanity checking.
-// Pairs are indexed by endpoint so the check costs O(Σ_HIT Σ_member
+// Covers checks Definition 1 against the generated HITs — every HIT holds
+// at most k records, none twice, and every pair has both endpoints in
+// some HIT — and returns each HIT's covered pairs (Section 3.2: "a
+// cluster-based HIT allows a pair of records to be matched iff both
+// records are in the HIT"). A cover lists its pairs as given, repeats
+// kept, in input order: the crowd simulator draws one RNG value per
+// covered pair, so the order is part of the output. Pair indices are
+// grouped by endpoint once, so the pass costs O(|P| + Σ_HIT Σ_member
 // deg(member)) rather than O(#HITs × |P|).
-func ValidateCover(pairs []record.Pair, hits []ClusterHIT, k int) error {
-	remaining := make(map[record.Pair]bool, len(pairs))
-	byEndpoint := make(map[record.ID][]record.Pair)
-	for _, p := range pairs {
-		cp := record.MakePair(p.A, p.B)
-		if !remaining[cp] {
-			remaining[cp] = true
-			byEndpoint[cp.A] = append(byEndpoint[cp.A], cp)
-			byEndpoint[cp.B] = append(byEndpoint[cp.B], cp)
+//
+// The error names the first violation: an oversized HIT or a duplicate
+// record in HIT order, else the first uncovered pair in input order and
+// the number of uncovered input pairs.
+func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, error) {
+	byEnd := make(map[record.ID][]int32)
+	for i, p := range pairs {
+		byEnd[p.A] = append(byEnd[p.A], int32(i))
+		if p.B != p.A {
+			byEnd[p.B] = append(byEnd[p.B], int32(i))
 		}
 	}
-	for i, h := range hits {
-		if h.Size() > k {
-			return fmt.Errorf("hitgen: HIT %d has %d records, exceeds k=%d", i, h.Size(), k)
+	in := make(map[record.ID]int) // record → 1 + the last HIT holding it
+	covered := make([]bool, len(pairs))
+	out := make([][]record.Pair, len(hits))
+	var idx []int32
+	for h, hit := range hits {
+		if hit.Size() > k {
+			return nil, fmt.Errorf("hitgen: HIT %d has %d records, exceeds k=%d", h, hit.Size(), k)
 		}
-		members := make(map[record.ID]bool, h.Size())
-		for _, r := range h.Records {
-			if members[r] {
-				return fmt.Errorf("hitgen: HIT %d contains duplicate record %d", i, r)
+		for _, r := range hit.Records {
+			if in[r] == h+1 {
+				return nil, fmt.Errorf("hitgen: HIT %d contains duplicate record %d", h, r)
 			}
-			members[r] = true
+			in[r] = h + 1
 		}
-		for _, r := range h.Records {
-			for _, p := range byEndpoint[r] {
-				if members[p.A] && members[p.B] {
-					delete(remaining, p)
+		// Each covered pair is collected once, from its A endpoint.
+		idx = idx[:0]
+		for _, r := range hit.Records {
+			for _, i := range byEnd[r] {
+				if p := pairs[i]; p.A == r && in[p.B] == h+1 {
+					idx = append(idx, i)
 				}
 			}
 		}
-	}
-	if len(remaining) > 0 {
-		for p := range remaining {
-			return fmt.Errorf("hitgen: pair %v not covered by any HIT (%d uncovered)", p, len(remaining))
+		slices.Sort(idx)
+		for _, i := range idx {
+			out[h] = append(out[h], pairs[i])
+			covered[i] = true
 		}
 	}
-	return nil
+	if first := slices.Index(covered, false); first >= 0 {
+		n := 0
+		for _, c := range covered {
+			if !c {
+				n++
+			}
+		}
+		p := pairs[first]
+		return nil, fmt.Errorf("hitgen: pair %v not covered by any HIT (%d uncovered)", record.MakePair(p.A, p.B), n)
+	}
+	return out, nil
+}
+
+// ValidateCover checks Definition 1's two requirements against the
+// generated HITs and returns Covers' error for the first violation, or
+// nil. Callers that go on to execute the HITs should call Covers instead
+// and keep the covers it returns.
+func ValidateCover(pairs []record.Pair, hits []ClusterHIT, k int) error {
+	_, err := Covers(pairs, hits, k)
+	return err
 }
 
 // sortHIT orders the records of a HIT ascending for deterministic output.

@@ -207,31 +207,32 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestClusterHITCoveredPairs(t *testing.T) {
-	h := ClusterHIT{Records: []record.ID{1, 2, 3, 7}}
-	cov := h.CoveredPairs(paperPairs())
-	// Pairs inside {1,2,3,7}: (1,2), (1,7), (2,7), (2,3).
-	if len(cov) != 4 {
-		t.Fatalf("covered %d pairs; want 4", len(cov))
-	}
-}
-
+// The error names the first violation deterministically: HIT order for
+// size and duplicates, input order for the first uncovered pair.
 func TestValidateCoverDetectsViolations(t *testing.T) {
 	pairs := paperPairs()
-	// Oversized HIT.
-	big := []ClusterHIT{{Records: []record.ID{1, 2, 3, 4, 5, 6, 7, 8, 9}}}
-	if err := ValidateCover(pairs, big, 4); err == nil {
-		t.Error("oversized HIT should fail validation")
-	}
-	// Valid sizes but missing coverage.
-	partial := []ClusterHIT{{Records: []record.ID{1, 2, 3, 7}}}
-	if err := ValidateCover(pairs, partial, 4); err == nil {
-		t.Error("uncovered pairs should fail validation")
-	}
-	// Duplicate record inside a HIT.
-	dup := []ClusterHIT{{Records: []record.ID{1, 1}}}
-	if err := ValidateCover(nil, dup, 4); err == nil {
-		t.Error("duplicate record should fail validation")
+	for _, tc := range []struct {
+		name  string
+		pairs []record.Pair
+		hits  []ClusterHIT
+		want  string
+	}{
+		{"oversized", pairs, []ClusterHIT{{Records: []record.ID{1, 2}}, {Records: []record.ID{1, 2, 3, 4, 5, 6, 7, 8, 9}}},
+			"hitgen: HIT 1 has 9 records, exceeds k=4"},
+		{"uncovered", pairs, []ClusterHIT{{Records: []record.ID{1, 2, 3, 7}}},
+			"hitgen: pair (r3,r4) not covered by any HIT (6 uncovered)"},
+		{"uncovered, input order", []record.Pair{{A: 9, B: 8}, {A: 1, B: 2}, {A: 2, B: 3}}, []ClusterHIT{{Records: []record.ID{1, 2}}},
+			"hitgen: pair (r8,r9) not covered by any HIT (2 uncovered)"},
+		{"duplicate", nil, []ClusterHIT{{Records: []record.ID{1, 2}}, {Records: []record.ID{5, 1, 5}}},
+			"hitgen: HIT 1 contains duplicate record 5"},
+	} {
+		err := ValidateCover(tc.pairs, tc.hits, 4)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: ValidateCover = %v; want %q", tc.name, err, tc.want)
+		}
+		if cov, err := Covers(tc.pairs, tc.hits, 4); cov != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Covers = %v, %v; want nil, %q", tc.name, cov, err, tc.want)
+		}
 	}
 }
 

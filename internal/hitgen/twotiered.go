@@ -1,6 +1,7 @@
 package hitgen
 
 import (
+	"container/heap"
 	"fmt"
 
 	"github.com/crowder/crowder/internal/graph"
@@ -95,11 +96,13 @@ func (t TwoTiered) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
 // its covered edges until no edges remain. The indegree of each candidate
 // (edges into the growing scc) is maintained incrementally, so selecting
 // each vertex costs one scan of the candidate set rather than a full
-// degree recomputation.
+// degree recomputation, and seeds come from a lazy heap rather than a
+// scan of the whole component per SCC.
 func (t TwoTiered) partition(lcc *graph.Graph, k int) [][]record.ID {
+	seeds := newSeedHeap(lcc, t.Seed == SeedMinID)
 	var sccs [][]record.ID
-	for lcc.NumEdges() > 0 {
-		seed, ok := t.pickSeed(lcc)
+	for {
+		seed, ok := seeds.pop(lcc)
 		if !ok {
 			break
 		}
@@ -131,20 +134,62 @@ func (t TwoTiered) partition(lcc *graph.Graph, k int) [][]record.ID {
 		for _, e := range lcc.EdgesCoveredBy(members) {
 			lcc.RemoveEdge(e.A, e.B)
 		}
+		// Peeling changed the degree of every member and of nothing else.
+		for _, r := range members {
+			if d := lcc.Degree(r); d > 0 {
+				heap.Push(seeds, seedEntry{r, d})
+			}
+		}
 	}
 	return sccs
 }
 
-// pickSeed selects the starting vertex of a new SCC.
-func (t TwoTiered) pickSeed(lcc *graph.Graph) (record.ID, bool) {
-	if t.Seed == SeedMinID {
-		vs := lcc.Vertices()
-		if len(vs) == 0 {
-			return 0, false
-		}
-		return vs[0], true
+// seedHeap yields the starting vertex of each new SCC: the maximum degree
+// first, ties to the smallest ID (Algorithm 2, line 4), or the smallest
+// ID alone under SeedMinID. It is lazy: an entry keeps the degree it was
+// pushed with, degrees only fall as edges are peeled, and the partition
+// re-pushes each vertex whose degree changed, so every vertex with edges
+// has exactly one entry matching its degree and any other entry is stale.
+type seedHeap struct {
+	e    []seedEntry
+	byID bool
+}
+
+type seedEntry struct {
+	v   record.ID
+	deg int
+}
+
+func newSeedHeap(g *graph.Graph, byID bool) *seedHeap {
+	h := &seedHeap{byID: byID}
+	for _, v := range g.Vertices() {
+		h.e = append(h.e, seedEntry{v, g.Degree(v)})
 	}
-	return lcc.MaxDegreeVertex()
+	heap.Init(h)
+	return h
+}
+
+func (h *seedHeap) Len() int      { return len(h.e) }
+func (h *seedHeap) Swap(i, j int) { h.e[i], h.e[j] = h.e[j], h.e[i] }
+func (h *seedHeap) Push(x any)    { h.e = append(h.e, x.(seedEntry)) }
+func (h *seedHeap) Pop() any      { x := h.e[len(h.e)-1]; h.e = h.e[:len(h.e)-1]; return x }
+func (h *seedHeap) Less(i, j int) bool {
+	a, b := h.e[i], h.e[j]
+	if !h.byID && a.deg != b.deg {
+		return a.deg > b.deg
+	}
+	return a.v < b.v
+}
+
+// pop removes and returns the next seed, dropping stale entries; ok is
+// false once g has no edges left.
+func (h *seedHeap) pop(g *graph.Graph) (v record.ID, ok bool) {
+	for h.Len() > 0 {
+		if e := heap.Pop(h).(seedEntry); e.deg == g.Degree(e.v) {
+			return e.v, true
+		}
+	}
+	return 0, false
 }
 
 // pickNext selects the vertex from conn with the maximum indegree w.r.t.

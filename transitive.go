@@ -372,14 +372,13 @@ func roundHITs(pairs []record.Pair, opts Options, ordBase int) ([]crowd.HIT, err
 		if err != nil {
 			return nil, err
 		}
-		if verr := hitgen.ValidateCover(pairs, gen, opts.ClusterSize); verr != nil {
+		covered, verr := hitgen.Covers(pairs, gen, opts.ClusterSize)
+		if verr != nil {
 			return nil, fmt.Errorf("crowder: generated HITs violate the covering invariant: %w", verr)
 		}
 		records := make([][]record.ID, len(gen))
-		covered := make([][]record.Pair, len(gen))
 		for i, h := range gen {
 			records[i] = h.Records
-			covered[i] = h.CoveredPairs(pairs)
 		}
 		hits = crowd.ClusterHITsFromGen(records, covered, opts.Assignments)
 	default:
