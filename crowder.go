@@ -21,8 +21,9 @@
 //
 // Internally every resolution runs as a staged engine (internal/engine):
 // four named stages — prune (the machine pass), generate (HIT batching),
-// execute (the crowd) and aggregate (Dawid–Skene EM) — connected by
-// channels, with per-stage wall-clock timings surfaced on Result.Stages.
+// execute (the crowd) and aggregate (Dawid–Skene EM) — run in order on
+// the caller's goroutine, with per-stage wall-clock timings surfaced on
+// Result.Stages.
 // The machine pass operates on interned token IDs cached on the table and
 // runs its prefix-filtered join over one live index, probing across
 // Options.Parallelism goroutines.
@@ -154,12 +155,13 @@ type TransitivityMode int
 
 const (
 	// TransitivityOff (the default) crowdsources every new candidate
-	// pair, exactly as before: results are bit-identical to a build
-	// without the transitivity feature.
+	// pair: the execute stage has no deduction graph, so it runs one
+	// round posting the generate stage's whole batch, bit-identical to a
+	// build without the transitivity feature.
 	TransitivityOff TransitivityMode = iota
-	// TransitivityOn replaces the one-shot execute stage with adaptive
-	// rounds of post → collect → deduce → retract: verdicts implied by
-	// earlier answers (A=B ∧ B=C ⇒ A=C; A=B ∧ B≠D ⇒ A≠D) are deduced
+	// TransitivityOn gives the execute stage a deduction graph, so its
+	// rounds of post → collect → deduce → retract adapt: verdicts implied
+	// by earlier answers (A=B ∧ B=C ⇒ A=C; A=B ∧ B≠D ⇒ A≠D) are deduced
 	// instead of asked, in-flight HITs whose pairs become deducible are
 	// retracted, and the Result reports DeducedPairs and HITsSaved.
 	// Fewer HITs are issued at equal-or-better quality; the price is
@@ -414,6 +416,21 @@ func (o *Options) validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("crowder: Options.Parallelism = %d; must not be negative (0 means GOMAXPROCS)", o.Parallelism)
 	}
+	if o.HITType < ClusterHITs || o.HITType > PairHITs {
+		return fmt.Errorf("crowder: Options.HITType = %d; must be ClusterHITs (0) or PairHITs (1)", o.HITType)
+	}
+	if o.SpammerRate > 1 {
+		return fmt.Errorf("crowder: Options.SpammerRate = %v; must be at most 1 (0 selects the default 0.12, NoSpammers a clean pool)", o.SpammerRate)
+	}
+	if o.Backend == nil && !o.MachineOnly {
+		// The simulator draws each HIT's replicas from distinct workers, so
+		// a pool smaller than the replication factor fails every delta.
+		d := *o
+		d.defaults()
+		if d.Workers < d.Assignments {
+			return fmt.Errorf("crowder: Options.Workers = %d (defaulted) is below Options.Assignments = %d; the simulated pool needs a worker per replica", d.Workers, d.Assignments)
+		}
+	}
 	if o.Generator < GenTwoTiered || o.Generator > GenApprox {
 		return fmt.Errorf("crowder: Options.Generator = %d; must be GenTwoTiered (0), GenRandom (1), GenBFS (2), GenDFS (3) or GenApprox (4)", o.Generator)
 	}
@@ -436,13 +453,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("crowder: Options.HybridBudgetDollars = %v; must not be negative (0 means no budget pressure)", o.HybridBudgetDollars)
 	}
 	return nil
-}
-
-// transitive reports whether this resolution deduces verdicts from the
-// pair graph. Machine-only runs never reach the crowd, so there is
-// nothing to deduce from.
-func (o *Options) transitive() bool {
-	return o.Transitivity == TransitivityOn && !o.MachineOnly
 }
 
 // hybrid reports whether this session routes candidates through the
@@ -598,17 +608,13 @@ type resolveState struct {
 	// prune → the delta's genuinely new candidate pairs (not in the
 	// verdict cache), ranked by likelihood.
 	scored []simjoin.ScoredPair
-	pairs  []record.Pair
 	// route → the machine verdicts under review this delta: pairs the
 	// retrained router demoted back into scored for crowd arbitration.
 	// While under review a verdict is not ground truth, so transitive
 	// execution must not use its edge to deduce it right back.
 	demoted record.PairSet
-	// generate → covers[i] lists clusterHITs[i]'s covered pairs in the
-	// order of pairs.
-	pairHITs    []hitgen.PairHIT
-	clusterHITs []hitgen.ClusterHIT
-	covers      [][]record.Pair
+	// generate → the one-shot batching of scored.
+	batch hitBatch
 
 	res *Result
 }
@@ -669,7 +675,6 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 		}
 	}
 	st.scored = rank.Ranked()
-	st.pairs = simjoin.Pairs(st.scored)
 	st.res.TotalPairs = rv.table.inner.PairUniverse(rv.opts.CrossSourceOnly)
 	st.res.NewCandidates = len(st.scored)
 	st.res.CachedCandidates = rv.cache.Len()
@@ -682,139 +687,77 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 	return st, nil
 }
 
-// stageGenerate batches the new candidate pairs into HITs. Cached pairs
-// never reach this stage: their HITs were issued (and paid for) by the
-// delta that first discovered them. With Transitivity on, generation
-// moves inside the execute stage's adaptive rounds — each round batches
-// only the pairs deduction could not resolve — except for plan-only
-// runs (EstimateCost), which report the one-shot batching because the
-// savings depend on answers no estimate can know.
+// stageGenerate batches the new candidate pairs into HITs: the one-shot
+// batching every mode starts from. Cached pairs never reach this stage:
+// their HITs were issued (and paid for) by the delta that first
+// discovered them. A plan-only run (EstimateCost) reports this batch; the
+// execute stage posts it as its first round unless deduction resolved
+// some of the pairs first, and Result.HITsSaved is measured against it.
 func stageGenerate(_ context.Context, st *resolveState) (*resolveState, error) {
 	if st.skipCrowd() {
 		return st, nil
 	}
-	if st.rv.opts.transitive() && !st.planOnly {
-		return st, nil
+	b, err := batchHITs(simjoin.Pairs(st.scored), st.rv.opts)
+	if err != nil {
+		return nil, err
 	}
-	opts := st.rv.opts
-	switch opts.HITType {
-	case PairHITs:
-		hits, err := hitgen.GeneratePairHITs(st.pairs, opts.ClusterSize)
-		if err != nil {
-			return nil, err
-		}
-		st.pairHITs = hits
-		st.res.HITs = len(hits)
-	case ClusterHITs:
-		gen := generatorFor(opts.Generator, opts.Seed)
-		hits, err := gen.Generate(st.pairs, opts.ClusterSize)
-		if err != nil {
-			return nil, err
-		}
-		covers, verr := hitgen.Covers(st.pairs, hits, opts.ClusterSize)
-		if verr != nil {
-			return nil, fmt.Errorf("crowder: generated HITs violate the covering invariant: %w", verr)
-		}
-		st.clusterHITs, st.covers = hits, covers
-		st.res.HITs = len(hits)
-	default:
-		return nil, fmt.Errorf("crowder: unknown HIT type %d", opts.HITType)
-	}
+	st.batch = b
+	st.res.HITs = len(b.pairs)
 	return st, nil
 }
 
-// stageExecute drives the delta's HITs through the asynchronous crowd
-// lifecycle — post to the backend, collect assignments as they land, top
-// up expired replication — and commits the collected answers to the
-// verdict cache, marking the new pairs judged. With Options.Backend nil
-// the backend is the reference simulator, fed by the Oracle; results are
-// bit-identical to the synchronous executor this stage replaced.
-//
-// If the run fails — most importantly, if ctx is cancelled while answers
-// are still outstanding — the answers already collected are persisted as
-// partial assignment sets (crowd work is paid for on assignment, not on
-// batch completion) and the delta's candidates stay pending for retry.
-func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) {
-	rv := st.rv
-	if st.skipCrowd() {
-		// A recovered session with nothing left to crowdsource: every
-		// recovered in-flight HIT covers already-judged pairs, so retract
-		// them from the backend instead of leaving zombies for workers.
-		if resume := rv.takeResume(); resume != nil && rv.opts.Backend != nil {
-			retractLeftovers(rv.opts.Backend, resume)
-		}
-		return st, nil
-	}
-	opts := rv.opts
+// hitBatch is a set of pairs batched into HITs but not yet posted: per
+// HIT, the pairs it asks about and, for cluster-based HITs, the record
+// group shown to the worker (records is nil for pair-based batches).
+type hitBatch struct {
+	pairs   [][]record.Pair
+	records [][]record.ID
+}
 
-	if opts.transitive() {
-		return stageExecuteTransitive(ctx, st)
-	}
-
-	var hits []crowd.HIT
+// batchHITs batches pairs in the configured HIT format — the one place
+// that decision is made. Cluster-based HITs come from the configured
+// generator, checked against Definition 1, with each HIT's covered pairs
+// in input order (the simulator draws its RNG values pair by pair in that
+// order); pair-based HITs take ClusterSize pairs each.
+func batchHITs(pairs []record.Pair, opts Options) (hitBatch, error) {
 	if opts.HITType == PairHITs {
-		pairLists := make([][]record.Pair, len(st.pairHITs))
-		for i, h := range st.pairHITs {
-			pairLists[i] = h.Pairs
+		gen, err := hitgen.GeneratePairHITs(pairs, opts.ClusterSize)
+		if err != nil {
+			return hitBatch{}, err
 		}
-		hits = crowd.PairHITsFromGen(pairLists, opts.Assignments)
+		b := hitBatch{pairs: make([][]record.Pair, len(gen))}
+		for i, h := range gen {
+			b.pairs[i] = h.Pairs
+		}
+		return b, nil
+	}
+	gen, err := generatorFor(opts.Generator, opts.Seed).Generate(pairs, opts.ClusterSize)
+	if err != nil {
+		return hitBatch{}, err
+	}
+	covers, err := hitgen.Covers(pairs, gen, opts.ClusterSize)
+	if err != nil {
+		return hitBatch{}, fmt.Errorf("crowder: generated HITs violate the covering invariant: %w", err)
+	}
+	b := hitBatch{pairs: covers, records: make([][]record.ID, len(gen))}
+	for i, h := range gen {
+		b.records[i] = h.Records
+	}
+	return b, nil
+}
+
+// tasks converts the batch into backend tasks with ordinals starting at
+// ord, so every round of a delta draws fresh RNG streams. It allocates
+// the tasks' HIT IDs: call it only to post them.
+func (b hitBatch) tasks(assignments, ord int) []crowd.HIT {
+	var hits []crowd.HIT
+	if b.records != nil {
+		hits = crowd.ClusterHITsFromGen(b.records, b.pairs, assignments)
 	} else {
-		records := make([][]record.ID, len(st.clusterHITs))
-		for i, h := range st.clusterHITs {
-			records[i] = h.Records
-		}
-		hits = crowd.ClusterHITsFromGen(records, st.covers, opts.Assignments)
+		hits = crowd.PairHITsFromGen(b.pairs, assignments)
 	}
-
-	backend, err := st.newBackend()
-	if err != nil {
-		return nil, err
-	}
-
-	// The crowd runs without the session lock — this is the window reads
-	// overlap with — and only the commit below re-takes it.
-	resume := rv.takeResume()
-	run, err := crowd.ExecuteHITs(ctx, backend, hits, crowd.ExecuteOptions{
-		OnProgress: opts.Progress,
-		Interim:    opts.InterimAggregation,
-		Aggregator: rv.agg,
-		Resume:     resume,
-	})
-	if err != nil {
-		if run != nil {
-			// Partial assignment sets survive the failure: the crowd work
-			// is already paid for, and the pairs stay pending for retry.
-			rv.mu.Lock()
-			rv.cache.AddPartialAnswers(run.Answers)
-			// Log failure too (ignore the sticky error — the delta already
-			// failed): the fragments must survive a crash after the abort.
-			rv.log.Log(&store.Commit{Ops: []store.Op{{Partial: run.Answers}}})
-			rv.mu.Unlock()
-		}
-		rv.returnResume(resume)
-		return nil, err
-	}
-	retractLeftovers(backend, resume)
-	st.res.CostDollars = run.CostDollars
-	st.res.ElapsedSeconds = run.TotalSeconds
-	// Commit: the delta's pairs are now judged; nothing stays pending.
-	// The whole commit is one atomic log record — a crash replays either
-	// none of it (the pairs retry) or all of it (judged, never re-asked).
-	rv.mu.Lock()
-	ops := make([]store.Op, 0, len(st.scored)+2)
-	for _, sp := range st.scored {
-		rv.cache.Put(sp.Pair, sp.Likelihood)
-		ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
-	}
-	rv.cache.AddAnswers(run.Answers)
-	rv.pending = rv.pending[:0]
-	ops = append(ops, store.Op{Answers: run.Answers}, store.Op{ClearPending: true})
-	logErr := rv.log.Log(&store.Commit{Ops: ops})
-	rv.mu.Unlock()
-	if logErr != nil {
-		return nil, logErr
-	}
-	return st, nil
+	crowd.OffsetOrds(hits, ord)
+	return hits
 }
 
 // retractLeftovers withdraws recovered in-flight HITs the restarted

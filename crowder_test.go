@@ -2,6 +2,9 @@ package crowder
 
 import (
 	"testing"
+
+	"github.com/crowder/crowder/internal/crowd"
+	"github.com/crowder/crowder/internal/record"
 )
 
 // paperTable builds Table 1 of the paper.
@@ -319,5 +322,37 @@ func TestEstimateCostPairHITs(t *testing.T) {
 	}
 	if est.HITs != (est.Candidates+1)/2 {
 		t.Errorf("pair-HIT estimate = %d HITs for %d candidates", est.HITs, est.Candidates)
+	}
+}
+
+// Plan-only runs post nothing, so they allocate no HIT IDs: the
+// process-wide allocator moves by exactly the one ID each probe takes.
+func TestEstimatesAllocateNoHITIDs(t *testing.T) {
+	nextID := func() int { return crowd.PairHITsFromGen([][]record.Pair{nil}, 1)[0].ID }
+	for _, ht := range []HITType{ClusterHITs, PairHITs} {
+		for _, tr := range []TransitivityMode{TransitivityOff, TransitivityOn} {
+			tab, oracle := paperTable()
+			opts := Options{Threshold: 0.3, ClusterSize: 4, HITType: ht, Transitivity: tr, Oracle: oracle, Seed: 1}
+			before := nextID()
+			est, err := EstimateCost(tab, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := nextID(); est.HITs == 0 || after != before+1 {
+				t.Errorf("HITType %d, Transitivity %d: EstimateCost (%d HITs) moved the HIT ID allocator %d → %d", ht, tr, est.HITs, before, after)
+			}
+			rv, err := NewResolver(tab, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before = nextID()
+			est, err = rv.EstimateDelta()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := nextID(); est.HITs == 0 || after != before+1 {
+				t.Errorf("HITType %d, Transitivity %d: EstimateDelta (%d HITs) moved the HIT ID allocator %d → %d", ht, tr, est.HITs, before, after)
+			}
+		}
 	}
 }

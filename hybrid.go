@@ -141,7 +141,6 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 		return st, nil
 	}
 	st.scored = uncertain
-	st.pairs = simjoin.Pairs(uncertain)
 	if st.planOnly {
 		return st, nil
 	}

@@ -148,6 +148,9 @@ func (s *stream) channel(ctx context.Context) <-chan Assignment {
 			have := len(s.buf) > 0
 			if have {
 				next = s.buf[0]
+				// Clear the slot: the resliced buffer still pins its
+				// backing array, and with it every delivered answer.
+				s.buf[0] = Assignment{}
 				s.buf = s.buf[1:]
 			}
 			s.mu.Unlock()

@@ -1,22 +1,18 @@
 // Package engine provides the staged execution framework behind
-// crowder.Resolve: a pipeline of named stages connected by channels, with
-// per-stage wall-clock accounting.
-//
-// Each stage runs in its own goroutine and receives work from its
-// predecessor over a buffered channel, so when several states stream
-// through a pipeline (RunAll), stage N processes state k while stage N−1
-// is already working on state k+1 — classic pipeline parallelism. A
-// single-state Run degenerates to sequential execution but keeps the
-// uniform timing and error plumbing.
+// crowder.Resolve: a pipeline of named stages run in order on the
+// caller's goroutine, with per-stage wall-clock accounting.
 //
 // The pipeline is generic over the state type S; crowder threads one
 // resolve-state struct through prune → generate → execute → aggregate.
+// Each stage runs under a pprof "stage" label, so CPU, mutex and block
+// profiles attribute their samples to stages by name, and a stage panic
+// surfaces as that stage's error.
 //
 // Every run is bound to a context.Context: stages receive it and are
 // expected to honour cancellation mid-stage (long-running stages such as
 // asynchronous crowd execution select on ctx.Done), and the pipeline
-// itself stops dispatching further stages to a state once the context is
-// cancelled. A cancelled run returns ctx's error.
+// itself starts no further stage once the context is cancelled. A
+// cancelled run returns ctx's error.
 package engine
 
 import (
@@ -27,7 +23,7 @@ import (
 )
 
 // StageStat is the measured wall-clock time a stage spent processing, as
-// reported by Run/RunAll. For RunAll it is cumulative across states.
+// reported by Run.
 type StageStat struct {
 	Name     string
 	Duration time.Duration
@@ -68,114 +64,37 @@ func (p *Pipeline[S]) Upto(name string) *Pipeline[S] {
 	return p
 }
 
-// item carries one state through the channel chain. A state whose stage
-// errored keeps flowing (so ordering and stats stay intact) but skips all
-// remaining stages.
-type item[S any] struct {
-	state S
-	err   error
-}
-
-// runStage invokes one stage, converting a panic into an error. Stages
-// execute on pipeline goroutines, so without this a stage panic would
-// bypass any recover() the pipeline's caller installed and kill the
-// process.
-func runStage[S any](st Stage[S], ctx context.Context, s S) (out S, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return st.Run(ctx, s)
-}
-
-// Run sends a single state through the pipeline and returns the final
-// state plus per-stage timings. On stage error the remaining stages are
-// skipped and the error is returned.
+// Run sends the state through the stages in order and returns the final
+// state plus every stage's timing, in stage order. ctx is checked before
+// each stage. On a stage error, or once ctx is cancelled, the remaining
+// stages are skipped (their durations stay zero) and the error is
+// returned with the zero state; a stage's error is prefixed with its
+// name, and a stage panic is returned as that stage's error instead of
+// unwinding through the caller.
 func (p *Pipeline[S]) Run(ctx context.Context, s S) (S, []StageStat, error) {
-	out, stats, err := p.RunAll(ctx, []S{s})
-	if err != nil {
-		var zero S
-		return zero, stats, err
-	}
-	return out[0], stats, nil
-}
-
-// RunAll streams every state through the pipeline, preserving input
-// order in the output. Each stage runs in its own goroutine connected to
-// its neighbours by buffered channels, so distinct states overlap across
-// stages. The returned error is the first one any stage produced (in
-// input order); states that errored carry their zero value in the output
-// slice. Once ctx is cancelled, states reaching a stage are failed with
-// ctx's error instead of being processed.
-func (p *Pipeline[S]) RunAll(ctx context.Context, states []S) ([]S, []StageStat, error) {
+	var zero S
 	stats := make([]StageStat, len(p.stages))
 	for i, st := range p.stages {
 		stats[i].Name = st.Name
 	}
-	if len(p.stages) == 0 {
-		out := append([]S(nil), states...)
-		return out, stats, nil
-	}
-
-	// Small buffers decouple neighbouring stages without letting a fast
-	// producer run arbitrarily far ahead of a slow consumer.
-	const stageBuffer = 4
-	in := make(chan item[S], stageBuffer)
-	ch := in
 	for i, st := range p.stages {
-		out := make(chan item[S], stageBuffer)
-		go func(st Stage[S], idx int, in <-chan item[S], out chan<- item[S]) {
-			var elapsed time.Duration
-			for it := range in {
-				if it.err == nil {
-					if cerr := ctx.Err(); cerr != nil {
-						it.err = cerr
-						var zero S
-						it.state = zero
-					}
-				}
-				if it.err == nil {
-					start := time.Now()
-					var next S
-					var err error
-					// Label the stage's goroutines (and everything it
-					// spawns) so mutex/block/CPU profiles attribute
-					// contention to pipeline stages by name.
-					pprof.Do(ctx, pprof.Labels("stage", st.Name), func(ctx context.Context) {
-						next, err = runStage(st, ctx, it.state)
-					})
-					elapsed += time.Since(start)
-					if err != nil {
-						it.err = fmt.Errorf("%s stage: %w", st.Name, err)
-						var zero S
-						it.state = zero
-					} else {
-						it.state = next
-					}
-				}
-				out <- it
-			}
-			stats[idx].Duration = elapsed // write after in closes; read after out drains
-			close(out)
-		}(st, i, ch, out)
-		ch = out
-	}
-
-	go func() {
-		for _, s := range states {
-			in <- item[S]{state: s}
+		if err := ctx.Err(); err != nil {
+			return zero, stats, err
 		}
-		close(in)
-	}()
-
-	outs := make([]S, 0, len(states))
-	var firstErr error
-	for it := range ch {
-		if it.err != nil && firstErr == nil {
-			firstErr = it.err
+		start := time.Now()
+		var err error
+		pprof.Do(ctx, pprof.Labels("stage", st.Name), func(ctx context.Context) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			s, err = st.Run(ctx, s)
+		})
+		stats[i].Duration = time.Since(start)
+		if err != nil {
+			return zero, stats, fmt.Errorf("%s stage: %w", st.Name, err)
 		}
-		outs = append(outs, it.state)
 	}
-	return outs, stats, firstErr
+	return s, stats, nil
 }

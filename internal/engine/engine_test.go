@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pure adapts a context-free transformation to the Stage signature; most
@@ -32,22 +33,34 @@ func TestRunSingleState(t *testing.T) {
 	}
 }
 
-func TestRunAllPreservesOrder(t *testing.T) {
+// Run reports every stage's name and measured duration in stage order.
+func TestRunReportsStagesInOrder(t *testing.T) {
+	nap := func(d time.Duration) func(int) (int, error) {
+		return func(x int) (int, error) { time.Sleep(d); return x, nil }
+	}
 	p := New(
-		Stage[int]{Name: "square", Run: pure(func(x int) (int, error) { return x * x, nil })},
+		Stage[int]{Name: "slow", Run: pure(nap(20 * time.Millisecond))},
+		Stage[int]{Name: "instant", Run: pure(nap(0))},
+		Stage[int]{Name: "slower", Run: pure(nap(40 * time.Millisecond))},
 	)
-	in := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	out, _, err := p.RunAll(context.Background(), in)
+	_, stats, err := p.Run(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d outputs; want %d", len(out), len(in))
+	want := []struct {
+		name string
+		min  time.Duration
+	}{{"slow", 20 * time.Millisecond}, {"instant", 0}, {"slower", 40 * time.Millisecond}}
+	if len(stats) != len(want) {
+		t.Fatalf("stats = %+v", stats)
 	}
-	for i, x := range in {
-		if out[i] != x*x {
-			t.Fatalf("out[%d] = %d; want %d", i, out[i], x*x)
+	for i, w := range want {
+		if stats[i].Name != w.name || stats[i].Duration < w.min {
+			t.Errorf("stats[%d] = %+v; want %s taking at least %v", i, stats[i], w.name, w.min)
 		}
+	}
+	if stats[1].Duration >= stats[2].Duration {
+		t.Errorf("durations not attributed per stage: %+v", stats)
 	}
 }
 
@@ -55,32 +68,23 @@ func TestStageErrorSkipsRemaining(t *testing.T) {
 	boom := errors.New("boom")
 	ran := false
 	p := New(
-		Stage[int]{Name: "fail", Run: pure(func(x int) (int, error) {
-			if x == 2 {
-				return 0, boom
-			}
-			return x, nil
-		})},
-		Stage[int]{Name: "after", Run: pure(func(x int) (int, error) {
-			if x == 0 {
-				ran = true // would only see 0 if the failed state leaked through
-			}
-			return x + 100, nil
-		})},
+		Stage[int]{Name: "ok", Run: pure(func(x int) (int, error) { return x, nil })},
+		Stage[int]{Name: "fail", Run: pure(func(int) (int, error) { return 0, boom })},
+		Stage[int]{Name: "after", Run: pure(func(x int) (int, error) { ran = true; return x, nil })},
 	)
-	out, _, err := p.RunAll(context.Background(), []int{1, 2, 3})
+	_, stats, err := p.Run(context.Background(), 1)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v; want wrapped boom", err)
 	}
-	if err == nil || !strings.Contains(err.Error(), "fail stage") {
+	if !strings.Contains(err.Error(), "fail stage") {
 		t.Fatalf("error should name the failing stage: %v", err)
 	}
 	if ran {
-		t.Error("downstream stage ran on an errored state")
+		t.Error("a stage ran after an earlier stage failed")
 	}
-	// Healthy states still complete.
-	if out[0] != 101 || out[2] != 103 {
-		t.Fatalf("healthy states mangled: %v", out)
+	// Every stage is still reported; the skipped one took no time.
+	if len(stats) != 3 || stats[2].Name != "after" || stats[2].Duration != 0 {
+		t.Fatalf("stats = %+v", stats)
 	}
 }
 
@@ -97,37 +101,8 @@ func TestRunErrorReturnsZeroState(t *testing.T) {
 	}
 }
 
-// Stages must overlap: with buffered channels, stage A can finish all
-// items while stage B is still holding the first — if execution were
-// stage-by-stage with a barrier, the signal below would never arrive and
-// the pipeline would deadlock instead of completing.
-func TestStagesOverlap(t *testing.T) {
-	aDone := make(chan struct{})
-	p := New(
-		Stage[int]{Name: "a", Run: pure(func(x int) (int, error) {
-			if x == 3 { // last item: stage A has seen everything
-				close(aDone)
-			}
-			return x, nil
-		})},
-		Stage[int]{Name: "b", Run: pure(func(x int) (int, error) {
-			if x == 0 {
-				<-aDone // block the first item until A has drained its input
-			}
-			return x, nil
-		})},
-	)
-	out, _, err := p.RunAll(context.Background(), []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("got %d outputs", len(out))
-	}
-}
-
-// A stage panic must surface as an error on the caller's goroutine, not
-// kill the process from a pipeline goroutine.
+// A stage panic must surface as the stage's error, not unwind through the
+// caller.
 func TestStagePanicBecomesError(t *testing.T) {
 	p := New(
 		Stage[int]{Name: "boomy", Run: pure(func(x int) (int, error) {
@@ -146,12 +121,12 @@ func TestStagePanicBecomesError(t *testing.T) {
 
 func TestEmptyPipeline(t *testing.T) {
 	p := New[int]()
-	out, stats, err := p.RunAll(context.Background(), []int{7, 8})
+	out, stats, err := p.Run(context.Background(), 7)
 	if err != nil || len(stats) != 0 {
 		t.Fatalf("empty pipeline: %v, %v", err, stats)
 	}
-	if out[0] != 7 || out[1] != 8 {
-		t.Fatalf("empty pipeline should pass states through: %v", out)
+	if out != 7 {
+		t.Fatalf("empty pipeline should pass the state through: %v", out)
 	}
 }
 
@@ -181,9 +156,9 @@ func TestUpto(t *testing.T) {
 	}
 }
 
-// A context cancelled before the run starts fails every state with the
-// context's error and never invokes a stage.
-func TestRunAllPreCancelled(t *testing.T) {
+// A context cancelled before the run starts fails it with the context's
+// error and never invokes a stage.
+func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
@@ -200,7 +175,7 @@ func TestRunAllPreCancelled(t *testing.T) {
 }
 
 // A stage that blocks must observe cancellation through the ctx it is
-// handed, and downstream stages must not run for the cancelled state.
+// handed, and downstream stages must not run after it.
 func TestRunCancelMidStage(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	downstream := false

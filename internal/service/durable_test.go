@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -38,6 +40,30 @@ func sortedMatches(ms []matchJSON) []matchJSON {
 		return out[i].B < out[j].B
 	})
 	return out
+}
+
+// TestServiceRejectsUnrunnableCrowdPool: crowd-pool options the
+// simulator could never resolve with fail the create with a 400, and a
+// durable server keeps no session directory for them.
+func TestServiceRejectsUnrunnableCrowdPool(t *testing.T) {
+	dataDir := t.TempDir()
+	srv := httptest.NewServer(New(Options{DataDir: dataDir}))
+	defer srv.Close()
+	for _, tc := range []struct {
+		table string
+		opts  optionsRequest
+	}{
+		{"tiny-pool", optionsRequest{Workers: 2}},
+		{"all-spammers", optionsRequest{SpammerRate: 5}},
+	} {
+		req := tableRequest{Schema: []string{"name"}, Options: tc.opts}
+		if code := call(t, srv.Client(), "POST", srv.URL+"/tables/"+tc.table, req, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: create returned %d; want 400", tc.table, code)
+		}
+		if _, err := os.Stat(sessionDir(dataDir, tc.table, tc.table)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: session directory left behind (stat: %v)", tc.table, err)
+		}
+	}
 }
 
 // TestServiceDurableSimulatedRecovery: a simulated-backend session

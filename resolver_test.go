@@ -233,16 +233,22 @@ func TestResolverVerdictAccess(t *testing.T) {
 	}
 }
 
+// downBackend is a crowd that refuses every posting.
+type downBackend struct{}
+
+func (downBackend) Post(context.Context, []HIT) error         { return errors.New("crowd unavailable") }
+func (downBackend) Collect(context.Context) <-chan Assignment { return nil }
+
 // A failed delta must not lose discovered candidates: they stay pending
 // for the next attempt.
 func TestResolverFailedDeltaKeepsPending(t *testing.T) {
 	tab, _ := paperTable()
-	rv, err := NewResolver(tab, Options{Threshold: 0.3, HITType: HITType(99), Oracle: []Pair{}})
+	rv, err := NewResolver(tab, Options{Threshold: 0.3, Backend: downBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rv.ResolveDelta(); err == nil {
-		t.Fatal("unknown HIT type should fail the delta")
+	if _, err := rv.ResolveDelta(); err == nil || !strings.Contains(err.Error(), "crowd unavailable") {
+		t.Fatalf("a crowd refusing every posting should fail the delta, got %v", err)
 	}
 	if rv.PendingPairs() == 0 {
 		t.Error("failed delta should leave its candidates pending")
@@ -350,6 +356,11 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative max candidates", Options{MaxCandidates: -5, MachineOnly: true}, "Options.MaxCandidates = -5"},
 		{"unknown generator", Options{Generator: 9, MachineOnly: true}, "Options.Generator = 9"},
 		{"negative generator", Options{Generator: -1, MachineOnly: true}, "Options.Generator = -1"},
+		{"unknown HIT type", Options{HITType: 7, MachineOnly: true}, "Options.HITType = 7"},
+		{"negative HIT type", Options{HITType: -1, MachineOnly: true}, "Options.HITType = -1"},
+		{"spammer rate above one", Options{SpammerRate: 5, MachineOnly: true}, "Options.SpammerRate = 5"},
+		{"pool below default replication", Options{Workers: 2, Oracle: []Pair{}}, "Options.Workers = 2 (defaulted) is below Options.Assignments = 3"},
+		{"default pool below replication", Options{Assignments: 121, Oracle: []Pair{}}, "Options.Workers = 120 (defaulted) is below Options.Assignments = 121"},
 		{"negative hybrid", Options{Hybrid: -1, MachineOnly: true}, "Options.Hybrid = -1"},
 		{"unknown hybrid mode", Options{Hybrid: 2, MachineOnly: true}, "Options.Hybrid = 2"},
 		{"negative hybrid risk", Options{HybridRisk: -0.1, MachineOnly: true}, "Options.HybridRisk = -0.1"},
@@ -371,6 +382,11 @@ func TestOptionsValidation(t *testing.T) {
 		{"dawid-skene-map aggregation is valid", Options{Aggregation: AggregationDawidSkeneMAP, MachineOnly: true}, ""},
 		{"no-spammers sentinel is valid", Options{SpammerRate: NoSpammers, MachineOnly: true}, ""},
 		{"threshold bounds are inclusive", Options{Threshold: 1, MachineOnly: true}, ""},
+		{"pair HITs are valid", Options{HITType: PairHITs, MachineOnly: true}, ""},
+		{"all-spammer pool is valid", Options{SpammerRate: 1, MachineOnly: true}, ""},
+		{"pool of one worker per replica is valid", Options{Workers: 3, Oracle: []Pair{}}, ""},
+		{"small pool without the simulator is valid", Options{Workers: 2, MachineOnly: true}, ""},
+		{"small pool behind a caller's backend is valid", Options{Workers: 2, Backend: newTestSimulator(t, nil)}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,11 +2,9 @@ package crowder
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
-	"github.com/crowder/crowder/internal/hitgen"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/store"
@@ -28,18 +26,40 @@ const transitiveRoundHITs = 4
 // deduced.
 const transitiveMaxProof = 3
 
-// stageExecuteTransitive is the execute stage under TransitivityOn: an
-// adaptive scheduler that replaces the one-shot post-everything batch
-// with rounds of post → collect → deduce → retract. Each round batches
-// the highest-likelihood pairs whose verdicts are still unknown, posts
-// their HITs, folds completed HITs' verdicts into the deduction graph as
-// they land (retracting in-flight HITs whose pairs become deducible),
-// and then sweeps the remaining pairs: everything the graph now implies
-// is recorded as a deduced verdict with provenance instead of being
-// asked. Likelihood ordering makes the early rounds the probable
-// matches, so clusters form fast and the deducible tail grows.
-func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveState, error) {
+// stageExecute drives the delta's fresh pairs through the asynchronous
+// crowd lifecycle — post to the backend, collect assignments as they
+// land, top up expired replication — in rounds of post → collect →
+// deduce → retract, committing what each round learns to the verdict
+// cache. With Options.Backend nil the backend is the reference
+// simulator, fed by the Oracle.
+//
+// Transitivity only decides whether the rounds have a deduction graph.
+// Without one there is nothing to deduce or retract: the loop runs one
+// round posting the generate stage's batch of every fresh pair, and
+// commits its answers with the cleared pending set as one log record.
+// With one, each round batches the highest-likelihood pairs whose
+// verdicts are still unknown, folds completed HITs' verdicts into the
+// graph as they land (retracting in-flight HITs whose pairs become
+// deducible), and then sweeps the remaining pairs: everything the graph
+// now implies is recorded as a deduced verdict with provenance instead
+// of being asked. Likelihood ordering makes the early rounds the
+// probable matches, so clusters form fast and the deducible tail grows.
+//
+// If a round fails — most importantly, if ctx is cancelled while answers
+// are still outstanding — the answers already collected are persisted as
+// partial assignment sets (crowd work is paid for on assignment, not on
+// batch completion) and the delta's candidates stay pending for retry.
+func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
+	if st.skipCrowd() {
+		// A recovered session with nothing left to crowdsource: every
+		// recovered in-flight HIT covers already-judged pairs, so retract
+		// them from the backend instead of leaving zombies for workers.
+		if resume := rv.takeResume(); resume != nil && rv.opts.Backend != nil {
+			retractLeftovers(rv.opts.Backend, resume)
+		}
+		return st, nil
+	}
 	opts := rv.opts
 
 	backend, err := st.newBackend()
@@ -51,20 +71,17 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 	// canonical order: deltas resume deducing from everything the crowd
 	// has already answered. Only unanimous verdicts carry proofs. The
 	// rebuild holds the session lock shared — it only reads the cache.
-	rv.mu.RLock()
-	g := rebuildGraph(rv, st.demoted)
-	rv.mu.RUnlock()
-
-	// Savings baseline: the HITs the one-shot generate stage would have
-	// produced for the same fresh pairs.
-	baseline, err := oneShotHITCount(st.pairs, opts)
-	if err != nil {
-		return nil, err
+	// Machine-only runs, with no crowd to deduce from, returned above.
+	var g *transitivity.Graph
+	if opts.Transitivity == TransitivityOn {
+		rv.mu.RLock()
+		g = rebuildGraph(rv, st.demoted)
+		rv.mu.RUnlock()
 	}
 
 	var (
 		remaining = append([]simjoin.ScoredPair(nil), st.scored...)
-		deduced   []transitivity.Deduction
+		deduced   int
 		posted    int
 		retracted int
 		topUps    int
@@ -72,7 +89,6 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 		completed int
 		cost      float64
 		elapsed   float64
-		ordBase   int
 	)
 
 	// Progress events cross rounds: each round's lifecycle manager counts
@@ -94,53 +110,68 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 		}
 	}
 
-	// deduceSweep records every remaining pair the graph now implies and
-	// returns the still-unknown tail, order preserved. It writes the
-	// verdict cache, so it takes the session lock; the new deductions log
-	// as one atomic commit.
-	deduceSweep := func() error {
+	// commit records a round under the session lock: window pairs the
+	// round answered become asked verdicts with their crowd answers, and
+	// a retracted HIT's unanswered pairs are deduced (any pair that somehow
+	// is not — a conservative impossibility — is simply re-batched). It
+	// then sweeps the remaining pairs for everything the graph now implies
+	// and, once nothing remains, clears the pending set. It all logs as
+	// one atomic commit: a crash replays either none of it (the pairs
+	// retry) or all of it (judged, never re-asked). With no round yet
+	// (window and run nil) it only sweeps.
+	commit := func(window []simjoin.ScoredPair, answered record.PairSet, run *crowd.Result) error {
 		rv.mu.Lock()
 		defer rv.mu.Unlock()
-		keep := remaining[:0]
-		var ops []store.Op
-		for _, sp := range remaining {
-			if d, ok := g.Deduce(sp.Pair); ok {
+		ops := make([]store.Op, 0, len(window)+2)
+		var requeue []simjoin.ScoredPair
+		deduce := func(sp simjoin.ScoredPair) bool {
+			d, ok := g.Deduce(sp.Pair)
+			if ok {
 				rv.cache.PutDeduced(sp.Likelihood, d)
-				deduced = append(deduced, d)
+				deduced++
 				ops = append(ops, store.Op{Deduce: &store.DeduceOp{D: d, Likelihood: sp.Likelihood}})
-			} else {
-				keep = append(keep, sp)
+			}
+			return ok
+		}
+		for _, sp := range window {
+			if g == nil || answered.Has(sp.Pair.A, sp.Pair.B) {
+				rv.cache.Put(sp.Pair, sp.Likelihood)
+				ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
+			} else if !deduce(sp) {
+				requeue = append(requeue, sp)
 			}
 		}
-		remaining = keep
-		if len(ops) > 0 {
-			return rv.log.Log(&store.Commit{Ops: ops})
-		}
-		return nil
-	}
-
-	commitFailure := func(run *crowd.Result) {
 		if run != nil {
-			rv.mu.Lock()
-			rv.cache.AddPartialAnswers(run.Answers)
-			// The delta already failed; the log error (if any) is sticky
-			// and surfaces on the next commit.
-			rv.log.Log(&store.Commit{Ops: []store.Op{{Partial: run.Answers}}})
-			rv.mu.Unlock()
+			rv.cache.AddAnswers(run.Answers)
+			ops = append(ops, store.Op{Answers: run.Answers})
 		}
+		remaining = append(requeue, remaining...)
+		if g != nil {
+			keep := remaining[:0]
+			for _, sp := range remaining {
+				if !deduce(sp) {
+					keep = append(keep, sp)
+				}
+			}
+			remaining = keep
+		}
+		if len(remaining) == 0 {
+			rv.pending = rv.pending[:0]
+			ops = append(ops, store.Op{ClearPending: true})
+		}
+		if len(ops) == 0 {
+			return nil
+		}
+		return rv.log.Log(&store.Commit{Ops: ops})
 	}
 
 	resume := rv.takeResume()
 	defer func() { rv.returnResume(resume) }()
 
-	for {
-		if err := deduceSweep(); err != nil {
-			return nil, err
-		}
-		if len(remaining) == 0 {
-			break
-		}
-
+	if err := commit(nil, nil, nil); err != nil {
+		return nil, err
+	}
+	for len(remaining) > 0 {
 		// Window: the next round's pairs, at most transitiveRoundHITs
 		// HITs' worth, highest likelihood first — minus the pairs that
 		// would close a cycle among the pairs already chosen. If the
@@ -150,7 +181,7 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 		// (would-be) spanning edges first is where most of the HIT
 		// savings on clustered data come from.
 		var window []simjoin.ScoredPair
-		if opts.HITType == ClusterHITs {
+		if g == nil || opts.HITType == ClusterHITs {
 			// Cluster HITs already exploit transitivity *within* each
 			// record group (the worker's labelling is transitively
 			// closed), and any pair deferred to a later round would
@@ -164,44 +195,61 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 		} else {
 			window, remaining = selectWindow(g, remaining, opts.ClusterSize*transitiveRoundHITs)
 		}
-		pairs := simjoin.Pairs(window)
 
-		hits, err := roundHITs(pairs, opts, ordBase)
-		if err != nil {
-			return nil, err
+		// The sweep and the window only drop pairs, so a first window as
+		// long as the delta is the generate stage's pairs in its order.
+		batch := st.batch
+		if posted > 0 || len(window) != len(st.scored) {
+			if batch, err = batchHITs(simjoin.Pairs(window), opts); err != nil {
+				return nil, err
+			}
 		}
-		ordBase += len(hits)
+		hits := batch.tasks(opts.Assignments, posted)
 		posted += len(hits)
 
-		// answered tracks the pairs whose verdicts this round's completed
-		// HITs delivered; retraction treats them as resolved alongside the
-		// graph's deductions.
-		answered := record.NewPairSet()
-		run, err := crowd.ExecuteHITs(ctx, backend, hits, crowd.ExecuteOptions{
+		eo := crowd.ExecuteOptions{
 			OnProgress: progress,
 			Interim:    opts.InterimAggregation,
 			Aggregator: rv.agg,
 			Resume:     resume,
-			OnHITComplete: func(h crowd.HIT, hitAns []aggregate.Answer) {
+		}
+		// answered tracks the pairs whose verdicts this round's completed
+		// HITs delivered; retraction treats them as resolved alongside the
+		// graph's deductions.
+		var answered record.PairSet
+		if g != nil {
+			answered = record.NewPairSet()
+			eo.OnHITComplete = func(h crowd.HIT, hitAns []aggregate.Answer) {
 				for _, v := range hitVerdicts(h, hitAns) {
 					answered.Add(v.pair.A, v.pair.B)
 					g.ObserveStrength(v.pair, v.match, v.strong)
 				}
-			},
+			}
 			// Polled for every in-flight HIT after each completion — the
 			// collector's hot path — so the existence-only Deducible probe
 			// stands in for Deduce (no proof materialization).
-			Retractable: func(h crowd.HIT) bool {
+			eo.Retractable = func(h crowd.HIT) bool {
 				for _, p := range h.Pairs {
 					if !answered.Has(p.A, p.B) && !g.Deducible(p) {
 						return false
 					}
 				}
 				return true
-			},
-		})
+			}
+		}
+		// The crowd runs without the session lock — this is the window
+		// reads overlap with — and only the commit re-takes it.
+		run, err := crowd.ExecuteHITs(ctx, backend, hits, eo)
 		if err != nil {
-			commitFailure(run)
+			if run != nil {
+				// Partial assignment sets survive the failure: the crowd
+				// work is already paid for. The log error (if any) is
+				// sticky and surfaces on the next commit.
+				rv.mu.Lock()
+				rv.cache.AddPartialAnswers(run.Answers)
+				rv.log.Log(&store.Commit{Ops: []store.Op{{Partial: run.Answers}}})
+				rv.mu.Unlock()
+			}
 			return nil, err
 		}
 
@@ -212,36 +260,9 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 		completed += len(hits) - run.RetractedHITs
 		answers += len(run.Answers)
 
-		// Commit the round: answered pairs become asked verdicts with
-		// their crowd answers; a retracted HIT's unanswered pairs are
-		// deducible by construction and fall to the next sweep (any pair
-		// that somehow is not — a conservative impossibility — stays in
-		// remaining and is simply re-batched). The rounds themselves run
-		// unlocked (the crowd is the bottleneck); only this commit takes
-		// the session lock.
-		rv.mu.Lock()
-		var requeue []simjoin.ScoredPair
-		ops := make([]store.Op, 0, len(window)+1)
-		for _, sp := range window {
-			if answered.Has(sp.Pair.A, sp.Pair.B) {
-				rv.cache.Put(sp.Pair, sp.Likelihood)
-				ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
-			} else if d, ok := g.Deduce(sp.Pair); ok {
-				rv.cache.PutDeduced(sp.Likelihood, d)
-				deduced = append(deduced, d)
-				ops = append(ops, store.Op{Deduce: &store.DeduceOp{D: d, Likelihood: sp.Likelihood}})
-			} else {
-				requeue = append(requeue, sp)
-			}
+		if err := commit(window, answered, run); err != nil {
+			return nil, err
 		}
-		rv.cache.AddAnswers(run.Answers)
-		ops = append(ops, store.Op{Answers: run.Answers})
-		logErr := rv.log.Log(&store.Commit{Ops: ops})
-		rv.mu.Unlock()
-		if logErr != nil {
-			return nil, logErr
-		}
-		remaining = append(requeue, remaining...)
 	}
 
 	// Every round completed: recovered HITs never matched by any round
@@ -249,22 +270,12 @@ func stageExecuteTransitive(ctx context.Context, st *resolveState) (*resolveStat
 	retractLeftovers(backend, resume)
 	resume = nil
 
+	st.res.HITsSaved = st.res.HITs - posted
 	st.res.HITs = posted
-	st.res.DeducedPairs = len(deduced)
-	st.res.HITsSaved = baseline - posted
+	st.res.DeducedPairs = deduced
 	st.res.RetractedHITs = retracted
 	st.res.CostDollars = cost
 	st.res.ElapsedSeconds = elapsed
-
-	// The delta is fully judged — asked or deduced — so nothing stays
-	// pending.
-	rv.mu.Lock()
-	rv.pending = rv.pending[:0]
-	logErr := rv.log.Log(&store.Commit{Ops: []store.Op{{ClearPending: true}}})
-	rv.mu.Unlock()
-	if logErr != nil {
-		return nil, logErr
-	}
 	return st, nil
 }
 
@@ -349,68 +360,6 @@ func selectWindow(g *transitivity.Graph, remaining []simjoin.ScoredPair, max int
 	}
 	rest = append(rest, remaining[i:]...)
 	return window, rest
-}
-
-// roundHITs batches one round's pairs into backend tasks under the
-// configured HIT type, with ordinals offset so every round draws fresh
-// RNG streams.
-func roundHITs(pairs []record.Pair, opts Options, ordBase int) ([]crowd.HIT, error) {
-	var hits []crowd.HIT
-	switch opts.HITType {
-	case PairHITs:
-		gen, err := hitgen.GeneratePairHITs(pairs, opts.ClusterSize)
-		if err != nil {
-			return nil, err
-		}
-		pairLists := make([][]record.Pair, len(gen))
-		for i, h := range gen {
-			pairLists[i] = h.Pairs
-		}
-		hits = crowd.PairHITsFromGen(pairLists, opts.Assignments)
-	case ClusterHITs:
-		gen, err := generatorFor(opts.Generator, opts.Seed).Generate(pairs, opts.ClusterSize)
-		if err != nil {
-			return nil, err
-		}
-		covered, verr := hitgen.Covers(pairs, gen, opts.ClusterSize)
-		if verr != nil {
-			return nil, fmt.Errorf("crowder: generated HITs violate the covering invariant: %w", verr)
-		}
-		records := make([][]record.ID, len(gen))
-		for i, h := range gen {
-			records[i] = h.Records
-		}
-		hits = crowd.ClusterHITsFromGen(records, covered, opts.Assignments)
-	default:
-		return nil, fmt.Errorf("crowder: unknown HIT type %d", opts.HITType)
-	}
-	crowd.OffsetOrds(hits, ordBase)
-	return hits, nil
-}
-
-// oneShotHITCount is the number of HITs the non-transitive generate
-// stage would produce for the pairs — the baseline Result.HITsSaved is
-// measured against.
-func oneShotHITCount(pairs []record.Pair, opts Options) (int, error) {
-	if len(pairs) == 0 {
-		return 0, nil
-	}
-	switch opts.HITType {
-	case PairHITs:
-		hits, err := hitgen.GeneratePairHITs(pairs, opts.ClusterSize)
-		if err != nil {
-			return 0, err
-		}
-		return len(hits), nil
-	case ClusterHITs:
-		hits, err := generatorFor(opts.Generator, opts.Seed).Generate(pairs, opts.ClusterSize)
-		if err != nil {
-			return 0, err
-		}
-		return len(hits), nil
-	default:
-		return 0, fmt.Errorf("crowder: unknown HIT type %d", opts.HITType)
-	}
 }
 
 // pairVerdict is one pair's majority verdict from a completed HIT.

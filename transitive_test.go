@@ -1,10 +1,12 @@
 package crowder
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/dataset"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/verdicts"
@@ -378,5 +380,72 @@ func TestTransitiveEstimateIsOneShot(t *testing.T) {
 	}
 	if *on != *off {
 		t.Errorf("transitive estimate %+v differs from one-shot %+v", on, off)
+	}
+}
+
+// postRecorder is a Backend that records every posting before passing it
+// on to the wrapped crowd.
+type postRecorder struct {
+	Backend
+	posts [][]HIT
+}
+
+func (b *postRecorder) Post(ctx context.Context, hits []HIT) error {
+	b.posts = append(b.posts, append([]HIT(nil), hits...))
+	return b.Backend.Post(ctx, hits)
+}
+
+// newTestSimulator returns the reference simulator over the oracle, as a
+// caller-supplied Backend.
+func newTestSimulator(t *testing.T, oracle []Pair) Backend {
+	t.Helper()
+	truth := record.NewPairSet()
+	for _, p := range oracle {
+		truth.Add(record.ID(p.A), record.ID(p.B))
+	}
+	sim, err := crowd.NewSimulator(truth, crowd.NewPopulation(1, crowd.PopulationOptions{}), crowd.Config{Assignments: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// With Transitivity off the execute stage is exactly one round of the
+// adaptive executor: each delta makes one Post carrying every HIT the
+// estimate projects, with dense ordinals from zero.
+func TestTransitivityOffPostsOneRound(t *testing.T) {
+	for _, ht := range []HITType{ClusterHITs, PairHITs} {
+		t.Run(fmt.Sprintf("hit-type=%d", ht), func(t *testing.T) {
+			tab, oracle := paperTable()
+			rec := &postRecorder{Backend: newTestSimulator(t, oracle)}
+			opts := Options{Threshold: 0.3, ClusterSize: 4, HITType: ht, Seed: 1, Backend: rec}
+			est, err := EstimateCost(tab, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.HITs < 2 {
+				t.Fatalf("estimate projects %d HITs; the check needs several", est.HITs)
+			}
+			rv, err := NewResolver(tab, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := rv.ResolveDelta()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.posts) != 1 {
+				t.Fatalf("delta posted %d times; want one round", len(rec.posts))
+			}
+			hits := rec.posts[0]
+			if len(hits) != est.HITs || res.HITs != est.HITs || res.HITsSaved != 0 {
+				t.Errorf("posted %d HITs, result %d (saved %d); estimate %d", len(hits), res.HITs, res.HITsSaved, est.HITs)
+			}
+			for i, h := range hits {
+				if h.Ord != i {
+					t.Errorf("HIT %d has ordinal %d; want %d", i, h.Ord, i)
+				}
+			}
+		})
 	}
 }
