@@ -64,10 +64,11 @@
 package crowder
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
@@ -1032,13 +1033,7 @@ func estimateFromPlan(res *Result, opts Options) *Estimate {
 // in place. Resolve's output is already sorted; this helper re-sorts after
 // caller-side filtering or merging.
 func SortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Confidence != ms[j].Confidence {
-			return ms[i].Confidence > ms[j].Confidence
-		}
-		if ms[i].Pair.A != ms[j].Pair.A {
-			return ms[i].Pair.A < ms[j].Pair.A
-		}
-		return ms[i].Pair.B < ms[j].Pair.B
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), cmp.Compare(a.Pair.A, b.Pair.A), cmp.Compare(a.Pair.B, b.Pair.B))
 	})
 }

@@ -1,6 +1,9 @@
 package crowder
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/crowder/crowder/internal/crowd"
@@ -273,6 +276,34 @@ func TestSortMatches(t *testing.T) {
 	SortMatches(ms)
 	if ms[0].Pair != (Pair{0, 5}) || ms[1].Pair != (Pair{1, 2}) || ms[2].Pair != (Pair{3, 4}) {
 		t.Errorf("SortMatches = %v", ms)
+	}
+
+	// Pairs are unique in a match list, so the unstable sort must equal
+	// a stable one under the same order on random, tie-heavy inputs.
+	for _, tc := range []struct{ n, ids, levels int }{{0, 3, 2}, {50, 12, 2}, {500, 60, 4}, {500, 1000, 1000}} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		seen := map[Pair]bool{}
+		var ms []Match
+		for len(ms) < tc.n && len(seen) < tc.ids*tc.ids/2 {
+			p := Pair{rng.Intn(tc.ids), rng.Intn(tc.ids)}
+			if p.A >= p.B || seen[p] {
+				continue
+			}
+			seen[p] = true
+			ms = append(ms, Match{Pair: p, Confidence: float64(rng.Intn(tc.levels)) / float64(tc.levels)})
+		}
+		want := slices.Clone(ms)
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Confidence != b.Confidence {
+				return a.Confidence > b.Confidence
+			}
+			return a.Pair.A < b.Pair.A || (a.Pair.A == b.Pair.A && a.Pair.B < b.Pair.B)
+		})
+		SortMatches(ms)
+		if !slices.Equal(ms, want) {
+			t.Errorf("n=%d ids=%d: SortMatches differs from the stable reference", tc.n, tc.ids)
+		}
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
 
-	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
@@ -71,7 +69,7 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 	// Margins are computed once; band search and partitioning reuse them.
 	margins := make([]float64, len(st.scored))
 	for i, sp := range st.scored {
-		margins[i] = l.Margin(rv.table.inner, sp.Pair)
+		margins[i] = rv.feats.Margin(l, sp.Pair)
 	}
 
 	risk := learn.AdaptRisk(rv.opts.HybridRisk, rv.poolAccuracyLocked())
@@ -162,9 +160,9 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 // entry under the current model and band, returning the ones the model
 // no longer endorses — now inside the band, or on the other side of it
 // — for re-injection into the crowd flow. The sweep walks the cache in
-// canonical pair order and is a pure read: the entries keep their
+// canonical pair order and reads the cache only: the entries keep their
 // machine provenance until crowd answers arrive and upgrade them. The
-// caller holds rv.mu.
+// caller holds rv.mu for writing (the feature memo may fill).
 func (r *Resolver) reviewMachineVerdictsLocked(l *learn.Learner, band learn.Band) []simjoin.ScoredPair {
 	var demoted []simjoin.ScoredPair
 	for _, p := range r.cache.Pairs() {
@@ -172,7 +170,7 @@ func (r *Resolver) reviewMachineVerdictsLocked(l *learn.Learner, band learn.Band
 		if e.Provenance != verdicts.Machine {
 			continue
 		}
-		d := band.Decide(l.Margin(r.table.inner, p))
+		d := band.Decide(r.feats.Margin(l, p))
 		if (d == learn.DecideMatch && e.Posterior >= 0.5) ||
 			(d == learn.DecideNonMatch && e.Posterior < 0.5) {
 			continue // the verdict still stands
@@ -204,9 +202,19 @@ func projectedCrowdCost(pairs int, opts Options) float64 {
 // match-heavy workload never shows the learner a negative — the set is
 // topped up with machine-pruned pseudo-negatives. Labels are gathered
 // in canonical pair order and the SVM runs under the session seed,
-// making the model a deterministic pure function of (cache, Options).
-// The caller holds rv.mu.
+// making the model a deterministic pure function of (cache, Options);
+// vectors come through the session's feature memo, which never changes
+// a bit of the result. The caller holds rv.mu for writing.
 func (r *Resolver) trainLearnerLocked() (*learn.Learner, error) {
+	return r.feats.Train(r.trainingLabelsLocked(), learn.Options{
+		Seed:      r.opts.Seed,
+		MinLabels: r.opts.HybridMinLabels,
+	})
+}
+
+// trainingLabelsLocked gathers trainLearnerLocked's labels. The caller
+// holds rv.mu.
+func (r *Resolver) trainingLabelsLocked() []learn.Label {
 	var labels []learn.Label
 	pos, neg, maxID := 0, 0, record.ID(0)
 	for _, p := range r.cache.Pairs() {
@@ -232,11 +240,7 @@ func (r *Resolver) trainLearnerLocked() (*learn.Learner, error) {
 		}
 		labels = append(labels, learn.Label{Pair: p, Match: match})
 	}
-	labels = append(labels, r.syntheticNegativesLocked(pos, neg, int(maxID)+1)...)
-	return learn.Train(r.table.inner, labels, learn.Options{
-		Seed:      r.opts.Seed,
-		MinLabels: r.opts.HybridMinLabels,
-	})
+	return append(labels, r.syntheticNegativesLocked(pos, neg, int(maxID)+1)...)
 }
 
 // syntheticNegLimit caps how many machine-pruned pseudo-negatives one
@@ -296,30 +300,14 @@ func (r *Resolver) syntheticNegativesLocked(pos, neg, n int) []learn.Label {
 
 // poolAccuracyLocked is the answer-weighted mean worker accuracy
 // against the session's current posteriors — the pool-quality signal
-// the router's risk adaptation reads (the same report WorkerStats
-// serves, reduced to one number). Returns 0 (meaning "no evidence, no
+// the router's risk adaptation reads: the report WorkerStats serves,
+// reduced to one number in ascending worker order, so the float sum
+// never depends on map order. Returns 0 (meaning "no evidence, no
 // adaptation") before the first aggregation. The caller holds rv.mu.
 func (r *Resolver) poolAccuracyLocked() float64 {
-	answers := r.cache.AllAnswers()
-	if len(answers) == 0 {
-		return 0
-	}
-	post := make(aggregate.Posterior)
-	for _, p := range r.cache.Pairs() {
-		post[p] = r.cache.Get(p).Posterior
-	}
-	rep := aggregate.WorkerReport(answers, post)
-	// Deterministic reduction: iterate workers in sorted order so the
-	// float sum never depends on map order.
-	workers := make([]int, 0, len(rep))
-	for w := range rep {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
 	var wsum float64
 	var n int
-	for _, w := range workers {
-		s := rep[w]
+	for _, s := range r.workerStatsLocked() {
 		wsum += s.Accuracy * float64(s.Answers)
 		n += s.Answers
 	}

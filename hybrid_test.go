@@ -3,8 +3,10 @@ package crowder
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/verdicts"
 )
@@ -227,6 +229,76 @@ func TestHybridDeterminismAcrossParallelism(t *testing.T) {
 			a, b := ref.HybridStats(), rv.HybridStats()
 			if a != b {
 				t.Errorf("variant diverged: %+v vs %+v", a, b)
+			}
+		})
+	}
+}
+
+// The router's feature memo is pure memoisation: after every delta of a
+// hybrid session the learner is deep-equal to a cold learn.Train over the
+// same labels, and the memo holds no more vectors than the session has
+// judged or pending pairs — synthetic negatives, which fire on the
+// match-heavy product workload, are computed but never memoised.
+func TestHybridFeatureMemo(t *testing.T) {
+	restaurant, rSchema, rOracle, _ := shuffledResolverDataset(13, 400, 80)
+	product, pSchema, pOracle, _ := productDupDataset()
+	for _, tc := range []struct {
+		name      string
+		rows      [][]string
+		schema    []string
+		opts      Options
+		synthetic bool
+	}{
+		{"restaurant", restaurant, rSchema, Options{
+			Threshold: 0.4, HITType: PairHITs, ClusterSize: 10,
+			Oracle: rOracle, Seed: 1, SpammerRate: NoSpammers, Hybrid: HybridOn,
+		}, false},
+		{"product", product, pSchema, Options{
+			Threshold: 0.5, HITType: ClusterHITs, ClusterSize: 10,
+			Oracle: pOracle, Seed: 1, SpammerRate: NoSpammers, Hybrid: HybridOn,
+			Transitivity: TransitivityOn,
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rv, err := NewResolver(NewTable(tc.schema...), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const batches = 5
+			size := (len(tc.rows) + batches - 1) / batches
+			routed, synthetic := 0, 0
+			for lo := 0; lo < len(tc.rows); lo += size {
+				rv.AppendBatch(tc.rows[lo:min(lo+size, len(tc.rows))]...)
+				res, err := rv.ResolveDelta()
+				if err != nil {
+					t.Fatal(err)
+				}
+				routed += res.MachinePairs
+				rv.mu.Lock()
+				if n, bound := rv.feats.Len(), rv.cache.Len()+len(rv.pending); n > bound {
+					t.Errorf("after the delta at record %d the memo holds %d vectors; bound %d", lo, n, bound)
+				}
+				labels := rv.trainingLabelsLocked()
+				learner := rv.learner
+				rv.mu.Unlock()
+				for _, l := range labels {
+					if l.Synthetic {
+						synthetic++
+					}
+				}
+				cold, err := learn.Train(rv.table.inner, labels, learn.Options{Seed: rv.opts.Seed, MinLabels: rv.opts.HybridMinLabels})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(learner, cold) {
+					t.Fatalf("after the delta at record %d the session learner differs from a cold retrain", lo)
+				}
+			}
+			if routed == 0 {
+				t.Error("session routed nothing by machine; the memo was never read by the route stage")
+			}
+			if tc.synthetic && synthetic == 0 {
+				t.Error("no synthetic negatives fired; the memo bound is untested against them")
 			}
 		})
 	}

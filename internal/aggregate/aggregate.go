@@ -7,8 +7,9 @@
 package aggregate
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/crowder/crowder/internal/record"
 )
@@ -27,18 +28,18 @@ type Answer struct {
 // run: Dawid–Skene's floating-point accumulations see the same operands
 // in the same order. Every caller that aggregates a union of answer
 // sources sorts through this one helper.
+//
+// The comparator looks at every field, so answers it calls equal are
+// identical and the unstable sort's output is fully determined.
 func SortCanonical(answers []Answer) {
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Pair.A != answers[j].Pair.A {
-			return answers[i].Pair.A < answers[j].Pair.A
+	slices.SortFunc(answers, func(a, b Answer) int {
+		if c := cmp.Or(record.ComparePairs(a.Pair, b.Pair), cmp.Compare(a.Worker, b.Worker)); c != 0 || a.Match == b.Match {
+			return c
 		}
-		if answers[i].Pair.B != answers[j].Pair.B {
-			return answers[i].Pair.B < answers[j].Pair.B
+		if b.Match {
+			return -1 // false before true
 		}
-		if answers[i].Worker != answers[j].Worker {
-			return answers[i].Worker < answers[j].Worker
-		}
-		return !answers[i].Match && answers[j].Match
+		return 1
 	})
 }
 
@@ -50,20 +51,21 @@ type Posterior map[record.Pair]float64
 // (tie-break on canonical pair order), the ranked list that feeds
 // precision-recall evaluation.
 func (p Posterior) Ranked() []record.Pair {
-	pairs := make([]record.Pair, 0, len(p))
-	for pr := range p {
-		pairs = append(pairs, pr)
+	type ranked struct {
+		pair record.Pair
+		post float64
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		pi, pj := p[pairs[i]], p[pairs[j]]
-		if pi != pj {
-			return pi > pj
-		}
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
+	rs := make([]ranked, 0, len(p))
+	for pr, v := range p {
+		rs = append(rs, ranked{pr, v})
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(b.post, a.post), record.ComparePairs(a.pair, b.pair))
 	})
+	pairs := make([]record.Pair, len(rs))
+	for i, r := range rs {
+		pairs[i] = r.pair
+	}
 	return pairs
 }
 

@@ -2,6 +2,8 @@ package aggregate
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -36,6 +38,64 @@ func TestPosteriorRankedAndMatches(t *testing.T) {
 	m := post.Matches(0.5)
 	if m.Len() != 2 || !m.Has(0, 1) || !m.Has(4, 5) {
 		t.Fatalf("Matches = %v", m)
+	}
+}
+
+// The commit path's sorts are unstable (slices.SortFunc) over total
+// orders, so on random, tie-heavy inputs they must produce exactly what
+// a stable sort under the same order does: the output is a function of
+// the input set alone.
+func TestSortsMatchStableReference(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		n, ids, ranks int
+	}{
+		{"empty", 0, 4, 2},
+		{"one", 1, 4, 2},
+		{"tie-heavy", 400, 6, 3},
+		{"sparse", 400, 200, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.n + tc.ids)))
+			answers := make([]Answer, tc.n)
+			post := Posterior{}
+			for i := range answers {
+				p := mk(rng.Intn(tc.ids), tc.ids+rng.Intn(tc.ids))
+				answers[i] = Answer{Pair: p, Worker: rng.Intn(tc.ranks), Match: rng.Intn(2) == 0}
+				post[p] = float64(rng.Intn(tc.ranks)) / float64(tc.ranks)
+			}
+
+			want := slices.Clone(answers)
+			sort.SliceStable(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				if a.Pair != b.Pair {
+					return a.Pair.A < b.Pair.A || (a.Pair.A == b.Pair.A && a.Pair.B < b.Pair.B)
+				}
+				if a.Worker != b.Worker {
+					return a.Worker < b.Worker
+				}
+				return !a.Match && b.Match
+			})
+			SortCanonical(answers)
+			if !slices.Equal(answers, want) {
+				t.Error("SortCanonical differs from the stable reference")
+			}
+
+			wantRanked := make([]record.Pair, 0, len(post))
+			for p := range post {
+				wantRanked = append(wantRanked, p)
+			}
+			sort.SliceStable(wantRanked, func(i, j int) bool {
+				a, b := wantRanked[i], wantRanked[j]
+				if post[a] != post[b] {
+					return post[a] > post[b]
+				}
+				return a.A < b.A || (a.A == b.A && a.B < b.B)
+			})
+			if !slices.Equal(post.Ranked(), wantRanked) {
+				t.Error("Ranked differs from the stable reference")
+			}
+		})
 	}
 }
 

@@ -8,6 +8,12 @@
 // machine (accept above, reject below); only the band itself is sent to
 // the crowd, so crowd cost falls over the session's lifetime.
 //
+// A pair's feature vector is a pure function of its two records, which
+// never change once appended, so a session computes it once: Features is
+// the per-session memo both training and routing read vectors through,
+// and a retrain after a delta computes vectors only for pairs it has
+// never seen. The memo is derived state, held in memory only.
+//
 // Everything here is deterministic: labels are consumed in canonical
 // pair order, the SVM's stochastic example order is driven by the
 // session seed, and the band is a pure function of (labels, risk). A
@@ -91,9 +97,6 @@ type Label struct {
 
 // Options configures Train.
 type Options struct {
-	// Attrs selects the feature attributes (indices into the table
-	// schema). Empty selects all.
-	Attrs []int
 	// Seed drives the SVM's stochastic example order. Training is
 	// deterministic in (labels, Options).
 	Seed int64
@@ -116,37 +119,36 @@ type Learner struct {
 	posMargins, negMargins []float64
 }
 
-// Train fits a learner from the labeled pairs. Labels are re-sorted
-// into canonical pair order internally, so the result is a pure
-// function of the label *set* — callers may pass cache iterations in
-// any order. A learner below the label or per-class floors is returned
-// non-ready (never an error): routing simply sends everything to the
-// crowd until the session has paid for enough verdicts.
+// Train fits a learner from the labeled pairs over every attribute of
+// the table, computing each vector afresh: Features.Train on a memo that
+// lives for this call only.
 func Train(t *record.Table, labels []Label, opts Options) (*Learner, error) {
 	if t == nil {
 		return nil, fmt.Errorf("learn: nil table")
 	}
-	attrs := opts.Attrs
-	if len(attrs) == 0 {
-		attrs = make([]int, len(t.Schema))
-		for i := range attrs {
-			attrs[i] = i
-		}
-	}
+	return NewFeatures(t).Train(labels, opts)
+}
+
+// Train fits a learner from the labeled pairs, reading their vectors
+// through the memo. Synthetic labels are computed but never memoised,
+// so the memo holds only pairs the session has judged or is about to
+// route. Labels are re-sorted into canonical pair order internally, so
+// the result is a pure function of the label *set* — callers may pass
+// cache iterations in any order — and bit-identical whichever vectors
+// the memo already held. A learner below the label or per-class floors
+// is returned non-ready (never an error): routing simply sends
+// everything to the crowd until the session has paid for enough
+// verdicts.
+func (f *Features) Train(labels []Label, opts Options) (*Learner, error) {
 	minLabels := opts.MinLabels
 	if minLabels <= 0 {
 		minLabels = DefaultMinLabels
 	}
 
 	sorted := append([]Label(nil), labels...)
-	slices.SortFunc(sorted, func(a, b Label) int {
-		if a.Pair.A != b.Pair.A {
-			return int(a.Pair.A) - int(b.Pair.A)
-		}
-		return int(a.Pair.B) - int(b.Pair.B)
-	})
+	slices.SortFunc(sorted, func(a, b Label) int { return record.ComparePairs(a.Pair, b.Pair) })
 
-	l := &Learner{attrs: attrs}
+	l := &Learner{attrs: f.attrs}
 	for _, lb := range sorted {
 		if lb.Match {
 			l.pos++
@@ -163,11 +165,17 @@ func Train(t *record.Table, labels []Label, opts Options) (*Learner, error) {
 
 	examples := make([]svm.Example, len(sorted))
 	for i, lb := range sorted {
+		var x []float64
+		if lb.Synthetic {
+			x = f.compute(nil, lb.Pair)
+		} else {
+			x = f.Vector(lb.Pair)
+		}
 		y := -1.0
 		if lb.Match {
 			y = 1.0
 		}
-		examples[i] = svm.Example{X: featureVector(t, lb.Pair, attrs), Label: y}
+		examples[i] = svm.Example{X: x, Label: y}
 	}
 	model, err := svm.Train(examples, svm.TrainOptions{Seed: opts.Seed, BalanceClasses: true})
 	if err != nil {
@@ -204,20 +212,69 @@ func (l *Learner) Labels() (pos, neg int) {
 // Margin returns the model's signed margin for the pair; positive means
 // match-like. Only valid when Ready.
 func (l *Learner) Margin(t *record.Table, p record.Pair) float64 {
-	return l.model.Score(featureVector(t, p, l.attrs))
+	f := Features{t: t, attrs: l.attrs}
+	return l.model.Score(f.compute(nil, p))
 }
 
-// featureVector is the router's feature map: the per-attribute
-// Levenshtein and cosine similarities (svm.FeatureVector), extended
-// with the minimum and mean per-attribute similarity and the
-// whole-record Jaccard (the same likelihood the pruning pass ranks
-// candidates by). The aggregates let a *linear* model express "one
-// attribute strongly disagrees" — the failure mode of surface-similar
-// non-matches (identical name, different city), which per-attribute
-// features alone cannot separate without feature crosses — and the
-// Jaccard ties the model to the machine pass's global evidence.
-func featureVector(t *record.Table, p record.Pair, attrs []int) []float64 {
-	base := svm.FeatureVector(t, p, attrs)
+// Features is a feature memo: the router's feature vector of each pair
+// of one table, over all of its attributes, computed on first use and kept
+// for the memo's lifetime. Vectors sit back to back in one flat arena of
+// fixed stride, indexed by pair, so a session's memo costs a map entry
+// plus 8 bytes per feature. A vector is a pure function of two immutable
+// records, so a memoised one is bit-identical to a fresh computation.
+// A Features is not safe for concurrent use: its owner writes it only
+// under its own exclusive lock.
+type Features struct {
+	t     *record.Table
+	attrs []int
+	arena []float64
+	index map[record.Pair]int32
+}
+
+// NewFeatures returns an empty memo over every attribute of the table.
+func NewFeatures(t *record.Table) *Features {
+	attrs := make([]int, len(t.Schema))
+	for i := range attrs {
+		attrs[i] = i
+	}
+	return &Features{t: t, attrs: attrs, index: make(map[record.Pair]int32)}
+}
+
+// Len returns the number of memoised vectors.
+func (f *Features) Len() int { return len(f.index) }
+
+// Vector returns the pair's feature vector, computing and memoising it
+// on first use. The result must not be modified.
+func (f *Features) Vector(p record.Pair) []float64 {
+	stride := 2*len(f.attrs) + 3
+	i, ok := f.index[p]
+	if !ok {
+		i = int32(len(f.index))
+		f.index[p] = i
+		f.arena = f.compute(f.arena, p)
+	}
+	off := int(i) * stride
+	return f.arena[off : off+stride : off+stride]
+}
+
+// Margin returns the learner's margin for the pair through the memo;
+// equal to l.Margin on the memo's table.
+func (f *Features) Margin(l *Learner, p record.Pair) float64 {
+	return l.model.Score(f.Vector(p))
+}
+
+// compute appends the router's feature vector for the pair to dst: the
+// per-attribute Levenshtein and cosine similarities
+// (svm.FeatureVector), extended with the minimum and mean per-attribute
+// similarity and the whole-record Jaccard (the same likelihood the
+// pruning pass ranks candidates by). The aggregates let a *linear* model
+// express "one attribute strongly disagrees" — the failure mode of
+// surface-similar non-matches (identical name, different city), which
+// per-attribute features alone cannot separate without feature crosses
+// — and the Jaccard ties the model to the machine pass's global
+// evidence.
+func (f *Features) compute(dst []float64, p record.Pair) []float64 {
+	base := svm.FeatureVector(f.t, p, f.attrs)
 	minSim, meanSim := 1.0, 0.0
 	n := 0
 	for i := 0; i+1 < len(base); i += 2 {
@@ -233,9 +290,9 @@ func featureVector(t *record.Table, p record.Pair, attrs []int) []float64 {
 	} else {
 		minSim = 0
 	}
-	ids := t.TokenIDs()
+	ids := f.t.TokenIDs()
 	jac := similarity.Jaccard(ids[p.A], ids[p.B])
-	return append(base, minSim, meanSim, jac)
+	return append(append(dst, base...), minSim, meanSim, jac)
 }
 
 // Band derives the uncertainty band for a per-class risk: the margin

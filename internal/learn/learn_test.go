@@ -3,6 +3,7 @@ package learn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -175,4 +176,58 @@ func TestAdaptRisk(t *testing.T) {
 			t.Errorf("AdaptRisk(%v, %v) = %v; want %v", c.base, c.acc, got, c.want)
 		}
 	}
+}
+
+// A warm memo changes no bit: training repeatedly through one Features
+// on overlapping label sets — some labels synthetic — yields learners
+// bitwise equal to a cold Train in weights, bias, both margin lists and
+// every pair's margin, and the memo never holds a synthetic pair.
+func TestFeaturesWarmTrainEqualsCold(t *testing.T) {
+	tab, labels := routerFixture(40)
+	// Synthetic negatives: each family's duplicate against the next
+	// family's camera, a pair no real label names.
+	var synthetic []Label
+	for i := 0; i+1 < 40; i++ {
+		synthetic = append(synthetic, Label{Pair: record.MakePair(record.ID(3*i+1), record.ID(3*i+5)), Synthetic: true})
+	}
+	f := NewFeatures(tab)
+	judged := map[record.Pair]bool{}
+	for round, w := range [][2]int{{0, 40}, {20, 60}, {0, 80}, {10, 50}, {0, 80}} {
+		set := append(slices.Clone(labels[w[0]:w[1]]), synthetic[w[0]/2:min(w[1]/2, len(synthetic))]...)
+		for _, l := range labels[w[0]:w[1]] {
+			judged[l.Pair] = true
+		}
+		opts := Options{Seed: int64(round)}
+		warm, err := f.Train(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Train(tab, set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Ready() || !cold.Ready() {
+			t.Fatalf("round %d: fixture should train ready learners", round)
+		}
+		if !sameBits(warm.model.W, cold.model.W) || !sameBits([]float64{warm.model.B}, []float64{cold.model.B}) ||
+			!sameBits(warm.posMargins, cold.posMargins) || !sameBits(warm.negMargins, cold.negMargins) {
+			t.Fatalf("round %d: warm learner differs from a cold Train", round)
+		}
+		for _, l := range set {
+			m := []float64{cold.Margin(tab, l.Pair), warm.Margin(tab, l.Pair)}
+			if !l.Synthetic {
+				m = append(m, f.Margin(warm, l.Pair))
+			}
+			if !sameBits(m[:1], m[1:2]) || !sameBits(m[:1], m[len(m)-1:]) {
+				t.Fatalf("round %d: margins for %v differ: %v", round, l.Pair, m)
+			}
+		}
+		if f.Len() != len(judged) {
+			t.Fatalf("round %d: memo holds %d vectors; the real labels name %d pairs", round, f.Len(), len(judged))
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -197,12 +197,13 @@ func (s PairSet) Slice() []Pair {
 	return out
 }
 
-// SortPairs orders pairs by (A, B) ascending, in place.
-func SortPairs(ps []Pair) {
-	slices.SortFunc(ps, func(a, b Pair) int {
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.B, b.B)
-	})
+// ComparePairs is the canonical pair order: by A, then B.
+func ComparePairs(a, b Pair) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.B, b.B)
 }
+
+// SortPairs orders pairs by (A, B) ascending, in place.
+func SortPairs(ps []Pair) { slices.SortFunc(ps, ComparePairs) }

@@ -54,10 +54,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -611,7 +613,10 @@ type matchJSON struct {
 func handleMatches(sess *session, w http.ResponseWriter, r *http.Request) {
 	min := 0.0
 	if q := r.URL.Query().Get("min"); q != "" {
-		if _, err := fmt.Sscanf(q, "%g", &min); err != nil {
+		// The whole value must be a number: "0.9abc" is not 0.9, and NaN
+		// would filter every row out.
+		var err error
+		if min, err = strconv.ParseFloat(q, 64); err != nil || math.IsNaN(min) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad min %q", q))
 			return
 		}
@@ -623,7 +628,7 @@ func handleMatches(sess *session, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("no completed resolution yet"))
 		return
 	}
-	var ms []matchJSON
+	ms := []matchJSON{} // an empty result encodes as [], never null
 	for _, m := range last.Matches {
 		if m.Confidence >= min {
 			ms = append(ms, matchJSON{A: m.Pair.A, B: m.Pair.B, Confidence: m.Confidence})

@@ -141,6 +141,47 @@ func TestServiceSimulatedRoundTrip(t *testing.T) {
 			t.Fatalf("match %d differs: service %+v vs library %+v", i, got[i], m)
 		}
 	}
+	checkMatchesFilter(t, c, srv.URL+"/tables/products/matches", got)
+}
+
+// checkMatchesFilter pins GET /matches?min=: the unfiltered body is
+// exactly the encoded match list, a value that is not wholly a number
+// (or is NaN) is a 400, and a filter that keeps no row answers [], not
+// null.
+func checkMatchesFilter(t *testing.T, c *http.Client, url string, all []matchJSON) {
+	t.Helper()
+	get := func(query string) (int, string) {
+		resp, err := c.Get(url + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.String()
+	}
+	if len(all) == 0 {
+		t.Fatal("fixture resolved no matches")
+	}
+	want, err := json.Marshal(map[string]any{"matches": all, "total": len(all)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"", "?min=-1"} {
+		if code, body := get(q); code != http.StatusOK || body != string(want)+"\n" {
+			t.Errorf("GET matches%s = %d %.80q; want the full list", q, code, body)
+		}
+	}
+	for _, q := range []string{"?min=0.9abc", "?min=NaN", "?min=nan", "?min=%20", "?min=0x"} {
+		if code, body := get(q); code != http.StatusBadRequest {
+			t.Errorf("GET matches%s = %d %q; want 400", q, code, body)
+		}
+	}
+	if code, body := get("?min=2"); code != http.StatusOK || body != `{"matches":[],"total":0}`+"\n" {
+		t.Errorf("GET matches?min=2 = %d %q; want an empty list", code, body)
+	}
 }
 
 // drainOverHTTP claims and answers every open assignment through the

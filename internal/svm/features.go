@@ -22,17 +22,3 @@ func FeatureVector(t *record.Table, p record.Pair, attrs []int) []float64 {
 	}
 	return out
 }
-
-// BuildExamples converts labelled pairs into training examples using
-// FeatureVector, with +1 labels for pairs present in truth.
-func BuildExamples(t *record.Table, pairs []record.Pair, truth record.PairSet, attrs []int) []Example {
-	out := make([]Example, len(pairs))
-	for i, p := range pairs {
-		label := -1.0
-		if truth.Has(p.A, p.B) {
-			label = 1.0
-		}
-		out[i] = Example{X: FeatureVector(t, p, attrs), Label: label}
-	}
-	return out
-}

@@ -148,19 +148,3 @@ func TestFeatureVectorSingleAttr(t *testing.T) {
 		t.Fatalf("feature dims = %d; want 2", len(fv))
 	}
 }
-
-func TestBuildExamples(t *testing.T) {
-	tab := record.NewTable("name")
-	a := tab.Append("alpha beta")
-	b := tab.Append("alpha beta gamma")
-	c := tab.Append("unrelated words")
-	truth := record.NewPairSet(record.MakePair(a, b))
-	pairs := []record.Pair{record.MakePair(a, b), record.MakePair(a, c)}
-	ex := BuildExamples(tab, pairs, truth, []int{0})
-	if len(ex) != 2 {
-		t.Fatalf("got %d examples", len(ex))
-	}
-	if ex[0].Label != 1 || ex[1].Label != -1 {
-		t.Fatalf("labels = %v, %v; want +1, -1", ex[0].Label, ex[1].Label)
-	}
-}

@@ -13,17 +13,13 @@ import (
 // is what makes a restored cache bit-identical regardless of the
 // Put/PutDeduced/AddAnswers order the live session happened to use.
 func (c *Cache) Dump() (entries []Entry, partials []aggregate.Answer) {
-	ptr := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		ptr = append(ptr, e)
-	}
-	sortEntries(ptr)
-	entries = make([]Entry, len(ptr))
-	for i, e := range ptr {
-		entries[i] = copyEntry(e)
+	pairs := c.Pairs()
+	entries = make([]Entry, len(pairs))
+	for i, p := range pairs {
+		entries[i] = copyEntry(c.entries[p])
 	}
 
-	var pairs []record.Pair
+	pairs = pairs[:0]
 	for p := range c.partial {
 		pairs = append(pairs, p)
 	}
@@ -57,7 +53,7 @@ func RestoreCache(entries []Entry, partials []aggregate.Answer) *Cache {
 	c := NewCache()
 	for i := range entries {
 		e := copyEntry(&entries[i])
-		c.entries[e.Pair] = &e
+		c.insert(&e)
 	}
 	for _, a := range partials {
 		c.partial[a.Pair] = append(c.partial[a.Pair], a)

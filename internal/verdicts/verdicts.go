@@ -17,7 +17,7 @@ package verdicts
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/record"
@@ -81,8 +81,8 @@ type Entry struct {
 // Cache is a verdict store keyed by pair: one map of entries and one of
 // partial fragments. It is not safe for concurrent mutation; the owning
 // resolver serializes mutating access, and concurrent reads are safe
-// only while no mutation is in flight. Every sequence it returns is in
-// canonical order, never map order.
+// only while no mutation is in flight — no read method writes. Every
+// sequence it returns is in canonical order, never map order.
 //
 // Besides final verdicts, the cache persists partial assignment sets:
 // answers collected by a resolution that was cancelled or failed before
@@ -93,7 +93,13 @@ type Entry struct {
 // fragment).
 type Cache struct {
 	entries map[record.Pair]*Entry
-	partial map[record.Pair][]aggregate.Answer
+	// sorted and recent hold every entry's pair in canonical order, as
+	// two sorted runs maintained on insert: a new pair is inserted into
+	// the short recent run, which folds into sorted once it outgrows
+	// √len(sorted). An insert costs O(√n) amortised in any arrival order,
+	// and Pairs is a linear merge of the runs instead of a sort.
+	sorted, recent []record.Pair
+	partial        map[record.Pair][]aggregate.Answer
 	// aggregator is the identity of the method every posterior in the
 	// cache was produced by, set by the first BindAggregator call.
 	// Posteriors from different aggregators are not comparable — a
@@ -167,8 +173,36 @@ func (c *Cache) Put(p record.Pair, likelihood float64) *Entry {
 		return e
 	}
 	e := &Entry{Pair: p, Likelihood: likelihood}
-	c.entries[p] = e
+	c.insert(e)
 	return e
+}
+
+// insert stores the entry, adding a pair new to the cache to the
+// canonical order.
+func (c *Cache) insert(e *Entry) {
+	if _, ok := c.entries[e.Pair]; !ok {
+		i, _ := slices.BinarySearchFunc(c.recent, e.Pair, record.ComparePairs)
+		c.recent = slices.Insert(c.recent, i, e.Pair)
+	}
+	c.entries[e.Pair] = e
+	if len(c.recent)*len(c.recent) > len(c.sorted) {
+		c.sorted, c.recent = mergeRuns(c.sorted, c.recent), c.recent[:0]
+	}
+}
+
+// mergeRuns merges the sorted run src into the sorted run dst, in place
+// from the back, and returns the grown dst.
+func mergeRuns(dst, src []record.Pair) []record.Pair {
+	i, j := len(dst)-1, len(src)-1
+	dst = append(dst, src...)
+	for k := len(dst) - 1; j >= 0; k-- {
+		if i >= 0 && record.ComparePairs(dst[i], src[j]) > 0 {
+			dst[k], i = dst[i], i-1
+		} else {
+			dst[k], j = src[j], j-1
+		}
+	}
+	return dst
 }
 
 // PutMachine records a machine-resolved verdict: the hybrid router's
@@ -182,7 +216,7 @@ func (c *Cache) PutMachine(p record.Pair, likelihood, posterior float64) *Entry 
 		return e
 	}
 	e := &Entry{Pair: p, Likelihood: likelihood, Posterior: posterior, Provenance: Machine}
-	c.entries[p] = e
+	c.insert(e)
 	delete(c.partial, p)
 	return e
 }
@@ -209,7 +243,7 @@ func (c *Cache) PutDeduced(likelihood float64, d transitivity.Deduction) *Entry 
 	if d.Match {
 		e.Posterior = 1
 	}
-	c.entries[d.Pair] = e
+	c.insert(e)
 	delete(c.partial, d.Pair)
 	return e
 }
@@ -229,42 +263,19 @@ func (c *Cache) count(prov Provenance) int {
 	return n
 }
 
-// AskedEntries returns the asked entries in canonical pair order — the
-// observation sequence for rebuilding a deduction graph.
-func (c *Cache) AskedEntries() []*Entry {
-	var out []*Entry
-	for _, e := range c.entries {
-		if e.Provenance == Asked {
-			out = append(out, e)
-		}
-	}
-	sortEntries(out)
-	return out
-}
-
 // GroundEntries returns the entries carrying first-hand verdicts —
 // asked or machine-resolved, never deduced — in canonical pair order:
 // the observation sequence for rebuilding a deduction graph in a
 // hybrid session. With no machine verdicts in the cache it is exactly
-// AskedEntries.
+// the asked entries.
 func (c *Cache) GroundEntries() []*Entry {
 	var out []*Entry
-	for _, e := range c.entries {
-		if e.Provenance == Asked || e.Provenance == Machine {
+	for _, p := range c.Pairs() {
+		if e := c.entries[p]; e.Provenance == Asked || e.Provenance == Machine {
 			out = append(out, e)
 		}
 	}
-	sortEntries(out)
 	return out
-}
-
-func sortEntries(es []*Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Pair.A != es[j].Pair.A {
-			return es[i].Pair.A < es[j].Pair.A
-		}
-		return es[i].Pair.B < es[j].Pair.B
-	})
 }
 
 // AddAnswers appends crowd answers to their pairs' entries. Answers for
@@ -334,14 +345,10 @@ func (c *Cache) AllAnswers() []aggregate.Answer {
 	return out
 }
 
-// Pairs returns every judged pair in canonical order.
+// Pairs returns every judged pair in canonical order, as a fresh slice
+// merged from the maintained runs. It only reads the cache.
 func (c *Cache) Pairs() []record.Pair {
-	out := make([]record.Pair, 0, len(c.entries))
-	for p := range c.entries {
-		out = append(out, p)
-	}
-	record.SortPairs(out)
-	return out
+	return mergeRuns(append(make([]record.Pair, 0, len(c.entries)), c.sorted...), c.recent)
 }
 
 // SetPosteriors records the latest aggregation result on the entries.

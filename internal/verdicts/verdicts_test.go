@@ -1,6 +1,8 @@
 package verdicts
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,24 +191,6 @@ func TestPutDeducedSupersedesPartialFragments(t *testing.T) {
 	}
 }
 
-func TestAskedEntriesCanonicalOrder(t *testing.T) {
-	c := NewCache()
-	c.Put(record.MakePair(5, 6), 0.1)
-	c.Put(record.MakePair(0, 9), 0.2)
-	c.Put(record.MakePair(0, 3), 0.3)
-	c.PutDeduced(0, transitivity.Deduction{Pair: record.MakePair(1, 2), Match: true})
-	es := c.AskedEntries()
-	if len(es) != 3 {
-		t.Fatalf("AskedEntries returned %d entries; want 3 (deduced excluded)", len(es))
-	}
-	want := []record.Pair{record.MakePair(0, 3), record.MakePair(0, 9), record.MakePair(5, 6)}
-	for i, e := range es {
-		if e.Pair != want[i] {
-			t.Errorf("entry %d = %v; want %v", i, e.Pair, want[i])
-		}
-	}
-}
-
 // BindAggregator pins the cache to one aggregation method: the first
 // bind sets the identity, re-binding the same name is a no-op, and a
 // different name is refused — the session-level guarantee that cached
@@ -285,16 +269,31 @@ func TestMachineProvenanceLifecycle(t *testing.T) {
 
 // GroundEntries is the hybrid deduction graph's observation stream:
 // asked and machine entries in canonical order, never deduced ones —
-// and exactly AskedEntries when no machine verdicts exist.
+// and exactly the asked entries when no machine verdicts exist.
 func TestGroundEntriesOrderAndFilter(t *testing.T) {
 	c := NewCache()
 	c.PutMachine(mk(4, 5), 0.5, 0.9)
 	c.Put(mk(0, 1), 0.8)
 	c.PutDeduced(0.6, transitivity.Deduction{Pair: mk(2, 3), Match: true, Path: []record.Pair{mk(0, 1)}})
 	c.PutMachine(mk(1, 2), 0.4, 0.05)
+	checkGround(t, c, []record.Pair{mk(0, 1), mk(1, 2), mk(4, 5)})
 
+	plain := NewCache()
+	plain.Put(mk(5, 6), 0.1)
+	plain.Put(mk(0, 9), 0.2)
+	plain.Put(mk(0, 3), 0.3)
+	plain.PutDeduced(0, transitivity.Deduction{Pair: mk(1, 2), Match: true})
+	checkGround(t, plain, []record.Pair{mk(0, 3), mk(0, 9), mk(5, 6)})
+	for _, e := range plain.GroundEntries() {
+		if e.Provenance != Asked {
+			t.Errorf("machine-free GroundEntries holds %v entry %v", e.Provenance, e.Pair)
+		}
+	}
+}
+
+func checkGround(t *testing.T, c *Cache, want []record.Pair) {
+	t.Helper()
 	ground := c.GroundEntries()
-	want := []record.Pair{mk(0, 1), mk(1, 2), mk(4, 5)}
 	if len(ground) != len(want) {
 		t.Fatalf("GroundEntries = %d entries; want %d", len(ground), len(want))
 	}
@@ -306,18 +305,42 @@ func TestGroundEntriesOrderAndFilter(t *testing.T) {
 			t.Errorf("deduced entry %v leaked into GroundEntries", e.Pair)
 		}
 	}
+}
 
-	plain := NewCache()
-	plain.Put(mk(0, 1), 0.8)
-	plain.Put(mk(3, 4), 0.3)
-	ge, ae := plain.GroundEntries(), plain.AskedEntries()
-	if len(ge) != len(ae) {
-		t.Fatalf("machine-free GroundEntries has %d entries; AskedEntries %d", len(ge), len(ae))
-	}
-	for i := range ge {
-		if ge[i] != ae[i] {
-			t.Errorf("machine-free GroundEntries differs from AskedEntries at %d", i)
+// The canonical order is maintained on insert, in whatever order pairs
+// arrive and across the folds of the recent run into the sorted one:
+// Pairs, GroundEntries and Dump all read it. A machine entry replaced by
+// a deduction must not appear twice.
+func TestPairsOrderMaintainedOnInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewCache()
+	want := record.NewPairSet()
+	for i := 0; i < 3000; i++ {
+		p := mk(rng.Intn(200), rng.Intn(200))
+		if p.A == p.B {
+			continue
 		}
+		switch i % 4 {
+		case 0:
+			c.Put(p, 0.5)
+		case 1:
+			c.PutMachine(p, 0.5, 0.9)
+		case 2:
+			c.PutDeduced(0.5, transitivity.Deduction{Pair: p, Match: true})
+		default:
+			c.AddAnswers([]aggregate.Answer{{Pair: p, Worker: i, Match: true}})
+		}
+		want.Add(p.A, p.B)
+		if i%97 == 0 || i == 2999 {
+			if got := c.Pairs(); !slices.Equal(got, want.Slice()) {
+				t.Fatalf("after %d inserts Pairs has %d pairs, not the %d-pair set in canonical order", i+1, len(got), len(want))
+			}
+		}
+	}
+	entries, _ := c.Dump()
+	restored := RestoreCache(entries, nil)
+	if !slices.Equal(restored.Pairs(), want.Slice()) || len(entries) != c.Len() {
+		t.Fatal("Dump/RestoreCache does not preserve the canonical order")
 	}
 }
 

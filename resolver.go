@@ -91,6 +91,14 @@ type Resolver struct {
 	// pure function of the cache, so it is never persisted). Guarded by
 	// mu.
 	learner *learn.Learner
+	// feats memoises the router's feature vector of every pair the
+	// session trained on or routed, so each retrain and route computes
+	// vectors only for pairs it has never seen. It holds at most the
+	// cache's pairs plus the pending ones (synthetic negatives are never
+	// memoised), is written only under mu held for writing, and like the
+	// learner is derived state: never persisted, refilled lazily after
+	// recovery.
+	feats *learn.Features
 	// lastBand and lastRisk record the uncertainty band the most recent
 	// route stage actually used, for observability (HybridStats).
 	lastBand learn.Band
@@ -155,6 +163,7 @@ func newResolverWith(t *Table, opts Options, cache *verdicts.Cache) (*Resolver, 
 		agg:   agg,
 		cache: cache,
 		log:   log,
+		feats: learn.NewFeatures(t.inner),
 		idx: simjoin.NewIndex(t.inner, simjoin.Options{
 			Threshold:       opts.Threshold,
 			CrossSourceOnly: opts.CrossSourceOnly,
@@ -314,6 +323,12 @@ type WorkerStat struct {
 func (r *Resolver) WorkerStats() []WorkerStat {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.workerStatsLocked()
+}
+
+// workerStatsLocked is WorkerStats for a caller holding r.mu in either
+// mode.
+func (r *Resolver) workerStatsLocked() []WorkerStat {
 	answers := r.cache.AllAnswers()
 	if len(answers) == 0 {
 		return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -539,11 +540,25 @@ func TestResolveDeltaContextCancellation(t *testing.T) {
 
 // Session reads proceed during a resolve. A queue-backed resolution
 // blocks on the crowd; while it waits, Verdict, JudgedPairs,
-// WorkerStats, PendingPairs, Record and Len must all answer from the
-// shared lock instead of queueing behind the job. Run under -race (CI
-// does): the assertions here are secondary to the interleaving itself.
+// WorkerStats, HybridStats, PendingPairs, Record and Len must all answer
+// from the shared lock instead of queueing behind the job. The hybrid
+// subtest resolves two deltas, so the second one routes and retrains
+// while two readers run side by side: every read method must be a pure
+// read, since readers share the lock with each other. Run under -race
+// (CI does): the assertions here are secondary to the interleaving
+// itself.
 func TestResolverReadsDuringResolve(t *testing.T) {
+	t.Run("transitive", func(t *testing.T) { readsDuringResolve(t, HybridOff, 1) })
+	t.Run("hybrid", func(t *testing.T) { readsDuringResolve(t, HybridOn, 2) })
+}
+
+func readsDuringResolve(t *testing.T, hybrid HybridMode, deltas int) {
 	rows, schema, oracle := resolverDataset(7, 120, 24)
+	if deltas > 1 {
+		// Spread the duplicates over the deltas: the unshuffled dataset
+		// appends them last, and the first delta must see both classes.
+		rows, schema, oracle, _ = shuffledResolverDataset(13, 400, 80)
+	}
 	truth := map[Pair]bool{}
 	for _, p := range oracle {
 		truth[p] = true
@@ -557,24 +572,28 @@ func TestResolverReadsDuringResolve(t *testing.T) {
 		Seed:         1,
 		SpammerRate:  NoSpammers,
 		Transitivity: TransitivityOn,
+		Hybrid:       hybrid,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv.AppendBatch(rows...)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := rv.ResolveDeltaContext(context.Background())
-		done <- err
-	}()
 
 	// Worker goroutine: claim and answer HITs with ground truth until
-	// the resolution finishes. Worker identities rotate — the queue
-	// hands each HIT to a given worker at most once, and multi-
-	// assignment HITs need as many distinct workers as assignments.
+	// the session is done, holding each answer until the readers have
+	// made a few more passes, so reads interleave with every commit.
+	// Worker identities rotate — the queue hands each HIT to a given
+	// worker at most once, and multi-assignment HITs need as many
+	// distinct workers as assignments.
+	// Each reader counts its passes on its own counter: a shared one
+	// would order the readers' accesses and hide a reader–reader race.
+	var passes [2]atomic.Int64
+	reads := func() int64 { return passes[0].Load() + passes[1].Load() }
 	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		worker := 0
 		for {
 			select {
@@ -588,6 +607,13 @@ func TestResolverReadsDuringResolve(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				continue
 			}
+			for until := reads() + 4; reads() < until; {
+				select {
+				case <-stop:
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
 			var vs []Verdict
 			for _, p := range c.HIT.Pairs {
 				vs = append(vs, Verdict{A: record.ID(p.A), B: record.ID(p.B), Match: truth[Pair{A: int(p.A), B: int(p.B)}]})
@@ -599,33 +625,59 @@ func TestResolverReadsDuringResolve(t *testing.T) {
 		}
 	}()
 
-	// Reader loop on the test goroutine: every session read runs many
-	// times while the resolve is in flight. The loop yields briefly each
-	// pass so the resolve and worker goroutines get CPU on small hosts.
-	reads := 0
-	for {
-		select {
-		case err := <-done:
-			close(stop)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reads == 0 {
-				t.Fatal("resolve finished before any concurrent read ran")
-			}
-			if rv.JudgedPairs() == 0 {
-				t.Fatal("queue-backed resolve judged nothing")
-			}
-			return
-		case <-time.After(100 * time.Microsecond):
+	size := (len(rows) + deltas - 1) / deltas
+	for d := 0; d < deltas; d++ {
+		rv.AppendBatch(rows[d*size : min((d+1)*size, len(rows))]...)
+		if d == 1 && !rv.HybridStats().Ready {
+			t.Fatalf("the first delta trained no ready learner; the second will not route: %+v judged=%d", rv.HybridStats(), rv.JudgedPairs())
 		}
-		rv.Len()
-		rv.Record(reads % len(rows))
-		rv.JudgedPairs()
-		rv.PendingPairs()
-		rv.PartialPairs()
-		rv.WorkerStats()
-		rv.Verdict(Pair{A: 0, B: 1})
-		reads++
+		done := make(chan error, 1)
+		go func() {
+			_, err := rv.ResolveDeltaContext(context.Background())
+			done <- err
+		}()
+		// Reader loops, two at once: every session read runs many times
+		// while the resolve is in flight. Each yields briefly per pass so
+		// the resolve and worker goroutines get CPU on small hosts.
+		quit := make(chan struct{})
+		before := reads()
+		var readers sync.WaitGroup
+		for g := range passes {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-quit:
+						return
+					case <-time.After(100 * time.Microsecond):
+					}
+					rv.Len()
+					rv.Record(int(passes[g].Load()) % len(rows))
+					rv.JudgedPairs()
+					rv.PendingPairs()
+					rv.PartialPairs()
+					rv.WorkerStats()
+					rv.HybridStats()
+					rv.Verdict(Pair{A: 0, B: 1})
+					passes[g].Add(1)
+				}
+			}()
+		}
+		err := <-done
+		close(quit)
+		readers.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads() == before {
+			t.Fatal("resolve finished before any concurrent read ran")
+		}
+	}
+	if rv.JudgedPairs() == 0 {
+		t.Fatal("queue-backed resolve judged nothing")
+	}
+	if hybrid == HybridOn && rv.HybridStats().BandHi <= 0 {
+		t.Error("the second delta did not route")
 	}
 }
