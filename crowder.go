@@ -819,7 +819,8 @@ func (st *resolveState) newBackend() (crowd.Backend, error) {
 // sharpening as fresh evidence about the workers arrives, and a k-batch
 // session aggregates exactly what a from-scratch run would. The
 // aggregator's identity is bound to the verdict cache: one cache, one
-// method, across every delta of the session.
+// method, across every delta of the session. The posteriors are derived
+// state and are not logged (see aggregateLocked).
 func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
 	rv.mu.Lock()
@@ -848,43 +849,22 @@ func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) 
 		SortMatches(st.res.Matches)
 		return st, nil
 	}
-	answers := rv.cache.AllAnswers()
-	if len(answers) == 0 && rv.cache.MachineLen() == 0 {
+	post := rv.aggregateLocked()
+	if len(post) == 0 && rv.cache.MachineLen() == 0 {
 		// Nothing judged yet. (The machine-count guard keeps this early
 		// return bit-identical to the pre-hybrid build when Hybrid is off:
 		// machine entries exist only in hybrid sessions, where a delta the
 		// router resolved entirely by machine must still rank matches.)
 		return st, nil
 	}
-	if len(answers) > 0 {
-		// The cache was bound to this aggregator's identity when the
-		// session was created (NewResolver), so the no-mixed-modes
-		// invariant holds structurally by the time any delta aggregates.
-		post := rv.agg.Aggregate(answers)
-		rv.cache.SetPosteriors(post)
-		for _, pr := range post.Ranked() {
-			st.res.Matches = append(st.res.Matches, Match{
-				Pair:       Pair{A: int(pr.A), B: int(pr.B)},
-				Confidence: post[pr],
-			})
-		}
+	for _, pr := range post.Ranked() {
+		st.res.Matches = append(st.res.Matches, Match{
+			Pair:       Pair{A: int(pr.A), B: int(pr.B)},
+			Confidence: post[pr],
+		})
 	}
-	nd := appendDeducedMatches(rv.cache, &st.res.Matches)
-	nm := appendMachineMatches(rv.cache, &st.res.Matches)
-	if nd+nm > 0 {
-		// Deduced verdicts re-derive their confidence from the freshly
-		// aggregated posteriors of their proofs; re-sort the merged list.
+	if appendInferredMatches(rv.cache, &st.res.Matches) > 0 {
 		SortMatches(st.res.Matches)
-	}
-	// Log the final per-pair posteriors — after the deduced entries were
-	// re-derived above, so replay restores exactly what the session holds.
-	pairs := rv.cache.Pairs()
-	pvs := make([]store.PairVal, 0, len(pairs))
-	for _, p := range pairs {
-		pvs = append(pvs, store.PairVal{Pair: p, Val: rv.cache.Get(p).Posterior})
-	}
-	if err := rv.log.Log(&store.Commit{Ops: []store.Op{{Posteriors: pvs}}}); err != nil {
-		return nil, err
 	}
 	if rv.opts.hybrid() {
 		// Budget accounting: fold this delta's crowd spend into the

@@ -303,7 +303,8 @@ func (r *Resolver) syntheticNegativesLocked(pos, neg, n int) []learn.Label {
 // the router's risk adaptation reads: the report WorkerStats serves,
 // reduced to one number in ascending worker order, so the float sum
 // never depends on map order. Returns 0 (meaning "no evidence, no
-// adaptation") before the first aggregation. The caller holds rv.mu.
+// adaptation") before the first crowd answer is committed. The caller
+// holds rv.mu.
 func (r *Resolver) poolAccuracyLocked() float64 {
 	var wsum float64
 	var n int
@@ -315,27 +316,6 @@ func (r *Resolver) poolAccuracyLocked() float64 {
 		return 0
 	}
 	return wsum / float64(n)
-}
-
-// appendMachineMatches adds the cache's machine-resolved verdicts to
-// the match list with the router's calibrated confidence, returning how
-// many were added. Asked pairs enter the list via the aggregation
-// posterior and deduced ones via their proofs; machine pairs have
-// neither answers nor proofs, so they are ranked here.
-func appendMachineMatches(cache *verdicts.Cache, ms *[]Match) int {
-	n := 0
-	for _, p := range cache.Pairs() {
-		e := cache.Get(p)
-		if e.Provenance != verdicts.Machine {
-			continue
-		}
-		*ms = append(*ms, Match{
-			Pair:       Pair{A: int(p.A), B: int(p.B)},
-			Confidence: e.Posterior,
-		})
-		n++
-	}
-	return n
 }
 
 // HybridStats is a hybrid session's routing posture: how the judged

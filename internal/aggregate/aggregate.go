@@ -314,79 +314,3 @@ func DawidSkene(answers []Answer, opts DawidSkeneOptions) Posterior {
 		}
 	})
 }
-
-// WorkerStats is one worker's session diagnostic: empirical agreement
-// with the aggregated decisions plus the coverage that tells you whether
-// the agreement number means anything. A worker whose history covers
-// only one class (ClassesSeen < 2) has a statistically unanchored
-// confusion row — their accuracy is not comparable to the pool's, and
-// the MAP aggregator anchors them toward the pool mean until coverage
-// arrives.
-type WorkerStats struct {
-	// Accuracy is the fraction of the worker's answers agreeing with the
-	// aggregated decision of the pair they judged.
-	Accuracy float64
-	// Answers counts the worker's judgments over pairs with a posterior.
-	Answers int
-	// MatchesSeen / NonMatchesSeen count the worker's answers on pairs
-	// the aggregation decided as matches / non-matches.
-	MatchesSeen, NonMatchesSeen int
-}
-
-// ClassesSeen is the number of distinct decided classes (0–2) in the
-// worker's answer history. Below 2 the worker's accuracy on the unseen
-// class is unmeasurable, not ≈0.5.
-func (s WorkerStats) ClassesSeen() int {
-	n := 0
-	if s.MatchesSeen > 0 {
-		n++
-	}
-	if s.NonMatchesSeen > 0 {
-		n++
-	}
-	return n
-}
-
-// WorkerReport computes each worker's WorkerStats against the aggregated
-// decisions — the spammer-detection diagnostic (workers far below the
-// population are likely answering randomly), now with the coverage
-// needed to tell a spammer from a worker who simply never saw a match.
-func WorkerReport(answers []Answer, post Posterior) map[int]WorkerStats {
-	agree := make(map[int]int)
-	stats := make(map[int]WorkerStats)
-	for _, a := range answers {
-		p, ok := post[a.Pair]
-		if !ok {
-			continue
-		}
-		s := stats[a.Worker]
-		s.Answers++
-		decided := p >= 0.5
-		if decided {
-			s.MatchesSeen++
-		} else {
-			s.NonMatchesSeen++
-		}
-		if a.Match == decided {
-			agree[a.Worker]++
-		}
-		stats[a.Worker] = s
-	}
-	for w, s := range stats {
-		s.Accuracy = float64(agree[w]) / float64(s.Answers)
-		stats[w] = s
-	}
-	return stats
-}
-
-// WorkerAccuracy estimates each worker's empirical agreement with the
-// aggregated decisions. The bare number is misleading for single-class
-// workers (≈0.5 reads as "spammer" when it only means "never saw the
-// other class") — prefer WorkerReport, which carries the coverage.
-func WorkerAccuracy(answers []Answer, post Posterior) map[int]float64 {
-	out := make(map[int]float64)
-	for w, s := range WorkerReport(answers, post) {
-		out[w] = s.Accuracy
-	}
-	return out
-}

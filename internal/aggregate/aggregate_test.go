@@ -224,69 +224,6 @@ func TestDawidSkenePosteriorBounds(t *testing.T) {
 	}
 }
 
-// Satellite: WorkerAccuracy's bare number reads ≈0.5 single-class
-// workers as spammers. WorkerReport carries the coverage that
-// disambiguates: a worker who answered only decided-non-match pairs has
-// ClassesSeen 1, so their accuracy is known to be unanchored.
-func TestWorkerReportSparseCoverage(t *testing.T) {
-	answers := []Answer{
-		// Worker 1: full coverage, perfect.
-		{Pair: mk(0, 1), Worker: 1, Match: true},
-		{Pair: mk(2, 3), Worker: 1, Match: false},
-		// Worker 2: only ever saw (decided) non-matches, and judged them
-		// with a coin flip — accuracy 0.5 that means "no data", not
-		// "spammer".
-		{Pair: mk(2, 3), Worker: 2, Match: false},
-		{Pair: mk(4, 5), Worker: 2, Match: true},
-		// Worker 3: answered a pair with no posterior; excluded entirely.
-		{Pair: mk(8, 9), Worker: 3, Match: true},
-	}
-	post := Posterior{mk(0, 1): 0.9, mk(2, 3): 0.1, mk(4, 5): 0.2}
-	rep := WorkerReport(answers, post)
-	if len(rep) != 2 {
-		t.Fatalf("report covers %d workers; want 2 (worker 3 has no judged pairs): %+v", len(rep), rep)
-	}
-	w1 := rep[1]
-	if w1.Accuracy != 1 || w1.Answers != 2 || w1.MatchesSeen != 1 || w1.NonMatchesSeen != 1 || w1.ClassesSeen() != 2 {
-		t.Errorf("worker 1 = %+v; want perfect accuracy over both classes", w1)
-	}
-	w2 := rep[2]
-	if w2.Accuracy != 0.5 || w2.Answers != 2 {
-		t.Errorf("worker 2 = %+v; want accuracy 0.5 over 2 answers", w2)
-	}
-	if w2.MatchesSeen != 0 || w2.NonMatchesSeen != 2 || w2.ClassesSeen() != 1 {
-		t.Errorf("worker 2 coverage = %+v; want single-class (2 non-matches, 0 matches)", w2)
-	}
-	// The wrapper agrees with the report, so existing accuracy consumers
-	// see unchanged numbers.
-	acc := WorkerAccuracy(answers, post)
-	if len(acc) != len(rep) {
-		t.Fatalf("WorkerAccuracy covers %d workers; WorkerReport %d", len(acc), len(rep))
-	}
-	for w, s := range rep {
-		if acc[w] != s.Accuracy {
-			t.Errorf("WorkerAccuracy[%d] = %v; WorkerReport says %v", w, acc[w], s.Accuracy)
-		}
-	}
-}
-
-func TestWorkerAccuracy(t *testing.T) {
-	answers := []Answer{
-		{Pair: mk(0, 1), Worker: 1, Match: true},
-		{Pair: mk(0, 1), Worker: 2, Match: false},
-		{Pair: mk(2, 3), Worker: 1, Match: false},
-		{Pair: mk(2, 3), Worker: 2, Match: false},
-	}
-	post := Posterior{mk(0, 1): 0.9, mk(2, 3): 0.1}
-	acc := WorkerAccuracy(answers, post)
-	if acc[1] != 1.0 {
-		t.Errorf("worker 1 accuracy = %v; want 1", acc[1])
-	}
-	if acc[2] != 0.5 {
-		t.Errorf("worker 2 accuracy = %v; want 0.5", acc[2])
-	}
-}
-
 // Satellite: incremental Dawid–Skene re-aggregation under partial answer
 // sets — the async execute stage re-aggregates the answers collected so
 // far each time a HIT completes. Re-aggregating the growing union after

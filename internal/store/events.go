@@ -127,6 +127,12 @@ type PairVal struct {
 // Ops preserve the live mutation order — the transitive scheduler
 // interleaves asked and deduced verdicts within one commit, and replay
 // must observe the same first-insert semantics the cache applied live.
+//
+// Posteriors is written only by machine-only sessions, whose "posterior"
+// is each new pair's machine likelihood: a fact, logged per delta. Crowd
+// sessions log answers and let recovery re-aggregate them; logs written
+// before that carry a full posterior set per delta, which replay still
+// applies and the resolver's restore then overwrites.
 type Op struct {
 	Put          *PutOp             `json:"put,omitempty"`
 	Deduce       *DeduceOp          `json:"ded,omitempty"`
@@ -213,6 +219,10 @@ func (*Pending) durable() bool { return true }
 // deduction proof, plus un-judged partial answers. Dumping the cache
 // directly (rather than re-deriving per-method events) is what makes a
 // snapshot bit-exact regardless of the mutation order that produced it.
+// The posteriors it carries are not authoritative: the log does not see
+// a crowd session's aggregations, so asked and deduced entries hold
+// whatever replay left them, and the resolver's restore re-derives them.
+// Machine entries' posteriors and machine-only likelihoods are facts.
 type CacheState struct {
 	Entries  []verdicts.Entry   `json:"entries"`
 	Partials []aggregate.Answer `json:"partials,omitempty"`

@@ -78,13 +78,7 @@ func Open(dir string, opts Options) (*FileLog, *Recovered, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: read snapshot: %w", err)
 		}
-		valid, torn, err := scanFrames(name, data, func(payload []byte) error {
-			ev, err := decodeEvent(payload)
-			if err != nil {
-				return err
-			}
-			return st.apply(ev)
-		})
+		valid, torn, err := ReadEvents(name, data, st.apply)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -99,13 +93,7 @@ func Open(dir string, opts Options) (*FileLog, *Recovered, error) {
 	walPath := filepath.Join(dir, walName(seq))
 	var walValid int64
 	if data, err := os.ReadFile(walPath); err == nil {
-		valid, _, err := scanFrames(walName(seq), data, func(payload []byte) error {
-			ev, err := decodeEvent(payload)
-			if err != nil {
-				return err
-			}
-			return st.apply(ev)
-		})
+		valid, _, err := ReadEvents(walName(seq), data, st.apply)
 		if err != nil {
 			return nil, nil, err
 		}

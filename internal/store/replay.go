@@ -148,9 +148,10 @@ type Recovered struct {
 	Boundaries []int
 	// Pending are the candidate pairs awaiting crowdsourcing.
 	Pending []simjoin.ScoredPair
-	// Cache is the verdict cache — paid answers, posteriors, provenance,
-	// deduction proofs, partial fragments, plus the in-flight answers of
-	// the crashed run folded in as partials.
+	// Cache is the verdict cache — paid answers, provenance, deduction
+	// proofs, machine verdicts, partial fragments, plus the in-flight
+	// answers of the crashed run folded in as partials. Its aggregated
+	// and deduced posteriors are not authoritative (see CacheState).
 	Cache *verdicts.Cache
 	// Queue is the queue backend's state, or nil if the session never
 	// posted to a queue.

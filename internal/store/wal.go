@@ -1,7 +1,8 @@
 // Package store is the durable session storage behind the resolver: a
-// write-ahead log of every state mutation — record appends, candidate
-// prunes, verdict commits (asked and deduced, with provenance), posted
-// HITs, claim leases, raw answers, retractions — plus periodic
+// write-ahead log of every fact a session learns — record appends,
+// candidate prunes, verdict commits (asked, deduced and machine, with
+// provenance), posted HITs, claim leases, raw answers, retractions —
+// but not what the session derives from them, plus periodic
 // compacting snapshots, so recovering a session is "load snapshot, replay
 // WAL tail" rather than re-running (and re-paying) any crowd work.
 //
@@ -117,6 +118,20 @@ func scanFrames(file string, data []byte, fn func(payload []byte) error) (valid 
 		off += frameHdrSize + n
 	}
 	return int64(off), false, nil
+}
+
+// ReadEvents decodes the events framed in data — the bytes of one WAL or
+// snapshot file, named file in errors — and calls fn with each in order.
+// Its results are scanFrames': a torn tail ends the scan quietly,
+// corruption or an undecodable event fails it.
+func ReadEvents(file string, data []byte, fn func(Event) error) (valid int64, torn bool, err error) {
+	return scanFrames(file, data, func(payload []byte) error {
+		ev, err := decodeEvent(payload)
+		if err != nil {
+			return err
+		}
+		return fn(ev)
+	})
 }
 
 // writeFrame writes one framed payload to w.

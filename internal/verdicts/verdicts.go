@@ -69,6 +69,9 @@ type Entry struct {
 	// Posterior is the pair's match probability from the most recent
 	// aggregation over the whole cache. For deduced entries it is derived
 	// from the proof's supporting pairs, not from Dawid–Skene directly.
+	// An aggregated or deduced posterior is derived from the answers, so
+	// the owning session recomputes it rather than trusting a restored
+	// value; a machine entry's posterior is the router's call, a fact.
 	Posterior float64
 	// Provenance distinguishes crowd-judged pairs from deduced ones.
 	Provenance Provenance
@@ -335,13 +338,16 @@ func (c *Cache) PartialLen() int { return len(c.partial) }
 // (aggregate.SortCanonical): a pure function of the answer *set*,
 // independent of the batch sequence that produced it, which is what
 // makes re-aggregation after k deltas bit-identical to aggregating a
-// single from-scratch run.
+// single from-scratch run. The canonical order is pair-major, so walking
+// the maintained pair order and sorting each pair's few answers yields
+// it without a global sort.
 func (c *Cache) AllAnswers() []aggregate.Answer {
 	var out []aggregate.Answer
-	for _, e := range c.entries {
-		out = append(out, e.Answers...)
+	for _, p := range c.Pairs() {
+		lo := len(out)
+		out = append(out, c.entries[p].Answers...)
+		aggregate.SortCanonical(out[lo:])
 	}
-	aggregate.SortCanonical(out)
 	return out
 }
 

@@ -8,13 +8,16 @@ import (
 	"github.com/crowder/crowder/internal/store"
 )
 
-// Store is the durable session log (see internal/store): every state
-// mutation a Resolver or queue backend makes — appended records, posted
-// HITs, claim leases, raw answers, aggregated verdicts with provenance,
+// Store is the durable session log (see internal/store): every fact a
+// Resolver or queue backend learns — appended records, posted HITs,
+// claim leases, raw answers, verdicts with provenance (asked, deduced
+// with their proofs, machine with the router's confidence),
 // retractions — is logged as an event, and a crashed session recovers
-// from the log bit-identically to one that never crashed. The default
-// (Options.Store nil) is the in-memory no-op store: behavior identical
-// to a build without persistence.
+// from the log bit-identically to one that never crashed. Aggregated
+// posteriors are not logged: they are a function of the answers, and
+// recovery re-aggregates once. The default (Options.Store nil) is the
+// in-memory no-op store: behavior identical to a build without
+// persistence.
 type Store = store.Store
 
 // StoreOptions configures the file-backed store (snapshot cadence).
@@ -79,6 +82,13 @@ func EnsureHITIDFloor(n int) {
 // must match the crashed session's (the service persists and re-derives
 // them); the aggregator is cross-checked against the logged identity.
 //
+// The restored posteriors are derived, not read: RestoreResolver runs
+// the aggregation commit a delta runs — aggregate every cached answer,
+// then re-derive the deduced confidences — and any posterior the log
+// holds (older logs journaled them) is overwritten. A crash after a
+// round committed its answers but before the delta aggregated them
+// therefore restores the fresh aggregate of the answers on disk.
+//
 // The next ResolveDelta adopts the recovered in-flight HITs by content
 // instead of re-posting them — a restarted session re-issues zero HITs
 // for pairs the crowd already judged or still holds.
@@ -113,5 +123,6 @@ func RestoreResolver(rec *Recovered, opts Options) (*Resolver, error) {
 	// learner does not need to — it is a pure function of the recovered
 	// cache and is rebuilt lazily at the next route.
 	r.spent = rec.Meta.Spent
+	r.aggregateLocked()
 	return r, nil
 }

@@ -318,8 +318,12 @@ type WorkerStat struct {
 // session's current posteriors, sorted by worker ID — the
 // spammer-detection diagnostic, with the coverage that tells a spammer
 // (low accuracy, both classes seen) from a statistically unanchored
-// worker (any accuracy, one class seen). Empty until the first delta
-// aggregates.
+// worker (any accuracy, one class seen). It is empty until a crowd
+// round commits answers. Partial answers of a cancelled delta never
+// count; but if the cancelled delta's earlier rounds committed answers
+// in full, those count against posteriors not yet aggregated (0, a
+// decided non-match, for a pair new to the session) until the next
+// delta aggregates — or a restore, which aggregates once.
 func (r *Resolver) WorkerStats() []WorkerStat {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -327,30 +331,60 @@ func (r *Resolver) WorkerStats() []WorkerStat {
 }
 
 // workerStatsLocked is WorkerStats for a caller holding r.mu in either
-// mode.
+// mode: one pass over the cached answers, each judged against its
+// pair's current posterior.
 func (r *Resolver) workerStatsLocked() []WorkerStat {
-	answers := r.cache.AllAnswers()
-	if len(answers) == 0 {
-		return nil
-	}
-	post := make(aggregate.Posterior)
+	var out []WorkerStat
+	at := make(map[int]int) // worker → index into out
 	for _, p := range r.cache.Pairs() {
-		post[p] = r.cache.Get(p).Posterior
+		e := r.cache.Get(p)
+		decided := e.Posterior >= 0.5
+		for _, a := range e.Answers {
+			i, ok := at[a.Worker]
+			if !ok {
+				i = len(out)
+				at[a.Worker] = i
+				out = append(out, WorkerStat{Worker: a.Worker})
+			}
+			s := &out[i]
+			s.Answers++
+			if decided {
+				s.MatchesSeen++
+			} else {
+				s.NonMatchesSeen++
+			}
+			if a.Match == decided {
+				s.Accuracy++ // agreements, normalised below
+			}
+		}
 	}
-	rep := aggregate.WorkerReport(answers, post)
-	out := make([]WorkerStat, 0, len(rep))
-	for w, s := range rep {
-		out = append(out, WorkerStat{
-			Worker:         w,
-			Accuracy:       s.Accuracy,
-			Answers:        s.Answers,
-			MatchesSeen:    s.MatchesSeen,
-			NonMatchesSeen: s.NonMatchesSeen,
-			ClassesSeen:    s.ClassesSeen(),
-		})
+	for i := range out {
+		s := &out[i]
+		s.Accuracy /= float64(s.Answers)
+		s.ClassesSeen = min(s.MatchesSeen, 1) + min(s.NonMatchesSeen, 1)
 	}
 	slices.SortFunc(out, func(a, b WorkerStat) int { return cmp.Compare(a.Worker, b.Worker) })
 	return out
+}
+
+// aggregateLocked is the session's aggregation commit: it re-aggregates
+// every cached answer with the session's aggregator, records the
+// posteriors on the cache and re-derives the deduced verdicts'
+// confidences from them, returning the aggregated posteriors (empty
+// before the first answer). All of it is a pure function of facts the
+// log already holds — answers, proofs — so none of it is logged:
+// stageAggregate runs it every delta and RestoreResolver once. The
+// caller holds r.mu for writing (or owns r exclusively).
+func (r *Resolver) aggregateLocked() aggregate.Posterior {
+	var post aggregate.Posterior
+	if answers := r.cache.AllAnswers(); len(answers) > 0 {
+		// The cache was bound to this aggregator's identity when the
+		// session was created, so one session never mixes modes.
+		post = r.agg.Aggregate(answers)
+		r.cache.SetPosteriors(post)
+	}
+	deriveDeduced(r.cache)
+	return post
 }
 
 // Verdict returns the cached confidence for a pair (crowd posterior, or

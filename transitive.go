@@ -421,29 +421,52 @@ func unanimous(answers []aggregate.Answer, match bool) bool {
 	return m == 0
 }
 
-// appendDeducedMatches adds the cache's deduced verdicts to the match
-// list with confidences re-derived from the current posteriors of their
-// proofs, returning how many were added. Asked pairs are already in the
-// list via the aggregation posterior.
-func appendDeducedMatches(cache *verdicts.Cache, ms *[]Match) int {
-	n := 0
-	for _, p := range cache.Pairs() {
+// deriveDeduced re-derives every deduced verdict's confidence from the
+// current posteriors of its proof. A proof can rest on a pair deduced
+// after it (a machine verdict the router demoted, then deduced from
+// independent evidence); that pair is derived first, so every result is
+// a function of the asked and machine posteriors alone — not of the
+// visiting order, nor of values an earlier delta left behind, which a
+// restored session does not have.
+func deriveDeduced(cache *verdicts.Cache) {
+	done := make(map[record.Pair]bool)
+	var post func(record.Pair) (float64, bool)
+	post = func(p record.Pair) (float64, bool) {
 		e := cache.Get(p)
-		if e.Provenance != verdicts.Deduced {
-			continue
+		if e == nil {
+			return 0, false
 		}
-		e.Posterior = deducedConfidence(cache, e.Deduction)
-		*ms = append(*ms, Match{
-			Pair:       Pair{A: int(p.A), B: int(p.B)},
-			Confidence: e.Posterior,
-		})
-		n++
+		if e.Provenance == verdicts.Deduced && !done[p] {
+			done[p] = true // marked first: a cyclic proof (a corrupt log) reads the stored value
+			e.Posterior = deducedConfidence(e.Deduction, post)
+		}
+		return e.Posterior, true
 	}
-	return n
+	for _, p := range cache.Pairs() {
+		post(p)
+	}
+}
+
+// appendInferredMatches adds the cache's deduced and machine-resolved
+// verdicts to the match list, returning how many were added: deduced
+// pairs with their derived confidence, machine pairs with the router's
+// calibrated one. Asked pairs are already in the list via the
+// aggregation posterior.
+func appendInferredMatches(cache *verdicts.Cache, ms *[]Match) int {
+	n := len(*ms)
+	for _, p := range cache.Pairs() {
+		if e := cache.Get(p); e.Provenance != verdicts.Asked {
+			*ms = append(*ms, Match{
+				Pair:       Pair{A: int(p.A), B: int(p.B)},
+				Confidence: e.Posterior,
+			})
+		}
+	}
+	return len(*ms) - n
 }
 
 // deducedConfidence converts a deduction's proof into a match
-// probability using the current posteriors of its supporting asked
+// probability using the posteriors post reports for its supporting
 // pairs. A chain of matches is only as strong as its weakest link, so
 // the proof strength is the minimum posterior along the path — for a
 // negative deduction additionally min'd with the witness non-match's
@@ -458,18 +481,18 @@ func appendDeducedMatches(cache *verdicts.Cache, ms *[]Match) int {
 // "nothing is known" — never past it. (The naive complement 1−s would
 // invert: the more broken the non-match proof, the more confidently the
 // pair would be published as a match.)
-func deducedConfidence(cache *verdicts.Cache, d *transitivity.Deduction) float64 {
+func deducedConfidence(d *transitivity.Deduction, post func(record.Pair) (float64, bool)) float64 {
 	strength := 1.0
 	for _, p := range d.Path {
-		if e := cache.Get(p); e != nil && e.Posterior < strength {
-			strength = e.Posterior
+		if v, ok := post(p); ok && v < strength {
+			strength = v
 		}
 	}
 	if !d.Negative {
 		return strength
 	}
-	if e := cache.Get(d.Witness); e != nil && 1-e.Posterior < strength {
-		strength = 1 - e.Posterior
+	if v, ok := post(d.Witness); ok && 1-v < strength {
+		strength = 1 - v
 	}
 	return (1 - strength) / 2
 }
