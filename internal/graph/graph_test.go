@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,62 +21,124 @@ func paperPairs() []record.Pair {
 	}
 }
 
+// v returns the vertex index of record id.
+func (g *Graph) v(id record.ID) int32 {
+	i, ok := slices.BinarySearch(g.ids, id)
+	if !ok {
+		panic("no vertex")
+	}
+	return int32(i)
+}
+
+// liveNeighbors returns v's neighbours over live edges, as record IDs.
+func (g *Graph) liveNeighbors(v int32) []record.ID {
+	var out []record.ID
+	nbrs, edges := g.Row(v)
+	for i, u := range nbrs {
+		if g.Alive(edges[i]) {
+			out = append(out, g.ids[u])
+		}
+	}
+	return out
+}
+
 func TestFromPairsBasics(t *testing.T) {
 	g := FromPairs(paperPairs())
-	if g.NumVertices() != 9 {
-		t.Errorf("NumVertices = %d; want 9", g.NumVertices())
+	if len(g.IDs()) != 9 {
+		t.Errorf("%d vertices; want 9", len(g.IDs()))
 	}
 	if g.NumEdges() != 10 {
 		t.Errorf("NumEdges = %d; want 10", g.NumEdges())
 	}
-	if !g.HasEdge(1, 2) || !g.HasEdge(2, 1) {
-		t.Error("HasEdge should be symmetric")
+	if !slices.Contains(g.liveNeighbors(g.v(1)), 2) || !slices.Contains(g.liveNeighbors(g.v(2)), 1) {
+		t.Error("adjacency should be symmetric")
 	}
-	if g.HasEdge(1, 9) {
+	if slices.Contains(g.liveNeighbors(g.v(1)), 9) {
 		t.Error("edge (1,9) should not exist")
 	}
 }
 
-func TestAddEdgeIdempotentAndSelfLoop(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(1, 1)
+// Repeated pairs in either orientation are one edge, a self-loop is none,
+// and a record seen only in a self-loop is a vertex in no component.
+func TestFromPairsDedupAndSelfLoop(t *testing.T) {
+	g := FromPairs([]record.Pair{{A: 1, B: 2}, {A: 2, B: 1}, {A: 1, B: 1}, {A: 3, B: 3}, {A: 1, B: 2}})
 	if g.NumEdges() != 1 {
 		t.Errorf("NumEdges = %d; want 1", g.NumEdges())
 	}
-	if g.NumVertices() != 2 {
-		t.Errorf("NumVertices = %d; want 2", g.NumVertices())
+	if got := g.ConnectedComponents(); len(got) != 1 || !slices.Equal(got[0].Vertices, []record.ID{1, 2}) {
+		t.Errorf("components = %v; want [[1 2]]", got)
+	}
+	if d := g.Degree(g.v(3)); d != 0 {
+		t.Errorf("Degree(r3) = %d; want 0", d)
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
+// Renumber numbers the distinct endpoints in ascending ID order, whatever
+// their range or sign.
+func TestRenumber(t *testing.T) {
+	ids, ends := Renumber([]record.Pair{{A: 1 << 40, B: -7}, {A: 5, B: 1 << 40}, {A: 5, B: 5}})
+	if want := []record.ID{-7, 5, 1 << 40}; !slices.Equal(ids, want) {
+		t.Errorf("ids = %v; want %v", ids, want)
+	}
+	if want := []int32{2, 0, 1, 2, 1, 1}; !slices.Equal(ends, want) {
+		t.Errorf("ends = %v; want %v", ends, want)
+	}
+}
+
+// Peel removes exactly the live edges inside the vertex set; a vertex
+// left with none is dead and no traversal starts from it.
+func TestPeel(t *testing.T) {
 	g := FromPairs(paperPairs())
-	g.RemoveEdge(8, 9)
-	if g.HasEdge(8, 9) {
-		t.Error("edge should be removed")
+	g.Peel([]int32{g.v(8), g.v(9)})
+	if g.NumEdges() != 9 || g.Degree(g.v(8)) != 0 || g.Degree(g.v(9)) != 0 {
+		t.Errorf("after peeling (8,9): %d edges, degrees %d, %d", g.NumEdges(), g.Degree(g.v(8)), g.Degree(g.v(9)))
 	}
-	if g.NumEdges() != 9 {
-		t.Errorf("NumEdges = %d; want 9", g.NumEdges())
+	// Section 3.2's optimal H1 = {r1, r2, r3, r7} covers 4 edges; peeling
+	// it again removes nothing.
+	h1 := []int32{g.v(1), g.v(2), g.v(3), g.v(7)}
+	for _, want := range []int{5, 5} {
+		if g.Peel(h1); g.NumEdges() != want {
+			t.Errorf("after peeling H1: %d edges; want %d", g.NumEdges(), want)
+		}
 	}
-	// Vertices 8, 9 became isolated and must be dropped.
-	if g.NumVertices() != 7 {
-		t.Errorf("NumVertices = %d; want 7", g.NumVertices())
+	if got := g.BFSPrefix(math.MaxInt); !slices.Equal(got, []int32{g.v(3), g.v(4), g.v(5), g.v(6), g.v(7)}) {
+		t.Errorf("live BFS = %v; want r3 r4 r5 r6 r7", got)
 	}
-	// Removing a non-existent edge is a no-op.
-	g.RemoveEdge(8, 9)
-	if g.NumEdges() != 9 {
-		t.Error("double remove changed the edge count")
+	if got := g.liveNeighbors(g.v(4)); !slices.Equal(got, []record.ID{3, 5, 6, 7}) {
+		t.Errorf("live neighbours of r4 = %v", got)
+	}
+	if got := g.liveNeighbors(g.v(2)); len(got) != 0 {
+		t.Errorf("live neighbours of r2 = %v; want none", got)
+	}
+	// Components are those of the graph as built.
+	if got := g.ConnectedComponents(); len(got) != 2 {
+		t.Errorf("%d components after peeling; want 2", len(got))
+	}
+}
+
+// The traversal cursor sits on the smallest live vertex once peeling has
+// killed the vertices below it.
+func TestCursorSkipsDead(t *testing.T) {
+	g := randomGraph(3, 40, 80)
+	for g.NumEdges() > 0 {
+		live := g.liveVertices()
+		if got := g.live(); got != live[0] {
+			t.Fatalf("cursor at %d; the smallest live vertex is %d", got, live[0])
+		}
+		g.Peel(g.BFSPrefix(3))
+	}
+	if got := g.live(); int(got) != len(g.IDs()) {
+		t.Errorf("cursor at %d on a graph with no edges; want %d", got, len(g.IDs()))
 	}
 }
 
 func TestDegreePaperExample(t *testing.T) {
 	// Figure 8(a): r4 has the maximum degree (4).
 	g := FromPairs(paperPairs())
-	if d := g.Degree(4); d != 4 {
+	if d := g.Degree(g.v(4)); d != 4 {
 		t.Errorf("Degree(r4) = %d; want 4", d)
 	}
-	if d := g.Degree(1); d != 2 {
+	if d := g.Degree(g.v(1)); d != 2 {
 		t.Errorf("Degree(r1) = %d; want 2", d)
 	}
 }
@@ -104,129 +168,107 @@ func TestConnectedComponentsPaperExample(t *testing.T) {
 
 func TestVerticesAndNeighborsSorted(t *testing.T) {
 	g := FromPairs(paperPairs())
-	vs := g.Vertices()
-	for i := 1; i < len(vs); i++ {
-		if vs[i-1] >= vs[i] {
-			t.Fatal("Vertices not sorted")
-		}
+	if !slices.IsSorted(g.IDs()) {
+		t.Fatal("vertices not in ascending ID order")
 	}
-	ns := g.Neighbors(4)
-	want := []record.ID{3, 5, 6, 7}
-	if len(ns) != len(want) {
-		t.Fatalf("Neighbors(4) = %v; want %v", ns, want)
-	}
-	for i := range want {
-		if ns[i] != want[i] {
-			t.Fatalf("Neighbors(4) = %v; want %v", ns, want)
-		}
+	if ns := g.liveNeighbors(g.v(4)); !slices.Equal(ns, []record.ID{3, 5, 6, 7}) {
+		t.Fatalf("neighbours of r4 = %v; want [3 5 6 7]", ns)
 	}
 }
 
-func TestEdgesDeterministic(t *testing.T) {
-	g := FromPairs(paperPairs())
-	es := g.Edges()
-	if len(es) != 10 {
-		t.Fatalf("Edges len = %d; want 10", len(es))
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i-1].A > es[i].A || (es[i-1].A == es[i].A && es[i-1].B >= es[i].B) {
-			t.Fatal("Edges not in canonical sorted order")
+// Both half-edges of an edge carry its id, and the ids number the edges.
+func TestEdgeIDs(t *testing.T) {
+	g := randomGraph(7, 30, 60)
+	seen := make([]int, g.NumEdges())
+	for v := range int32(len(g.IDs())) {
+		nbrs, edges := g.Row(v)
+		for i, u := range nbrs {
+			un, ue := g.Row(u)
+			j, ok := slices.BinarySearch(un, v)
+			if !ok || ue[j] != edges[i] {
+				t.Fatalf("edge %d→%d has id %d; its twin differs", v, u, edges[i])
+			}
+			seen[edges[i]]++
 		}
 	}
-}
-
-func TestClone(t *testing.T) {
-	g := FromPairs(paperPairs())
-	c := g.Clone()
-	c.RemoveEdge(1, 2)
-	if !g.HasEdge(1, 2) {
-		t.Error("mutating clone affected original")
-	}
-	if c.NumEdges() != g.NumEdges()-1 {
-		t.Error("clone edge count wrong after removal")
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := FromPairs(paperPairs())
-	sub := g.Subgraph([]record.ID{1, 2, 3, 7})
-	// Edges within {1,2,3,7}: (1,2), (1,7), (2,7), (2,3).
-	if sub.NumEdges() != 4 {
-		t.Errorf("subgraph edges = %d; want 4", sub.NumEdges())
-	}
-	if sub.HasEdge(3, 4) {
-		t.Error("subgraph should not contain (3,4)")
+	for e, n := range seen {
+		if n != 2 {
+			t.Fatalf("edge id %d on %d half-edges; want 2", e, n)
+		}
 	}
 }
 
 func TestBFSOrderVisitsAll(t *testing.T) {
 	g := FromPairs(paperPairs())
-	order := g.BFSOrder()
-	if len(order) != g.NumVertices() {
-		t.Fatalf("BFS visited %d vertices; want %d", len(order), g.NumVertices())
+	order := g.BFSPrefix(math.MaxInt)
+	if len(order) != len(g.IDs()) {
+		t.Fatalf("BFS visited %d vertices; want %d", len(order), len(g.IDs()))
 	}
 	// BFS from vertex 1 visits 1, then neighbors 2 and 7, etc.
-	if order[0] != 1 || order[1] != 2 || order[2] != 7 {
-		t.Errorf("BFS prefix = %v; want [1 2 7 ...]", order[:3])
+	if want := []int32{g.v(1), g.v(2), g.v(7)}; !slices.Equal(order[:3], want) {
+		t.Errorf("BFS prefix = %v; want %v", order[:3], want)
 	}
 }
 
 func TestDFSOrderVisitsAll(t *testing.T) {
 	g := FromPairs(paperPairs())
-	order := g.DFSOrder()
-	if len(order) != g.NumVertices() {
-		t.Fatalf("DFS visited %d vertices; want %d", len(order), g.NumVertices())
+	order := g.DFSPrefix(math.MaxInt)
+	if len(order) != len(g.IDs()) {
+		t.Fatalf("DFS visited %d vertices; want %d", len(order), len(g.IDs()))
 	}
 	// DFS from 1 goes deep: 1 → 2 → 3 → 4 → ...
-	if order[0] != 1 || order[1] != 2 || order[2] != 3 || order[3] != 4 {
-		t.Errorf("DFS prefix = %v; want [1 2 3 4 ...]", order[:4])
+	if want := []int32{g.v(1), g.v(2), g.v(3), g.v(4)}; !slices.Equal(order[:4], want) {
+		t.Errorf("DFS prefix = %v; want %v", order[:4], want)
 	}
 }
 
-func TestEdgesCoveredBy(t *testing.T) {
-	g := FromPairs(paperPairs())
-	// Section 3.2's optimal H1 = {r1, r2, r3, r7} covers 4 edges.
-	cov := g.EdgesCoveredBy([]record.ID{1, 2, 3, 7})
-	if len(cov) != 4 {
-		t.Errorf("covered %d edges; want 4", len(cov))
-	}
-}
-
-// randomGraph builds a deterministic pseudo-random graph for properties.
+// randomGraph builds a deterministic pseudo-random graph for properties;
+// some pairs are self-loops.
 func randomGraph(seed int64, n, m int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
-	for i := 0; i < m; i++ {
-		a := record.ID(rng.Intn(n))
-		b := record.ID(rng.Intn(n))
-		g.AddEdge(a, b)
+	pairs := make([]record.Pair, m)
+	for i := range pairs {
+		pairs[i] = record.Pair{A: record.ID(rng.Intn(n)), B: record.ID(rng.Intn(n))}
 	}
-	return g
+	return FromPairs(pairs)
 }
 
-// Property: connected components partition the vertex set and edges never
-// cross components.
+// liveVertices lists the vertices with a live edge.
+func (g *Graph) liveVertices() []int32 {
+	var out []int32
+	for v := range int32(len(g.IDs())) {
+		if g.Degree(v) > 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// Property: connected components partition the vertices with edges, and
+// edges never cross components.
 func TestComponentsPartitionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 30, 40)
-		comps := g.ConnectedComponents()
-		seen := make(map[record.ID]int)
+		comp := make([]int, len(g.IDs()))
 		total := 0
-		for ci, c := range comps {
-			total += c.Size()
-			for _, v := range c.Vertices {
-				if _, dup := seen[v]; dup {
+		for ci, c := range g.Components() {
+			total += len(c)
+			for _, v := range c {
+				if comp[v] != 0 {
 					return false
 				}
-				seen[v] = ci
+				comp[v] = ci + 1
 			}
 		}
-		if total != g.NumVertices() {
+		if total != len(g.liveVertices()) {
 			return false
 		}
-		for _, e := range g.Edges() {
-			if seen[e.A] != seen[e.B] {
-				return false
+		for v := range int32(len(g.IDs())) {
+			nbrs, _ := g.Row(v)
+			for _, u := range nbrs {
+				if comp[u] != comp[v] {
+					return false
+				}
 			}
 		}
 		return true
@@ -236,20 +278,13 @@ func TestComponentsPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: BFS and DFS orders are permutations of the vertex set.
+// Property: BFS and DFS orders are permutations of the live vertices.
 func TestTraversalPermutationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 25, 30)
-		for _, order := range [][]record.ID{g.BFSOrder(), g.DFSOrder()} {
-			if len(order) != g.NumVertices() {
+		for _, order := range [][]int32{g.BFSPrefix(math.MaxInt), g.DFSPrefix(math.MaxInt)} {
+			if !slices.Equal(slices.Sorted(slices.Values(order)), g.liveVertices()) {
 				return false
-			}
-			seen := make(map[record.ID]bool)
-			for _, v := range order {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
 			}
 		}
 		return true
@@ -259,26 +294,33 @@ func TestTraversalPermutationProperty(t *testing.T) {
 	}
 }
 
-// Property: sum of degrees = 2 × #edges.
+// Property: sum of degrees = 2 × #edges, before and after a peel.
 func TestHandshakeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 20, 35)
-		sum := 0
-		for _, v := range g.Vertices() {
-			sum += g.Degree(v)
+		for range 2 {
+			sum := 0
+			for v := range int32(len(g.IDs())) {
+				sum += g.Degree(v)
+			}
+			if sum != 2*g.NumEdges() {
+				return false
+			}
+			g.Peel(g.BFSPrefix(5))
 		}
-		return sum == 2*g.NumEdges()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: EdgesCoveredBy(all vertices) returns every edge.
+// Property: peeling every vertex removes every edge.
 func TestFullCoverProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 15, 25)
-		return len(g.EdgesCoveredBy(g.Vertices())) == g.NumEdges()
+		g.Peel(g.liveVertices())
+		return g.NumEdges() == 0 && len(g.liveVertices()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -287,61 +329,37 @@ func TestFullCoverProperty(t *testing.T) {
 
 func TestBFSPrefixMatchesFullOrder(t *testing.T) {
 	g := FromPairs(paperPairs())
-	full := g.BFSOrder()
+	full := g.BFSPrefix(math.MaxInt)
 	for _, k := range []int{1, 3, 5, 9, 20} {
-		prefix := g.BFSPrefix(k)
-		want := k
-		if want > len(full) {
-			want = len(full)
-		}
-		if len(prefix) != want {
-			t.Fatalf("BFSPrefix(%d) has %d vertices; want %d", k, len(prefix), want)
-		}
-		for i := range prefix {
-			if prefix[i] != full[i] {
-				t.Fatalf("BFSPrefix(%d)[%d] = %v; full order has %v", k, i, prefix[i], full[i])
-			}
+		if prefix := g.BFSPrefix(k); !slices.Equal(prefix, full[:min(k, len(full))]) {
+			t.Fatalf("BFSPrefix(%d) = %v; full order %v", k, prefix, full)
 		}
 	}
 }
 
 func TestDFSPrefixMatchesFullOrder(t *testing.T) {
 	g := FromPairs(paperPairs())
-	full := g.DFSOrder()
+	full := g.DFSPrefix(math.MaxInt)
 	for _, k := range []int{1, 4, 9, 15} {
-		prefix := g.DFSPrefix(k)
-		want := k
-		if want > len(full) {
-			want = len(full)
-		}
-		if len(prefix) != want {
-			t.Fatalf("DFSPrefix(%d) has %d vertices; want %d", k, len(prefix), want)
-		}
-		for i := range prefix {
-			if prefix[i] != full[i] {
-				t.Fatalf("DFSPrefix(%d)[%d] = %v; full order has %v", k, i, prefix[i], full[i])
-			}
+		if prefix := g.DFSPrefix(k); !slices.Equal(prefix, full[:min(k, len(full))]) {
+			t.Fatalf("DFSPrefix(%d) = %v; full order %v", k, prefix, full)
 		}
 	}
 }
 
-// Property: prefixes agree with full traversals on random graphs.
+// Property: prefixes agree with full traversals on random graphs, also
+// once peeling has killed vertices.
 func TestPrefixConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 20, 30)
-		bfs, dfs := g.BFSOrder(), g.DFSOrder()
-		for _, k := range []int{1, 5, 50} {
-			bp, dp := g.BFSPrefix(k), g.DFSPrefix(k)
-			for i := range bp {
-				if bp[i] != bfs[i] {
+		for range 3 {
+			bfs, dfs := g.BFSPrefix(math.MaxInt), g.DFSPrefix(math.MaxInt)
+			for _, k := range []int{1, 5, 50} {
+				if !slices.Equal(g.BFSPrefix(k), bfs[:min(k, len(bfs))]) || !slices.Equal(g.DFSPrefix(k), dfs[:min(k, len(dfs))]) {
 					return false
 				}
 			}
-			for i := range dp {
-				if dp[i] != dfs[i] {
-					return false
-				}
-			}
+			g.Peel(g.DFSPrefix(4))
 		}
 		return true
 	}
@@ -351,8 +369,8 @@ func TestPrefixConsistencyProperty(t *testing.T) {
 }
 
 func TestPrefixOnEmptyGraph(t *testing.T) {
-	g := New()
-	if len(g.BFSPrefix(5)) != 0 || len(g.DFSPrefix(5)) != 0 {
-		t.Error("prefixes of an empty graph should be empty")
+	g := FromPairs(nil)
+	if len(g.BFSPrefix(5)) != 0 || len(g.DFSPrefix(5)) != 0 || len(g.ConnectedComponents()) != 0 {
+		t.Error("an empty graph should have no prefixes and no components")
 	}
 }

@@ -1,6 +1,9 @@
 package hitgen
 
 import (
+	"slices"
+
+	"github.com/crowder/crowder/internal/graph"
 	"github.com/crowder/crowder/internal/record"
 )
 
@@ -21,35 +24,30 @@ type Approx struct{}
 // Name implements ClusterGenerator.
 func (Approx) Name() string { return "Approximation" }
 
-// seqElem is one element of SEQ: either a vertex or an edge.
-type seqElem struct {
-	isEdge bool
-	v      record.ID   // valid when !isEdge
-	e      record.Pair // valid when isEdge
-}
-
 // Generate implements ClusterGenerator.
 func (Approx) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
-	if err := checkK(k); err != nil {
+	if err := checkInput(pairs, k); err != nil {
 		return nil, err
 	}
-	g := buildGraph(pairs)
+	g := graph.FromPairs(pairs)
 
 	// Phase 1: build SEQ. The paper's Phase 1 selects vertices in arbitrary
 	// order; we take ascending ID order for determinism (the approximation
-	// guarantee is order-independent).
+	// guarantee is order-independent). Selecting v removes its edges, so
+	// the edges v still has are those to later vertices. An element is a
+	// vertex {v, v} or an edge {v, u}.
 	// Vertices whose edges were all consumed by earlier neighbors still
 	// enter SEQ as bare vertex elements, matching the paper's "all the
 	// vertices and edges" accounting (Example 2 counts nine vertex
 	// elements alongside the ten edges).
-	var seq []seqElem
-	for _, v := range g.Vertices() {
-		seq = append(seq, seqElem{v: v})
-		for _, u := range g.Neighbors(v) {
-			seq = append(seq, seqElem{isEdge: true, e: record.MakePair(v, u)})
-		}
-		for _, u := range g.Neighbors(v) {
-			g.RemoveEdge(v, u)
+	var seq [][2]int32
+	for v := range int32(len(g.IDs())) {
+		seq = append(seq, [2]int32{v, v})
+		nbrs, _ := g.Row(v)
+		for _, u := range nbrs {
+			if u > v {
+				seq = append(seq, [2]int32{v, u})
+			}
 		}
 	}
 
@@ -57,25 +55,12 @@ func (Approx) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
 	// Example 2: |SEQ| = 19 with k = 4 gives ⌈19/3⌉ = 7 HITs.
 	var hits []ClusterHIT
 	for start := 0; start < len(seq); start += k - 1 {
-		end := start + k - 1
-		if end > len(seq) {
-			end = len(seq)
+		var members []int32
+		for _, el := range seq[start:min(start+k-1, len(seq))] {
+			members = append(members, el[0], el[1])
 		}
-		members := make(map[record.ID]bool)
-		for _, el := range seq[start:end] {
-			if el.isEdge {
-				members[el.e.A] = true
-				members[el.e.B] = true
-			} else {
-				members[el.v] = true
-			}
-		}
-		hit := ClusterHIT{}
-		for r := range members {
-			hit.Records = append(hit.Records, r)
-		}
-		sortHIT(hit.Records)
-		hits = append(hits, hit)
+		slices.Sort(members)
+		hits = append(hits, ClusterHIT{Records: recordsOf(g.IDs(), slices.Compact(members))})
 	}
 	return hits, nil
 }

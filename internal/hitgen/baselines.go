@@ -2,7 +2,9 @@ package hitgen
 
 import (
 	"math/rand"
+	"slices"
 
+	"github.com/crowder/crowder/internal/graph"
 	"github.com/crowder/crowder/internal/record"
 )
 
@@ -20,22 +22,18 @@ func (Random) Name() string { return "Random" }
 
 // Generate implements ClusterGenerator.
 func (g Random) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
-	if err := checkK(k); err != nil {
+	if err := checkInput(pairs, k); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(g.Seed))
-	remaining := make([]record.Pair, len(pairs))
-	copy(remaining, pairs)
-
-	// Dense membership array: record IDs are small and dense, so a slice
-	// beats a map in the O(|P|) per-HIT sweep below.
-	maxID := record.ID(0)
-	for _, p := range pairs {
-		if p.B > maxID {
-			maxID = p.B
-		}
+	// The sweep runs over vertex indices; the positions of remaining
+	// match the input's, so the RNG draws are those of the pair list.
+	ids, ends := graph.Renumber(pairs)
+	remaining := make([][2]int32, len(pairs))
+	for i := range remaining {
+		remaining[i] = [2]int32{ends[2*i], ends[2*i+1]}
 	}
-	members := make([]bool, maxID+1)
+	members := make([]bool, len(ids))
 
 	var hits []ClusterHIT
 	for len(remaining) > 0 {
@@ -44,43 +42,38 @@ func (g Random) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
 		// only if it fits within the k-record budget; pairs that do not fit
 		// stay for later HITs, so termination is guaranteed (the first pair
 		// examined always fits since k >= 2).
-		var hitMembers []record.ID
-		size := 0
-		for i := 0; i < len(remaining) && size < k; i++ {
+		var hit []int32
+		for i := 0; i < len(remaining) && len(hit) < k; i++ {
 			j := i + rng.Intn(len(remaining)-i)
 			remaining[i], remaining[j] = remaining[j], remaining[i]
-			p := remaining[i]
 			add := 0
-			if !members[p.A] {
-				add++
+			for _, r := range remaining[i] {
+				if !members[r] {
+					add++
+				}
 			}
-			if !members[p.B] {
-				add++
-			}
-			if size+add > k {
+			if len(hit)+add > k {
 				continue
 			}
-			if !members[p.A] {
-				members[p.A] = true
-				hitMembers = append(hitMembers, p.A)
+			for _, r := range remaining[i] {
+				if !members[r] {
+					members[r] = true
+					hit = append(hit, r)
+				}
 			}
-			if !members[p.B] {
-				members[p.B] = true
-				hitMembers = append(hitMembers, p.B)
-			}
-			size += add
 		}
-		hits = append(hits, ClusterHIT{Records: sortHIT(hitMembers)})
+		slices.Sort(hit)
+		hits = append(hits, ClusterHIT{Records: recordsOf(ids, hit)})
 
 		// Remove every pair covered by this HIT and reset membership.
 		next := remaining[:0]
 		for _, p := range remaining {
-			if !(members[p.A] && members[p.B]) {
+			if !(members[p[0]] && members[p[1]]) {
 				next = append(next, p)
 			}
 		}
 		remaining = next
-		for _, r := range hitMembers {
+		for _, r := range hit {
 			members[r] = false
 		}
 	}
@@ -97,7 +90,7 @@ func (BFS) Name() string { return "BFS-based" }
 
 // Generate implements ClusterGenerator.
 func (BFS) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
-	if err := checkK(k); err != nil {
+	if err := checkInput(pairs, k); err != nil {
 		return nil, err
 	}
 	return traversalGenerate(pairs, k, true)
@@ -112,27 +105,24 @@ func (DFS) Name() string { return "DFS-based" }
 
 // Generate implements ClusterGenerator.
 func (DFS) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
-	if err := checkK(k); err != nil {
+	if err := checkInput(pairs, k); err != nil {
 		return nil, err
 	}
 	return traversalGenerate(pairs, k, false)
 }
 
 func traversalGenerate(pairs []record.Pair, k int, bfs bool) ([]ClusterHIT, error) {
-	g := buildGraph(pairs)
+	g := graph.FromPairs(pairs)
+	prefix := g.DFSPrefix
+	if bfs {
+		prefix = g.BFSPrefix
+	}
 	var hits []ClusterHIT
 	for g.NumEdges() > 0 {
-		var members []record.ID
-		if bfs {
-			members = g.BFSPrefix(k)
-		} else {
-			members = g.DFSPrefix(k)
-		}
-		hit := ClusterHIT{Records: sortHIT(members)}
-		hits = append(hits, hit)
-		for _, e := range g.EdgesCoveredBy(hit.Records) {
-			g.RemoveEdge(e.A, e.B)
-		}
+		members := prefix(k)
+		slices.Sort(members)
+		hits = append(hits, ClusterHIT{Records: recordsOf(g.IDs(), members)})
+		g.Peel(members)
 	}
 	return hits, nil
 }

@@ -1,6 +1,7 @@
 package hitgen
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/crowder/crowder/internal/record"
@@ -87,10 +88,6 @@ func WorstOrderComparisons(entitySizes []int) int {
 // the match relation restricted to the HIT (matching is transitively
 // closed within a HIT by the colour-labelling interface of Figure 4).
 func EntitySizes(h ClusterHIT, matches record.PairSet) []int {
-	idx := make(map[record.ID]int, len(h.Records))
-	for i, r := range h.Records {
-		idx[r] = i
-	}
 	// Union-find over the HIT's records.
 	parent := make([]int, len(h.Records))
 	for i := range parent {
@@ -117,14 +114,11 @@ func EntitySizes(h ClusterHIT, matches record.PairSet) []int {
 			}
 		}
 	}
-	counts := make(map[int]int)
+	counts := make([]int, len(h.Records))
 	for i := range h.Records {
 		counts[find(i)]++
 	}
-	sizes := make([]int, 0, len(counts))
-	for _, c := range counts {
-		sizes = append(sizes, c)
-	}
+	sizes := slices.DeleteFunc(counts, func(c int) bool { return c == 0 })
 	sort.Ints(sizes)
 	return sizes
 }

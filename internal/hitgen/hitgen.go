@@ -19,7 +19,6 @@ package hitgen
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/crowder/crowder/internal/graph"
 	"github.com/crowder/crowder/internal/record"
@@ -77,39 +76,57 @@ type ClusterGenerator interface {
 // records are in the HIT"). A cover lists its pairs as given, repeats
 // kept, in input order: the crowd simulator draws one RNG value per
 // covered pair, so the order is part of the output. Pair indices are
-// grouped by endpoint once, so the pass costs O(|P| + Σ_HIT Σ_member
-// deg(member)) rather than O(#HITs × |P|).
+// grouped by A endpoint once, on the pair graph's renumbering, so the pass
+// costs O(|P| + Σ_HIT Σ_member (log V + deg(member))) rather than
+// O(#HITs × |P|).
 //
 // The error names the first violation: an oversized HIT or a duplicate
 // record in HIT order, else the first uncovered pair in input order and
 // the number of uncovered input pairs.
 func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, error) {
-	byEnd := make(map[record.ID][]int32)
-	for i, p := range pairs {
-		byEnd[p.A] = append(byEnd[p.A], int32(i))
-		if p.B != p.A {
-			byEnd[p.B] = append(byEnd[p.B], int32(i))
-		}
+	// Row v of the endpoint index lists, ascending, the pairs whose A
+	// endpoint is vertex v: each covered pair is collected once, from A.
+	ids, ends := graph.Renumber(pairs)
+	start := make([]int32, len(ids)+1)
+	for i := 0; i < len(ends); i += 2 {
+		start[ends[i]+1]++
 	}
-	in := make(map[record.ID]int) // record → 1 + the last HIT holding it
+	for v := range ids {
+		start[v+1] += start[v]
+	}
+	byA := make([]int32, len(pairs))
+	fill := slices.Clone(start[:len(ids)])
+	for i := range pairs {
+		byA[fill[ends[2*i]]] = int32(i)
+		fill[ends[2*i]]++
+	}
+	in := make([]int32, len(ids)) // vertex → 1 + the last HIT holding it
+	other := map[record.ID]int{}  // the same for records no pair mentions
 	covered := make([]bool, len(pairs))
 	out := make([][]record.Pair, len(hits))
-	var idx []int32
+	var vs, idx []int32
 	for h, hit := range hits {
 		if hit.Size() > k {
 			return nil, fmt.Errorf("hitgen: HIT %d has %d records, exceeds k=%d", h, hit.Size(), k)
 		}
+		stamp := int32(h + 1)
+		vs = vs[:0]
 		for _, r := range hit.Records {
-			if in[r] == h+1 {
+			v, ok := slices.BinarySearch(ids, r)
+			switch {
+			case !ok && other[r] != h+1:
+				other[r] = h + 1
+			case ok && in[v] != stamp:
+				in[v] = stamp
+				vs = append(vs, int32(v))
+			default:
 				return nil, fmt.Errorf("hitgen: HIT %d contains duplicate record %d", h, r)
 			}
-			in[r] = h + 1
 		}
-		// Each covered pair is collected once, from its A endpoint.
 		idx = idx[:0]
-		for _, r := range hit.Records {
-			for _, i := range byEnd[r] {
-				if p := pairs[i]; p.A == r && in[p.B] == h+1 {
+		for _, v := range vs {
+			for _, i := range byA[start[v]:start[v+1]] {
+				if in[ends[2*i+1]] == stamp {
 					idx = append(idx, i)
 				}
 			}
@@ -142,23 +159,26 @@ func ValidateCover(pairs []record.Pair, hits []ClusterHIT, k int) error {
 	return err
 }
 
-// sortHIT orders the records of a HIT ascending for deterministic output.
-func sortHIT(rs []record.ID) []record.ID {
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	return rs
+// recordsOf maps vertex indices to record IDs.
+func recordsOf(ids []record.ID, vs []int32) []record.ID {
+	out := make([]record.ID, len(vs))
+	for i, v := range vs {
+		out[i] = ids[v]
+	}
+	return out
 }
 
-// checkK validates the cluster-size threshold shared by all generators. A
-// threshold below 2 cannot cover any pair.
-func checkK(k int) error {
+// checkInput validates what every generator requires: a cluster-size
+// threshold of at least 2, below which no pair can be covered, and no
+// self-loop, which no cluster-based HIT can check.
+func checkInput(pairs []record.Pair, k int) error {
 	if k < 2 {
 		return fmt.Errorf("hitgen: cluster-size threshold %d must be >= 2", k)
 	}
+	for _, p := range pairs {
+		if p.A == p.B {
+			return fmt.Errorf("hitgen: pair %v is a self-loop: a record cannot be compared with itself", p)
+		}
+	}
 	return nil
-}
-
-// buildGraph constructs the pair graph (Section 4: vertices are records,
-// edges are pairs).
-func buildGraph(pairs []record.Pair) *graph.Graph {
-	return graph.FromPairs(pairs)
 }

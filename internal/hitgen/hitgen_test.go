@@ -1,6 +1,7 @@
 package hitgen
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -96,6 +97,32 @@ func TestAllGeneratorsRejectTinyK(t *testing.T) {
 	}
 }
 
+// Regression: Random sized its membership array by the largest B
+// endpoint, so a pair whose A held the largest ID indexed past its end.
+func TestRandomLargestIDOnA(t *testing.T) {
+	pairs := []record.Pair{{A: 5, B: 1}, {A: 2, B: 3}}
+	hits, err := Random{}.Generate(pairs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateCover(pairs, hits, 3); err != nil {
+		t.Error(err)
+	}
+}
+
+// Regression: a self-loop made the graph-based generators return HITs
+// that Covers rejects, and Random a one-record HIT. Every generator now
+// rejects it, naming the pair.
+func TestAllGeneratorsRejectSelfLoop(t *testing.T) {
+	pairs := []record.Pair{{A: 1, B: 2}, {A: 7, B: 7}, {A: 2, B: 3}}
+	for _, gen := range allGenerators() {
+		hits, err := gen.Generate(pairs, 4)
+		if err == nil || !strings.Contains(err.Error(), "(r7,r7)") {
+			t.Errorf("%s: Generate = %v, %v; want an error naming (r7,r7)", gen.Name(), hits, err)
+		}
+	}
+}
+
 func TestAllGeneratorsEmptyInput(t *testing.T) {
 	for _, gen := range allGenerators() {
 		hits, err := gen.Generate(nil, 4)
@@ -136,8 +163,7 @@ func TestTwoTieredPartitioningExample3(t *testing.T) {
 			lccPairs = append(lccPairs, p)
 		}
 	}
-	g := buildGraph(lccPairs)
-	parts := TwoTiered{}.partition(g, 4)
+	parts := partitionAll(TwoTiered{}, lccPairs, 4)
 	if len(parts) != 3 {
 		t.Fatalf("partitioning produced %d SCCs; want 3: %v", len(parts), parts)
 	}

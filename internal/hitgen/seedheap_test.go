@@ -10,69 +10,20 @@ import (
 	"github.com/crowder/crowder/internal/record"
 )
 
-// scanSeed is the reference seed rule: a full scan for the maximum
-// degree, ties to the smallest ID, or the smallest ID under SeedMinID.
-func scanSeed(g *graph.Graph, byID bool) (record.ID, bool) {
-	var best record.ID
-	bestDeg := -1
-	for _, v := range g.Vertices() {
-		if byID {
-			return v, true
-		}
-		if d := g.Degree(v); d > bestDeg {
-			best, bestDeg = v, d
-		}
+// allVertices lists g's vertex indices ascending.
+func allVertices(g *graph.Graph) []int32 {
+	all := make([]int32, len(g.IDs()))
+	for v := range all {
+		all[v] = int32(v)
 	}
-	return best, bestDeg >= 0
+	return all
 }
 
-// scanPartition is partition with seeds picked by scanSeed.
-func (t TwoTiered) scanPartition(lcc *graph.Graph, k int) [][]record.ID {
-	var sccs [][]record.ID
-	for {
-		seed, ok := scanSeed(lcc, t.Seed == SeedMinID)
-		if !ok {
-			return sccs
-		}
-		scc := map[record.ID]bool{seed: true}
-		conn := make(map[record.ID]int)
-		for _, u := range lcc.Neighbors(seed) {
-			conn[u] = 1
-		}
-		for len(scc) < k && len(conn) > 0 {
-			rnew := t.pickNext(lcc, conn)
-			delete(conn, rnew)
-			scc[rnew] = true
-			for _, u := range lcc.Neighbors(rnew) {
-				if !scc[u] {
-					conn[u]++
-				}
-			}
-		}
-		members := make([]record.ID, 0, len(scc))
-		for r := range scc {
-			members = append(members, r)
-		}
-		sortHIT(members)
-		sccs = append(sccs, members)
-		for _, e := range lcc.EdgesCoveredBy(members) {
-			lcc.RemoveEdge(e.A, e.B)
-		}
-	}
-}
-
-// scanGenerate is Generate with scanPartition as the top tier.
-func (t TwoTiered) scanGenerate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
-	g := buildGraph(pairs)
-	var sccs, parts [][]record.ID
-	for _, cc := range g.ConnectedComponents() {
-		if cc.Size() <= k {
-			sccs = append(sccs, cc.Vertices)
-		} else {
-			parts = append(parts, t.scanPartition(g.Subgraph(cc.Vertices), k)...)
-		}
-	}
-	return t.pack(append(sccs, parts...), k)
+// partitionAll runs Algorithm 2 on the whole pair graph as one vertex
+// set, as if it were a single large component.
+func partitionAll(t TwoTiered, pairs []record.Pair, k int) [][]record.ID {
+	g := graph.FromPairs(pairs)
+	return newPartitioner(t, g, k).partition(allVertices(g), nil)
 }
 
 // tiedPairs draws a graph whose degrees tie often: a ring, a grid, or a
@@ -114,8 +65,9 @@ func tiedPairs(rng *rand.Rand) []record.Pair {
 	return set.Slice()
 }
 
-// The lazy seed heap picks exactly the seeds the full scan picks, so the
-// two-tiered generator's HITs are unchanged on graphs full of degree ties.
+// The lazy seed heap picks exactly the seeds the oracle's full scan
+// picks, so the two-tiered generator's HITs are unchanged on graphs full
+// of degree ties.
 func TestSeedHeapMatchesLinearScan(t *testing.T) {
 	gens := []TwoTiered{{}, {DisableTieBreak: true}, {Seed: SeedMinID}}
 	for seed := int64(0); seed < 60; seed++ {
@@ -128,15 +80,15 @@ func TestSeedHeapMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			want, err := gen.scanGenerate(pairs, k)
+			want, err := refTwoTiered(gen, pairs, k)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !slices.EqualFunc(got, want, func(a, b ClusterHIT) bool { return slices.Equal(a.Records, b.Records) }) {
+			if !sameHITs(got, want) {
 				t.Fatalf("%s: heap seeds gave %v; scan seeds %v", label, got, want)
 			}
-			parts := gen.partition(buildGraph(pairs), k)
-			ref := gen.scanPartition(buildGraph(pairs), k)
+			parts := partitionAll(gen, pairs, k)
+			ref := gen.refPartition(refFromPairs(pairs), k)
 			if !slices.EqualFunc(parts, ref, slices.Equal) {
 				t.Fatalf("%s: partition %v; scan %v", label, parts, ref)
 			}
@@ -147,18 +99,24 @@ func TestSeedHeapMatchesLinearScan(t *testing.T) {
 // The seed rule on hand-built graphs: none on an empty graph, a degree tie
 // to the smallest ID, and r4 first on the paper's graph (Figure 8(a)).
 func TestSeedHeapRule(t *testing.T) {
-	if v, ok := newSeedHeap(graph.New(), false).pop(graph.New()); ok {
+	seed := func(pairs []record.Pair, byID bool) (record.ID, bool) {
+		g := graph.FromPairs(pairs)
+		v, ok := newSeedHeap(g, allVertices(g), byID).pop(g)
+		if !ok {
+			return 0, false
+		}
+		return g.IDs()[v], true
+	}
+	if v, ok := seed(nil, false); ok {
 		t.Errorf("empty graph yielded seed %v", v)
 	}
-	tie := graph.FromPairs([]record.Pair{{A: 5, B: 6}, {A: 2, B: 3}})
-	if v, ok := newSeedHeap(tie, false).pop(tie); !ok || v != 2 {
+	if v, ok := seed([]record.Pair{{A: 5, B: 6}, {A: 2, B: 3}}, false); !ok || v != 2 {
 		t.Errorf("tie seed = %v, %v; want the smallest ID 2", v, ok)
 	}
-	paper := buildGraph(paperPairs())
-	if v, ok := newSeedHeap(paper, false).pop(paper); !ok || v != 4 {
+	if v, ok := seed(paperPairs(), false); !ok || v != 4 {
 		t.Errorf("paper seed = %v, %v; want r4", v, ok)
 	}
-	if v, ok := newSeedHeap(paper, true).pop(paper); !ok || v != 1 {
+	if v, ok := seed(paperPairs(), true); !ok || v != 1 {
 		t.Errorf("min-ID seed = %v, %v; want r1", v, ok)
 	}
 }

@@ -3,6 +3,7 @@ package hitgen
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"github.com/crowder/crowder/internal/graph"
 	"github.com/crowder/crowder/internal/packing"
@@ -65,83 +66,106 @@ func (t TwoTiered) Name() string {
 
 // Generate implements ClusterGenerator (Algorithm 1).
 func (t TwoTiered) Generate(pairs []record.Pair, k int) ([]ClusterHIT, error) {
-	if err := checkK(k); err != nil {
+	if err := checkInput(pairs, k); err != nil {
 		return nil, err
 	}
-	g := buildGraph(pairs)
+	g := graph.FromPairs(pairs)
 
 	// Lines 2–4: split connected components by size.
 	var sccs [][]record.ID
-	var lccs []graph.Component
-	for _, cc := range g.ConnectedComponents() {
-		if cc.Size() <= k {
-			sccs = append(sccs, cc.Vertices)
+	var lccs [][]int32
+	for _, cc := range g.Components() {
+		if len(cc) <= k {
+			sccs = append(sccs, recordsOf(g.IDs(), cc))
 		} else {
 			lccs = append(lccs, cc)
 		}
 	}
 
-	// Line 5 (top tier): partition each LCC into SCCs.
+	// Line 5 (top tier): partition each LCC into SCCs, peeling it in
+	// place on the shared graph.
+	p := newPartitioner(t, g, k)
 	for _, lcc := range lccs {
-		parts := t.partition(g.Subgraph(lcc.Vertices), k)
-		sccs = append(sccs, parts...)
+		sccs = p.partition(lcc, sccs)
 	}
 
 	// Line 6 (bottom tier): pack the SCCs into HITs.
 	return t.pack(sccs, k)
 }
 
+// partitioner holds Algorithm 2's per-vertex state. The growing scc and
+// its candidate set conn (line 6) are marked with the round's stamp: a
+// marked vertex with pos ≥ 0 is conn[pos] with indegree in w.r.t. scc,
+// and a marked vertex with pos −1 is in scc. The outdegree is recovered
+// as Degree − in.
+type partitioner struct {
+	TwoTiered
+	g             *graph.Graph
+	k             int
+	mark, pos, in []int32
+	stamp         int32
+	conn, scc     []int32
+}
+
+func newPartitioner(t TwoTiered, g *graph.Graph, k int) *partitioner {
+	n := len(g.IDs())
+	return &partitioner{TwoTiered: t, g: g, k: k, mark: make([]int32, n), pos: make([]int32, n), in: make([]int32, n)}
+}
+
 // partition implements Algorithm 2 for a single large connected component:
 // repeatedly grow a small component of maximal connectivity and peel off
-// its covered edges until no edges remain. The indegree of each candidate
-// (edges into the growing scc) is maintained incrementally, so selecting
-// each vertex costs one scan of the candidate set rather than a full
-// degree recomputation, and seeds come from a lazy heap rather than a
-// scan of the whole component per SCC.
-func (t TwoTiered) partition(lcc *graph.Graph, k int) [][]record.ID {
-	seeds := newSeedHeap(lcc, t.Seed == SeedMinID)
-	var sccs [][]record.ID
+// its covered edges until no edges remain, appending each one to sccs.
+// The indegree of each candidate is maintained incrementally, so
+// selecting each vertex costs one scan of the candidate set, and seeds
+// come from a lazy heap rather than a scan of the whole component per
+// SCC.
+func (p *partitioner) partition(lcc []int32, sccs [][]record.ID) [][]record.ID {
+	seeds := newSeedHeap(p.g, lcc, p.Seed == SeedMinID)
 	for {
-		seed, ok := seeds.pop(lcc)
+		seed, ok := seeds.pop(p.g)
 		if !ok {
-			break
+			return sccs
 		}
-		scc := map[record.ID]bool{seed: true}
-		// conn maps each vertex adjacent to the growing scc (Algorithm 2,
-		// line 6) to its indegree w.r.t. scc; the outdegree is recovered as
-		// Degree − indegree.
-		conn := make(map[record.ID]int)
-		for _, u := range lcc.Neighbors(seed) {
-			conn[u] = 1
+		p.stamp++
+		p.conn, p.scc = p.conn[:0], p.scc[:0]
+		p.join(seed)
+		for len(p.scc) < p.k && len(p.conn) > 0 {
+			p.join(p.conn[p.pickNext()])
 		}
-		for len(scc) < k && len(conn) > 0 {
-			rnew := t.pickNext(lcc, conn)
-			delete(conn, rnew)
-			scc[rnew] = true
-			for _, u := range lcc.Neighbors(rnew) {
-				if !scc[u] {
-					conn[u]++
-				}
-			}
-		}
-		members := make([]record.ID, 0, len(scc))
-		for r := range scc {
-			members = append(members, r)
-		}
-		sortHIT(members)
-		sccs = append(sccs, members)
-		// Line 14: remove the edges covered by scc.
-		for _, e := range lcc.EdgesCoveredBy(members) {
-			lcc.RemoveEdge(e.A, e.B)
-		}
-		// Peeling changed the degree of every member and of nothing else.
-		for _, r := range members {
-			if d := lcc.Degree(r); d > 0 {
-				heap.Push(seeds, seedEntry{r, d})
+		slices.Sort(p.scc)
+		sccs = append(sccs, recordsOf(p.g.IDs(), p.scc))
+		// Line 14: remove the edges covered by scc. Peeling changed the
+		// degree of every member and of nothing else.
+		p.g.Peel(p.scc)
+		for _, r := range p.scc {
+			if d := p.g.Degree(r); d > 0 {
+				heap.Push(seeds, seedEntry{r, int32(d)})
 			}
 		}
 	}
-	return sccs
+}
+
+// join moves v from conn (or, for the seed, from nowhere) into scc and
+// adds one indegree to each live neighbour outside scc.
+func (p *partitioner) join(v int32) {
+	if p.mark[v] == p.stamp {
+		last := p.conn[len(p.conn)-1]
+		p.conn[p.pos[v]], p.pos[last] = last, p.pos[v]
+		p.conn = p.conn[:len(p.conn)-1]
+	}
+	p.mark[v], p.pos[v] = p.stamp, -1
+	p.scc = append(p.scc, v)
+	nbrs, edges := p.g.Row(v)
+	for i, u := range nbrs {
+		switch {
+		case !p.g.Alive(edges[i]):
+		case p.mark[u] != p.stamp:
+			p.mark[u], p.pos[u], p.in[u] = p.stamp, int32(len(p.conn)), 1
+			p.conn = append(p.conn, u)
+		case p.pos[u] >= 0:
+			p.in[u]++
+		}
+	}
 }
 
 // seedHeap yields the starting vertex of each new SCC: the maximum degree
@@ -150,20 +174,21 @@ func (t TwoTiered) partition(lcc *graph.Graph, k int) [][]record.ID {
 // pushed with, degrees only fall as edges are peeled, and the partition
 // re-pushes each vertex whose degree changed, so every vertex with edges
 // has exactly one entry matching its degree and any other entry is stale.
+// Vertex indices ascend with record IDs, so the order is a total order on
+// live entries and the seeds do not depend on the heap's layout.
 type seedHeap struct {
 	e    []seedEntry
 	byID bool
 }
 
 type seedEntry struct {
-	v   record.ID
-	deg int
+	v, deg int32
 }
 
-func newSeedHeap(g *graph.Graph, byID bool) *seedHeap {
-	h := &seedHeap{byID: byID}
-	for _, v := range g.Vertices() {
-		h.e = append(h.e, seedEntry{v, g.Degree(v)})
+func newSeedHeap(g *graph.Graph, vs []int32, byID bool) *seedHeap {
+	h := &seedHeap{e: make([]seedEntry, len(vs)), byID: byID}
+	for i, v := range vs {
+		h.e[i] = seedEntry{v, int32(g.Degree(v))}
 	}
 	heap.Init(h)
 	return h
@@ -182,40 +207,38 @@ func (h *seedHeap) Less(i, j int) bool {
 }
 
 // pop removes and returns the next seed, dropping stale entries; ok is
-// false once g has no edges left.
-func (h *seedHeap) pop(g *graph.Graph) (v record.ID, ok bool) {
+// false once the heap's vertices have no edges left.
+func (h *seedHeap) pop(g *graph.Graph) (v int32, ok bool) {
 	for h.Len() > 0 {
-		if e := heap.Pop(h).(seedEntry); e.deg == g.Degree(e.v) {
+		if e := heap.Pop(h).(seedEntry); int(e.deg) == g.Degree(e.v) {
 			return e.v, true
 		}
 	}
 	return 0, false
 }
 
-// pickNext selects the vertex from conn with the maximum indegree w.r.t.
-// scc, breaking ties by minimum outdegree (Algorithm 2, line 8). Remaining
-// ties break by smallest ID for determinism.
-func (t TwoTiered) pickNext(lcc *graph.Graph, conn map[record.ID]int) record.ID {
-	var best record.ID
-	bestIn, bestOut := -1, -1
-	first := true
-	for r, in := range conn {
-		out := lcc.Degree(r) - in
-		better := false
+// pickNext returns the position in conn of the vertex with the maximum
+// indegree w.r.t. scc, breaking ties by minimum outdegree (Algorithm 2,
+// line 8). Remaining ties break by smallest ID for determinism.
+func (p *partitioner) pickNext() int {
+	best := -1
+	var bestIn, bestOut int32
+	for j, r := range p.conn {
+		in := p.in[r]
+		out := int32(p.g.Degree(r)) - in
+		var better bool
 		switch {
-		case first:
+		case best < 0:
 			better = true
-		case in > bestIn:
-			better = true
-		case in < bestIn:
-		case !t.DisableTieBreak && out < bestOut:
-			better = true
-		case !t.DisableTieBreak && out > bestOut:
+		case in != bestIn:
+			better = in > bestIn
+		case !p.DisableTieBreak && out != bestOut:
+			better = out < bestOut
 		default:
-			better = r < best // full tie: smallest ID
+			better = r < p.conn[best] // full tie: smallest ID
 		}
 		if better {
-			best, bestIn, bestOut, first = r, in, out, false
+			best, bestIn, bestOut = j, in, out
 		}
 	}
 	return best
@@ -252,26 +275,21 @@ func (t TwoTiered) pack(sccs [][]record.ID, k int) ([]ClusterHIT, error) {
 	for _, s := range sccs {
 		bySize[len(s)] = append(bySize[len(s)], s)
 	}
+	// SCCs peeled from one LCC may share vertices, so a HIT keeps each
+	// record once.
 	var hits []ClusterHIT
 	for _, bin := range bins {
-		members := make(map[record.ID]bool)
+		var members []record.ID
 		for _, sz := range bin {
 			pool := bySize[sz]
 			if len(pool) == 0 {
 				return nil, fmt.Errorf("hitgen: packing produced a slot of size %d with no component left", sz)
 			}
-			comp := pool[len(pool)-1]
+			members = append(members, pool[len(pool)-1]...)
 			bySize[sz] = pool[:len(pool)-1]
-			for _, r := range comp {
-				members[r] = true
-			}
 		}
-		hit := ClusterHIT{}
-		for r := range members {
-			hit.Records = append(hit.Records, r)
-		}
-		sortHIT(hit.Records)
-		hits = append(hits, hit)
+		slices.Sort(members)
+		hits = append(hits, ClusterHIT{Records: slices.Clip(slices.Compact(members))})
 	}
 	for sz, pool := range bySize {
 		if len(pool) > 0 {

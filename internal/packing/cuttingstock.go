@@ -1,10 +1,13 @@
 package packing
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Pattern describes the composition of one HIT in the paper's notation
@@ -445,22 +448,28 @@ func patternsToBins(cols []Pattern, patterns map[int]int, demands []int) [][]int
 }
 
 // canonicalBins sorts sizes within each bin descending and bins by
-// (descending fill, then lexicographic) for deterministic output.
+// (descending fill, then the bins' printed forms) for deterministic
+// output. Each bin's fill and printed form are computed once; bins tied on
+// both are equal, so the order does not depend on the sort algorithm.
 func canonicalBins(bins [][]int) [][]int {
-	out := make([][]int, len(bins))
-	for i, b := range bins {
-		c := make([]int, len(b))
-		copy(c, b)
-		sort.Sort(sort.Reverse(sort.IntSlice(c)))
-		out[i] = c
+	type keyed struct {
+		bin  []int
+		fill int
+		key  string
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := sum(out[i]), sum(out[j])
-		if si != sj {
-			return si > sj
-		}
-		return fmt.Sprint(out[i]) < fmt.Sprint(out[j])
+	ks := make([]keyed, len(bins))
+	for i, b := range bins {
+		c := slices.Clone(b)
+		sort.Sort(sort.Reverse(sort.IntSlice(c)))
+		ks[i] = keyed{c, sum(c), fmt.Sprint(c)}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.fill, a.fill), strings.Compare(a.key, b.key))
 	})
+	out := make([][]int, len(ks))
+	for i, k := range ks {
+		out[i] = k.bin
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package packing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -385,5 +386,16 @@ func BenchmarkFFDMedium(b *testing.B) {
 		if _, err := FirstFitDecreasing(sizes, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// canonicalBins orders bins by descending fill, then by their printed
+// forms as strings, not as numbers: "[10]" sorts before "[9 1]". HIT
+// order downstream depends on it.
+func TestCanonicalBinsOrder(t *testing.T) {
+	got := canonicalBins([][]int{{1, 9}, {2, 2}, {10}, {1, 1, 2}, {3}, {4}})
+	want := [][]int{{10}, {9, 1}, {2, 1, 1}, {2, 2}, {4}, {3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("canonicalBins = %v; want %v", got, want)
 	}
 }
