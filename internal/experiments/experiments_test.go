@@ -157,6 +157,7 @@ func TestFigure12ProductHybridDominates(t *testing.T) {
 	if mr := eval.MaxRecall(r.Curve("hybrid").Points); mr > 0.995 {
 		t.Errorf("hybrid max recall = %.3f; pruning should cap it below 1", mr)
 	}
+	checkGolden(t, "figure12_product.golden", r.String())
 }
 
 func TestFigure12RestaurantComparable(t *testing.T) {
@@ -294,6 +295,7 @@ func TestExtensionActiveVsHybrid(t *testing.T) {
 	if !strings.Contains(r.String(), "Product") {
 		t.Error("String() should mention the dataset")
 	}
+	checkGolden(t, "extension_active_product.golden", r.String())
 }
 
 func TestExtensionScale(t *testing.T) {
@@ -322,5 +324,17 @@ func TestExtensionScale(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "scaling study") {
 		t.Error("String() header missing")
+	}
+	// Exact counts: the blocking columns and the HIT counts are pinned so
+	// that a change to either candidate source shows up here.
+	want := []ScaleRow{
+		{Records: 200, SimJoinCandidates: 1470, BlockingCandidates: 1470, BlockingCompleteness: 1, HITs: 70},
+		{Records: 400, SimJoinCandidates: 4831, BlockingCandidates: 4772, BlockingCompleteness: 1, HITs: 224},
+	}
+	for i, row := range r.Rows {
+		row.SimJoinMillis, row.BlockingMillis = 0, 0
+		if row != want[i] {
+			t.Errorf("row %d = %+v; want %+v", i, row, want[i])
+		}
 	}
 }
