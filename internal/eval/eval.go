@@ -4,12 +4,7 @@
 // precision-recall curve, we vary n").
 package eval
 
-import (
-	"fmt"
-	"strings"
-
-	"github.com/crowder/crowder/internal/record"
-)
+import "github.com/crowder/crowder/internal/record"
 
 // PRPoint is one point of a precision-recall curve.
 type PRPoint struct {
@@ -51,8 +46,15 @@ func PrecisionRecallAt(ranked []record.Pair, truth record.PairSet, totalMatches,
 // PRCurve sweeps the cutoff n over the ranked list and returns the curve.
 // Points are emitted at every position where a true match is encountered
 // (the standard construction: precision is recorded at each recall step),
-// plus the final point at n = len(ranked).
+// plus the final point at n = len(ranked). With totalMatches = 0 every
+// recall is 0, the convention PrecisionRecallAt follows.
 func PRCurve(ranked []record.Pair, truth record.PairSet, totalMatches int) []PRPoint {
+	recall := func(correct int) float64 {
+		if totalMatches == 0 {
+			return 0
+		}
+		return float64(correct) / float64(totalMatches)
+	}
 	var points []PRPoint
 	correct := 0
 	for i, p := range ranked {
@@ -61,7 +63,7 @@ func PRCurve(ranked []record.Pair, truth record.PairSet, totalMatches int) []PRP
 			points = append(points, PRPoint{
 				N:         i + 1,
 				Precision: float64(correct) / float64(i+1),
-				Recall:    float64(correct) / float64(totalMatches),
+				Recall:    recall(correct),
 			})
 		}
 	}
@@ -69,7 +71,7 @@ func PRCurve(ranked []record.Pair, truth record.PairSet, totalMatches int) []PRP
 		points = append(points, PRPoint{
 			N:         len(ranked),
 			Precision: float64(correct) / float64(len(ranked)),
-			Recall:    float64(correct) / float64(totalMatches),
+			Recall:    recall(correct),
 		})
 	}
 	return points
@@ -103,18 +105,6 @@ func PrecisionAtRecall(points []PRPoint, recall float64) float64 {
 		}
 	}
 	return best
-}
-
-// FormatCurve renders a PR curve as the "recall% precision%" rows the
-// paper's Figure 12/15 plots, sampled at the given recall grid.
-func FormatCurve(points []PRPoint, grid []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%8s %12s\n", "Recall", "Precision")
-	for _, r := range grid {
-		p := PrecisionAtRecall(points, r)
-		fmt.Fprintf(&b, "%7.0f%% %11.1f%%\n", r*100, p*100)
-	}
-	return b.String()
 }
 
 // MaxRecall returns the highest recall the curve attains.

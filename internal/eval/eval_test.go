@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -109,11 +108,24 @@ func TestMaxRecall(t *testing.T) {
 	}
 }
 
-func TestFormatCurve(t *testing.T) {
-	pts := []PRPoint{{N: 1, Precision: 1, Recall: 0.5}, {N: 4, Precision: 0.5, Recall: 1}}
-	s := FormatCurve(pts, []float64{0.5, 1.0})
-	if !strings.Contains(s, "50%") || !strings.Contains(s, "100") {
-		t.Errorf("FormatCurve output missing grid rows:\n%s", s)
+func TestPRCurveNoMatches(t *testing.T) {
+	// A dataset without true matches: recall is 0, not 0/0, so the AUC is
+	// 0 rather than NaN.
+	ranked := []record.Pair{mk(0, 1), mk(2, 3)}
+	pts := PRCurve(ranked, record.NewPairSet(), 0)
+	if len(pts) != 1 || pts[0].N != 2 || pts[0].Precision != 0 || pts[0].Recall != 0 {
+		t.Fatalf("PRCurve = %+v; want one point {N:2 Precision:0 Recall:0}", pts)
+	}
+	// Inconsistent input (a match in the truth set, totalMatches 0) takes
+	// the same convention instead of +Inf.
+	pts = PRCurve(ranked, record.NewPairSet(mk(0, 1)), 0)
+	for _, pt := range pts {
+		if pt.Recall != 0 {
+			t.Fatalf("PRCurve = %+v; want recall 0 throughout", pts)
+		}
+	}
+	if auc := AUCPR(pts); auc != 0 {
+		t.Errorf("AUCPR = %v; want 0", auc)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7). Each driver returns a result struct whose
-// String method prints the same rows/series the paper reports, so the
-// repository's EXPERIMENTS.md can record paper-vs-measured side by side.
+// String method prints the same rows/series the paper reports; the
+// README's "Reproducing the paper's experiments" section lists them.
 //
 // Absolute numbers differ from the paper — the datasets are synthetic
 // stand-ins and the crowd is simulated — but the shapes the paper's

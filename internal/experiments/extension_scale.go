@@ -5,9 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/crowder/crowder/internal/blocking"
 	"github.com/crowder/crowder/internal/dataset"
 	"github.com/crowder/crowder/internal/hitgen"
+	"github.com/crowder/crowder/internal/record"
+	"github.com/crowder/crowder/internal/similarity"
 	"github.com/crowder/crowder/internal/simjoin"
 )
 
@@ -50,13 +51,12 @@ func (e *Env) Scale(sizes []int, tau float64, maxBlock int) (*ScaleResult, error
 		joinMS := time.Since(start).Milliseconds()
 
 		start = time.Now()
-		cands := blocking.TokenBlocking(d.Table, blocking.Options{MaxBlock: maxBlock})
-		blocked := simjoin.ScoreCandidates(d.Table, cands, tau)
+		blocked := cappedBlocking(d.Table, maxBlock, tau)
 		blockMS := time.Since(start).Milliseconds()
 
 		found := 0
-		for _, sp := range blocked {
-			if d.Matches.Has(sp.Pair.A, sp.Pair.B) {
+		for _, p := range blocked {
+			if d.Matches.Has(p.A, p.B) {
 				found++
 			}
 		}
@@ -77,6 +77,35 @@ func (e *Env) Scale(sizes []int, tau float64, maxBlock int) (*ScaleResult, error
 		})
 	}
 	return res, nil
+}
+
+// cappedBlocking is the candidate generation the paper points to in
+// footnote 1, token blocking: records sharing at least one token are
+// candidates. Blocks are read from the table's inverted index, and a
+// block of more than maxBlock records (a stop token such as "the" or a
+// ubiquitous brand) is dropped, trading a little recall for a large
+// candidate reduction. Each candidate is then scored by Jaccard and kept
+// at or above tau. The pairs come back in no particular order.
+func cappedBlocking(t *record.Table, maxBlock int, tau float64) []record.Pair {
+	cands := record.NewPairSet()
+	for _, block := range t.Postings() {
+		if len(block) > maxBlock {
+			continue
+		}
+		for j := 1; j < len(block); j++ {
+			for _, a := range block[:j] {
+				cands.Add(record.ID(a), record.ID(block[j]))
+			}
+		}
+	}
+	ids := t.TokenIDs()
+	var out []record.Pair
+	for p := range cands {
+		if similarity.Jaccard(ids[p.A], ids[p.B]) >= tau {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // String renders the scaling table.

@@ -11,9 +11,9 @@ import (
 	"github.com/crowder/crowder/internal/dataset"
 	"github.com/crowder/crowder/internal/eval"
 	"github.com/crowder/crowder/internal/hitgen"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
-	"github.com/crowder/crowder/internal/svm"
 )
 
 // recallGrid is the x-axis the paper's PR plots use.
@@ -80,7 +80,7 @@ func (e *Env) svmCurve(d *dataset.Dataset, scored []simjoin.ScoredPair) (MethodC
 	pairs := simjoin.Pairs(scored)
 	features := make([][]float64, len(pairs))
 	for i, p := range pairs {
-		features[i] = svm.FeatureVector(d.Table, p, attrs)
+		features[i] = learn.FeatureVector(d.Table, p, attrs)
 	}
 
 	// Training pairs: 500 per sample, 10 samples averaged (Section 7.3).
@@ -89,7 +89,8 @@ func (e *Env) svmCurve(d *dataset.Dataset, scored []simjoin.ScoredPair) (MethodC
 	// contains zero positives, so (as any practical ER training-set
 	// construction does) we stratify: half the sample is drawn from the
 	// top of the likelihood ranking, where the matches live, and half
-	// uniformly. See EXPERIMENTS.md for this documented deviation.
+	// uniformly. The README's experiments section documents this
+	// deviation.
 	const samples = 10
 	const trainSize = 500
 	topPool := len(pairs) / 20
@@ -124,16 +125,16 @@ func (e *Env) svmCurve(d *dataset.Dataset, scored []simjoin.ScoredPair) (MethodC
 				idxs = append(idxs, i)
 			}
 		}
-		train := make([]svm.Example, n)
+		train := make([]learn.Example, n)
 		for i, idx := range idxs {
 			p := pairs[idx]
 			label := -1.0
 			if d.Matches.Has(p.A, p.B) {
 				label = 1.0
 			}
-			train[i] = svm.Example{X: features[idx], Label: label}
+			train[i] = learn.Example{X: features[idx], Label: label}
 		}
-		model, err := svm.Train(train, svm.TrainOptions{Seed: e.Seed + int64(s), BalanceClasses: true})
+		model, err := learn.TrainSVM(train, e.Seed+int64(s))
 		if err != nil {
 			return MethodCurve{}, fmt.Errorf("experiments: svm sample %d: %w", s, err)
 		}

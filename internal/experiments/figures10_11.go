@@ -112,7 +112,7 @@ func (r *HITCountResult) String() string {
 }
 
 // CountFor returns the HIT count of the named generator at value index i,
-// or -1 when absent. Convenience for tests and EXPERIMENTS.md assembly.
+// or -1 when absent.
 func (r *HITCountResult) CountFor(generator string, i int) int {
 	for _, s := range r.Series {
 		if s.Generator == generator && i < len(s.Counts) {

@@ -9,14 +9,14 @@ import (
 
 // update rewrites the golden files instead of comparing against them:
 //
-//	go test ./internal/experiments -run TestGolden -update
+//	go test ./internal/experiments -update
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // checkGolden compares rendered experiment output against its checked-in
 // snapshot byte for byte. The experiment drivers are deterministic in
 // the environment seed, so any drift — dataset generation, join
 // semantics, HIT generation, formatting — fails tier-1 here instead of
-// silently changing EXPERIMENTS.md the next time someone regenerates it.
+// silently changing the numbers `go run ./cmd/experiments` prints.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

@@ -2,7 +2,7 @@
 // subsystem that closes CrowdER's human–machine loop. The verdict cache
 // a session accumulates — crowd-judged and transitively deduced pairs —
 // is a free labeled set that grows with every delta; this package trains
-// a linear SVM (internal/svm, Pegasos) over it after each aggregation
+// a linear SVM (TrainSVM, Pegasos) over it after each aggregation
 // commit and derives a margin band of uncertainty from the training
 // distribution. Scored candidates outside the band are resolved by
 // machine (accept above, reject below); only the band itself is sent to
@@ -29,7 +29,6 @@ import (
 
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/similarity"
-	"github.com/crowder/crowder/internal/svm"
 )
 
 // MaxRisk caps the per-class machine-error budget a band may be derived
@@ -109,7 +108,7 @@ type Options struct {
 // immutable after Train; concurrent Margin/Band calls are safe.
 type Learner struct {
 	attrs    []int
-	model    *svm.Model
+	model    *SVM
 	pos, neg int
 	// realNeg counts the non-synthetic negatives: the crowd-observed
 	// evidence that decides whether the learner may machine-reject.
@@ -163,7 +162,7 @@ func (f *Features) Train(labels []Label, opts Options) (*Learner, error) {
 		return l, nil
 	}
 
-	examples := make([]svm.Example, len(sorted))
+	examples := make([]Example, len(sorted))
 	for i, lb := range sorted {
 		var x []float64
 		if lb.Synthetic {
@@ -175,11 +174,11 @@ func (f *Features) Train(labels []Label, opts Options) (*Learner, error) {
 		if lb.Match {
 			y = 1.0
 		}
-		examples[i] = svm.Example{X: x, Label: y}
+		examples[i] = Example{X: x, Label: y}
 	}
-	model, err := svm.Train(examples, svm.TrainOptions{Seed: opts.Seed, BalanceClasses: true})
+	model, err := TrainSVM(examples, opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("learn: %w", err)
+		return nil, err
 	}
 	l.model = model
 	for i, e := range examples {
@@ -265,7 +264,7 @@ func (f *Features) Margin(l *Learner, p record.Pair) float64 {
 
 // compute appends the router's feature vector for the pair to dst: the
 // per-attribute Levenshtein and cosine similarities
-// (svm.FeatureVector), extended with the minimum and mean per-attribute
+// (FeatureVector), extended with the minimum and mean per-attribute
 // similarity and the whole-record Jaccard (the same likelihood the
 // pruning pass ranks candidates by). The aggregates let a *linear* model
 // express "one attribute strongly disagrees" — the failure mode of
@@ -274,7 +273,7 @@ func (f *Features) Margin(l *Learner, p record.Pair) float64 {
 // — and the Jaccard ties the model to the machine pass's global
 // evidence.
 func (f *Features) compute(dst []float64, p record.Pair) []float64 {
-	base := svm.FeatureVector(f.t, p, f.attrs)
+	base := FeatureVector(f.t, p, f.attrs)
 	minSim, meanSim := 1.0, 0.0
 	n := 0
 	for i := 0; i+1 < len(base); i += 2 {

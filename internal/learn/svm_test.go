@@ -1,4 +1,4 @@
-package svm
+package learn
 
 import (
 	"math/rand"
@@ -7,7 +7,7 @@ import (
 	"github.com/crowder/crowder/internal/record"
 )
 
-func TestTrainSeparable(t *testing.T) {
+func TestTrainSVMSeparable(t *testing.T) {
 	// Linearly separable in 2D: matches cluster near (1,1), non-matches
 	// near (0,0).
 	rng := rand.New(rand.NewSource(1))
@@ -19,13 +19,13 @@ func TestTrainSeparable(t *testing.T) {
 			ex = append(ex, Example{X: []float64{0.2 * rng.Float64(), 0.2 * rng.Float64()}, Label: -1})
 		}
 	}
-	m, err := Train(ex, TrainOptions{Seed: 1})
+	m, err := TrainSVM(ex, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
 	for _, e := range ex {
-		if m.Predict(e.X) == e.Label {
+		if predict(m, e.X) == e.Label {
 			correct++
 		}
 	}
@@ -34,7 +34,7 @@ func TestTrainSeparable(t *testing.T) {
 	}
 }
 
-func TestTrainScoreOrdersClasses(t *testing.T) {
+func TestTrainSVMScoreOrdersClasses(t *testing.T) {
 	var ex []Example
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
@@ -49,7 +49,7 @@ func TestTrainScoreOrdersClasses(t *testing.T) {
 		}
 		ex = append(ex, Example{X: []float64{x}, Label: label})
 	}
-	m, err := Train(ex, TrainOptions{Seed: 2})
+	m, err := TrainSVM(ex, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,23 +58,23 @@ func TestTrainScoreOrdersClasses(t *testing.T) {
 	}
 }
 
-func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, TrainOptions{}); err == nil {
+func TestTrainSVMErrors(t *testing.T) {
+	if _, err := TrainSVM(nil, 0); err == nil {
 		t.Fatal("empty training set should error")
 	}
 	bad := []Example{{X: []float64{1}, Label: 0.5}}
-	if _, err := Train(bad, TrainOptions{}); err == nil {
+	if _, err := TrainSVM(bad, 0); err == nil {
 		t.Fatal("invalid label should error")
 	}
 	dims := []Example{{X: []float64{1}, Label: 1}, {X: []float64{1, 2}, Label: -1}}
-	if _, err := Train(dims, TrainOptions{}); err == nil {
+	if _, err := TrainSVM(dims, 0); err == nil {
 		t.Fatal("inconsistent dimensions should error")
 	}
 }
 
-func TestTrainBalanced(t *testing.T) {
-	// 10:1 imbalance: without balancing, the classifier can degenerate to
-	// all-negative; with balancing it must recover positives.
+func TestTrainSVMBalanced(t *testing.T) {
+	// 10:1 imbalance: without class balancing, the classifier can
+	// degenerate to all-negative; with it it must recover positives.
 	rng := rand.New(rand.NewSource(3))
 	var ex []Example
 	for i := 0; i < 40; i++ {
@@ -83,13 +83,13 @@ func TestTrainBalanced(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		ex = append(ex, Example{X: []float64{0.5 * rng.Float64()}, Label: -1})
 	}
-	m, err := Train(ex, TrainOptions{Seed: 3, BalanceClasses: true})
+	m, err := TrainSVM(ex, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp := 0
 	for _, e := range ex[:40] {
-		if m.Predict(e.X) == 1 {
+		if predict(m, e.X) == 1 {
 			tp++
 		}
 	}
@@ -98,15 +98,15 @@ func TestTrainBalanced(t *testing.T) {
 	}
 }
 
-func TestTrainDeterministic(t *testing.T) {
+func TestTrainSVMDeterministic(t *testing.T) {
 	ex := []Example{
 		{X: []float64{1, 0}, Label: 1},
 		{X: []float64{0, 1}, Label: -1},
 		{X: []float64{0.9, 0.1}, Label: 1},
 		{X: []float64{0.1, 0.9}, Label: -1},
 	}
-	m1, _ := Train(ex, TrainOptions{Seed: 9})
-	m2, _ := Train(ex, TrainOptions{Seed: 9})
+	m1, _ := TrainSVM(ex, 9)
+	m2, _ := TrainSVM(ex, 9)
 	for j := range m1.W {
 		if m1.W[j] != m2.W[j] {
 			t.Fatal("same seed produced different weights")
@@ -147,4 +147,12 @@ func TestFeatureVectorSingleAttr(t *testing.T) {
 	if len(fv) != 2 {
 		t.Fatalf("feature dims = %d; want 2", len(fv))
 	}
+}
+
+// predict thresholds the margin at zero: +1 for a match, −1 otherwise.
+func predict(m *SVM, x []float64) float64 {
+	if m.Score(x) >= 0 {
+		return 1
+	}
+	return -1
 }

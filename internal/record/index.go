@@ -8,9 +8,7 @@ package record
 // Like TokenIDs, the index is maintained incrementally and cached on the
 // table: the first call builds it for every record, and each later call
 // only inserts the records appended since. Appending records therefore
-// costs O(tokens of the new records), not a rebuild — the property the
-// incremental resolver's delta join and delta blocking rely on. The
-// returned slices must not be mutated; they may be extended in place by a
+// costs O(tokens of the new records), not a rebuild. The returned slices must not be mutated; they may be extended in place by a
 // later call, so callers needing a stable snapshot must copy. Safe for
 // concurrent callers as long as the table is not mutated concurrently.
 func (t *Table) Postings() [][]int32 {

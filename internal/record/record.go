@@ -109,7 +109,7 @@ func (t *Table) Get(id ID) *Record {
 // CrossOK reports whether the pair (a, b) is admissible under an optional
 // cross-source-only restriction: always true when the restriction is off
 // or the table is single-source, otherwise true iff the records come from
-// different sources. The join and blocking layers share this predicate.
+// different sources.
 func (t *Table) CrossOK(crossOnly bool, a, b ID) bool {
 	if !crossOnly || len(t.Source) == 0 {
 		return true

@@ -1,19 +1,19 @@
 // Package similarity implements the string- and set-similarity functions
 // used by CrowdER's machine pass and by the learning-based baseline:
-// Jaccard, Dice, overlap and cosine set similarities, TF cosine similarity,
-// Levenshtein edit distance (raw and normalized), and q-gram extraction.
+// Jaccard set similarity, TF cosine similarity, and Levenshtein edit
+// distance (raw and normalized).
 //
-// The set functions operate on the interned representation of the data
-// model (record.Table.TokenIDs): a token set is a strictly ascending
-// []int32 of dense token IDs, and every intersection is a branch-light
-// linear merge over two sorted slices — no hashing on the hot path.
+// Jaccard operates on the interned representation of the data model
+// (record.Table.TokenIDs): a token set is a strictly ascending []int32
+// of dense token IDs, and every intersection is a branch-light linear
+// merge (or, for skewed sizes, a gallop) over two sorted slices — no
+// hashing on the hot path.
 //
 // All similarity functions return values in [0, 1], are symmetric, and
 // return 1 for identical non-empty inputs.
 package similarity
 
 import (
-	"cmp"
 	"math"
 
 	"github.com/crowder/crowder/internal/record"
@@ -21,7 +21,7 @@ import (
 
 // intersectSorted returns |a ∩ b| for two strictly ascending sorted
 // slices by a linear merge.
-func intersectSorted[E cmp.Ordered](a, b []E) int {
+func intersectSorted(a, b []int32) int {
 	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -97,20 +97,6 @@ func IntersectSizeGalloping(small, large []int32) int {
 	return n
 }
 
-// jaccardSorted is the Jaccard formula shared by the token-ID and q-gram
-// paths, including the empty-set convention.
-func jaccardSorted[E cmp.Ordered](a, b []E) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := intersectSorted(a, b)
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // Jaccard returns |a ∩ b| / |a ∪ b| over sorted token-ID sets. By
 // convention two empty sets have similarity 1 (they are identical).
 // Skewed set sizes take the galloping path (see IntersectSize).
@@ -124,46 +110,6 @@ func Jaccard(a, b []int32) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// Dice returns 2·|a ∩ b| / (|a| + |b|) over sorted token-ID sets.
-func Dice(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	denom := len(a) + len(b)
-	if denom == 0 {
-		return 1
-	}
-	return 2 * float64(intersectSorted(a, b)) / float64(denom)
-}
-
-// Overlap returns |a ∩ b| / min(|a|, |b|), the overlap coefficient, over
-// sorted token-ID sets.
-func Overlap(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	min := len(a)
-	if len(b) < min {
-		min = len(b)
-	}
-	if min == 0 {
-		return 0
-	}
-	return float64(intersectSorted(a, b)) / float64(min)
-}
-
-// CosineSet returns |a ∩ b| / sqrt(|a|·|b|), the set (binary-vector)
-// cosine similarity, over sorted token-ID sets.
-func CosineSet(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return float64(intersectSorted(a, b)) / math.Sqrt(float64(len(a))*float64(len(b)))
 }
 
 // TF is a term-frequency vector over tokens.
@@ -272,38 +218,4 @@ func LevenshteinSim(a, b string) float64 {
 		return 1
 	}
 	return 1 - float64(Levenshtein(a, b))/float64(max)
-}
-
-// QGrams returns the padded q-grams of s. The string is padded with q−1
-// copies of '#' on the left and '$' on the right, the standard construction
-// for q-gram indexing (Christen's survey, cited as [7]).
-func QGrams(s string, q int) []string {
-	if q <= 0 {
-		return nil
-	}
-	rs := []rune(s)
-	padded := make([]rune, 0, len(rs)+2*(q-1))
-	for i := 0; i < q-1; i++ {
-		padded = append(padded, '#')
-	}
-	padded = append(padded, rs...)
-	for i := 0; i < q-1; i++ {
-		padded = append(padded, '$')
-	}
-	if len(padded) < q {
-		return nil
-	}
-	out := make([]string, 0, len(padded)-q+1)
-	for i := 0; i+q <= len(padded); i++ {
-		out = append(out, string(padded[i:i+q]))
-	}
-	return out
-}
-
-// QGramJaccard returns the Jaccard similarity between the q-gram sets of
-// two strings.
-func QGramJaccard(a, b string, q int) float64 {
-	ga := record.NewTokenSet(QGrams(a, q)...).Sorted()
-	gb := record.NewTokenSet(QGrams(b, q)...).Sorted()
-	return jaccardSorted(ga, gb)
 }

@@ -19,16 +19,10 @@ import "encoding/binary"
 // The first block needs neither (offset 0, and a single-block list's max
 // is the list's last ID), so a list only pays metadata from its second
 // block on — prefix postings are frequently short, and a short list is
-// just its delta bytes. Skip pointers serve two access patterns:
-//
-//   - Bounded scans (ForEachLess): the probe phase enumerates entries
-//     strictly below the probing record's ID; blocks whose first
-//     possible entry is already at or past the bound are never decoded.
-//   - Galloping seeks (Cursor.SeekGE, IntersectPostings): an
-//     exponential probe over block skip pointers followed by a binary
-//     search brackets the target block in O(log distance), then a short
-//     scan inside the decoded block lands on the entry — the standard
-//     galloping intersection primitive.
+// just its delta bytes. Skip pointers bound the probe's scans
+// (forEachLess): the probe phase enumerates entries strictly below the
+// probing record's ID, and blocks whose first possible entry is already
+// at or past the bound are never decoded.
 const (
 	postingBlockShift = 7
 	// PostingBlockSize is the number of IDs per compressed block.
@@ -57,14 +51,6 @@ type PostingList struct {
 
 // Len returns the number of IDs in the list.
 func (p *PostingList) Len() int { return p.n }
-
-// Max returns the largest (last) ID, or -1 for an empty list.
-func (p *PostingList) Max() int32 {
-	if p.n == 0 {
-		return -1
-	}
-	return p.last
-}
 
 // SizeBytes returns the list's compressed footprint: encoded deltas plus
 // block metadata. The equivalent flat []int32 footprint is 4·Len.
@@ -112,14 +98,6 @@ func (p *PostingList) blockBase(b int) int32 {
 	return p.meta[b-1].max
 }
 
-// blockMax returns the largest ID in block b (its skip pointer).
-func (p *PostingList) blockMax(b int) int32 {
-	if b == p.numBlocks()-1 {
-		return p.last
-	}
-	return p.meta[b].max
-}
-
 // blockLen returns the number of entries stored in block b.
 func (p *PostingList) blockLen(b int) int {
 	cnt := p.n - b<<postingBlockShift
@@ -150,17 +128,11 @@ func (p *PostingList) decodeBlock(b int, buf *[PostingBlockSize]int32) int {
 	return cnt
 }
 
-// ForEachLess calls fn for every ID strictly below bound, in ascending
+// forEachLess calls fn for every ID strictly below bound, in ascending
 // order, stopping early if fn returns false. Blocks that cannot contain
-// an entry below the bound are skipped without decoding.
-func (p *PostingList) ForEachLess(bound int32, fn func(int32) bool) {
-	var buf [PostingBlockSize]int32
-	p.forEachLess(bound, &buf, fn)
-}
-
-// forEachLess is ForEachLess with a caller-supplied decode buffer, so
-// the probe hot loop can reuse one buffer across every posting list it
-// scans.
+// an entry below the bound are skipped without decoding. The decode
+// buffer is the caller's, so the probe hot loop can reuse one buffer
+// across every posting list it scans.
 func (p *PostingList) forEachLess(bound int32, buf *[PostingBlockSize]int32, fn func(int32) bool) {
 	nb := p.numBlocks()
 	for b := 0; b < nb; b++ {
@@ -179,136 +151,6 @@ func (p *PostingList) forEachLess(bound int32, buf *[PostingBlockSize]int32, fn 
 			if !fn(id) {
 				return
 			}
-		}
-	}
-}
-
-// Cursor returns a forward iterator positioned before the first ID.
-func (p *PostingList) Cursor() PostingCursor {
-	return PostingCursor{pl: p, b: -1}
-}
-
-// PostingCursor iterates a PostingList in ascending order with
-// galloping skip support. Obtain one with Cursor; the zero value is not
-// valid. A cursor decodes one block at a time into an internal buffer,
-// so iteration allocates nothing.
-type PostingCursor struct {
-	pl  *PostingList
-	b   int // decoded block index; -1 before the first Next/SeekGE
-	cnt int // entries decoded in buf
-	k   int // next undelivered index in buf
-	buf [PostingBlockSize]int32
-}
-
-// load decodes block b into the cursor, returning false past the end.
-func (c *PostingCursor) load(b int) bool {
-	if b >= c.pl.numBlocks() {
-		c.b = c.pl.numBlocks()
-		c.cnt, c.k = 0, 0
-		return false
-	}
-	c.b = b
-	c.cnt = c.pl.decodeBlock(b, &c.buf)
-	c.k = 0
-	return true
-}
-
-// Next returns the next ID in ascending order.
-func (c *PostingCursor) Next() (int32, bool) {
-	if c.k >= c.cnt {
-		if !c.load(c.b + 1) {
-			return 0, false
-		}
-	}
-	v := c.buf[c.k]
-	c.k++
-	return v, true
-}
-
-// SeekGE advances past every ID below target and returns the first ID
-// at or above it, consuming it like Next. Skipped blocks are located by
-// galloping over the block skip pointers — exponential probe then
-// binary search — and are never decoded.
-func (c *PostingCursor) SeekGE(target int32) (int32, bool) {
-	pl := c.pl
-	nb := pl.numBlocks()
-	// Within the already-decoded block: a short forward scan.
-	if c.b >= 0 && c.b < nb && pl.blockMax(c.b) >= target {
-		for c.k < c.cnt && c.buf[c.k] < target {
-			c.k++
-		}
-		if c.k < c.cnt {
-			v := c.buf[c.k]
-			c.k++
-			return v, true
-		}
-		// cnt exhausted with blockMax ≥ target means every in-block entry
-		// was already consumed; the next block holds the target.
-		return c.Next()
-	}
-	// Gallop: double the step until a block's skip pointer reaches the
-	// target, then binary-search the bracketed range.
-	lo := c.b + 1
-	if lo >= nb {
-		return 0, false
-	}
-	if pl.last < target {
-		c.load(nb)
-		return 0, false
-	}
-	step := 1
-	hi := lo
-	for hi < nb && pl.blockMax(hi) < target {
-		lo = hi + 1
-		hi += step
-		step <<= 1
-	}
-	if hi > nb-1 {
-		hi = nb - 1
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pl.blockMax(mid) < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if !c.load(lo) {
-		return 0, false
-	}
-	for c.k < c.cnt && c.buf[c.k] < target {
-		c.k++
-	}
-	v := c.buf[c.k]
-	c.k++
-	return v, true
-}
-
-// IntersectPostings streams the IDs present in both lists to yield in
-// ascending order, stopping early if yield returns false. It leapfrogs:
-// each side galloping-seeks to the other's current ID, so the cost is
-// O(min·log(max/min)) block probes rather than a full merge — the
-// skip-pointer intersection the compressed layout exists for.
-func IntersectPostings(a, b *PostingList, yield func(int32) bool) {
-	if a.Len() == 0 || b.Len() == 0 {
-		return
-	}
-	ca, cb := a.Cursor(), b.Cursor()
-	x, okx := ca.Next()
-	y, oky := cb.Next()
-	for okx && oky {
-		switch {
-		case x == y:
-			if !yield(x) {
-				return
-			}
-			x, okx = ca.Next()
-			y, oky = cb.Next()
-		case x < y:
-			x, okx = ca.SeekGE(y)
-		default:
-			y, oky = cb.SeekGE(x)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simjoin
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,16 +27,16 @@ func buildPostingList(ids []int32) *PostingList {
 	return &p
 }
 
-func drainCursor(p *PostingList) []int32 {
+// collectLess returns the list's IDs strictly below bound, read through
+// the probe's bounded scan.
+func collectLess(p *PostingList, bound int32) []int32 {
+	var buf [PostingBlockSize]int32
 	var out []int32
-	c := p.Cursor()
-	for {
-		v, ok := c.Next()
-		if !ok {
-			return out
-		}
+	p.forEachLess(bound, &buf, func(v int32) bool {
 		out = append(out, v)
-	}
+		return true
+	})
+	return out
 }
 
 func TestPostingListRoundTrip(t *testing.T) {
@@ -46,15 +47,8 @@ func TestPostingListRoundTrip(t *testing.T) {
 		if p.Len() != n {
 			t.Fatalf("n=%d: Len=%d", n, p.Len())
 		}
-		wantMax := int32(-1)
-		if n > 0 {
-			wantMax = ids[n-1]
-		}
-		if p.Max() != wantMax {
-			t.Fatalf("n=%d: Max=%d want %d", n, p.Max(), wantMax)
-		}
-		if got := drainCursor(p); !slices.Equal(got, ids) {
-			t.Fatalf("n=%d: cursor drain mismatch", n)
+		if got := collectLess(p, math.MaxInt32); !slices.Equal(got, ids) {
+			t.Fatalf("n=%d: drain mismatch", n)
 		}
 	}
 }
@@ -90,11 +84,7 @@ func TestForEachLessMatchesFilter(t *testing.T) {
 	p := buildPostingList(ids)
 	for trial := 0; trial < 200; trial++ {
 		bound := int32(rng.Intn(int(ids[len(ids)-1]) + 100))
-		var got []int32
-		p.ForEachLess(bound, func(v int32) bool {
-			got = append(got, v)
-			return true
-		})
+		got := collectLess(p, bound)
 		var want []int32
 		for _, v := range ids {
 			if v < bound {
@@ -106,109 +96,13 @@ func TestForEachLessMatchesFilter(t *testing.T) {
 		}
 	}
 	// Early stop.
+	var buf [PostingBlockSize]int32
 	var got []int32
-	p.ForEachLess(ids[len(ids)-1]+1, func(v int32) bool {
+	p.forEachLess(ids[len(ids)-1]+1, &buf, func(v int32) bool {
 		got = append(got, v)
 		return len(got) < 7
 	})
 	if len(got) != 7 {
 		t.Fatalf("early stop: %d entries", len(got))
-	}
-}
-
-func TestSeekGEMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ids := randomAscending(rng, 4000, 40)
-	p := buildPostingList(ids)
-	// Fresh-cursor seeks at arbitrary targets.
-	for trial := 0; trial < 300; trial++ {
-		target := int32(rng.Intn(int(ids[len(ids)-1]) + 200))
-		c := p.Cursor()
-		got, ok := c.SeekGE(target)
-		i, _ := slices.BinarySearch(ids, target)
-		if i == len(ids) {
-			if ok {
-				t.Fatalf("target=%d: expected exhaustion, got %d", target, got)
-			}
-			continue
-		}
-		if !ok || got != ids[i] {
-			t.Fatalf("target=%d: got (%d,%v) want %d", target, got, ok, ids[i])
-		}
-		// The seek consumes the returned entry; Next must continue after it.
-		if next, nok := c.Next(); i+1 < len(ids) {
-			if !nok || next != ids[i+1] {
-				t.Fatalf("target=%d: Next after seek got (%d,%v) want %d", target, next, nok, ids[i+1])
-			}
-		} else if nok {
-			t.Fatalf("target=%d: Next after final seek should exhaust", target)
-		}
-	}
-	// Monotone seek sequence on one cursor (the intersection access pattern).
-	c := p.Cursor()
-	i := 0
-	target := int32(0)
-	for {
-		target += int32(1 + rng.Intn(500))
-		got, ok := c.SeekGE(target)
-		for i < len(ids) && ids[i] < target {
-			i++
-		}
-		if i == len(ids) {
-			if ok {
-				t.Fatalf("monotone: expected exhaustion at target=%d", target)
-			}
-			break
-		}
-		if !ok || got != ids[i] {
-			t.Fatalf("monotone target=%d: got (%d,%v) want %d", target, got, ok, ids[i])
-		}
-		i++
-	}
-}
-
-func intersectRef(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-func TestIntersectPostingsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		na, nb := rng.Intn(2000), rng.Intn(2000)
-		// Mix dense and sparse lists so gallops skip whole blocks.
-		a := randomAscending(rng, na, 1+rng.Intn(8))
-		b := randomAscending(rng, nb, 1+rng.Intn(200))
-		var got []int32
-		IntersectPostings(buildPostingList(a), buildPostingList(b), func(v int32) bool {
-			got = append(got, v)
-			return true
-		})
-		if want := intersectRef(a, b); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: got %d entries want %d", trial, len(got), len(want))
-		}
-	}
-	// Early stop.
-	ids := randomAscending(rng, 1000, 3)
-	n := 0
-	IntersectPostings(buildPostingList(ids), buildPostingList(ids), func(v int32) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Fatalf("early stop: yielded %d", n)
 	}
 }

@@ -156,28 +156,6 @@ func passesLengthFilter(la, lb int, tau float64) bool {
 	return float64(lo)+1e-9 >= tau*float64(hi)
 }
 
-// ScoreCandidates computes the Jaccard likelihood of each candidate pair
-// (e.g. from a blocking scheme) and keeps those at or above the threshold,
-// sorted by likelihood descending. Combined with a complete blocking
-// scheme this is equivalent to Join on tables where every record has at
-// least one token (blocking can never propose the token-less pairs that
-// Join scores at likelihood 1 under the empty-set convention); with a
-// lossy scheme (capped blocks, sorted neighborhood) it trades a little
-// recall for scale.
-func ScoreCandidates(t *record.Table, candidates []record.Pair, threshold float64) []ScoredPair {
-	ids := t.TokenIDs()
-	var out []ScoredPair
-	for _, p := range candidates {
-		cp := record.MakePair(p.A, p.B)
-		sim := similarity.Jaccard(ids[cp.A], ids[cp.B])
-		if sim >= threshold {
-			out = append(out, ScoredPair{Pair: cp, Likelihood: sim})
-		}
-	}
-	SortScored(out)
-	return out
-}
-
 // BruteForce computes the join by comparing every pair of records,
 // respecting the same options. It is the testing oracle for Join and is
 // also convenient for tiny tables. It is deliberately sequential and

@@ -379,32 +379,3 @@ func BenchmarkJoinRestaurantScales(b *testing.B) {
 		})
 	}
 }
-
-func TestScoreCandidatesMatchesJoin(t *testing.T) {
-	// With the complete candidate set, ScoreCandidates ≡ Join.
-	tab := paperTable()
-	var all []record.Pair
-	for i := 0; i < tab.Len(); i++ {
-		for j := i + 1; j < tab.Len(); j++ {
-			all = append(all, record.MakePair(record.ID(i), record.ID(j)))
-		}
-	}
-	got := ScoreCandidates(tab, all, 0.3)
-	want := Join(tab, Options{Threshold: 0.3})
-	if len(got) != len(want) {
-		t.Fatalf("ScoreCandidates found %d pairs; Join found %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mismatch at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestScoreCandidatesCanonicalizes(t *testing.T) {
-	tab := paperTable()
-	got := ScoreCandidates(tab, []record.Pair{{A: 1, B: 0}}, 0)
-	if len(got) != 1 || got[0].Pair != record.MakePair(0, 1) {
-		t.Fatalf("ScoreCandidates = %v; want canonical (0,1)", got)
-	}
-}
