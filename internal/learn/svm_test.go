@@ -72,6 +72,24 @@ func TestTrainSVMErrors(t *testing.T) {
 	}
 }
 
+// A training set of one class trains (there is no ratio to balance) and
+// places that class on its side of the margin: the active loop trains
+// on such a set when the whole pool holds one class.
+func TestTrainSVMSingleClass(t *testing.T) {
+	for _, label := range []float64{1, -1} {
+		ex := []Example{{X: []float64{0.2}, Label: label}, {X: []float64{0.9}, Label: label}}
+		m, err := TrainSVM(ex, 4)
+		if err != nil {
+			t.Fatalf("label %v: %v", label, err)
+		}
+		for _, e := range ex {
+			if predict(m, e.X) != label {
+				t.Errorf("label %v: example %v scored %v", label, e.X, m.Score(e.X))
+			}
+		}
+	}
+}
+
 func TestTrainSVMBalanced(t *testing.T) {
 	// 10:1 imbalance: without class balancing, the classifier can
 	// degenerate to all-negative; with it it must recover positives.

@@ -129,19 +129,29 @@ func TestLevenshteinSim(t *testing.T) {
 	}
 }
 
-// Property: Jaccard is bounded to [0, 1], symmetric, and 1 on
-// identical sets.
-func TestJaccardProperties(t *testing.T) {
-	f := func(xs, ys []string) bool {
-		a, b := sets(xs, ys)
-		v := Jaccard(a, b)
-		if v < 0 || v > 1 {
-			return false
-		}
-		return almostEq(v, Jaccard(b, a)) && almostEq(Jaccard(a, a), 1)
+// Property: each set similarity is bounded to [0, 1], symmetric, and 1
+// on identical sets.
+func TestSetSimilarityProperties(t *testing.T) {
+	fns := []struct {
+		name string
+		fn   func(a, b []int32) float64
+	}{
+		{"Jaccard", Jaccard},
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for _, sf := range fns {
+		t.Run(sf.name, func(t *testing.T) {
+			f := func(xs, ys []string) bool {
+				a, b := sets(xs, ys)
+				v := sf.fn(a, b)
+				if v < 0 || v > 1 {
+					return false
+				}
+				return almostEq(v, sf.fn(b, a)) && almostEq(sf.fn(a, a), 1)
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
