@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,22 +11,29 @@ import (
 // Journal observes queue-backend state mutations for durable session
 // storage. Callbacks fire with the queue's lock held — implementations
 // must be fast, must not call back into the queue, and must not block on
-// the queue's other methods. Errors are the journal's problem: a durable
-// store surfaces write failures from its own Log path, not through the
-// queue.
+// the queue's other methods. Answered is the one durable callback: the
+// queue commits an answer only once it returns nil. The other callbacks
+// record state a restart can rebuild by re-posting unpaid work, so their
+// write failures surface from the store's own Log path instead.
 type Journal interface {
 	// Posted reports HITs opened (or topped up) at time at.
 	Posted(hits []HIT, at time.Time)
 	// Claimed reports a new lease.
 	Claimed(token string, hit int, worker string, at, deadline time.Time)
 	// Answered reports a completed assignment. late marks a lapsed-lease
-	// answer credited before its replication top-up was claimed.
-	Answered(token string, hit int, worker string, a Assignment, late bool)
+	// answer credited before its replication top-up was claimed. An error
+	// means the answer is not durable; the queue then leaves it
+	// uncommitted.
+	Answered(token string, hit int, worker string, a Assignment, late bool) error
 	// Expired reports leases dropped by a sweep.
 	Expired(claims []ExpiredClaim)
 	// Retracted reports withdrawn HITs.
 	Retracted(ids []int)
 }
+
+// ErrNotDurable wraps the journal failure of an answer the queue refused
+// to commit. The worker's answer was valid; the claim stays live.
+var ErrNotDurable = errors.New("crowd: answer not journaled")
 
 // ExpiredClaim identifies one lapsed lease.
 type ExpiredClaim struct {

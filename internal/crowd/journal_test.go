@@ -1,6 +1,8 @@
 package crowd
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -148,5 +150,104 @@ func TestEnsureHITIDFloor(t *testing.T) {
 	ids := []int{before, floor, after}
 	if !sort.IntsAreSorted(ids) {
 		t.Fatalf("ids out of order: %v", ids)
+	}
+}
+
+// failingJournal refuses answers while fail is set; the other callbacks
+// are no-ops.
+type failingJournal struct{ fail bool }
+
+func (*failingJournal) Posted([]HIT, time.Time)                           {}
+func (*failingJournal) Claimed(string, int, string, time.Time, time.Time) {}
+func (*failingJournal) Expired([]ExpiredClaim)                            {}
+func (*failingJournal) Retracted([]int)                                   {}
+func (j *failingJournal) Answered(string, int, string, Assignment, bool) error {
+	if j.fail {
+		return errors.New("disk gone")
+	}
+	return nil
+}
+
+// TestAnswerJournalFailureCommitsNothing: an answer whose journal write
+// fails is refused with ErrNotDurable and changes nothing — the claim
+// (or the lapsed lease's top-up credit) stays live, no worker ID is
+// interned, no slot is used and nothing reaches the Collect stream — so
+// the same answer succeeds unchanged once the journal recovers.
+func TestAnswerJournalFailureCommitsNothing(t *testing.T) {
+	now := time.Unix(1000, 0)
+	j := &failingJournal{}
+	q := NewQueue(QueueOptions{Lease: time.Minute, Now: func() time.Time { return now }, Journal: j})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream := q.Collect(ctx)
+	next := func() (Assignment, bool) {
+		select {
+		case a := <-stream:
+			return a, true
+		case <-time.After(50 * time.Millisecond):
+			return Assignment{}, false
+		}
+	}
+	answer := []Verdict{{A: 0, B: 1, Match: true}, {A: 2, B: 3, Match: false}}
+	hits := PairHITsFromGen([][]record.Pair{{mk(0, 1)}, {mk(2, 3)}}, 1)
+	if err := q.Post(ctx, hits); err != nil {
+		t.Fatal(err)
+	}
+
+	// A live claim.
+	c, ok := q.Claim("alice")
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	j.fail = true
+	if err := q.Answer(c.Token, answer); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Answer with a failing journal = %v; want ErrNotDurable", err)
+	}
+	if !q.ClaimLive(c.Token) {
+		t.Fatal("refused answer consumed the claim")
+	}
+	if a, got := next(); got {
+		t.Fatalf("refused answer delivered %+v", a)
+	}
+	j.fail = false
+	if err := q.Answer(c.Token, answer); err != nil {
+		t.Fatalf("retry after the journal recovered: %v", err)
+	}
+	if a, got := next(); !got || a.Slot != 0 || a.Worker != 0 {
+		t.Fatalf("retried answer delivered %+v (%v); want slot 0, worker 0", a, got)
+	}
+
+	// A lapsed lease credited against its posted top-up.
+	c, ok = q.Claim("bob")
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	now = now.Add(2 * time.Minute)
+	q.Sweep()
+	if a, got := next(); !got || !a.Expired {
+		t.Fatalf("sweep delivered %+v (%v); want an expiry", a, got)
+	}
+	if err := q.Post(ctx, []HIT{c.HIT}); err != nil {
+		t.Fatal(err)
+	}
+	j.fail = true
+	if err := q.Answer(c.Token, answer); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("late Answer with a failing journal = %v; want ErrNotDurable", err)
+	}
+	if _, open := q.Depth(); open != 1 {
+		t.Fatalf("refused late answer left %d open assignments; want the top-up's 1", open)
+	}
+	if a, got := next(); got {
+		t.Fatalf("refused late answer delivered %+v", a)
+	}
+	j.fail = false
+	if err := q.Answer(c.Token, answer); err != nil {
+		t.Fatalf("late retry after the journal recovered: %v", err)
+	}
+	if a, got := next(); !got || a.Slot != 0 || a.Worker != 1 {
+		t.Fatalf("late retry delivered %+v (%v); want slot 0, worker 1", a, got)
+	}
+	if _, open := q.Depth(); open != 0 {
+		t.Fatalf("credited late answer left %d open assignments", open)
 	}
 }

@@ -372,21 +372,9 @@ func (q *Queue) Answer(token string, verdicts []Verdict) error {
 	if h.Kind == ClusterKind {
 		byPair = closeOverRecords(h, byPair)
 	}
-	if late {
-		// Commit the late credit only now that the answer validated: an
-		// invalid late answer must not consume the top-up slot — the
-		// lapsed entry stays, and the worker may retry with a full answer.
-		q.open[h.ID]--
-		if q.touched[h.ID] == nil {
-			q.touched[h.ID] = make(map[string]bool)
-		}
-		q.touched[h.ID][c.Worker] = true
-		delete(q.lapsed, token)
-	}
-	wid, ok := q.workers[c.Worker]
-	if !ok {
+	wid, known := q.workers[c.Worker]
+	if !known {
 		wid = len(q.workers)
-		q.workers[c.Worker] = wid
 	}
 	a := Assignment{
 		HIT:     h.ID,
@@ -394,15 +382,35 @@ func (q *Queue) Answer(token string, verdicts []Verdict) error {
 		Worker:  wid,
 		Seconds: now.Sub(c.claimedAt).Seconds(),
 	}
-	q.answered[h.ID]++
 	a.Answers = make([]aggregate.Answer, len(h.Pairs))
 	for i, p := range h.Pairs {
 		a.Answers[i] = aggregate.Answer{Pair: p, Worker: wid, Match: byPair[p]}
 	}
-	delete(q.claims, token)
+	// A paid verdict is on disk before anything is acknowledged: nothing
+	// below runs unless the journal took the answer, so a failed write
+	// leaves the claim (or lapsed credit) live and delivers nothing.
 	if j := q.opts.Journal; j != nil {
-		j.Answered(token, h.ID, c.Worker, a, late)
+		if err := j.Answered(token, h.ID, c.Worker, a, late); err != nil {
+			return fmt.Errorf("%w: %w", ErrNotDurable, err)
+		}
 	}
+	if late {
+		// Commit the late credit only now that the answer validated and
+		// is durable: an invalid late answer must not consume the top-up
+		// slot — the lapsed entry stays, and the worker may retry with a
+		// full answer.
+		q.open[h.ID]--
+		if q.touched[h.ID] == nil {
+			q.touched[h.ID] = make(map[string]bool)
+		}
+		q.touched[h.ID][c.Worker] = true
+		delete(q.lapsed, token)
+	}
+	if !known {
+		q.workers[c.Worker] = wid
+	}
+	q.answered[h.ID]++
+	delete(q.claims, token)
 	q.st.push(a)
 	return nil
 }

@@ -15,6 +15,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -204,8 +205,11 @@ func (d *Dispatcher) Answer(token string, verdicts []crowd.Verdict) (Session, er
 	e := v.(*entry)
 	if err := e.Queue.Answer(token, verdicts); err != nil {
 		// Lease lapsed (or the run was retracted) between claim and
-		// answer; the token is dead either way.
-		d.byToken.Delete(token)
+		// answer; the token is dead either way — unless the journal
+		// failed, which leaves the claim live.
+		if !errors.Is(err, crowd.ErrNotDurable) {
+			d.byToken.Delete(token)
+		}
 		return Session{}, err
 	}
 	d.byToken.Delete(token)

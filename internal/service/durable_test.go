@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/crowder/crowder/internal/crowd"
+	"github.com/crowder/crowder/internal/dispatch"
 	"github.com/crowder/crowder/internal/record"
 )
 
@@ -374,5 +376,66 @@ func TestServiceDurableQueueRecovery(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("match %d differs after recovery: %+v vs control %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// failingJournal refuses every answer, as a poisoned store does.
+type failingJournal struct{}
+
+func (failingJournal) Posted([]crowd.HIT, time.Time)                     {}
+func (failingJournal) Claimed(string, int, string, time.Time, time.Time) {}
+func (failingJournal) Expired([]crowd.ExpiredClaim)                      {}
+func (failingJournal) Retracted([]int)                                   {}
+func (failingJournal) Answered(string, int, string, crowd.Assignment, bool) error {
+	return errors.New("disk gone")
+}
+
+// TestAnswerNotDurableIs503: a valid answer the queue could not make
+// durable is refused with 503, not acknowledged and not a 400, on both
+// answer endpoints; the claim stays live and the global token keeps its
+// route so the worker can retry.
+func TestAnswerNotDurableIs503(t *testing.T) {
+	s := New(Options{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	c := srv.Client()
+
+	q := crowd.NewQueue(crowd.QueueOptions{Journal: failingJournal{}})
+	if !s.reg.put("t", &session{name: "t", tenant: "t", queue: q, jobs: map[int]*job{}}) {
+		t.Fatal("registering the table failed")
+	}
+	if err := s.dispatcher.Register(dispatch.Session{Tenant: "t", Table: "t", Queue: q}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Post(context.Background(), crowd.PairHITsFromGen([][]record.Pair{{record.MakePair(0, 1)}, {record.MakePair(2, 3)}}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(c *crowd.Claimed) map[string]any {
+		p := c.HIT.Pairs[0]
+		return map[string]any{"token": c.Token, "answers": []map[string]any{{"a": p.A, "b": p.B, "match": true}}}
+	}
+
+	local, ok := q.Claim("alice")
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	if code := call(t, c, "POST", srv.URL+"/tables/t/hits/answer", answer(local), nil); code != http.StatusServiceUnavailable {
+		t.Errorf("table answer returned %d; want 503", code)
+	}
+	if !q.ClaimLive(local.Token) {
+		t.Error("table answer consumed the claim")
+	}
+
+	global, _, ok, err := s.dispatcher.Claim(context.Background(), "bob", 0)
+	if err != nil || !ok {
+		t.Fatalf("global claim: %v, %v", ok, err)
+	}
+	for try := 0; try < 2; try++ {
+		if code := call(t, c, "POST", srv.URL+"/answer", answer(global), nil); code != http.StatusServiceUnavailable {
+			t.Errorf("global answer (try %d) returned %d; want 503", try, code)
+		}
+	}
+	if !q.ClaimLive(global.Token) {
+		t.Error("global answer consumed the claim")
 	}
 }

@@ -65,6 +65,7 @@ import (
 	"time"
 
 	crowder "github.com/crowder/crowder"
+	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/dispatch"
 	"github.com/crowder/crowder/internal/record"
 )
@@ -210,6 +211,32 @@ func (sess *session) pruneJobsLocked() {
 		if !evicted {
 			return
 		}
+	}
+}
+
+// finishJob publishes a job's terminal state. The session is released
+// (and a successful result installed) under sess.mu before j.mu lets a
+// poller see the state, in the order pruneJobsLocked takes the two locks:
+// a client that has seen "done" or "cancelled" can resolve again at once
+// and reads the new matches.
+func (sess *session) finishJob(j *job, res *crowder.Result, workers []crowder.WorkerStat, err error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	sess.running = false
+	switch {
+	case err == nil:
+		sess.last = res
+		j.state = "done"
+		j.result = res
+		j.workers = workers
+	case errors.Is(err, context.Canceled):
+		j.state = "cancelled"
+		j.errMsg = err.Error()
+	default:
+		j.state = "failed"
+		j.errMsg = err.Error()
 	}
 }
 
@@ -460,13 +487,7 @@ func (s *Server) handleResolve(sess *session, w http.ResponseWriter, r *http.Req
 		release, waited, aerr := s.admission.Acquire(ctx, sess.tenant)
 		if aerr != nil {
 			cancel()
-			j.mu.Lock()
-			j.state = "cancelled"
-			j.errMsg = aerr.Error()
-			j.mu.Unlock()
-			sess.mu.Lock()
-			sess.running = false
-			sess.mu.Unlock()
+			sess.finishJob(j, nil, nil, aerr)
 			return
 		}
 		defer release()
@@ -486,26 +507,7 @@ func (s *Server) handleResolve(sess *session, w http.ResponseWriter, r *http.Req
 			// anyone can observe "done".
 			workers = sess.rv.WorkerStats()
 		}
-		j.mu.Lock()
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				j.state = "cancelled"
-			} else {
-				j.state = "failed"
-			}
-			j.errMsg = err.Error()
-		} else {
-			j.state = "done"
-			j.result = res
-			j.workers = workers
-		}
-		j.mu.Unlock()
-		sess.mu.Lock()
-		sess.running = false
-		if err == nil {
-			sess.last = res
-		}
-		sess.mu.Unlock()
+		sess.finishJob(j, res, workers, err)
 	}()
 	writeJSON(w, http.StatusAccepted, map[string]any{"job": j.id})
 }
@@ -805,7 +807,7 @@ func (s *Server) handleGlobalAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	from, err := s.dispatcher.Answer(req.Token, req.verdicts())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, answerStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "table": from.Table, "tenant": from.Tenant})
@@ -941,10 +943,19 @@ func handleAnswer(sess *session, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := sess.queue.Answer(req.Token, req.verdicts()); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, answerStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+}
+
+// answerStatus maps a refused answer to its HTTP status: 503 when the
+// answer was valid but could not be made durable, 400 otherwise.
+func answerStatus(err error) int {
+	if errors.Is(err, crowd.ErrNotDurable) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

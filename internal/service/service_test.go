@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -588,4 +589,103 @@ func TestServiceAggregation(t *testing.T) {
 	}, &errBody); code != http.StatusBadRequest {
 		t.Errorf("unknown aggregation returned %d", code)
 	}
+}
+
+// TestServiceConcurrentJobAfterTerminal: the moment a job's state turns
+// done or cancelled, the table serves that job's matches and takes the
+// next resolve (no 409). The test spins on the state as a status poll
+// reads it and calls the handlers as soon as it changes, so a table
+// released only after its job's state is published fails within a few
+// rounds.
+func TestServiceConcurrentJobAfterTerminal(t *testing.T) {
+	s := New(Options{})
+	serve := func(method, path string, body, out any) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if body != nil {
+			if err := json.NewEncoder(&buf).Encode(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, httptest.NewRequest(method, path, &buf))
+		if out != nil {
+			if err := json.NewDecoder(rr.Body).Decode(out); err != nil {
+				t.Fatalf("%s %s: decoding response: %v", method, path, err)
+			}
+		}
+		return rr.Code
+	}
+	resolve := func(table string) int {
+		t.Helper()
+		var kicked struct {
+			Job int `json:"job"`
+		}
+		if code := serve("POST", "/tables/"+table+"/resolve", map[string]any{}, &kicked); code != http.StatusAccepted {
+			t.Fatalf("resolve %s returned %d", table, code)
+		}
+		return kicked.Job
+	}
+	// terminal spins on the job's state, read under j.mu as
+	// handleJobStatus reads it, until it leaves queued and running; by
+	// then the table must already be released.
+	terminal := func(table string, id int) string {
+		t.Helper()
+		sess := s.reg.get(table)
+		sess.mu.Lock()
+		j := sess.jobs[id]
+		sess.mu.Unlock()
+		for start := time.Now(); time.Since(start) < 30*time.Second; runtime.Gosched() {
+			j.mu.Lock()
+			state := j.state
+			j.mu.Unlock()
+			if state != "queued" && state != "running" {
+				sess.mu.Lock()
+				running := sess.running
+				sess.mu.Unlock()
+				if running {
+					t.Fatalf("job %d of %s is %s but the table is still running it", id, table, state)
+				}
+				return state
+			}
+		}
+		t.Fatalf("job %d of %s never finished", id, table)
+		return ""
+	}
+	rows := [][]string{{"iPad 2 16GB wifi"}, {"iPad 2 16GB wi-fi"}, {"iPhone 4 16GB"}}
+
+	// Done: a fresh table each round, so a result not yet installed
+	// shows as a 404.
+	for i := 0; i < 100; i++ {
+		table := fmt.Sprintf("done%d", i)
+		serve("POST", "/tables/"+table, tableRequest{
+			Schema:  []string{"name"},
+			Options: optionsRequest{Threshold: 0.3, HITType: "pair", Seed: 7, Oracle: [][2]int{{0, 1}}},
+		}, nil)
+		serve("POST", "/tables/"+table+"/records", map[string]any{"rows": rows}, nil)
+		if state := terminal(table, resolve(table)); state != "done" {
+			t.Fatalf("round %d: job finished %s", i, state)
+		}
+		if code := serve("GET", "/tables/"+table+"/matches", nil, nil); code != http.StatusOK {
+			t.Fatalf("round %d: matches right after done returned %d", i, code)
+		}
+		terminal(table, resolve(table))
+	}
+
+	// Cancelled: a queue table nobody works, cancelled and re-resolved.
+	serve("POST", "/tables/q", tableRequest{
+		Schema:  []string{"name"},
+		Options: optionsRequest{Threshold: 0.3, HITType: "pair", Seed: 7, Backend: "queue"},
+	}, nil)
+	serve("POST", "/tables/q/records", map[string]any{"rows": rows}, nil)
+	job := resolve("q")
+	for i := 0; i < 100; i++ {
+		serve("DELETE", fmt.Sprintf("/tables/q/jobs/%d", job), nil, nil)
+		if state := terminal("q", job); state != "cancelled" {
+			t.Fatalf("round %d: job finished %s", i, state)
+		}
+		job = resolve("q")
+	}
+	serve("DELETE", fmt.Sprintf("/tables/q/jobs/%d", job), nil, nil)
+	terminal("q", job)
 }

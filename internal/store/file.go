@@ -30,7 +30,9 @@ const defaultCompactBytes = 1 << 20
 // the highest complete snapshot and replays its WAL; a crash between the
 // snapshot rename and the new WAL's creation leaves the previous
 // generation's WAL fully contained in the new snapshot, so either
-// generation recovers to the same state.
+// generation recovers to the same state. The log holds only the open WAL
+// and its counters, never the session state: compaction rebuilds that
+// from disk through the loader recovery uses.
 type FileLog struct {
 	dir  string
 	opts Options
@@ -44,7 +46,6 @@ type FileLog struct {
 	w         *bufio.Writer
 	walBytes  int64
 	snapBytes int64
-	st        *replayState
 	err       error // sticky: first write/sync failure poisons the log
 }
 
@@ -68,38 +69,13 @@ func Open(dir string, opts Options) (*FileLog, *Recovered, error) {
 		os.Remove(filepath.Join(dir, t))
 	}
 
-	st := newReplayState()
 	seq := 0
-	var snapBytes int64
 	if len(snaps) > 0 {
 		seq = snaps[len(snaps)-1]
-		name := snapName(seq)
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: read snapshot: %w", err)
-		}
-		valid, torn, err := ReadEvents(name, data, st.apply)
-		if err != nil {
-			return nil, nil, err
-		}
-		if torn || valid != int64(len(data)) {
-			// Snapshots are written to a temp file and renamed into place;
-			// a short one is corruption, not a crash artifact.
-			return nil, nil, &CorruptError{File: name, Offset: valid, Reason: "snapshot truncated"}
-		}
-		snapBytes = int64(len(data))
 	}
-
-	walPath := filepath.Join(dir, walName(seq))
-	var walValid int64
-	if data, err := os.ReadFile(walPath); err == nil {
-		valid, _, err := ReadEvents(walName(seq), data, st.apply)
-		if err != nil {
-			return nil, nil, err
-		}
-		walValid = valid
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("store: read wal: %w", err)
+	st, snapBytes, walValid, err := loadGeneration(dir, seq)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Older generations are fully contained in the loaded snapshot.
@@ -114,7 +90,7 @@ func Open(dir string, opts Options) (*FileLog, *Recovered, error) {
 		}
 	}
 
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, walName(seq)), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: open wal: %w", err)
 	}
@@ -135,7 +111,6 @@ func Open(dir string, opts Options) (*FileLog, *Recovered, error) {
 		w:         bufio.NewWriter(f),
 		walBytes:  walValid,
 		snapBytes: snapBytes,
-		st:        st,
 	}
 	rec := st.recovered()
 	rec.WALBytes = walValid
@@ -161,15 +136,6 @@ func (fl *FileLog) Log(ev Event) error {
 	if err != nil {
 		return fl.poison(err)
 	}
-	// Mirror from the encoded bytes, not the caller's object: the mirror
-	// then provably matches what a cold replay of the file would build.
-	mev, err := decodeEvent(payload)
-	if err != nil {
-		return fl.poison(err)
-	}
-	if err := fl.st.apply(mev); err != nil {
-		return fl.poison(err)
-	}
 	if !ev.durable() {
 		return nil
 	}
@@ -187,9 +153,53 @@ func (fl *FileLog) Log(ev Event) error {
 	return nil
 }
 
-// compact writes the mirror as snapshot-<seq+1>, atomically installs it,
-// and starts a fresh WAL generation.
+// loadGeneration replays generation seq from disk into a fresh state:
+// snapshot-<seq> (generation 0 has none), then the valid prefix of
+// wal-<seq>. It returns the snapshot's size and the WAL's valid length.
+func loadGeneration(dir string, seq int) (st *replayState, snapBytes, walValid int64, err error) {
+	st = newReplayState()
+	if seq > 0 {
+		name := snapName(seq)
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("store: read snapshot: %w", err)
+		}
+		valid, torn, err := ReadEvents(name, data, st.apply)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if torn || valid != int64(len(data)) {
+			// Snapshots are written to a temp file and renamed into place;
+			// a short one is corruption, not a crash artifact.
+			return nil, 0, 0, &CorruptError{File: name, Offset: valid, Reason: "snapshot truncated"}
+		}
+		snapBytes = int64(len(data))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, walName(seq)))
+	if err == nil {
+		walValid, _, err = ReadEvents(walName(seq), data, st.apply)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+	} else if !os.IsNotExist(err) {
+		return nil, 0, 0, fmt.Errorf("store: read wal: %w", err)
+	}
+	return st, snapBytes, walValid, nil
+}
+
+// compact replays the current generation from disk — flushed and synced
+// by the durable write that triggered it — writes the result as
+// snapshot-<seq+1>, atomically installs it, and starts a fresh WAL
+// generation. The snapshot is thus exactly what a cold recovery of the
+// same bytes builds; the log keeps no resident copy of the session.
 func (fl *FileLog) compact() error {
+	st, _, walValid, err := loadGeneration(fl.dir, fl.seq)
+	if err != nil {
+		return err
+	}
+	if walValid != fl.walBytes {
+		return fmt.Errorf("store: compact: %s holds %d valid bytes; %d were written", walName(fl.seq), walValid, fl.walBytes)
+	}
 	next := fl.seq + 1
 	tmp := filepath.Join(fl.dir, snapName(next)+".tmp")
 	sf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -198,7 +208,7 @@ func (fl *FileLog) compact() error {
 	}
 	sw := bufio.NewWriter(sf)
 	var snapBytes int64
-	for _, ev := range fl.st.snapshotEvents() {
+	for _, ev := range st.snapshotEvents() {
 		payload, err := encodeEvent(ev)
 		if err != nil {
 			sf.Close()
@@ -320,10 +330,11 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// QueueJournal adapts a Store into the queue's journal interface. Log
-// errors are swallowed here — the store is sticky-poisoned and the next
-// resolver commit surfaces the failure — because journal callbacks run
-// under the queue lock with no error path.
+// QueueJournal adapts a Store into the queue's journal interface. An
+// answer's Log error reaches the queue, which refuses to acknowledge an
+// answer that is not on disk. The other callbacks swallow theirs: the
+// store is sticky-poisoned, so the next answer or resolver commit
+// surfaces the failure.
 func QueueJournal(s Store) crowd.Journal {
 	return queueJournal{s}
 }
@@ -338,8 +349,8 @@ func (j queueJournal) Claimed(token string, hit int, worker string, at, deadline
 	j.s.Log(&QueueClaimed{Token: token, HIT: hit, Worker: worker, At: at, Deadline: deadline})
 }
 
-func (j queueJournal) Answered(token string, hit int, worker string, a crowd.Assignment, late bool) {
-	j.s.Log(&QueueAnswered{Token: token, HIT: hit, Worker: worker, A: a, Late: late})
+func (j queueJournal) Answered(token string, hit int, worker string, a crowd.Assignment, late bool) error {
+	return j.s.Log(&QueueAnswered{Token: token, HIT: hit, Worker: worker, A: a, Late: late})
 }
 
 func (j queueJournal) Expired(claims []crowd.ExpiredClaim) {

@@ -3,22 +3,46 @@ package store
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"github.com/crowder/crowder/internal/aggregate"
+	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
+	"github.com/crowder/crowder/internal/verdicts"
 )
 
 // seedPayloads returns valid encoded events covering every tag, used to
 // seed both fuzzers (alongside the checked-in corpus in testdata/fuzz).
 func seedPayloads(tb testing.TB) [][]byte {
 	tb.Helper()
+	at := time.Unix(5000, 0).UTC()
+	hits := []crowd.HIT{{ID: 3, Kind: crowd.PairKind, Pairs: []record.Pair{record.MakePair(0, 1)}, Assignments: 1}}
+	answered := crowd.Assignment{HIT: 3, Worker: 0, Answers: []aggregate.Answer{{Pair: record.MakePair(0, 1), Worker: 0, Match: true}}}
 	events := []Event{
 		&Meta{Schema: []string{"name"}, Aggregator: "dawid-skene"},
 		&Append{Rows: []Row{{Src: -1, Values: []string{"a", "b"}}}},
 		&Prune{Absorbed: 2, Discovered: []simjoin.ScoredPair{{Pair: record.MakePair(0, 1), Likelihood: 0.5}}},
 		&Commit{Ops: []Op{{Put: &PutOp{Pair: record.MakePair(0, 1), Likelihood: 0.5}}, {ClearPending: true}}},
+		&QueuePosted{HITs: hits, At: at},
+		&QueueClaimed{Token: "t1", HIT: 3, Worker: "alice", At: at, Deadline: at.Add(time.Minute)},
+		&QueueAnswered{Token: "t1", HIT: 3, Worker: "alice", A: answered, Late: true},
+		&QueueExpired{Claims: []crowd.ExpiredClaim{{Token: "t2", HIT: 4, Worker: "bob"}}},
 		&QueueRetracted{IDs: []int{3, 4}},
 		&Pending{Scored: []simjoin.ScoredPair{{Pair: record.MakePair(1, 2), Likelihood: 0.25}}},
+		&CacheState{
+			Entries:  []verdicts.Entry{{Pair: record.MakePair(0, 1), Likelihood: 0.5, Answers: answered.Answers, Posterior: 0.9}},
+			Partials: []aggregate.Answer{{Pair: record.MakePair(1, 2), Worker: 1}},
+		},
+		&QueueState{S: crowd.QueueSnapshot{
+			HITs:      hits,
+			Open:      map[int]int{3: 1},
+			Order:     []int{3},
+			Workers:   []string{"alice"},
+			Claims:    []crowd.ClaimSnapshot{{Token: "t3", HIT: 3, Worker: "carol", ClaimedAt: at}},
+			Collected: map[int][]crowd.Assignment{3: {answered}},
+			NextHITID: 4,
+		}},
 	}
 	var out [][]byte
 	for _, ev := range events {
@@ -29,6 +53,32 @@ func seedPayloads(tb testing.TB) [][]byte {
 		out = append(out, p)
 	}
 	return out
+}
+
+// TestSeedPayloadsCoverEveryTag: Log writes events without decoding
+// them, so this is where every tag is checked to decode back to an
+// event that re-encodes byte for byte and replays.
+func TestSeedPayloadsCoverEveryTag(t *testing.T) {
+	seen := map[byte]bool{}
+	st := newReplayState()
+	for _, p := range seedPayloads(t) {
+		ev, err := decodeEvent(p)
+		if err != nil {
+			t.Fatalf("tag 0x%02x: %v", p[0], err)
+		}
+		if re, err := encodeEvent(ev); err != nil || !bytes.Equal(re, p) {
+			t.Fatalf("tag 0x%02x re-encodes to %q (err %v); want %q", p[0], re, err, p)
+		}
+		if err := st.apply(ev); err != nil {
+			t.Fatalf("tag 0x%02x: replay: %v", p[0], err)
+		}
+		seen[p[0]] = true
+	}
+	for tag := tagMeta; tag <= tagQueueState; tag++ {
+		if !seen[tag] {
+			t.Errorf("no seed payload for tag 0x%02x", tag)
+		}
+	}
 }
 
 // FuzzDecodeEvent hammers the event decoder with arbitrary payloads: it

@@ -11,11 +11,9 @@ import (
 	"github.com/crowder/crowder/internal/verdicts"
 )
 
-// replayState is the session state a log replays into. FileLog keeps one
-// as a live mirror — every event it writes is decoded back from its
-// encoded bytes and applied here, so the mirror can never drift from
-// what a cold recovery of the same bytes would produce — and compaction
-// is just serializing the mirror as a fresh event stream.
+// replayState is the session state one generation on disk replays into.
+// Open builds one to hand the engine its recovered state; compaction
+// builds one to serialize as the next snapshot. Neither keeps it.
 type replayState struct {
 	meta       Meta
 	hasMeta    bool
@@ -80,7 +78,7 @@ func (st *replayState) apply(ev Event) error {
 				}
 				st.cache.SetPosteriors(post)
 			case op.ClearPending:
-				st.pending = st.pending[:0]
+				st.pending = nil
 			}
 		}
 	case *Pending:
@@ -126,7 +124,7 @@ func (st *replayState) snapshotEvents() []Event {
 		evs = append(evs, &Prune{Absorbed: b})
 	}
 	if len(st.pending) > 0 {
-		evs = append(evs, &Pending{Scored: append([]simjoin.ScoredPair(nil), st.pending...)})
+		evs = append(evs, &Pending{Scored: st.pending})
 	}
 	if st.cache.Len() > 0 || st.cache.PartialLen() > 0 {
 		entries, partials := st.cache.Dump()
@@ -178,17 +176,15 @@ func (r *Recovered) hasState() bool {
 		len(r.Pending) > 0 || r.Queue != nil || len(r.Meta.Schema) > 0
 }
 
-// recovered builds the engine-facing view. Everything handed out is a
-// copy: the mirror keeps tracking disk truth while the engine mutates
-// its own state.
+// recovered builds the engine-facing view. It consumes the state: rows,
+// boundaries, pending and the cache are handed over, not copied.
 func (st *replayState) recovered() *Recovered {
-	entries, partials := st.cache.Dump()
 	rec := &Recovered{
 		Meta:       st.meta,
-		Rows:       append([]Row(nil), st.rows...),
-		Boundaries: append([]int(nil), st.boundaries...),
-		Pending:    append([]simjoin.ScoredPair(nil), st.pending...),
-		Cache:      verdicts.RestoreCache(entries, partials),
+		Rows:       st.rows,
+		Boundaries: st.boundaries,
+		Pending:    st.pending,
+		Cache:      st.cache,
 		Events:     st.events,
 	}
 	if st.q.active {
@@ -222,15 +218,6 @@ func (st *replayState) recovered() *Recovered {
 	return rec
 }
 
-// mirrorClaim is one lease in the queue mirror.
-type mirrorClaim struct {
-	token     string
-	hit       int
-	worker    string
-	claimedAt time.Time
-	deadline  time.Time
-}
-
 // queueMirror replays queue events into the same state the live Queue
 // holds, plus the collected in-flight assignments the live queue already
 // streamed out.
@@ -244,8 +231,8 @@ type queueMirror struct {
 	postedAt  map[int]time.Time
 	workers   []string
 	workerIdx map[string]int
-	claims    map[string]mirrorClaim
-	lapsed    map[string]mirrorClaim
+	claims    map[string]crowd.ClaimSnapshot
+	lapsed    map[string]crowd.ClaimSnapshot
 	collected map[int][]crowd.Assignment
 	nextHIT   int
 }
@@ -261,8 +248,8 @@ func (m *queueMirror) init() {
 	m.touched = make(map[int]map[string]bool)
 	m.postedAt = make(map[int]time.Time)
 	m.workerIdx = make(map[string]int)
-	m.claims = make(map[string]mirrorClaim)
-	m.lapsed = make(map[string]mirrorClaim)
+	m.claims = make(map[string]crowd.ClaimSnapshot)
+	m.lapsed = make(map[string]crowd.ClaimSnapshot)
 	m.collected = make(map[int][]crowd.Assignment)
 }
 
@@ -288,10 +275,7 @@ func (m *queueMirror) applyClaimed(e *QueueClaimed) {
 		m.touched[e.HIT] = make(map[string]bool)
 	}
 	m.touched[e.HIT][e.Worker] = true
-	m.claims[e.Token] = mirrorClaim{
-		token: e.Token, hit: e.HIT, worker: e.Worker,
-		claimedAt: e.At, deadline: e.Deadline,
-	}
+	m.claims[e.Token] = crowd.ClaimSnapshot{Token: e.Token, HIT: e.HIT, Worker: e.Worker, ClaimedAt: e.At, Deadline: e.Deadline}
 }
 
 func (m *queueMirror) applyAnswered(e *QueueAnswered) {
@@ -331,7 +315,7 @@ func (m *queueMirror) applyExpired(e *QueueExpired) {
 	for _, c := range e.Claims {
 		mc, ok := m.claims[c.Token]
 		if !ok {
-			mc = mirrorClaim{token: c.Token, hit: c.HIT, worker: c.Worker}
+			mc = crowd.ClaimSnapshot{Token: c.Token, HIT: c.HIT, Worker: c.Worker}
 		}
 		delete(m.claims, c.Token)
 		m.lapsed[c.Token] = mc
@@ -352,12 +336,12 @@ func (m *queueMirror) applyRetracted(e *QueueRetracted) {
 		delete(m.collected, id)
 	}
 	for tok, c := range m.claims {
-		if _, live := m.hits[c.hit]; !live {
+		if _, live := m.hits[c.HIT]; !live {
 			delete(m.claims, tok)
 		}
 	}
 	for tok, c := range m.lapsed {
-		if _, live := m.hits[c.hit]; !live {
+		if _, live := m.hits[c.HIT]; !live {
 			delete(m.lapsed, tok)
 		}
 	}
@@ -399,10 +383,10 @@ func (m *queueMirror) restore(s *crowd.QueueSnapshot) {
 		m.workerIdx[w] = i
 	}
 	for _, c := range s.Claims {
-		m.claims[c.Token] = mirrorClaim{token: c.Token, hit: c.HIT, worker: c.Worker, claimedAt: c.ClaimedAt, deadline: c.Deadline}
+		m.claims[c.Token] = c
 	}
 	for _, c := range s.Lapsed {
-		m.lapsed[c.Token] = mirrorClaim{token: c.Token, hit: c.HIT, worker: c.Worker, claimedAt: c.ClaimedAt, deadline: c.Deadline}
+		m.lapsed[c.Token] = c
 	}
 	for id, as := range s.Collected {
 		m.collected[id] = append([]crowd.Assignment(nil), as...)
@@ -449,8 +433,7 @@ func (m *queueMirror) snapshot() *crowd.QueueSnapshot {
 	}
 	sort.Strings(toks)
 	for _, tok := range toks {
-		c := m.claims[tok]
-		s.Claims = append(s.Claims, crowd.ClaimSnapshot{Token: c.token, HIT: c.hit, Worker: c.worker, ClaimedAt: c.claimedAt, Deadline: c.deadline})
+		s.Claims = append(s.Claims, m.claims[tok])
 	}
 	toks = toks[:0]
 	for tok := range m.lapsed {
@@ -458,8 +441,7 @@ func (m *queueMirror) snapshot() *crowd.QueueSnapshot {
 	}
 	sort.Strings(toks)
 	for _, tok := range toks {
-		c := m.lapsed[tok]
-		s.Lapsed = append(s.Lapsed, crowd.ClaimSnapshot{Token: c.token, HIT: c.hit, Worker: c.worker, ClaimedAt: c.claimedAt, Deadline: c.deadline})
+		s.Lapsed = append(s.Lapsed, m.lapsed[tok])
 	}
 	for id, as := range m.collected {
 		cp := append([]crowd.Assignment(nil), as...)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -12,14 +14,14 @@ import (
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/transitivity"
+	"github.com/crowder/crowder/internal/verdicts"
 )
 
-// logSampleSession writes a representative event stream — appends,
-// prunes, an atomic commit with asked and deduced verdicts — and returns
-// what the recovered state must look like.
-func logSampleSession(t *testing.T, fl *FileLog) {
-	t.Helper()
-	events := []Event{
+// sampleSession is a representative event stream — appends, prunes, an
+// atomic commit with asked and deduced verdicts. checkSampleRecovered
+// says what its recovered state must look like.
+func sampleSession() []Event {
+	return []Event{
 		&Meta{Schema: []string{"name", "price"}, Aggregator: "dawid-skene"},
 		&Append{Rows: []Row{
 			{Src: -1, Values: []string{"iPad 2 16GB", "$490"}},
@@ -51,7 +53,11 @@ func logSampleSession(t *testing.T, fl *FileLog) {
 			{Pair: record.MakePair(1, 2), Likelihood: 0.3},
 		}},
 	}
-	for _, ev := range events {
+}
+
+func logSampleSession(t *testing.T, fl *FileLog) {
+	t.Helper()
+	for _, ev := range sampleSession() {
 		if err := fl.Log(ev); err != nil {
 			t.Fatalf("Log(%T): %v", ev, err)
 		}
@@ -179,11 +185,7 @@ func TestFileLogQueueRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("claim 1 failed")
 	}
-	var vs []crowd.Verdict
-	for _, p := range c1.HIT.Pairs {
-		vs = append(vs, crowd.Verdict{A: p.A, B: p.B, Match: true})
-	}
-	if err := q.Answer(c1.Token, vs); err != nil {
+	if err := q.Answer(c1.Token, allMatch(c1.HIT)); err != nil {
 		t.Fatal(err)
 	}
 	c2, ok := q.Claim("bob")
@@ -251,38 +253,7 @@ func TestFileLogQueueLifecycleCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(7000, 0)
-	q := crowd.NewQueue(crowd.QueueOptions{
-		Lease:   time.Minute,
-		Now:     func() time.Time { return now },
-		Journal: QueueJournal(fl),
-	})
-	hits := crowd.PairHITsFromGen([][]record.Pair{
-		{record.MakePair(0, 1)},
-		{record.MakePair(2, 3)},
-		{record.MakePair(4, 5)},
-	}, 1)
-	if err := q.Post(context.Background(), hits); err != nil {
-		t.Fatal(err)
-	}
-	// One answered, one claim expired by a sweep, one retracted.
-	c, ok := q.Claim("alice")
-	if !ok {
-		t.Fatal("claim failed")
-	}
-	var vs []crowd.Verdict
-	for _, p := range c.HIT.Pairs {
-		vs = append(vs, crowd.Verdict{A: p.A, B: p.B, Match: true})
-	}
-	if err := q.Answer(c.Token, vs); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.Claim("bob"); !ok {
-		t.Fatal("bob's claim failed")
-	}
-	now = now.Add(2 * time.Minute)
-	q.Sweep() // bob's lease lapses -> QueueExpired
-	q.Retract([]int{hits[2].ID})
+	q, retracted, now := driveQueueLifecycle(t, fl)
 	if err := fl.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,13 +289,65 @@ func TestFileLogQueueLifecycleCompaction(t *testing.T) {
 		t.Error("answered assignment not surfaced for resume")
 	}
 	for _, oh := range q2.Open() {
-		if oh.HIT.ID == hits[2].ID {
+		if oh.HIT.ID == retracted {
 			t.Error("retracted HIT resurrected by recovery")
 		}
 	}
-	if fl2, _ := fl.Stats(); fl2 < 0 {
-		t.Errorf("Stats() wal bytes = %d", fl2)
+	// Stats reports the files the last compaction left behind.
+	walBytes, snapBytes := fl.Stats()
+	for name, want := range map[string]int64{walName(snaps[0]): walBytes, snapName(snaps[0]): snapBytes} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() != want {
+			t.Errorf("%s on disk: %v (err %v); Stats() says %d bytes", name, fi, err, want)
+		}
 	}
+	if snapBytes == 0 {
+		t.Error("Stats() reports an empty snapshot")
+	}
+}
+
+// driveQueueLifecycle runs the full queue event vocabulary through a
+// journaled queue — posts, claims, an answer, a sweep expiry, a
+// retraction — and returns the queue, the retracted HIT and the clock.
+func driveQueueLifecycle(t *testing.T, s Store) (q *crowd.Queue, retracted int, now time.Time) {
+	t.Helper()
+	now = time.Unix(7000, 0)
+	q = crowd.NewQueue(crowd.QueueOptions{
+		Lease:   time.Minute,
+		Now:     func() time.Time { return now },
+		Journal: QueueJournal(s),
+	})
+	hits := crowd.PairHITsFromGen([][]record.Pair{
+		{record.MakePair(0, 1)},
+		{record.MakePair(2, 3)},
+		{record.MakePair(4, 5)},
+	}, 1)
+	if err := q.Post(context.Background(), hits); err != nil {
+		t.Fatal(err)
+	}
+	// One answered, one claim expired by a sweep, one retracted.
+	c, ok := q.Claim("alice")
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	if err := q.Answer(c.Token, allMatch(c.HIT)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := q.Claim("bob"); !ok {
+		t.Fatal("bob's claim failed")
+	}
+	now = now.Add(2 * time.Minute)
+	q.Sweep() // bob's lease lapses -> QueueExpired
+	q.Retract([]int{hits[2].ID})
+	return q, hits[2].ID, now
+}
+
+// allMatch answers every pair of h as a match.
+func allMatch(h crowd.HIT) []crowd.Verdict {
+	var vs []crowd.Verdict
+	for _, p := range h.Pairs {
+		vs = append(vs, crowd.Verdict{A: p.A, B: p.B, Match: true})
+	}
+	return vs
 }
 
 // TestFileLogSticky: a poisoned log keeps failing and never half-applies.
@@ -343,6 +366,113 @@ func TestFileLogSticky(t *testing.T) {
 	if err := fl.Log(&Meta{Schema: []string{"a"}}); err == nil {
 		t.Fatal("poisoned log must stay failed")
 	}
+}
+
+// TestQueueAnswerNotAcknowledgedOnPoisonedLog: an answer whose fsync
+// fails is refused — the queue acknowledges only what is on disk — and
+// leaves the claim live with nothing delivered to the run.
+func TestQueueAnswerNotAcknowledgedOnPoisonedLog(t *testing.T) {
+	fl, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := crowd.NewQueue(crowd.QueueOptions{Lease: time.Minute, Journal: QueueJournal(fl)})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream := q.Collect(ctx)
+	if err := q.Post(ctx, crowd.PairHITsFromGen([][]record.Pair{{record.MakePair(0, 1)}}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c, ok := q.Claim("alice")
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	fl.f.Close() // the answer's fsync fails
+	if err := q.Answer(c.Token, allMatch(c.HIT)); !errors.Is(err, crowd.ErrNotDurable) {
+		t.Fatalf("Answer on a poisoned log = %v; want crowd.ErrNotDurable", err)
+	}
+	if !q.ClaimLive(c.Token) {
+		t.Error("unacknowledged answer consumed the claim")
+	}
+	select {
+	case a := <-stream:
+		t.Errorf("unacknowledged answer delivered %+v", a)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestCompactionEquivalence: a log that compacts after every durable
+// write recovers, after every event, exactly what a log that never
+// compacts recovers from the same events — the snapshot is a replay of
+// the generation it replaces. Both logs are closed and reopened after
+// each event, so every prefix is recovered cold.
+func TestCompactionEquivalence(t *testing.T) {
+	rec := &recorder{}
+	driveQueueLifecycle(t, rec)
+	events := append(sampleSession(), rec.events...)
+	// End on a durable event, so the compacting log snapshots the
+	// final state too.
+	events = append(events, &Meta{Spent: 0.5})
+
+	dirs := map[int64]string{1: t.TempDir(), -1: t.TempDir()}
+	logs := map[int64]*FileLog{}
+	for cb, dir := range dirs {
+		fl, _, err := Open(dir, Options{CompactBytes: cb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[cb] = fl
+	}
+	compacted := false
+	for i, ev := range events {
+		got := map[int64]*Recovered{}
+		for cb, dir := range dirs {
+			if err := logs[cb].Log(ev); err != nil {
+				t.Fatalf("event %d (%T), CompactBytes %d: %v", i, ev, cb, err)
+			}
+			if err := logs[cb].Close(); err != nil {
+				t.Fatal(err)
+			}
+			fl, r, err := Open(dir, Options{CompactBytes: cb})
+			if err != nil {
+				t.Fatalf("reopen after event %d (%T), CompactBytes %d: %v", i, ev, cb, err)
+			}
+			logs[cb], got[cb] = fl, r
+		}
+		compacted = compacted || got[1].SnapshotBytes > 0
+		a, b := view(got[1]), view(got[-1])
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("after event %d (%T) compacted recovery differs:\n got %+v\nwant %+v", i, ev, a, b)
+		}
+	}
+	for _, fl := range logs {
+		fl.Close()
+	}
+	if !compacted {
+		t.Fatal("the compacting log never compacted")
+	}
+}
+
+// recorder is a Store that keeps the events it is given.
+type recorder struct{ events []Event }
+
+func (r *recorder) Log(ev Event) error { r.events = append(r.events, ev); return nil }
+func (r *recorder) Close() error       { return nil }
+
+// recoveredView is a Recovered with the cache as its canonical dump and
+// without the byte and event counts, which differ between a snapshot
+// and the WAL it replaces.
+type recoveredView struct {
+	Recovered
+	Entries  []verdicts.Entry
+	Partials []aggregate.Answer
+}
+
+func view(r *Recovered) recoveredView {
+	v := recoveredView{Recovered: *r}
+	v.Entries, v.Partials = r.Cache.Dump()
+	v.Cache, v.Events, v.WALBytes, v.SnapshotBytes = nil, 0, 0, 0
+	return v
 }
 
 func TestScanDirIgnoresJunk(t *testing.T) {
@@ -396,7 +526,6 @@ func TestMachineOpAndSpentRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer fl2.Close()
 			if rec.Meta.Spent != 2.5 {
 				t.Errorf("Spent = %v; want 2.5", rec.Meta.Spent)
 			}
@@ -411,6 +540,17 @@ func TestMachineOpAndSpentRoundTrip(t *testing.T) {
 			// the recovered total.
 			if err := fl2.Log(&Meta{Aggregator: "dawid-skene"}); err != nil {
 				t.Fatal(err)
+			}
+			if err := fl2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fl3, rec, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fl3.Close()
+			if rec.Meta.Spent != 2.5 || rec.Meta.Aggregator != "dawid-skene" {
+				t.Errorf("after a Spent-free Meta: Spent = %v, Aggregator = %q; want 2.5, dawid-skene", rec.Meta.Spent, rec.Meta.Aggregator)
 			}
 		})
 	}
