@@ -1,6 +1,7 @@
 package record
 
 import (
+	"math"
 	"slices"
 
 	"github.com/crowder/crowder/internal/engine"
@@ -12,44 +13,160 @@ import (
 // become flat slices, and the per-token memory drops from a map entry to
 // four bytes. IDs are assigned in first-seen order, starting at 0.
 //
-// An Interner is not safe for concurrent mutation; concurrent read-only
-// use (Lookup, Token, Len) is safe once interning is complete.
+// The interner holds no pointer per token. Token bytes lie back to back
+// in one arena, in ID order, bounded by uint32 offsets; an open-addressing
+// table — a power-of-two slot array, linearly probed, at most half full —
+// maps a token's 32-bit hash to its ID and its arena bounds. A probe reads
+// one slot and reads the arena only when the slot's hash equals the
+// token's: equal hashes alone never decide equality. The hash is a fixed
+// function of the bytes, so probe sequences, like IDs, are the same in
+// every process.
+//
+// An Interner is not safe for concurrent use while it is being mutated:
+// Intern may reallocate the arena and the slot array under a reader.
+// Reads alone (Lookup, Token, Len) may run concurrently. A Table's
+// interner is touched only under the table's lock.
 type Interner struct {
-	ids  map[string]int32
-	toks []string
+	slots []slot
+	arena []byte
+	// offs[id] and offs[id+1] bound token id in arena; offs[0] is 0.
+	offs []uint32
+	// hashes[id] is token id's hash, which a chunk-local dictionary
+	// hands to the merge so that nothing is hashed twice.
+	hashes []uint32
+}
+
+// slot is one entry of the table: a token's hash, its ID plus one (so the
+// zero slot is empty), and its bytes' bounds in the arena, so a hit reads
+// the slot and the bytes and nothing else.
+type slot struct {
+	hash     uint32
+	id       int32
+	off, end uint32
+}
+
+// hashMask is applied to every token hash. It is all ones; tests narrow
+// it to force collisions.
+var hashMask uint32 = math.MaxUint32
+
+// tokenHash hashes a token's bytes: FNV-1a, then murmur3's finalizer, so
+// that the low bits, which pick the slot, depend on every byte.
+func tokenHash(tok []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range tok {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return h & hashMask
 }
 
 // NewInterner creates an empty interner.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]int32)}
+	return &Interner{slots: make([]slot, 16), offs: []uint32{0}}
 }
 
 // Intern returns the ID of tok, assigning the next dense ID if unseen.
 func (in *Interner) Intern(tok string) int32 {
-	if id, ok := in.ids[tok]; ok {
-		return id
-	}
-	id := int32(len(in.toks))
-	in.ids[tok] = id
-	in.toks = append(in.toks, tok)
-	return id
+	b := []byte(tok)
+	return in.intern(tokenHash(b), b)
 }
 
 // Lookup returns the ID of tok if it has been interned.
 func (in *Interner) Lookup(tok string) (int32, bool) {
-	id, ok := in.ids[tok]
-	return id, ok
+	b := []byte(tok)
+	i, ok := in.find(tokenHash(b), b)
+	return in.slots[i].id - 1, ok
 }
 
 // Token returns the string for an interned ID. It panics on out-of-range
 // IDs, which indicates a programming error at the call site.
 func (in *Interner) Token(id int32) string {
-	return in.toks[id]
+	return string(in.token(id))
 }
 
 // Len returns the number of distinct interned tokens; valid IDs are
 // [0, Len).
-func (in *Interner) Len() int { return len(in.toks) }
+func (in *Interner) Len() int { return len(in.hashes) }
+
+// token returns token id's bytes in the arena.
+func (in *Interner) token(id int32) []byte {
+	return in.arena[in.offs[id]:in.offs[id+1]]
+}
+
+// find returns the index of the slot holding tok, whose hash is h, and
+// true; or, when tok is absent, the empty slot it would go in and false.
+func (in *Interner) find(h uint32, tok []byte) (int, bool) {
+	mask := len(in.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := in.slots[i]
+		if s.id == 0 {
+			return i, false
+		}
+		if s.hash == h && string(in.arena[s.off:s.end]) == string(tok) {
+			return i, true
+		}
+	}
+}
+
+// intern returns the ID of tok, whose hash is h, assigning the next ID if
+// unseen. It copies tok into the arena and keeps no reference to it.
+func (in *Interner) intern(h uint32, tok []byte) int32 {
+	i, ok := in.find(h, tok)
+	if ok {
+		return in.slots[i].id - 1
+	}
+	id := int32(len(in.hashes))
+	in.arena = append(in.arena, tok...)
+	if uint64(len(in.arena)) > math.MaxUint32 {
+		panic("record: interned tokens exceed 4 GiB")
+	}
+	in.offs = append(in.offs, uint32(len(in.arena)))
+	in.hashes = append(in.hashes, h)
+	in.slots[i] = slot{hash: h, id: id + 1, off: in.offs[id], end: in.offs[id+1]}
+	if 2*len(in.hashes) > len(in.slots) {
+		in.rehash(2 * len(in.slots))
+	}
+	return id
+}
+
+// rehash rebuilds the table with n slots. The old slots are read in
+// order, so the writes, which land near i or i+len(old), are too.
+func (in *Interner) rehash(n int) {
+	old := in.slots
+	in.slots = make([]slot, n)
+	mask := n - 1
+	for _, s := range old {
+		if s.id == 0 {
+			continue
+		}
+		i := int(s.hash) & mask
+		for in.slots[i].id != 0 {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = s
+	}
+}
+
+// resolve appends to ids, for each of d's tokens in ID order, its ID in
+// in, or −1 (an empty slot's id less one) where in lacks it. It only
+// reads in.
+func (in *Interner) resolve(d *Interner, ids []int32) []int32 {
+	for id, h := range d.hashes {
+		i, _ := in.find(h, d.token(int32(id)))
+		ids = append(ids, in.slots[i].id-1)
+	}
+	return ids
+}
+
+// reset empties the interner, keeping its memory for reuse.
+func (in *Interner) reset() {
+	clear(in.slots)
+	in.arena, in.offs, in.hashes = in.arena[:0], in.offs[:1], in.hashes[:0]
+}
 
 // IDSet interns every token and returns the deduplicated IDs sorted
 // ascending — the canonical set representation used by the similarity
@@ -83,11 +200,12 @@ type tokenChunk struct {
 	flat []int32
 	offs []int
 	// dict is the chunk-local dictionary flat's IDs refer to until
-	// finish translates them through remap, which the merge fills. Both
-	// stay nil on the inline path, where flat holds final IDs.
+	// finish translates them through remap, which the worker fills with
+	// the IDs the table's interner already has and the merge completes.
+	// Both stay nil on the inline path, where flat holds final IDs.
 	dict  *Interner
 	remap []int32
-	// low is the scratch upper-case tokens are lowered into.
+	// low is the scratch each token is lowered into.
 	low []byte
 }
 
@@ -97,36 +215,22 @@ func isAlnum(c byte) bool { return c-'0' < 10 || (c|0x20)-'a' < 26 }
 // its tokens, interned in in, to dst. A byte outside [0-9A-Za-z] separates
 // tokens — exactly Normalize's rune rule, since every byte of a non-ASCII
 // or invalid sequence is ≥ 0x80 and the rune it belongs to becomes a
-// space. A token without upper-case letters is interned as a substring of
-// v, so the common case allocates nothing.
+// space. Each token is lowered into the scratch low (OR-ing 0x20 lowers a
+// letter and leaves a digit as it is), so nothing is allocated per token.
 func (in *Interner) appendTokenIDs(dst []int32, v string, low *[]byte) []int32 {
+	b := *low
 	for i := 0; i < len(v); {
 		if !isAlnum(v[i]) {
 			i++
 			continue
 		}
-		start, upper := i, false
+		b = b[:0]
 		for ; i < len(v) && isAlnum(v[i]); i++ {
-			upper = upper || v[i]-'A' < 26
+			b = append(b, v[i]|0x20)
 		}
-		if !upper {
-			dst = append(dst, in.Intern(v[start:i]))
-			continue
-		}
-		b := (*low)[:0]
-		for _, c := range []byte(v[start:i]) {
-			if c-'A' < 26 {
-				c += 'a' - 'A'
-			}
-			b = append(b, c)
-		}
-		*low = b
-		id, ok := in.ids[string(b)]
-		if !ok {
-			id = in.Intern(string(b))
-		}
-		dst = append(dst, id)
+		dst = append(dst, in.intern(tokenHash(b), b))
 	}
+	*low = b
 	return dst
 }
 
@@ -174,12 +278,14 @@ func (c *tokenChunk) finish(out [][]int32) {
 //
 // With one worker (every lazy caller) the records are scanned inline,
 // straight into the table's interner. With more, each wave of chunks is
-// scanned concurrently against chunk-local dictionaries, the
-// dictionaries are merged into the interner serially — in chunk order,
-// each in its local first-seen order, which is the global first-seen
-// order a serial scan assigns IDs in — and the chunks are then
-// translated and finished concurrently. Either way the cache, the
-// interner and every ID are identical.
+// scanned concurrently against chunk-local dictionaries, and each worker
+// looks its dictionary's tokens up in the table's interner, which nothing
+// writes meanwhile. The tokens it lacked are then merged into it serially
+// — in chunk order, each dictionary in its local first-seen order, which
+// is the global first-seen order a serial scan assigns IDs in, reusing
+// the hashes the workers computed — and the chunks are translated and
+// finished concurrently. Either way the cache, the interner and every ID
+// are identical.
 func (t *Table) ensureTokenIDs(workers int) {
 	if t.interner == nil {
 		t.interner = NewInterner()
@@ -218,15 +324,16 @@ func (t *Table) ensureTokenIDs(workers int) {
 				c.dict = NewInterner()
 			}
 			c.scan(t.Records, c.dict)
+			c.remap = t.interner.resolve(c.dict, c.remap[:0])
 		})
 		for x := range live {
 			c := &live[x]
-			c.remap = c.remap[:0]
-			for _, tok := range c.dict.toks {
-				c.remap = append(c.remap, t.interner.Intern(tok))
+			for id, g := range c.remap {
+				if g < 0 {
+					c.remap[id] = t.interner.intern(c.dict.hashes[id], c.dict.token(int32(id)))
+				}
 			}
-			clear(c.dict.ids)
-			c.dict.toks = c.dict.toks[:0]
+			c.dict.reset()
 		}
 		eachChunk(func(c *tokenChunk) { c.finish(t.tokenIDs) })
 	}
@@ -235,7 +342,7 @@ func (t *Table) ensureTokenIDs(workers int) {
 // WarmTokens brings the token cache up to date with the table using up
 // to workers goroutines, so a caller that owns a worker budget (the
 // resolver's machine pass) spends it on tokenizing too. It changes
-// nothing observable: TokenIDs, Tokens and Postings fill the cache
+// nothing observable: TokenIDs, TokenUniverse and Postings fill the cache
 // themselves, on the calling goroutine, whenever it is behind.
 func (t *Table) WarmTokens(workers int) {
 	t.mu.Lock()
@@ -258,19 +365,12 @@ func (t *Table) TokenIDs() [][]int32 {
 	return t.tokenIDs[:len(t.Records):len(t.Records)]
 }
 
-// Tokens returns the table's token interner, building the token cache
-// first so every record's tokens are present. Valid token IDs are
-// [0, Tokens().Len()).
-func (t *Table) Tokens() *Interner {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ensureTokenIDs(1)
-	return t.interner
-}
-
 // TokenUniverse returns the number of distinct tokens across the table —
 // the exclusive upper bound on the IDs in TokenIDs. Dense layers (inverted
 // indexes, frequency tables) size their arrays with it.
 func (t *Table) TokenUniverse() int {
-	return t.Tokens().Len()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ensureTokenIDs(1)
+	return t.interner.Len()
 }

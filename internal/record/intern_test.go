@@ -1,6 +1,9 @@
 package record
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -26,6 +29,45 @@ func TestInternerDenseIDs(t *testing.T) {
 	}
 	if _, ok := in.Lookup("absent"); ok {
 		t.Error("Lookup of an unseen token should fail")
+	}
+}
+
+// Under a full, a one-bit and a constant hash, the empty token and a
+// 300-byte token intern and look up like any other, and a token that is
+// absent stays absent even when its hash matches interned tokens'.
+func TestInternerEdgeTokensAndCollisions(t *testing.T) {
+	long := strings.Repeat("x", 300)
+	toks := []string{"", long, long[:299], "a", long + "y", "b"}
+	absent := []string{"c", "aa", long[:298], long + "x", strings.Repeat("y", 300)}
+	for _, mask := range []uint32{math.MaxUint32, 1, 0} {
+		t.Run(fmt.Sprintf("mask=%#x", mask), func(t *testing.T) {
+			narrowHash(t, mask)
+			in := NewInterner()
+			for i, tok := range toks {
+				if id := in.Intern(tok); id != int32(i) {
+					t.Errorf("Intern(%.10q…) = %d; want %d", tok, id, i)
+				}
+			}
+			for _, tok := range absent {
+				if id, ok := in.Lookup(tok); ok {
+					t.Errorf("Lookup of absent %.10q… (len %d) = %d, true", tok, len(tok), id)
+				}
+			}
+			for i, tok := range toks {
+				if id := in.Intern(tok); id != int32(i) {
+					t.Errorf("re-Intern(%.10q…) = %d; want %d", tok, id, i)
+				}
+				if id, ok := in.Lookup(tok); !ok || id != int32(i) {
+					t.Errorf("Lookup(%.10q…) = %d, %v; want %d", tok, id, ok, i)
+				}
+				if got := in.Token(int32(i)); got != tok {
+					t.Errorf("Token(%d) = %.10q… (len %d); want len %d", i, got, len(got), len(tok))
+				}
+			}
+			if in.Len() != len(toks) {
+				t.Errorf("Len = %d; want %d", in.Len(), len(toks))
+			}
+		})
 	}
 }
 
@@ -66,7 +108,7 @@ func TestTableTokenIDsCached(t *testing.T) {
 	}
 
 	// The ID sets must agree with the string token sets.
-	in := tab.Tokens()
+	in := tab.interner
 	for i := range ids {
 		want := RecordTokens(&tab.Records[i])
 		if len(ids[i]) != want.Len() {

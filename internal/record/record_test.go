@@ -298,7 +298,7 @@ func TestPostingsIncremental(t *testing.T) {
 	if len(posts) != tab.TokenUniverse() {
 		t.Fatalf("postings cover %d tokens; universe %d", len(posts), tab.TokenUniverse())
 	}
-	beta, ok := tab.Tokens().Lookup("beta")
+	beta, ok := tab.interner.Lookup("beta")
 	if !ok {
 		t.Fatal("beta not interned")
 	}
@@ -311,7 +311,7 @@ func TestPostingsIncremental(t *testing.T) {
 	if got := posts[beta]; len(got) != 3 || got[2] != 2 {
 		t.Fatalf("postings[beta] after append = %v", got)
 	}
-	delta, _ := tab.Tokens().Lookup("delta")
+	delta, _ := tab.interner.Lookup("delta")
 	if got := posts[delta]; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("postings[delta] = %v", got)
 	}

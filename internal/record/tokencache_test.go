@@ -19,26 +19,37 @@ func parseRows(data string) [][]string {
 	return rows
 }
 
-// referenceCache is the definition of the token cache: every value goes
-// through Normalize/Tokenize and every record through IDSet, serially,
-// over one fresh interner.
-func referenceCache(rows [][]string) (*Interner, [][]int32) {
-	in := NewInterner()
+// referenceCache is the definition of the token cache, built without the
+// Interner: every value goes through Normalize/Tokenize, serially, a
+// token's ID is its position in first-seen order over all the rows, and
+// a record's set is its tokens' IDs sorted and deduplicated.
+func referenceCache(rows [][]string) ([]string, [][]int32) {
+	index := map[string]int32{}
+	var toks []string
 	ids := make([][]int32, len(rows))
 	for i, row := range rows {
-		var toks []string
+		var set []int32
 		for _, v := range row {
-			toks = append(toks, Tokenize(v)...)
+			for _, tok := range Tokenize(v) {
+				id, ok := index[tok]
+				if !ok {
+					id = int32(len(toks))
+					index[tok] = id
+					toks = append(toks, tok)
+				}
+				set = append(set, id)
+			}
 		}
-		ids[i] = in.IDSet(toks...)
+		slices.Sort(set)
+		ids[i] = slices.Compact(set)
 	}
-	return in, ids
+	return toks, ids
 }
 
 // assertCache checks a table's cache against the reference: the same
 // sorted sets record by record, and the same token behind every ID — the
-// interner's first-seen order.
-func assertCache(t *testing.T, label string, tab *Table, in *Interner, ids [][]int32) {
+// interner's first-seen order — which Lookup maps back to its ID.
+func assertCache(t *testing.T, label string, tab *Table, toks []string, ids [][]int32) {
 	t.Helper()
 	got := tab.TokenIDs()
 	if len(got) != len(ids) {
@@ -49,48 +60,57 @@ func assertCache(t *testing.T, label string, tab *Table, in *Interner, ids [][]i
 			t.Fatalf("%s: record %d (%q) has IDs %v; want %v", label, i, tab.Records[i].Values, got[i], ids[i])
 		}
 	}
-	if tab.TokenUniverse() != in.Len() {
-		t.Fatalf("%s: universe %d; want %d", label, tab.TokenUniverse(), in.Len())
+	if tab.TokenUniverse() != len(toks) {
+		t.Fatalf("%s: universe %d; want %d", label, tab.TokenUniverse(), len(toks))
 	}
-	for id := int32(0); int(id) < in.Len(); id++ {
-		if g, w := tab.Tokens().Token(id), in.Token(id); g != w {
-			t.Fatalf("%s: token %d is %q; want %q", label, id, g, w)
+	in := tab.interner
+	for id, want := range toks {
+		if g := in.Token(int32(id)); g != want {
+			t.Fatalf("%s: token %d is %q; want %q", label, id, g, want)
+		}
+		if g, ok := in.Lookup(in.Token(int32(id))); !ok || g != int32(id) {
+			t.Fatalf("%s: Lookup(Token(%d)) = %d, %v", label, id, g, ok)
 		}
 	}
 }
 
 // FuzzTokenizeEquivalence pins the cache's byte-level scanner to its
-// definition, Interner.IDSet(Tokenize(v)...): for arbitrary values —
-// mixed case, digits, punctuation, multi-byte runes, invalid UTF-8,
-// empty and all-separator strings — the lazy inline path and the
-// chunk-parallel path both reproduce the reference sets and interner.
+// definition, referenceCache: for arbitrary values — mixed case, digits,
+// punctuation, multi-byte runes, invalid UTF-8, empty and all-separator
+// strings, tokens longer than 255 bytes — the lazy inline path and the
+// warmed path at 1, 3 and 8 workers all reproduce the reference sets and
+// token IDs.
 func FuzzTokenizeEquivalence(f *testing.F) {
 	f.Add("iPad Two 16GB WiFi\tWhite\nipad TWO 16gb")
 	f.Add("\xff\xfeA\x80b ÀÉ 東京x\n\n \t.")
+	f.Add(strings.Repeat("Ab9", 100) + "\n" + strings.Repeat("aB9", 100) + " ab9")
+	f.Add("alpha Beta\n -- ,.;\t/\x80 \nbeta GAMMA")
 	f.Fuzz(func(t *testing.T, data string) {
 		rows := parseRows(data)
-		in, ids := referenceCache(rows)
+		toks, ids := referenceCache(rows)
 
 		lazy := NewTable("a")
 		for _, row := range rows {
 			lazy.Append(row...)
 		}
-		assertCache(t, "lazy", lazy, in, ids)
+		assertCache(t, "lazy", lazy, toks, ids)
 
 		// Enough copies of the rows to span several chunks; the
 		// reference is extended the same way.
 		reps := 2*tokenChunkRecords/len(rows) + 2
-		warm := NewTable("a")
 		var all [][]string
 		for r := 0; r < reps; r++ {
-			for _, row := range rows {
-				warm.Append(row...)
-				all = append(all, row)
-			}
+			all = append(all, rows...)
 		}
-		warm.WarmTokens(3)
-		in, ids = referenceCache(all)
-		assertCache(t, "warm", warm, in, ids)
+		toks, ids = referenceCache(all)
+		for _, workers := range []int{1, 3, 8} {
+			warm := NewTable("a")
+			for _, row := range all {
+				warm.Append(row...)
+			}
+			warm.WarmTokens(workers)
+			assertCache(t, fmt.Sprintf("warm workers=%d", workers), warm, toks, ids)
+		}
 	})
 }
 
@@ -116,17 +136,61 @@ func syntheticRows(n int) [][]string {
 // The cache is identical at every worker count, for table sizes that
 // split into chunks and waves unevenly, and however the rows arrived.
 func TestTokenCacheWorkerAndBatchInvariance(t *testing.T) {
+	checkWorkerAndBatchInvariance(t, syntheticRows)
+}
+
+// Token hashes decide only where a token is looked for, never which token
+// it is: with every hash one constant, or one bit, the cache still equals
+// the reference at every size, worker count and arrival order.
+func TestTokenCacheHashCollisions(t *testing.T) {
+	for _, mask := range []uint32{0, 1} {
+		t.Run(fmt.Sprintf("mask=%d", mask), func(t *testing.T) {
+			narrowHash(t, mask)
+			checkWorkerAndBatchInvariance(t, collidingRows)
+		})
+	}
+}
+
+// collidingRows is syntheticRows over a vocabulary of a few dozen tokens.
+// Under a degenerate hash all tokens share one probe cluster, so every
+// lookup walks it and a universe of syntheticRows' size would take
+// minutes. A zone token is new in every chunk, so each wave's merge
+// still adds tokens, and upper-case variants and token-less rows remain.
+func collidingRows(n int) [][]string {
+	rows := make([][]string, n)
+	for i := range rows {
+		if i%97 == 0 {
+			rows[i] = []string{"", " -- "}
+			continue
+		}
+		rows[i] = []string{
+			fmt.Sprintf("cat%d Zone%d", i%7, i/tokenChunkRecords),
+			fmt.Sprintf("d%d,CAT%d", (i*5)%13, (i+3)%7),
+		}
+	}
+	return rows
+}
+
+// narrowHash masks every token hash with mask until the test ends.
+func narrowHash(t *testing.T, mask uint32) {
+	old := hashMask
+	hashMask = mask
+	t.Cleanup(func() { hashMask = old })
+}
+
+func checkWorkerAndBatchInvariance(t *testing.T, rowsOf func(n int) [][]string) {
+	t.Helper()
 	sizes := []int{1, tokenChunkRecords - 1, 2*tokenChunkRecords + 17, tokenWaveChunks*tokenChunkRecords + 3*tokenChunkRecords/2}
 	for _, n := range sizes {
-		rows := syntheticRows(n)
-		in, ids := referenceCache(rows)
+		rows := rowsOf(n)
+		toks, ids := referenceCache(rows)
 		for _, workers := range []int{1, 2, 8} {
 			tab := NewTable("a", "b")
 			for _, row := range rows {
 				tab.Append(row...)
 			}
 			tab.WarmTokens(workers)
-			assertCache(t, fmt.Sprintf("n=%d workers=%d", n, workers), tab, in, ids)
+			assertCache(t, fmt.Sprintf("n=%d workers=%d", n, workers), tab, toks, ids)
 		}
 
 		// Many appends of growing size, each followed by a lazy or a
@@ -142,7 +206,7 @@ func TestTokenCacheWorkerAndBatchInvariance(t *testing.T) {
 				grown.TokenIDs()
 			}
 		}
-		assertCache(t, fmt.Sprintf("n=%d grown", n), grown, in, ids)
+		assertCache(t, fmt.Sprintf("n=%d grown", n), grown, toks, ids)
 	}
 }
 
