@@ -867,24 +867,27 @@ func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) 
 		SortMatches(st.res.Matches)
 	}
 	if rv.opts.hybrid() {
-		// Budget accounting: fold this delta's crowd spend into the
-		// session total the router's band adaptation reads, and log the
-		// running total so recovery restores it.
+		// Budget accounting and the retrain at the aggregation commit —
+		// the canonical retrain point the route stage reads from. The
+		// running spend total and the retrained model ride one Meta
+		// frame, so recovery restores both and a round adds no sync.
+		meta := store.Meta{}
 		if st.res.CostDollars > 0 {
 			rv.spent += st.res.CostDollars
-			if err := rv.log.Log(&store.Meta{Spent: rv.spent}); err != nil {
-				return nil, err
-			}
+			meta.Spent = rv.spent
 		}
-		// Retrain at the aggregation commit: the canonical retrain point
-		// the route stage reads from. The learner is a pure function of
-		// the (canonically ordered) cache, so delta and recovery sessions
-		// converge to the identical model.
-		l, err := rv.trainLearnerLocked()
+		changed, err := rv.trainLearnerLocked()
 		if err != nil {
 			return nil, err
 		}
-		rv.learner = l
+		if changed {
+			meta.Model = rv.learner.State()
+		}
+		if meta.Spent != 0 || meta.Model != nil {
+			if err := rv.log.Log(&meta); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return st, nil
 }

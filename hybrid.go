@@ -27,8 +27,12 @@ import (
 // less certainty, loosening the band) and session budget (when the
 // uncertain band's projected HIT cost exceeds the remaining
 // HybridBudgetDollars, the risk doubles — capped at learn.MaxRisk —
-// until the projection fits). Everything is deterministic in the cache
-// state and Options, preserving delta and parallelism bit-identity.
+// until the projection fits). Everything is deterministic in the
+// session's journaled history — the cache and the learner the last
+// aggregation commit journaled — and Options, preserving parallelism
+// bit-identity and recovered ≡ never-crashed. A delta session's learner
+// is warm-started, so for hybrid sessions delta ≡ scratch holds within
+// F1 and HIT bounds, not bit for bit.
 //
 // The stage also audits: machine verdicts from earlier deltas that the
 // freshly retrained model no longer endorses are demoted back into the
@@ -49,14 +53,11 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	if rv.learner == nil {
-		// First route of the session (or after recovery): train from the
-		// cache now. The learner is a pure function of the cache, so a
-		// recovered session rebuilds the identical model.
-		l, err := rv.trainLearnerLocked()
-		if err != nil {
+		// First route of a fresh session: train from the cache now. (A
+		// recovered session's learner was restored from the journal.)
+		if _, err := rv.trainLearnerLocked(); err != nil {
 			return nil, err
 		}
-		rv.learner = l
 	}
 	l := rv.learner
 	if !l.Ready() {
@@ -194,22 +195,32 @@ func projectedCrowdCost(pairs int, opts Options) float64 {
 	return float64(hits*opts.Assignments) * crowd.DollarsPerAssignment
 }
 
-// trainLearnerLocked fits the router's classifier from the cache's
-// current verdicts: asked pairs with answers and deduced pairs, labeled
-// by their session posterior. Machine-resolved pairs are excluded — the
-// learner never trains on its own predictions, so routing errors cannot
-// compound. When the crowd's verdicts are (almost) all positive — a
-// match-heavy workload never shows the learner a negative — the set is
-// topped up with machine-pruned pseudo-negatives. Labels are gathered
-// in canonical pair order and the SVM runs under the session seed,
-// making the model a deterministic pure function of (cache, Options);
-// vectors come through the session's feature memo, which never changes
-// a bit of the result. The caller holds rv.mu for writing.
-func (r *Resolver) trainLearnerLocked() (*learn.Learner, error) {
-	return r.feats.Train(r.trainingLabelsLocked(), learn.Options{
-		Seed:      r.opts.Seed,
-		MinLabels: r.opts.HybridMinLabels,
-	})
+// trainLearnerLocked retrains the router's classifier from the cache's
+// current verdicts and reports whether the learner changed: asked pairs
+// with answers and deduced pairs, labeled by their session posterior.
+// Machine-resolved pairs are excluded — the learner never trains on its
+// own predictions, so routing errors cannot compound. When the crowd's
+// verdicts are (almost) all positive — a match-heavy workload never
+// shows the learner a negative — the set is topped up with
+// machine-pruned pseudo-negatives. The retrain is learn's Update from
+// the session's previous learner: nothing when the label set is
+// unchanged, one warm Pegasos epoch for a modest delta, a full train
+// under the session seed otherwise — deterministic in (previous learner,
+// cache, Options), and bit-identical whichever vectors the feature memo
+// already held. The caller holds rv.mu for writing.
+func (r *Resolver) trainLearnerLocked() (bool, error) {
+	l, err := r.feats.Update(r.learner, r.trainingLabelsLocked(), r.learnOptions())
+	if err != nil {
+		return false, err
+	}
+	changed := l != r.learner
+	r.learner = l
+	return changed, nil
+}
+
+// learnOptions is the session's learner configuration.
+func (r *Resolver) learnOptions() learn.Options {
+	return learn.Options{Seed: r.opts.Seed, MinLabels: r.opts.HybridMinLabels}
 }
 
 // trainingLabelsLocked gathers trainLearnerLocked's labels. The caller
@@ -261,8 +272,8 @@ const syntheticNegLimit = 256
 // record IDs — the caller passes the highest ID the cache has judged,
 // NOT the live table length: records appended after the last
 // aggregation must not shift the sample, or a recovered session (which
-// rebuilds the learner lazily, after the next batch is already in the
-// table) would train a different model than the session it replays.
+// recovers the rows appended after that aggregation too) would rebuild
+// its learner over labels the session it replays never trained on.
 // Only the negative side is ever synthesized: a sub-threshold pair may
 // be presumed a non-match, but nothing short of a verdict may be
 // presumed a match. The caller holds rv.mu.

@@ -234,14 +234,19 @@ func TestHybridDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// The router's feature memo is pure memoisation: after every delta of a
-// hybrid session the learner is deep-equal to a cold learn.Train over the
-// same labels, and the memo holds no more vectors than the session has
-// judged or pending pairs — synthetic negatives, which fire on the
-// match-heavy product workload, are computed but never memoised.
+// The router's feature memo is pure memoisation, and the session's
+// learner is learn's Update from the previous delta's: after every delta
+// of a hybrid session the learner is deep-equal to a cold learn.Train
+// over the same labels where the full-train rule fires (no ready
+// predecessor, a shrunken label set, or a quarter more labels than at
+// the last full train), and otherwise to the warm step a cold memo takes
+// from the previous learner. The memo holds no more vectors than the
+// session has judged or pending pairs — synthetic negatives, which fire
+// on the match-heavy product workload, are computed but never memoised.
 func TestHybridFeatureMemo(t *testing.T) {
 	restaurant, rSchema, rOracle, _ := shuffledResolverDataset(13, 400, 80)
 	product, pSchema, pOracle, _ := productDupDataset()
+	warms := 0
 	for _, tc := range []struct {
 		name      string
 		rows      [][]string
@@ -264,9 +269,11 @@ func TestHybridFeatureMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			lopts := learn.Options{Seed: rv.opts.Seed, MinLabels: rv.opts.HybridMinLabels}
 			const batches = 5
 			size := (len(tc.rows) + batches - 1) / batches
 			routed, synthetic := 0, 0
+			var prev *learn.Learner
 			for lo := 0; lo < len(tc.rows); lo += size {
 				rv.AppendBatch(tc.rows[lo:min(lo+size, len(tc.rows))]...)
 				res, err := rv.ResolveDelta()
@@ -286,13 +293,29 @@ func TestHybridFeatureMemo(t *testing.T) {
 						synthetic++
 					}
 				}
-				cold, err := learn.Train(rv.table.inner, labels, learn.Options{Seed: rv.opts.Seed, MinLabels: rv.opts.HybridMinLabels})
-				if err != nil {
-					t.Fatal(err)
+				s := learner.State()
+				if prev == nil || !prev.Ready() || s.N < prev.State().N || 4*s.N >= 5*prev.State().Full {
+					cold, err := learn.Train(rv.table.inner, labels, lopts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(learner, cold) {
+						t.Fatalf("after the delta at record %d the session learner differs from a cold retrain", lo)
+					}
+				} else if learner != prev {
+					warms++
+					ref, err := learn.NewFeatures(rv.table.inner).Update(prev, labels, lopts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(learner, ref) {
+						t.Fatalf("after the delta at record %d the session learner differs from a cold memo's warm step", lo)
+					}
+					if ps := prev.State(); s.T != ps.T+s.N || s.Full != ps.Full {
+						t.Fatalf("after the delta at record %d the warm step ran %d steps from %d over %d labels", lo, s.T-ps.T, ps.T, s.N)
+					}
 				}
-				if !reflect.DeepEqual(learner, cold) {
-					t.Fatalf("after the delta at record %d the session learner differs from a cold retrain", lo)
-				}
+				prev = learner
 			}
 			if routed == 0 {
 				t.Error("session routed nothing by machine; the memo was never read by the route stage")
@@ -301,6 +324,9 @@ func TestHybridFeatureMemo(t *testing.T) {
 				t.Error("no synthetic negatives fired; the memo bound is untested against them")
 			}
 		})
+	}
+	if warms == 0 {
+		t.Error("no delta took a warm step; the warm pin is vacuous")
 	}
 }
 

@@ -14,12 +14,20 @@
 // and a retrain after a delta computes vectors only for pairs it has
 // never seen. The memo is derived state, held in memory only.
 //
+// A session retrains through Update after every aggregation commit: no
+// training when the label set is unchanged, one warm Pegasos epoch from
+// the previous model for a modest delta, and a full Train when the set
+// shrank or grew by a quarter since the last full train. A warm-started
+// model depends on the session's history, not on its labels alone, so a
+// session journals it (State) and recovery restores it (Restore).
+//
 // Everything here is deterministic: labels are consumed in canonical
 // pair order, the SVM's stochastic example order is driven by the
-// session seed, and the band is a pure function of (labels, risk). A
-// learner retrained from the same cache is bit-identical at every
-// parallelism level, which is what preserves the resolver's delta ≡
-// scratch and parallelism-identity guarantees.
+// session seed (and a warm step's by the seed and step counter), and
+// the band is a pure function of (model, labels, risk). A learner is
+// bit-identical at every parallelism level, which is what preserves the
+// resolver's parallelism-identity and recovered ≡ never-crashed
+// guarantees.
 package learn
 
 import (
@@ -105,7 +113,7 @@ type Options struct {
 
 // Learner is a trained router classifier plus the per-class training
 // margin distributions its uncertainty bands are cut from. A Learner is
-// immutable after Train; concurrent Margin/Band calls are safe.
+// immutable after Train or Update; concurrent Margin/Band calls are safe.
 type Learner struct {
 	attrs    []int
 	model    *SVM
@@ -116,6 +124,35 @@ type Learner struct {
 	// posMargins and negMargins are the training margins per class,
 	// sorted ascending: the empirical distributions Band quantiles.
 	posMargins, negMargins []float64
+	// steps is the Pegasos step counter t the model's learning rate
+	// 1/(λt) reached; full is the label count at the last full train;
+	// fp fingerprints the label set the learner was trained on.
+	steps, full int
+	fp          uint64
+}
+
+// State is a learner in the form a session journals it: the model, the
+// Pegasos step counter, the label count at the last full train, and the
+// label count and fingerprint of the set it was trained on. W is empty
+// for a learner that is not ready. With the labels it was trained on, a
+// State rebuilds its learner bit for bit (Features.Restore).
+type State struct {
+	W    []float64 `json:"w,omitempty"`
+	B    float64   `json:"b,omitempty"`
+	T    int       `json:"t,omitempty"`
+	Full int       `json:"full,omitempty"`
+	N    int       `json:"n"`
+	FP   uint64    `json:"fp"`
+}
+
+// State returns the learner's journaled form. It shares the model's
+// weights, which are never modified.
+func (l *Learner) State() *State {
+	s := &State{T: l.steps, Full: l.full, N: l.pos + l.neg, FP: l.fp}
+	if l.model != nil {
+		s.W, s.B = l.model.W, l.model.B
+	}
+	return s
 }
 
 // Train fits a learner from the labeled pairs over every attribute of
@@ -139,15 +176,89 @@ func Train(t *record.Table, labels []Label, opts Options) (*Learner, error) {
 // everything to the crowd until the session has paid for enough
 // verdicts.
 func (f *Features) Train(labels []Label, opts Options) (*Learner, error) {
-	minLabels := opts.MinLabels
-	if minLabels <= 0 {
-		minLabels = DefaultMinLabels
+	sorted, fp := canonical(labels)
+	return f.advance(nil, sorted, fp, opts), nil
+}
+
+// Update is the session's retrain: the learner for the current labels,
+// given the one trained at the previous aggregation commit (nil for
+// none). Three outcomes, each deterministic in (prev, labels, opts):
+//   - the label set is unchanged (count and fingerprint): prev itself,
+//     no training;
+//   - prev is not ready, the set shrank, or it has grown by at least a
+//     quarter since prev's last full train: a full Train;
+//   - otherwise a warm step: one Pegasos epoch over the labels, ordered
+//     by the seed offset by prev's step counter, starting from prev's
+//     weights and step counter, so the learning rate continues.
+//
+// The warm step keeps a long session's retrain at delta cost; the
+// full-train cadence bounds how far its model drifts from a cold Train.
+func (f *Features) Update(prev *Learner, labels []Label, opts Options) (*Learner, error) {
+	sorted, fp := canonical(labels)
+	if prev != nil && prev.pos+prev.neg == len(sorted) && prev.fp == fp {
+		return prev, nil
 	}
+	var s *State
+	if prev.Ready() {
+		s = prev.State()
+	}
+	return f.advance(s, sorted, fp, opts), nil
+}
 
-	sorted := append([]Label(nil), labels...)
-	slices.SortFunc(sorted, func(a, b Label) int { return record.ComparePairs(a.Pair, b.Pair) })
+// Restore rebuilds the journaled learner s for the current labels. When
+// they are the set s was trained on, the result is bit-identical to the
+// learner s was journaled from. When they differ — the session logged
+// new verdicts but stopped before it journaled the retrained model — it
+// runs the step Update would have run from s. A zero State is a learner
+// never journaled: Restore then runs a full Train. Weights that do not
+// fit the table's feature vectors are an error.
+func (f *Features) Restore(s State, labels []Label, opts Options) (*Learner, error) {
+	sorted, fp := canonical(labels)
+	var prev *State
+	if len(s.W) > 0 {
+		if dim := 2*len(f.attrs) + 3; len(s.W) != dim {
+			return nil, fmt.Errorf("learn: journaled model has %d weights; the table's feature vectors have %d", len(s.W), dim)
+		}
+		prev = &s
+	}
+	if len(sorted) != s.N || fp != s.FP {
+		return f.advance(prev, sorted, fp, opts), nil
+	}
+	l, _ := f.tally(sorted, fp, opts)
+	l.steps, l.full = s.T, s.Full
+	if prev != nil {
+		l.fit(f.rows(sorted), append(slices.Clip(s.W), s.B))
+	}
+	return l, nil
+}
 
-	l := &Learner{attrs: f.attrs}
+// advance trains the learner for the sorted labels from a ready
+// predecessor's state (nil for none), as Update decides: a warm step
+// from prev, or a full train of svmEpochs epochs from zero weights.
+func (f *Features) advance(prev *State, sorted []Label, fp uint64, opts Options) *Learner {
+	l, ready := f.tally(sorted, fp, opts)
+	warm := prev != nil && len(sorted) >= prev.N && 4*len(sorted) < 5*prev.Full
+	l.full = len(sorted)
+	if warm {
+		l.full = prev.Full
+	}
+	if !ready {
+		return l
+	}
+	r := f.rows(sorted)
+	w, t, seed, epochs := make([]float64, r.dim+1), 0, opts.Seed, svmEpochs
+	if warm {
+		w, t, seed, epochs = append(slices.Clone(prev.W), prev.B), prev.T, opts.Seed+int64(prev.T), 1
+	}
+	l.steps = r.pegasos(w, t, seed, epochs)
+	l.fit(r, w)
+	return l
+}
+
+// tally returns an untrained learner with the labels' class counts, and
+// whether they clear the label and per-class floors a model needs.
+func (f *Features) tally(sorted []Label, fp uint64, opts Options) (*Learner, bool) {
+	l := &Learner{attrs: f.attrs, fp: fp}
 	for _, lb := range sorted {
 		if lb.Match {
 			l.pos++
@@ -158,32 +269,35 @@ func (f *Features) Train(labels []Label, opts Options) (*Learner, error) {
 			}
 		}
 	}
-	if len(sorted) < minLabels || l.pos < minPerClass || l.neg < minPerClass {
-		return l, nil
+	minLabels := opts.MinLabels
+	if minLabels <= 0 {
+		minLabels = DefaultMinLabels
 	}
+	return l, len(sorted) >= minLabels && l.pos >= minPerClass && l.neg >= minPerClass
+}
 
-	examples := make([]Example, len(sorted))
-	for i, lb := range sorted {
-		var x []float64
+// rows lays the labels' vectors out as a Pegasos training matrix.
+func (f *Features) rows(sorted []Label) *rows {
+	r := &rows{dim: 2*len(f.attrs) + 3}
+	r.x = make([]float64, 0, len(sorted)*r.dim)
+	for _, lb := range sorted {
 		if lb.Synthetic {
-			x = f.compute(nil, lb.Pair)
+			r.x = f.compute(r.x, lb.Pair)
 		} else {
-			x = f.Vector(lb.Pair)
+			r.x = append(r.x, f.Vector(lb.Pair)...)
 		}
-		y := -1.0
-		if lb.Match {
-			y = 1.0
-		}
-		examples[i] = Example{X: x, Label: y}
+		r.label(lb.Match)
 	}
-	model, err := TrainSVM(examples, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	l.model = model
-	for i, e := range examples {
-		m := model.Score(e.X)
-		if sorted[i].Match {
+	return r
+}
+
+// fit installs the trained weights w (bias in the last slot) as the
+// learner's model and cuts its per-class training margins.
+func (l *Learner) fit(r *rows, w []float64) {
+	l.model = &SVM{W: w[:r.dim], B: w[r.dim]}
+	for i, y := range r.y {
+		m := l.model.Score(r.row(i))
+		if y > 0 {
 			l.posMargins = append(l.posMargins, m)
 		} else {
 			l.negMargins = append(l.negMargins, m)
@@ -191,7 +305,27 @@ func (f *Features) Train(labels []Label, opts Options) (*Learner, error) {
 	}
 	slices.Sort(l.posMargins)
 	slices.Sort(l.negMargins)
-	return l, nil
+}
+
+// canonical sorts a copy of the labels into canonical pair order and
+// fingerprints the sorted set: the count, then an FNV-style
+// multiply-xor chain over each label's pair, class and synthetic flag.
+func canonical(labels []Label) ([]Label, uint64) {
+	sorted := slices.Clone(labels)
+	slices.SortFunc(sorted, func(a, b Label) int { return record.ComparePairs(a.Pair, b.Pair) })
+	const prime = 0x100000001b3
+	h := uint64(len(sorted))
+	for _, lb := range sorted {
+		k := uint64(lb.Pair.B) << 2
+		if lb.Match {
+			k |= 1
+		}
+		if lb.Synthetic {
+			k |= 2
+		}
+		h = ((h^uint64(lb.Pair.A))*prime ^ k) * prime
+	}
+	return sorted, h
 }
 
 // Ready reports whether the learner has a trained model: enough labels,

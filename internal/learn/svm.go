@@ -70,65 +70,115 @@ func TrainSVM(examples []Example, seed int64) (*SVM, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("learn: no training examples")
 	}
-	dim := len(examples[0].X)
-	pos, neg := 0, 0
+	r := rows{dim: len(examples[0].X)}
 	for _, e := range examples {
-		if len(e.X) != dim {
+		if len(e.X) != r.dim {
 			return nil, errors.New("learn: inconsistent feature dimensions")
 		}
-		switch e.Label {
-		case 1:
-			pos++
-		case -1:
-			neg++
-		default:
+		if e.Label != 1 && e.Label != -1 {
 			return nil, errors.New("learn: labels must be +1 or -1")
 		}
+		r.x = append(r.x, e.X...)
+		r.label(e.Label == 1)
 	}
+	w := make([]float64, r.dim+1)
+	r.pegasos(w, 0, seed, svmEpochs)
+	return &SVM{W: w[:r.dim], B: w[r.dim]}, nil
+}
 
+// rows is a Pegasos training set laid out for the inner loop: the
+// feature vectors back to back in one row-major matrix, each row with
+// its ±1 label and its class weight.
+type rows struct {
+	dim      int
+	x        []float64
+	y, cw    []float64
+	pos, neg int
+}
+
+// label appends the label of the row last appended to x.
+func (r *rows) label(match bool) {
+	y := -1.0
+	if match {
+		y, r.pos = 1, r.pos+1
+	} else {
+		r.neg++
+	}
+	r.y = append(r.y, y)
+}
+
+// row returns example i's feature vector.
+func (r *rows) row(i int) []float64 { return r.x[i*r.dim : (i+1)*r.dim : (i+1)*r.dim] }
+
+// pegasos runs epochs passes of Pegasos over the rows, updating w — the
+// weights with the bias in the last slot — in place, and returns the
+// step count: t steps ran before this call, and the learning rate
+// continues from there. Each epoch's order is the permutation rand.Perm
+// would draw from the seeded source, filled into one reused buffer by
+// the same Intn calls, so the random stream is rand.Perm's.
+func (r *rows) pegasos(w []float64, t int, seed int64, epochs int) int {
 	var posW, negW float64 = 1, 1
-	if pos > 0 && neg > 0 {
-		if neg > pos {
-			posW = float64(neg) / float64(pos)
+	if r.pos > 0 && r.neg > 0 {
+		if r.neg > r.pos {
+			posW = float64(r.neg) / float64(r.pos)
 		} else {
-			negW = float64(pos) / float64(neg)
+			negW = float64(r.pos) / float64(r.neg)
 		}
+	}
+	r.cw = r.cw[:0]
+	for _, y := range r.y {
+		cw := posW
+		if y < 0 {
+			cw = negW
+		}
+		r.cw = append(r.cw, cw)
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	// w has dim weights plus the bias in the last slot.
-	w := make([]float64, dim+1)
+	dim := r.dim
 	bound := 1 / math.Sqrt(svmLambda)
-	t := 0
-	for epoch := 0; epoch < svmEpochs; epoch++ {
-		perm := rng.Perm(len(examples))
+	perm := make([]int, len(r.y))
+	for epoch := 0; epoch < epochs; epoch++ {
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 		for _, idx := range perm {
 			t++
-			e := examples[idx]
+			x, y := r.row(idx), r.y[idx]
 			eta := 1 / (svmLambda * float64(t))
-			margin := e.Label * (dot(w[:dim], e.X) + w[dim])
-			// Regularization shrink (applies to the bias slot too).
+			margin := y * (dot(w[:dim], x) + w[dim])
+			// Regularization shrink (applies to the bias slot too), the
+			// hinge step, and the squared norm for the projection, in one
+			// pass. The explicit conversions round each shrunk weight
+			// before the step adds to it, so no platform fuses the two
+			// into one multiply-add: the result is bit for bit the
+			// shrink-then-step-then-norm sequence of three passes.
 			shrink := 1 - eta*svmLambda
 			if shrink < 0 {
 				shrink = 0
 			}
-			for j := range w {
-				w[j] *= shrink
-			}
+			var sq float64
 			if margin < 1 {
-				cw := posW
-				if e.Label < 0 {
-					cw = negW
+				step := eta * r.cw[idx] * y
+				for j, xj := range x {
+					v := float64(w[j]*shrink) + step*xj
+					w[j] = v
+					sq += v * v
 				}
-				step := eta * cw * e.Label
-				for j := 0; j < dim; j++ {
-					w[j] += step * e.X[j]
+				v := float64(w[dim]*shrink) + step
+				w[dim] = v
+				sq += v * v
+			} else {
+				for j := range w {
+					v := float64(w[j] * shrink)
+					w[j] = v
+					sq += v * v
 				}
-				w[dim] += step
 			}
 			// Projection onto the 1/sqrt(λ) ball (Pegasos).
-			norm := math.Sqrt(dot(w, w))
-			if norm > bound {
+			if norm := math.Sqrt(sq); norm > bound {
 				scale := bound / norm
 				for j := range w {
 					w[j] *= scale
@@ -136,7 +186,7 @@ func TrainSVM(examples []Example, seed int64) (*SVM, error) {
 			}
 		}
 	}
-	return &SVM{W: w[:dim], B: w[dim]}, nil
+	return t
 }
 
 // Score returns the signed margin W·x + B; larger means more likely a

@@ -168,21 +168,6 @@ func (in *Interner) reset() {
 	in.arena, in.offs, in.hashes = in.arena[:0], in.offs[:1], in.hashes[:0]
 }
 
-// IDSet interns every token and returns the deduplicated IDs sorted
-// ascending — the canonical set representation used by the similarity
-// merge-intersection functions.
-func (in *Interner) IDSet(tokens ...string) []int32 {
-	if len(tokens) == 0 {
-		return nil
-	}
-	out := make([]int32, 0, len(tokens))
-	for _, t := range tokens {
-		out = append(out, in.Intern(t))
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 // The token cache is filled in chunks of tokenChunkRecords contiguous
 // records. With several workers, up to tokenWaveChunks chunks are scanned
 // at once and then merged, which bounds the scratch and the chunk-local

@@ -71,22 +71,6 @@ func TestInternerEdgeTokensAndCollisions(t *testing.T) {
 	}
 }
 
-func TestInternerIDSet(t *testing.T) {
-	in := NewInterner()
-	got := in.IDSet("wifi", "apple", "wifi", "ipad", "apple")
-	if len(got) != 3 {
-		t.Fatalf("IDSet kept %d IDs; want 3 (dedup)", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("IDSet not strictly sorted: %v", got)
-		}
-	}
-	if in.IDSet() != nil {
-		t.Error("empty IDSet should be nil")
-	}
-}
-
 func TestTableTokenIDsCached(t *testing.T) {
 	tab := NewTable("name")
 	tab.Append("iPad Two 16GB WiFi White")
@@ -107,19 +91,9 @@ func TestTableTokenIDsCached(t *testing.T) {
 		}
 	}
 
-	// The ID sets must agree with the string token sets.
-	in := tab.interner
-	for i := range ids {
-		want := RecordTokens(&tab.Records[i])
-		if len(ids[i]) != want.Len() {
-			t.Fatalf("record %d: %d IDs vs %d tokens", i, len(ids[i]), want.Len())
-		}
-		for _, id := range ids[i] {
-			if !want.Has(in.Token(id)) {
-				t.Fatalf("record %d: ID %d maps to %q, not in token set", i, id, in.Token(id))
-			}
-		}
-	}
+	// The ID sets must agree with the token cache's definition.
+	toks, want := referenceCache([][]string{tab.Records[0].Values, tab.Records[1].Values})
+	assertCache(t, "cached", tab, toks, want)
 }
 
 func TestTableTokenIDsExtendsAfterAppend(t *testing.T) {

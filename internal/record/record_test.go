@@ -1,6 +1,7 @@
 package record
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -161,55 +162,23 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestTokenSetOps(t *testing.T) {
-	a := NewTokenSet("ipad", "16gb", "wifi", "white")
-	b := NewTokenSet("ipad", "16gb", "wifi", "white", "two", "2nd", "generation")
-	if got := a.IntersectionSize(b); got != 4 {
-		t.Errorf("IntersectionSize = %d; want 4", got)
-	}
-	if got := a.UnionSize(b); got != 7 {
-		t.Errorf("UnionSize = %d; want 7", got)
-	}
-	// Symmetry.
-	if a.IntersectionSize(b) != b.IntersectionSize(a) {
-		t.Error("IntersectionSize not symmetric")
-	}
-	if a.UnionSize(b) != b.UnionSize(a) {
-		t.Error("UnionSize not symmetric")
-	}
-}
-
-func TestTokenSetSorted(t *testing.T) {
-	s := NewTokenSet("pear", "apple", "mango")
-	got := s.Sorted()
-	want := []string{"apple", "mango", "pear"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v; want %v", got, want)
-		}
-	}
-}
-
 func TestRecordTokensPaperExample(t *testing.T) {
 	// r1 from Table 1 of the paper: the Jaccard computation in Section 2.1.1
 	// uses the Product Name tokens {iPad, Two, 16GB, WiFi, White}.
 	tab := NewTable("product_name", "price")
 	id := tab.Append("iPad Two 16GB WiFi White", "$490")
-	toks := AttrTokens(tab.Get(id), 0)
-	want := []string{"16gb", "ipad", "two", "white", "wifi"}
-	got := toks.Sorted()
-	if len(got) != len(want) {
-		t.Fatalf("AttrTokens = %v; want %v", got, want)
+	toks := Tokenize(tab.Get(id).Attr(0))
+	slices.Sort(toks)
+	if want := []string{"16gb", "ipad", "two", "white", "wifi"}; !slices.Equal(toks, want) {
+		t.Fatalf("Product Name tokens = %v; want %v", toks, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AttrTokens = %v; want %v", got, want)
-		}
+	// The record's token set also folds in the price tokens.
+	var all []string
+	for _, tid := range tab.TokenIDs()[id] {
+		all = append(all, tab.interner.Token(tid))
 	}
-	// RecordTokens also folds in the price tokens.
-	all := RecordTokens(tab.Get(id))
-	if !all.Has("490") {
-		t.Error("RecordTokens should include price tokens")
+	if !slices.Contains(all, "490") || len(all) != 6 {
+		t.Errorf("record tokens = %v; want the five name tokens and 490", all)
 	}
 }
 
@@ -236,27 +205,6 @@ func TestNormalizeProperty(t *testing.T) {
 			}
 		}
 		return Normalize(n) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: intersection <= min size, union >= max size, and
-// |A| + |B| = |A∩B| + |A∪B|.
-func TestTokenSetSizeProperty(t *testing.T) {
-	f := func(xs, ys []string) bool {
-		a, b := NewTokenSet(xs...), NewTokenSet(ys...)
-		i, u := a.IntersectionSize(b), a.UnionSize(b)
-		min := a.Len()
-		if b.Len() < min {
-			min = b.Len()
-		}
-		max := a.Len()
-		if b.Len() > max {
-			max = b.Len()
-		}
-		return i <= min && u >= max && a.Len()+b.Len() == i+u
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/transitivity"
@@ -51,12 +52,16 @@ const (
 // Options). Fields merge: a later Meta overrides only the fields it sets.
 // Spent is the session's cumulative crowd spend in dollars — the hybrid
 // router's budget accounting — logged as a running total so the latest
-// Meta alone restores it.
+// Meta alone restores it. Model is the hybrid router's learner as the
+// last aggregation commit left it (about 300 bytes): a fact of the
+// session's history, since a warm-started model is not a function of
+// the verdict cache alone. Both ride the Meta frame the commit logs.
 type Meta struct {
 	Schema     []string        `json:"schema,omitempty"`
 	Aggregator string          `json:"aggregator,omitempty"`
 	Config     json.RawMessage `json:"config,omitempty"`
 	Spent      float64         `json:"spent,omitempty"`
+	Model      *learn.State    `json:"model,omitempty"`
 }
 
 func (*Meta) tag() byte     { return tagMeta }

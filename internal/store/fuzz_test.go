@@ -7,6 +7,7 @@ import (
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/verdicts"
@@ -21,6 +22,7 @@ func seedPayloads(tb testing.TB) [][]byte {
 	answered := crowd.Assignment{HIT: 3, Worker: 0, Answers: []aggregate.Answer{{Pair: record.MakePair(0, 1), Worker: 0, Match: true}}}
 	events := []Event{
 		&Meta{Schema: []string{"name"}, Aggregator: "dawid-skene"},
+		&Meta{Spent: 1.5, Model: &learn.State{W: []float64{0.5, -1.25e-7}, B: -2.75, T: 3150, Full: 60, N: 63, FP: 1<<63 | 5}},
 		&Append{Rows: []Row{{Src: -1, Values: []string{"a", "b"}}}},
 		&Prune{Absorbed: 2, Discovered: []simjoin.ScoredPair{{Pair: record.MakePair(0, 1), Likelihood: 0.5}}},
 		&Commit{Ops: []Op{{Put: &PutOp{Pair: record.MakePair(0, 1), Likelihood: 0.5}}, {ClearPending: true}}},

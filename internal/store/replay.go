@@ -46,6 +46,9 @@ func (st *replayState) apply(ev Event) error {
 		if e.Spent != 0 {
 			st.meta.Spent = e.Spent
 		}
+		if e.Model != nil {
+			st.meta.Model = e.Model
+		}
 		st.hasMeta = true
 	case *Append:
 		st.rows = append(st.rows, e.Rows...)
@@ -138,7 +141,8 @@ func (st *replayState) snapshotEvents() []Event {
 
 // Recovered is everything a session needs to resume after a restart.
 type Recovered struct {
-	// Meta is the merged session identity (schema, aggregator, config).
+	// Meta is the merged session identity (schema, aggregator, config),
+	// the latest spend total and the latest journaled router model.
 	Meta Meta
 	// Rows are the appended records in order.
 	Rows []Row

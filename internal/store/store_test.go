@@ -11,6 +11,7 @@ import (
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/transitivity"
@@ -551,6 +552,47 @@ func TestMachineOpAndSpentRoundTrip(t *testing.T) {
 			defer fl3.Close()
 			if rec.Meta.Spent != 2.5 || rec.Meta.Aggregator != "dawid-skene" {
 				t.Errorf("after a Spent-free Meta: Spent = %v, Aggregator = %q; want 2.5, dawid-skene", rec.Meta.Spent, rec.Meta.Aggregator)
+			}
+		})
+	}
+}
+
+// The router's model rides Meta frames: replay keeps the last one
+// logged — a Meta without a model (a spend-only or config write) does
+// not clear it — and a compacting log's snapshot keeps it too.
+func TestModelSurvivesCompaction(t *testing.T) {
+	first := &learn.State{W: []float64{1, 2}, B: -1, T: 100, Full: 2, N: 2, FP: 7}
+	last := &learn.State{W: []float64{0.75, 2.5}, B: -1.25, T: 102, Full: 2, N: 2, FP: 9}
+	for name, opts := range map[string]Options{"wal": {}, "snapshot": {CompactBytes: 1}} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fl, _, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range []Event{
+				&Meta{Schema: []string{"name"}},
+				&Meta{Spent: 0.5, Model: first},
+				&Meta{Spent: 1, Model: last},
+				&Meta{Spent: 1.5},
+			} {
+				if err := fl.Log(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fl2, rec, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fl2.Close()
+			if !reflect.DeepEqual(rec.Meta.Model, last) || rec.Meta.Spent != 1.5 {
+				t.Errorf("recovered model %+v, spend %v; want %+v, 1.5", rec.Meta.Model, rec.Meta.Spent, last)
+			}
+			if compacted := rec.SnapshotBytes > 0; compacted != (opts.CompactBytes > 0) {
+				t.Errorf("recovered from a snapshot: %v", compacted)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/crowder/crowder/internal/aggregate"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/store"
 	"github.com/crowder/crowder/internal/transitivity"
@@ -499,5 +500,156 @@ func TestWorkerStatsAfterCancelledDelta(t *testing.T) {
 	}
 	if matches == 0 || matches == answers {
 		t.Errorf("restored stats see %d of %d answers on decided matches; want the fresh aggregate's mix", matches, answers)
+	}
+}
+
+// hybridCrashOpts is the product+dup hybrid session the model-journal
+// tests crash: synthetic negatives fire and the learner takes warm steps.
+func hybridCrashOpts(oracle []Pair, s Store) Options {
+	return Options{
+		Threshold: 0.5, HITType: PairHITs, ClusterSize: 10,
+		Oracle: oracle, Seed: 1, SpammerRate: NoSpammers,
+		Transitivity: TransitivityOn, Hybrid: HybridOn, Store: s,
+	}
+}
+
+// A hybrid crash after a delta's last answers commit, before the
+// aggregation commit journaled the retrained model in its Meta frame:
+// recovery finds the previous delta's model and a label set it was not
+// trained on, and runs the warm step the commit would have run. The
+// restored learner — weights, bias, training margins and so the band —
+// and the next delta's matches and HITs equal the never-crashed twin's.
+func TestRestoreResolverHybridCrashBeforeModel(t *testing.T) {
+	rows, schema, oracle, _ := productDupDataset()
+	const batches = 6
+	size := (len(rows) + batches - 1) / batches
+	dir := t.TempDir()
+	hs := &hookStore{FileStore: openTestStore(t, dir)}
+	twin, err := NewResolver(NewTable(schema...), hybridCrashOpts(oracle, hs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashDir string
+	hs.after = func(ev store.Event) {
+		if hasAnswers(ev) {
+			crashDir = t.TempDir()
+			copyDir(t, dir, crashDir)
+		}
+	}
+	next := -1
+	for i := 0; i < batches-1 && next < 0; i++ {
+		crashDir = ""
+		prev := twin.learner
+		twin.AppendBatch(rows[i*size : (i+1)*size]...)
+		if _, err := twin.ResolveDelta(); err != nil {
+			t.Fatal(err)
+		}
+		if s := twin.learner.State(); crashDir != "" && prev.Ready() && twin.learner != prev && s.Full != s.N {
+			next = i + 1 // this delta paid for answers and took a warm step
+		}
+	}
+	if next < 0 {
+		t.Fatal("no delta took a warm step after crowd answers; the crash is untested")
+	}
+	hs.after = nil
+
+	fl, rec, err := OpenStore(crashDir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	if m := rec.Meta.Model; m == nil || m.N == twin.learner.State().N && m.FP == twin.learner.State().FP {
+		t.Fatalf("the crash copy holds model %+v; want the previous delta's", m)
+	}
+	restored, err := RestoreResolver(rec, hybridCrashOpts(oracle, fl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.learner, twin.learner) {
+		t.Fatalf("restored learner %+v; never-crashed twin's %+v", restored.learner.State(), twin.learner.State())
+	}
+	tail := rows[next*size : min((next+1)*size, len(rows))]
+	twin.AppendBatch(tail...)
+	want, err := twin.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.AppendBatch(tail...)
+	got, err := restored.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMatches(t, "after the crash before the model", want.Matches, got.Matches)
+	if got.HITs != want.HITs || got.MachinePairs != want.MachinePairs {
+		t.Errorf("restored delta posted %d HITs, routed %d; twin %d, %d", got.HITs, got.MachinePairs, want.HITs, want.MachinePairs)
+	}
+	// The crashed delta's spend rode the Meta frame the crash lost, so
+	// the spend counter is the one stat the restore cannot recover.
+	a, b := twin.HybridStats(), restored.HybridStats()
+	a.SpentDollars, b.SpentDollars = 0, 0
+	if a != b {
+		t.Errorf("stats diverged: %+v vs %+v", a, b)
+	}
+}
+
+// modelStripper is a FileStore that journals Meta frames without their
+// model, as builds before the model was journaled wrote them.
+type modelStripper struct{ *FileStore }
+
+func (m modelStripper) Log(ev store.Event) error {
+	if meta, ok := ev.(*store.Meta); ok && meta.Model != nil {
+		stripped := *meta
+		stripped.Model = nil
+		if stripped.Spent == 0 {
+			return nil
+		}
+		ev = &stripped
+	}
+	return m.FileStore.Log(ev)
+}
+
+// A WAL without the model field restores: recovery runs one full train
+// over the recovered labels, and the session continues from it.
+func TestRestoreResolverWithoutJournaledModel(t *testing.T) {
+	rows, schema, oracle, _ := productDupDataset()
+	half := len(rows) / 2
+	dir := t.TempDir()
+	old, err := NewResolver(NewTable(schema...), hybridCrashOpts(oracle, modelStripper{openTestStore(t, dir)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][][]string{rows[:half/2], rows[half/2 : half]} {
+		old.AppendBatch(b...)
+		if _, err := old.ResolveDelta(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fl, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	if rec.Meta.Model != nil || rec.Meta.Spent == 0 {
+		t.Fatalf("the stripped WAL recovers model %+v and spend %v", rec.Meta.Model, rec.Meta.Spent)
+	}
+	restored, err := RestoreResolver(rec, hybridCrashOpts(oracle, fl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := restored.trainingLabelsLocked()
+	cold, err := learn.Train(restored.table.inner, labels, restored.learnOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restored.learner.Ready() || !reflect.DeepEqual(restored.learner, cold) {
+		t.Fatal("a model-less restore is not one full train over the recovered labels")
+	}
+	restored.AppendBatch(rows[half:]...)
+	res, err := restored.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NewCandidates == 0 || res.MachinePairs == 0 {
+		t.Errorf("the continued session found %d candidates and routed %d by machine", res.NewCandidates, res.MachinePairs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/crowder/crowder/internal/crowd"
+	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/store"
 )
 
@@ -12,7 +13,8 @@ import (
 // Resolver or queue backend learns — appended records, posted HITs,
 // claim leases, raw answers, verdicts with provenance (asked, deduced
 // with their proofs, machine with the router's confidence),
-// retractions — is logged as an event, and a crashed session recovers
+// retractions, the hybrid router's retrained model — is logged as an
+// event, and a crashed session recovers
 // from the log bit-identically to one that never crashed. Aggregated
 // posteriors are not logged: they are a function of the answers, and
 // recovery re-aggregates once. The default (Options.Store nil) is the
@@ -119,10 +121,23 @@ func RestoreResolver(rec *Recovered, opts Options) (*Resolver, error) {
 	}
 	r.pending = append(r.pending, rec.Pending...)
 	r.resume = rec.Resume
-	// The hybrid router's budget accounting survives the crash; its
-	// learner does not need to — it is a pure function of the recovered
-	// cache and is rebuilt lazily at the next route.
+	// The hybrid router's budget accounting and learner survive the
+	// crash: the learner is the journaled model, rebuilt over the
+	// recovered labels (see learn.Features.Restore) — or, when the crash
+	// fell between a round's answers and the aggregation commit's Meta,
+	// retrained from it by the step that commit would have run.
 	r.spent = rec.Meta.Spent
 	r.aggregateLocked()
+	if r.opts.hybrid() {
+		var s learn.State
+		if rec.Meta.Model != nil {
+			s = *rec.Meta.Model
+		}
+		l, err := r.feats.Restore(s, r.trainingLabelsLocked(), r.learnOptions())
+		if err != nil {
+			return nil, err
+		}
+		r.learner = l
+	}
 	return r, nil
 }

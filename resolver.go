@@ -86,18 +86,18 @@ type Resolver struct {
 	resume *crowd.ResumeState
 
 	// learner is the hybrid router's classifier, retrained from the
-	// verdict cache after every aggregation commit (nil until the first
-	// route of a hybrid session; rebuilt lazily after recovery — it is a
-	// pure function of the cache, so it is never persisted). Guarded by
-	// mu.
+	// verdict cache and the previous learner after every aggregation
+	// commit (nil until the first route of a fresh hybrid session). A
+	// warm-started model is a fact of the session's history, not a
+	// function of the cache, so each commit journals it in its Meta
+	// frame and RestoreResolver restores it. Guarded by mu.
 	learner *learn.Learner
 	// feats memoises the router's feature vector of every pair the
 	// session trained on or routed, so each retrain and route computes
 	// vectors only for pairs it has never seen. It holds at most the
 	// cache's pairs plus the pending ones (synthetic negatives are never
-	// memoised), is written only under mu held for writing, and like the
-	// learner is derived state: never persisted, refilled lazily after
-	// recovery.
+	// memoised), is written only under mu held for writing, and is
+	// derived state: never persisted, refilled lazily after recovery.
 	feats *learn.Features
 	// lastBand and lastRisk record the uncertainty band the most recent
 	// route stage actually used, for observability (HybridStats).
