@@ -219,7 +219,7 @@ func (q *Queue) answeredCount() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
-	for _, c := range q.answered {
+	for _, c := range q.state.answered {
 		n += c
 	}
 	return n
@@ -435,7 +435,7 @@ func TestQueueWorkerDistinctness(t *testing.T) {
 	}
 	// The manager would top up; simulate it.
 	var hits []HIT
-	for _, h := range q2.hits {
+	for _, h := range q2.state.hits {
 		h.Assignments = 1
 		hits = append(hits, h)
 	}

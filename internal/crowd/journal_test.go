@@ -43,6 +43,9 @@ func TestRestoreQueueFromSnapshot(t *testing.T) {
 		Lease: time.Minute,
 		Now:   func() time.Time { return base },
 	}, snap)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream := q.Collect(ctx)
 
 	open := q.Open()
 	if len(open) != 2 || open[0].HIT.ID != hits[0].ID || open[0].Open != 1 || open[1].Open != 2 {
@@ -58,18 +61,25 @@ func TestRestoreQueueFromSnapshot(t *testing.T) {
 	if q.ClaimLive("lapsed-token") {
 		t.Error("restored lapsed lease reported live")
 	}
-	if q.WorkerID("alice") != 0 {
-		t.Errorf("WorkerID(alice) = %d; want 0 (restored intern table)", q.WorkerID("alice"))
-	}
 
 	// alice already touched hits[0], so her claim must route to hits[1].
 	c, ok := q.Claim("alice")
 	if !ok || c.HIT.ID != hits[1].ID {
 		t.Fatalf("alice's claim = %+v, %v; want HIT %d", c, ok, hits[1].ID)
 	}
-	// Answering bob's restored lease completes hits[1]'s other slot.
+	// alice answers under her restored worker ID; answering bob's
+	// restored lease completes hits[1]'s other slot under the next one.
+	if err := q.Answer(c.Token, []Verdict{{A: 2, B: 3, Match: true}}); err != nil {
+		t.Fatalf("answering alice's claim: %v", err)
+	}
+	if a := <-stream; a.Worker != 0 {
+		t.Errorf("alice's assignment has worker %d; want 0 (restored intern table)", a.Worker)
+	}
 	if err := q.Answer("live-token", []Verdict{{A: 2, B: 3, Match: true}}); err != nil {
 		t.Fatalf("answering restored lease: %v", err)
+	}
+	if a := <-stream; a.Worker != 1 || a.Slot != 1 {
+		t.Errorf("bob's assignment = worker %d, slot %d; want worker 1, slot 1", a.Worker, a.Slot)
 	}
 
 	// A nil snapshot restores an empty queue.
@@ -136,13 +146,14 @@ func TestResumeStateAdoption(t *testing.T) {
 	}
 }
 
-// TestEnsureHITIDFloor: after raising the floor, newly minted HIT IDs
-// never collide with adopted recovered IDs below it.
-func TestEnsureHITIDFloor(t *testing.T) {
+// TestRestoreQueueRaisesHITIDFloor: restoring a snapshot raises the
+// HIT ID floor to its NextHITID, so newly minted HIT IDs never collide
+// with adopted recovered IDs below it; a lower NextHITID never lowers it.
+func TestRestoreQueueRaisesHITIDFloor(t *testing.T) {
 	before := PairHITsFromGen([][]record.Pair{{record.MakePair(0, 1)}}, 1)[0].ID
 	floor := before + 1000
-	EnsureHITIDFloor(floor)
-	EnsureHITIDFloor(floor - 500) // lowering is a no-op
+	RestoreQueue(QueueOptions{}, &QueueSnapshot{NextHITID: floor})
+	RestoreQueue(QueueOptions{}, &QueueSnapshot{NextHITID: floor - 500}) // lowering is a no-op
 	after := PairHITsFromGen([][]record.Pair{{record.MakePair(0, 1)}}, 1)[0].ID
 	if after < floor {
 		t.Fatalf("HIT ID %d minted below the floor %d", after, floor)

@@ -46,8 +46,6 @@ type Claimed struct {
 	// from its first posting — the queueing-delay half of claim latency,
 	// the number the multi-tenant fairness gate watches per tenant.
 	Waited time.Duration
-
-	claimedAt time.Time
 }
 
 // OpenHIT describes a claimable task: its content plus how many
@@ -64,23 +62,10 @@ type OpenHIT struct {
 // stream, which the lifecycle manager answers with a replication top-up.
 // A Queue is safe for concurrent use.
 type Queue struct {
-	mu       sync.Mutex
-	opts     QueueOptions
-	st       *stream
-	hits     map[int]HIT
-	open     map[int]int // HIT ID → open (unclaimed) assignments
-	order    []int       // HIT IDs in first-post order, for deterministic claims
-	claims   map[string]*Claimed
-	answered map[int]int             // HIT ID → completed assignments (next slot)
-	touched  map[int]map[string]bool // HIT ID → workers who claimed it
-	workers  map[string]int          // worker name → interned worker ID
-	postedAt map[int]time.Time       // HIT ID → first-post time (claim-wait metric)
-	// lapsed remembers expired claims of still-live HITs so an answer
-	// racing the sweep — the lease lapsed between the sweep tick and the
-	// HTTP handler — can still be credited instead of re-paid: as long as
-	// the HIT is live, the replication top-up is unclaimed, and the worker
-	// hasn't re-claimed, the late answer takes the top-up's slot.
-	lapsed map[string]*Claimed
+	mu    sync.Mutex
+	opts  QueueOptions
+	st    *stream
+	state *QueueState
 	// wake is the claimability broadcast: closed and replaced whenever
 	// work may have become claimable (a post, or a lapsed lease lifting a
 	// worker's bar), so ClaimWait blocks on a channel instead of polling.
@@ -93,22 +78,40 @@ type Queue struct {
 
 // NewQueue creates an empty queue backend.
 func NewQueue(opts QueueOptions) *Queue {
+	return RestoreQueue(opts, nil)
+}
+
+// RestoreQueue rebuilds a queue backend from its snapshot (nil gives an
+// empty queue) and raises the process-wide HIT ID floor to the
+// snapshot's NextHITID, so adopted recovered IDs never collide with IDs
+// minted later; the floor only moves up. The stream of collected
+// assignments starts empty — pre-crash completions live in
+// snapshot.Collected and reach the engine through run adoption, not the
+// stream. Claims whose deadlines passed while the process was down
+// expire on the first sweep, like any lapsed lease.
+func RestoreQueue(opts QueueOptions, s *QueueSnapshot) *Queue {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	return &Queue{
-		opts:     opts,
-		st:       newStream(),
-		hits:     make(map[int]HIT),
-		open:     make(map[int]int),
-		claims:   make(map[string]*Claimed),
-		answered: make(map[int]int),
-		touched:  make(map[int]map[string]bool),
-		workers:  make(map[string]int),
-		postedAt: make(map[int]time.Time),
-		lapsed:   make(map[string]*Claimed),
-		wake:     make(chan struct{}),
+	if s != nil {
+		hitIDMu.Lock()
+		hitIDCounter = max(hitIDCounter, s.NextHITID)
+		hitIDMu.Unlock()
 	}
+	return &Queue{
+		opts:  opts,
+		st:    newStream(),
+		state: NewQueueState(s),
+		wake:  make(chan struct{}),
+	}
+}
+
+// Snapshot returns the queue's state in its persisted form. Collected
+// stays empty: the queue streams its completed assignments out.
+func (q *Queue) Snapshot() *QueueSnapshot {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.state.Snapshot()
 }
 
 // Notify registers fn to be invoked whenever HITs may have become
@@ -138,23 +141,17 @@ func (q *Queue) Post(ctx context.Context, hits []HIT) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if len(hits) == 0 {
+		return nil
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.opts.Now()
-	for _, h := range hits {
-		if _, known := q.hits[h.ID]; !known {
-			q.hits[h.ID] = h
-			q.order = append(q.order, h.ID)
-			q.postedAt[h.ID] = now
-		}
-		q.open[h.ID] += h.Assignments
+	if j := q.opts.Journal; j != nil {
+		j.Posted(hits, now)
 	}
-	if len(hits) > 0 {
-		if j := q.opts.Journal; j != nil {
-			j.Posted(hits, now)
-		}
-		q.wakeLocked()
-	}
+	q.state.Posted(hits, now)
+	q.wakeLocked()
 	return nil
 }
 
@@ -169,35 +166,15 @@ func (q *Queue) Collect(ctx context.Context) <-chan Assignment {
 // so a long-lived queue absorbing run after run holds state only for the
 // HITs currently in flight.
 func (q *Queue) Retract(ids []int) {
+	if len(ids) == 0 {
+		return
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, id := range ids {
-		delete(q.open, id)
-		delete(q.hits, id)
-		delete(q.answered, id)
-		delete(q.touched, id)
-		delete(q.postedAt, id)
-	}
-	for tok, c := range q.claims {
-		if _, live := q.hits[c.HIT.ID]; !live {
-			delete(q.claims, tok)
-		}
-	}
-	for tok, c := range q.lapsed {
-		if _, live := q.hits[c.HIT.ID]; !live {
-			delete(q.lapsed, tok)
-		}
-	}
-	if j := q.opts.Journal; j != nil && len(ids) > 0 {
+	if j := q.opts.Journal; j != nil {
 		j.Retracted(ids)
 	}
-	live := q.order[:0]
-	for _, id := range q.order {
-		if _, ok := q.hits[id]; ok {
-			live = append(live, id)
-		}
-	}
-	q.order = live
+	q.state.Retracted(ids)
 }
 
 // Open lists the claimable HITs in first-post order.
@@ -206,9 +183,9 @@ func (q *Queue) Open() []OpenHIT {
 	defer q.mu.Unlock()
 	q.sweepLocked(q.opts.Now())
 	var out []OpenHIT
-	for _, id := range q.order {
-		if n := q.open[id]; n > 0 {
-			out = append(out, OpenHIT{HIT: q.hits[id], Open: n})
+	for _, id := range q.state.order {
+		if n := q.state.open[id]; n > 0 {
+			out = append(out, OpenHIT{HIT: q.state.hits[id], Open: n})
 		}
 	}
 	return out
@@ -234,29 +211,24 @@ func (q *Queue) Claim(worker string) (*Claimed, bool) {
 
 // claimLocked is Claim's core; the caller holds q.mu and has swept.
 func (q *Queue) claimLocked(worker string, now time.Time) *Claimed {
-	for _, id := range q.order {
-		if q.open[id] <= 0 || q.touched[id][worker] {
+	s := q.state
+	for _, id := range s.order {
+		if s.open[id] <= 0 || s.touched[id][worker] {
 			continue
 		}
-		q.open[id]--
-		if q.touched[id] == nil {
-			q.touched[id] = make(map[string]bool)
-		}
-		q.touched[id][worker] = true
 		c := &Claimed{
-			Token:     newToken(),
-			HIT:       q.hits[id],
-			Worker:    worker,
-			Waited:    now.Sub(q.postedAt[id]),
-			claimedAt: now,
+			Token:  newToken(),
+			HIT:    s.hits[id],
+			Worker: worker,
+			Waited: now.Sub(s.postedAt[id]),
 		}
 		if q.opts.Lease > 0 {
 			c.Deadline = now.Add(q.opts.Lease)
 		}
-		q.claims[c.Token] = c
 		if j := q.opts.Journal; j != nil {
 			j.Claimed(c.Token, id, worker, now, c.Deadline)
 		}
+		s.Claimed(c.Token, id, worker, now, c.Deadline)
 		return c
 	}
 	return nil
@@ -308,7 +280,7 @@ func (q *Queue) Depth() (hits, assignments int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.sweepLocked(q.opts.Now())
-	for _, n := range q.open {
+	for _, n := range q.state.open {
 		if n > 0 {
 			hits++
 			assignments += n
@@ -324,7 +296,7 @@ func (q *Queue) ClaimLive(token string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.sweepLocked(q.opts.Now())
-	_, ok := q.claims[token]
+	_, ok := q.state.claims[token]
 	return ok
 }
 
@@ -338,7 +310,8 @@ func (q *Queue) Answer(token string, verdicts []Verdict) error {
 	defer q.mu.Unlock()
 	now := q.opts.Now()
 	q.sweepLocked(now)
-	c, ok := q.claims[token]
+	s := q.state
+	c, ok := s.claims[token]
 	late := false
 	if !ok {
 		// The lease may have lapsed between the sweep and this call — the
@@ -349,9 +322,8 @@ func (q *Queue) Answer(token string, verdicts []Verdict) error {
 		// the HIT (a live re-claim means this token's work is superseded).
 		// Crediting with open == 0 would add a slot beyond the replication
 		// target and pay one extra assignment, so that window stays closed.
-		if lc, lok := q.lapsed[token]; lok {
-			id := lc.HIT.ID
-			if _, liveHIT := q.hits[id]; liveHIT && q.open[id] > 0 && !q.touched[id][lc.Worker] {
+		if lc, lok := s.lapsed[token]; lok {
+			if _, liveHIT := s.hits[lc.HIT]; liveHIT && s.open[lc.HIT] > 0 && !s.touched[lc.HIT][lc.Worker] {
 				c, ok, late = lc, true, true
 			}
 		}
@@ -363,54 +335,44 @@ func (q *Queue) Answer(token string, verdicts []Verdict) error {
 	for _, v := range verdicts {
 		byPair[record.MakePair(v.A, v.B)] = v.Match
 	}
-	h := c.HIT
-	for _, p := range h.Pairs {
-		if _, ok := byPair[p]; !ok {
+	h := s.hits[c.HIT]
+	matches := make([]bool, len(h.Pairs))
+	for i, p := range h.Pairs {
+		m, ok := byPair[p]
+		if !ok {
 			return fmt.Errorf("crowd: answer is missing a verdict for pair (%d,%d)", p.A, p.B)
 		}
+		matches[i] = m
 	}
 	if h.Kind == ClusterKind {
-		byPair = closeOverRecords(h, byPair)
+		matches = closeOver(h.Records, h.Pairs, matches)
 	}
-	wid, known := q.workers[c.Worker]
+	wid, known := s.workerID[c.Worker]
 	if !known {
-		wid = len(q.workers)
+		wid = len(s.workers)
 	}
 	a := Assignment{
 		HIT:     h.ID,
-		Slot:    q.answered[h.ID],
+		Slot:    s.answered[h.ID],
 		Worker:  wid,
-		Seconds: now.Sub(c.claimedAt).Seconds(),
+		Seconds: now.Sub(c.ClaimedAt).Seconds(),
 	}
 	a.Answers = make([]aggregate.Answer, len(h.Pairs))
 	for i, p := range h.Pairs {
-		a.Answers[i] = aggregate.Answer{Pair: p, Worker: wid, Match: byPair[p]}
+		a.Answers[i] = aggregate.Answer{Pair: p, Worker: wid, Match: matches[i]}
 	}
 	// A paid verdict is on disk before anything is acknowledged: nothing
 	// below runs unless the journal took the answer, so a failed write
-	// leaves the claim (or lapsed credit) live and delivers nothing.
+	// leaves the claim (or lapsed credit) live and delivers nothing. A
+	// late credit is committed only here too, once the answer validated
+	// and is durable: an invalid late answer must not consume the top-up
+	// slot — the lapsed entry stays, and the worker may retry.
 	if j := q.opts.Journal; j != nil {
 		if err := j.Answered(token, h.ID, c.Worker, a, late); err != nil {
 			return fmt.Errorf("%w: %w", ErrNotDurable, err)
 		}
 	}
-	if late {
-		// Commit the late credit only now that the answer validated and
-		// is durable: an invalid late answer must not consume the top-up
-		// slot — the lapsed entry stays, and the worker may retry with a
-		// full answer.
-		q.open[h.ID]--
-		if q.touched[h.ID] == nil {
-			q.touched[h.ID] = make(map[string]bool)
-		}
-		q.touched[h.ID][c.Worker] = true
-		delete(q.lapsed, token)
-	}
-	if !known {
-		q.workers[c.Worker] = wid
-	}
-	q.answered[h.ID]++
-	delete(q.claims, token)
+	s.Answered(token, h.ID, c.Worker, a, late)
 	q.st.push(a)
 	return nil
 }
@@ -432,49 +394,26 @@ func (q *Queue) sweepLocked(now time.Time) {
 	if q.opts.Lease <= 0 {
 		return
 	}
-	var lapsed []string
-	for tok, c := range q.claims {
+	var expired []ExpiredClaim
+	for tok, c := range q.state.claims {
 		if now.After(c.Deadline) {
-			lapsed = append(lapsed, tok)
+			expired = append(expired, ExpiredClaim{Token: tok, HIT: c.HIT, Worker: c.Worker})
 		}
 	}
-	sort.Strings(lapsed)
-	var expired []ExpiredClaim
-	for _, tok := range lapsed {
-		c := q.claims[tok]
-		delete(q.claims, tok)
-		// The deserter may claim this HIT again later (they still hold no
-		// answer on it); keeping the bar could make the slot permanently
-		// unclaimable once every worker has lapsed on it.
-		delete(q.touched[c.HIT.ID], c.Worker)
-		// Keep the dead claim around: an answer already in flight when the
-		// lease lapsed can still be credited against the top-up slot.
-		q.lapsed[tok] = c
-		expired = append(expired, ExpiredClaim{Token: tok, HIT: c.HIT.ID, Worker: c.Worker})
-		q.st.push(Assignment{HIT: c.HIT.ID, Worker: -1, Expired: true})
+	if len(expired) == 0 {
+		return
 	}
-	if j := q.opts.Journal; j != nil && len(expired) > 0 {
+	sort.Slice(expired, func(i, j int) bool { return expired[i].Token < expired[j].Token })
+	if j := q.opts.Journal; j != nil {
 		j.Expired(expired)
 	}
-	if len(lapsed) > 0 {
-		// A lifted bar can make an already-open slot claimable by the
-		// lapsed worker; blocked claimers must re-check.
-		q.wakeLocked()
+	q.state.Expired(expired)
+	for _, c := range expired {
+		q.st.push(Assignment{HIT: c.HIT, Worker: -1, Expired: true})
 	}
-}
-
-// WorkerID returns the interned numeric ID for a worker name, interning
-// it on first use. Answers aggregate per numeric worker ID, so a worker's
-// confusion matrix spans every assignment they answered.
-func (q *Queue) WorkerID(worker string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	wid, ok := q.workers[worker]
-	if !ok {
-		wid = len(q.workers)
-		q.workers[worker] = wid
-	}
-	return wid
+	// A lifted bar can make an already-open slot claimable by the lapsed
+	// worker; blocked claimers must re-check.
+	q.wakeLocked()
 }
 
 // newToken returns an unguessable claim token. The token is the only
@@ -489,43 +428,38 @@ func newToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// closeOverRecords applies the cluster-interface semantics to raw pair
-// verdicts: union-find over the HIT's records joins every matched pair,
-// then each covered pair is re-read from the closure.
-func closeOverRecords(h HIT, byPair map[record.Pair]bool) map[record.Pair]bool {
-	idx := make(map[record.ID]int, len(h.Records))
-	for i, r := range h.Records {
+// closeOver applies the cluster-interface semantics to raw pair
+// verdicts: union-find over the records joins every matched pair, then
+// each pair is re-read from the closure. A pair with an endpoint outside
+// records closes to false.
+func closeOver(records []record.ID, pairs []record.Pair, matched []bool) []bool {
+	idx := make(map[record.ID]int, len(records))
+	for i, r := range records {
 		idx[r] = i
 	}
-	parent := make([]int, len(h.Records))
+	parent := make([]int, len(records))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for _, p := range h.Pairs {
-		if byPair[p] {
-			ia, okA := idx[p.A]
-			ib, okB := idx[p.B]
-			if okA && okB {
-				a, b := find(ia), find(ib)
-				if a != b {
-					parent[a] = b
-				}
-			}
-		}
-	}
-	out := make(map[record.Pair]bool, len(h.Pairs))
-	for _, p := range h.Pairs {
+	for i, p := range pairs {
 		ia, okA := idx[p.A]
 		ib, okB := idx[p.B]
-		out[p] = okA && okB && find(ia) == find(ib)
+		if matched[i] && okA && okB {
+			parent[find(ia)] = find(ib)
+		}
+	}
+	out := make([]bool, len(pairs))
+	for i, p := range pairs {
+		ia, okA := idx[p.A]
+		ib, okB := idx[p.B]
+		out[i] = okA && okB && find(ia) == find(ib)
 	}
 	return out
 }

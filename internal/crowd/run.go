@@ -278,40 +278,18 @@ func RunClusterHITs(hits []hitgen.ClusterHIT, pairs []record.Pair, truth record.
 }
 
 // clusterAnswers simulates one worker completing one cluster-based HIT:
-// noisy pairwise judgments on the covered pairs, transitively closed by
-// union-find (same label ⇒ same entity), then re-read as per-pair answers.
+// noisy pairwise judgments on the covered pairs, drawn in covered order,
+// transitively closed over the HIT's records (same label ⇒ same entity),
+// then re-read as per-pair answers.
 func clusterAnswers(h hitgen.ClusterHIT, covered []record.Pair, truth record.PairSet, w *Worker, cfg *Config, rng *rand.Rand) []aggregate.Answer {
-	idx := make(map[record.ID]int, len(h.Records))
-	for i, r := range h.Records {
-		idx[r] = i
+	judged := make([]bool, len(covered))
+	for i, p := range covered {
+		judged[i] = w.AnswerWithDifficulty(truth.Has(p.A, p.B), cfg.difficultyOf(p), rng)
 	}
-	parent := make([]int, len(h.Records))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, p := range covered {
-		if w.AnswerWithDifficulty(truth.Has(p.A, p.B), cfg.difficultyOf(p), rng) {
-			a, b := find(idx[p.A]), find(idx[p.B])
-			if a != b {
-				parent[a] = b
-			}
-		}
-	}
+	closed := closeOver(h.Records, covered, judged)
 	out := make([]aggregate.Answer, len(covered))
 	for i, p := range covered {
-		out[i] = aggregate.Answer{
-			Pair:   p,
-			Worker: w.ID,
-			Match:  find(idx[p.A]) == find(idx[p.B]),
-		}
+		out[i] = aggregate.Answer{Pair: p, Worker: w.ID, Match: closed[i]}
 	}
 	return out
 }

@@ -201,7 +201,6 @@ func (s *Server) Recover(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("reading data dir: %w", err)
 	}
 	n := 0
-	maxHITID := 0
 	for _, td := range tenants {
 		if !td.IsDir() {
 			continue
@@ -222,22 +221,14 @@ func (s *Server) Recover(ctx context.Context) (int, error) {
 			if err != nil {
 				name = tb.Name()
 			}
-			got, hitID, err := s.recoverSession(dir, name)
+			got, err := s.recoverSession(dir, name)
 			if err != nil {
 				return n, fmt.Errorf("recovering %s: %w", dir, err)
 			}
 			if got {
 				n++
 			}
-			if hitID > maxHITID {
-				maxHITID = hitID
-			}
 		}
-	}
-	// Raise the HIT ID floor once, after every session's high-water mark
-	// is known, so post-recovery HITs never collide with recovered ones.
-	if maxHITID > 0 {
-		crowder.EnsureHITIDFloor(maxHITID)
 	}
 	return n, nil
 }
@@ -246,24 +237,24 @@ func (s *Server) Recover(ctx context.Context) (int, error) {
 // session. A directory whose log never got its config event (a crash a
 // few instructions after create) holds no state worth keeping and is
 // skipped.
-func (s *Server) recoverSession(dir, name string) (bool, int, error) {
+func (s *Server) recoverSession(dir, name string) (bool, error) {
 	fl, rec, err := crowder.OpenStore(dir, crowder.StoreOptions{})
 	if err != nil {
-		return false, 0, err
+		return false, err
 	}
 	if len(rec.Meta.Config) == 0 {
 		fl.Close()
-		return false, 0, nil
+		return false, nil
 	}
 	var req tableRequest
 	if err := json.Unmarshal(rec.Meta.Config, &req); err != nil {
 		fl.Close()
-		return false, 0, fmt.Errorf("decoding persisted session config: %w", err)
+		return false, fmt.Errorf("decoding persisted session config: %w", err)
 	}
 	opts, err := optionsFromRequest(req.Options)
 	if err != nil {
 		fl.Close()
-		return false, 0, err
+		return false, err
 	}
 	tenant := req.Options.Tenant
 	if tenant == "" {
@@ -275,11 +266,11 @@ func (s *Server) recoverSession(dir, name string) (bool, int, error) {
 	sess, err := s.buildSession(name, tenant, req, opts, fl, rec)
 	if err != nil {
 		fl.Close()
-		return false, 0, err
+		return false, err
 	}
 	if !s.reg.put(name, sess) {
 		fl.Close()
-		return false, 0, fmt.Errorf("table %q already registered", name)
+		return false, fmt.Errorf("table %q already registered", name)
 	}
 	if sess.queue != nil {
 		if err := s.dispatcher.Register(dispatch.Session{
@@ -288,8 +279,8 @@ func (s *Server) recoverSession(dir, name string) (bool, int, error) {
 			Queue:  sess.queue,
 			Weight: req.Options.Priority,
 		}); err != nil {
-			return false, 0, err
+			return false, err
 		}
 	}
-	return true, rec.NextHITID, nil
+	return true, nil
 }

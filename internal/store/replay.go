@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
@@ -21,8 +20,12 @@ type replayState struct {
 	boundaries []int // absorb boundaries, strictly increasing
 	pending    []simjoin.ScoredPair
 	cache      *verdicts.Cache
-	q          queueMirror
-	events     int
+	// q is the queue backend's state, nil until the first queue event;
+	// collected holds the completed assignments of its live HITs, which
+	// the live queue has already streamed out (QueueSnapshot.Collected).
+	q         *crowd.QueueState
+	collected map[int][]crowd.Assignment
+	events    int
 }
 
 func newReplayState() *replayState {
@@ -89,21 +92,52 @@ func (st *replayState) apply(ev Event) error {
 	case *CacheState:
 		st.cache = verdicts.RestoreCache(e.Entries, e.Partials)
 	case *QueuePosted:
-		st.q.applyPosted(e)
+		st.queue().Posted(e.HITs, e.At)
 	case *QueueClaimed:
-		st.q.applyClaimed(e)
+		st.queue().Claimed(e.Token, e.HIT, e.Worker, e.At, e.Deadline)
 	case *QueueAnswered:
-		st.q.applyAnswered(e)
+		st.queue().Answered(e.Token, e.HIT, e.Worker, e.A, e.Late)
+		st.collected[e.HIT] = append(st.collected[e.HIT], e.A)
 	case *QueueExpired:
-		st.q.applyExpired(e)
+		st.queue().Expired(e.Claims)
 	case *QueueRetracted:
-		st.q.applyRetracted(e)
+		st.queue().Retracted(e.IDs)
+		for _, id := range e.IDs {
+			delete(st.collected, id)
+		}
 	case *QueueState:
-		st.q.restore(&e.S)
+		st.q = crowd.NewQueueState(&e.S)
+		st.collected = make(map[int][]crowd.Assignment, len(e.S.Collected))
+		for id, as := range e.S.Collected {
+			st.collected[id] = append([]crowd.Assignment(nil), as...)
+		}
 	default:
 		return fmt.Errorf("store: replay: unhandled event %T", ev)
 	}
 	return nil
+}
+
+// queue returns the queue state, creating it on the session's first
+// queue event.
+func (st *replayState) queue() *crowd.QueueState {
+	if st.q == nil {
+		st.q = crowd.NewQueueState(nil)
+		st.collected = make(map[int][]crowd.Assignment)
+	}
+	return st.q
+}
+
+// queueSnapshot renders the queue state with the collected assignments
+// merged in, each HIT's sorted by slot.
+func (st *replayState) queueSnapshot() *crowd.QueueSnapshot {
+	s := st.q.Snapshot()
+	s.Collected = make(map[int][]crowd.Assignment, len(st.collected))
+	for id, as := range st.collected {
+		cp := append([]crowd.Assignment(nil), as...)
+		sort.Slice(cp, func(i, j int) bool { return cp[i].Slot < cp[j].Slot })
+		s.Collected[id] = cp
+	}
+	return s
 }
 
 // snapshotEvents serializes the state as a compacted event stream —
@@ -133,8 +167,8 @@ func (st *replayState) snapshotEvents() []Event {
 		entries, partials := st.cache.Dump()
 		evs = append(evs, &CacheState{Entries: entries, Partials: partials})
 	}
-	if st.q.active {
-		evs = append(evs, &QueueState{S: *st.q.snapshot()})
+	if st.q != nil {
+		evs = append(evs, &QueueState{S: *st.queueSnapshot()})
 	}
 	return evs
 }
@@ -161,8 +195,6 @@ type Recovered struct {
 	// Resume carries the crashed run's in-flight HITs for adoption by the
 	// restarted resolve; nil when nothing was in flight.
 	Resume *crowd.ResumeState
-	// NextHITID is the floor for the process-wide HIT ID allocator.
-	NextHITID int
 	// Events is the number of events replayed (snapshot + WAL tail).
 	Events int
 	// WALBytes and SnapshotBytes report what recovery read.
@@ -191,22 +223,20 @@ func (st *replayState) recovered() *Recovered {
 		Cache:      st.cache,
 		Events:     st.events,
 	}
-	if st.q.active {
-		rec.Queue = st.q.snapshot()
-		rec.NextHITID = st.q.nextHIT
+	if st.q != nil {
+		rec.Queue = st.queueSnapshot()
 		// In-flight HITs of the crashed run: content-indexed for adoption,
 		// and their paid answers recorded as partial fragments so the work
 		// is never invisible — the restarted run's completions supersede
 		// them through the normal commit path.
 		rs := &crowd.ResumeState{}
 		var inflight []aggregate.Answer
-		for _, id := range rec.Queue.Order {
-			h, ok := st.q.hits[id]
-			if !ok {
-				continue
+		for i, id := range rec.Queue.Order {
+			h := rec.Queue.HITs[i]
+			if h.ID != id {
+				continue // a snapshot naming an ID it holds no HIT for
 			}
-			slots := append([]crowd.Assignment(nil), st.q.collected[id]...)
-			sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
+			slots := append([]crowd.Assignment(nil), rec.Queue.Collected[id]...)
 			rs.Add(h, slots)
 			for _, a := range slots {
 				inflight = append(inflight, a.Answers...)
@@ -220,237 +250,4 @@ func (st *replayState) recovered() *Recovered {
 		}
 	}
 	return rec
-}
-
-// queueMirror replays queue events into the same state the live Queue
-// holds, plus the collected in-flight assignments the live queue already
-// streamed out.
-type queueMirror struct {
-	active    bool
-	hits      map[int]crowd.HIT
-	open      map[int]int
-	order     []int
-	answered  map[int]int
-	touched   map[int]map[string]bool
-	postedAt  map[int]time.Time
-	workers   []string
-	workerIdx map[string]int
-	claims    map[string]crowd.ClaimSnapshot
-	lapsed    map[string]crowd.ClaimSnapshot
-	collected map[int][]crowd.Assignment
-	nextHIT   int
-}
-
-func (m *queueMirror) init() {
-	if m.active {
-		return
-	}
-	m.active = true
-	m.hits = make(map[int]crowd.HIT)
-	m.open = make(map[int]int)
-	m.answered = make(map[int]int)
-	m.touched = make(map[int]map[string]bool)
-	m.postedAt = make(map[int]time.Time)
-	m.workerIdx = make(map[string]int)
-	m.claims = make(map[string]crowd.ClaimSnapshot)
-	m.lapsed = make(map[string]crowd.ClaimSnapshot)
-	m.collected = make(map[int][]crowd.Assignment)
-}
-
-func (m *queueMirror) applyPosted(e *QueuePosted) {
-	m.init()
-	for _, h := range e.HITs {
-		if _, known := m.hits[h.ID]; !known {
-			m.hits[h.ID] = h
-			m.order = append(m.order, h.ID)
-			m.postedAt[h.ID] = e.At
-		}
-		m.open[h.ID] += h.Assignments
-		if h.ID+1 > m.nextHIT {
-			m.nextHIT = h.ID + 1
-		}
-	}
-}
-
-func (m *queueMirror) applyClaimed(e *QueueClaimed) {
-	m.init()
-	m.open[e.HIT]--
-	if m.touched[e.HIT] == nil {
-		m.touched[e.HIT] = make(map[string]bool)
-	}
-	m.touched[e.HIT][e.Worker] = true
-	m.claims[e.Token] = crowd.ClaimSnapshot{Token: e.Token, HIT: e.HIT, Worker: e.Worker, ClaimedAt: e.At, Deadline: e.Deadline}
-}
-
-func (m *queueMirror) applyAnswered(e *QueueAnswered) {
-	m.init()
-	if e.Late {
-		// The live queue consumed the top-up slot and re-barred the worker.
-		delete(m.lapsed, e.Token)
-		m.open[e.HIT]--
-		if m.touched[e.HIT] == nil {
-			m.touched[e.HIT] = make(map[string]bool)
-		}
-		m.touched[e.HIT][e.Worker] = true
-	} else {
-		delete(m.claims, e.Token)
-	}
-	if _, ok := m.workerIdx[e.Worker]; !ok {
-		// A live queue assigns worker ids densely in answer order, so a
-		// new worker's id is exactly the next slot (or, after a snapshot
-		// restore, an already-allocated one). Anything else is a mangled
-		// event; dropping it beats growing an unbounded sparse table.
-		if e.A.Worker == len(m.workers) {
-			m.workers = append(m.workers, e.Worker)
-			m.workerIdx[e.Worker] = e.A.Worker
-		} else if e.A.Worker >= 0 && e.A.Worker < len(m.workers) {
-			m.workers[e.A.Worker] = e.Worker
-			m.workerIdx[e.Worker] = e.A.Worker
-		}
-	}
-	if e.A.Slot+1 > m.answered[e.HIT] {
-		m.answered[e.HIT] = e.A.Slot + 1
-	}
-	m.collected[e.HIT] = append(m.collected[e.HIT], e.A)
-}
-
-func (m *queueMirror) applyExpired(e *QueueExpired) {
-	m.init()
-	for _, c := range e.Claims {
-		mc, ok := m.claims[c.Token]
-		if !ok {
-			mc = crowd.ClaimSnapshot{Token: c.Token, HIT: c.HIT, Worker: c.Worker}
-		}
-		delete(m.claims, c.Token)
-		m.lapsed[c.Token] = mc
-		if t := m.touched[c.HIT]; t != nil {
-			delete(t, c.Worker)
-		}
-	}
-}
-
-func (m *queueMirror) applyRetracted(e *QueueRetracted) {
-	m.init()
-	for _, id := range e.IDs {
-		delete(m.hits, id)
-		delete(m.open, id)
-		delete(m.answered, id)
-		delete(m.touched, id)
-		delete(m.postedAt, id)
-		delete(m.collected, id)
-	}
-	for tok, c := range m.claims {
-		if _, live := m.hits[c.HIT]; !live {
-			delete(m.claims, tok)
-		}
-	}
-	for tok, c := range m.lapsed {
-		if _, live := m.hits[c.HIT]; !live {
-			delete(m.lapsed, tok)
-		}
-	}
-	live := m.order[:0]
-	for _, id := range m.order {
-		if _, ok := m.hits[id]; ok {
-			live = append(live, id)
-		}
-	}
-	m.order = live
-}
-
-// restore wholesale-loads a snapshot.
-func (m *queueMirror) restore(s *crowd.QueueSnapshot) {
-	*m = queueMirror{}
-	m.init()
-	for _, h := range s.HITs {
-		m.hits[h.ID] = h
-	}
-	for id, n := range s.Open {
-		m.open[id] = n
-	}
-	m.order = append(m.order, s.Order...)
-	for id, n := range s.Answered {
-		m.answered[id] = n
-	}
-	for id, ws := range s.Touched {
-		t := make(map[string]bool, len(ws))
-		for _, w := range ws {
-			t[w] = true
-		}
-		m.touched[id] = t
-	}
-	for id, at := range s.PostedAt {
-		m.postedAt[id] = at
-	}
-	m.workers = append(m.workers, s.Workers...)
-	for i, w := range s.Workers {
-		m.workerIdx[w] = i
-	}
-	for _, c := range s.Claims {
-		m.claims[c.Token] = c
-	}
-	for _, c := range s.Lapsed {
-		m.lapsed[c.Token] = c
-	}
-	for id, as := range s.Collected {
-		m.collected[id] = append([]crowd.Assignment(nil), as...)
-	}
-	m.nextHIT = s.NextHITID
-}
-
-// snapshot renders the mirror as a crowd.QueueSnapshot (fresh copies,
-// deterministic ordering).
-func (m *queueMirror) snapshot() *crowd.QueueSnapshot {
-	s := &crowd.QueueSnapshot{
-		Open:      make(map[int]int, len(m.open)),
-		Order:     append([]int(nil), m.order...),
-		Answered:  make(map[int]int, len(m.answered)),
-		Touched:   make(map[int][]string, len(m.touched)),
-		PostedAt:  make(map[int]time.Time, len(m.postedAt)),
-		Workers:   append([]string(nil), m.workers...),
-		Collected: make(map[int][]crowd.Assignment, len(m.collected)),
-		NextHITID: m.nextHIT,
-	}
-	for _, id := range m.order {
-		s.HITs = append(s.HITs, m.hits[id])
-	}
-	for id, n := range m.open {
-		s.Open[id] = n
-	}
-	for id, n := range m.answered {
-		s.Answered[id] = n
-	}
-	for id, t := range m.touched {
-		ws := make([]string, 0, len(t))
-		for w := range t {
-			ws = append(ws, w)
-		}
-		sort.Strings(ws)
-		s.Touched[id] = ws
-	}
-	for id, at := range m.postedAt {
-		s.PostedAt[id] = at
-	}
-	var toks []string
-	for tok := range m.claims {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		s.Claims = append(s.Claims, m.claims[tok])
-	}
-	toks = toks[:0]
-	for tok := range m.lapsed {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		s.Lapsed = append(s.Lapsed, m.lapsed[tok])
-	}
-	for id, as := range m.collected {
-		cp := append([]crowd.Assignment(nil), as...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i].Slot < cp[j].Slot })
-		s.Collected[id] = cp
-	}
-	return s
 }

@@ -223,8 +223,8 @@ func TestFileLogQueueRoundTrip(t *testing.T) {
 	if rec.Resume == nil || rec.Resume.Empty() {
 		t.Fatal("in-flight answered assignment not surfaced for resume")
 	}
-	if rec.NextHITID <= hits[1].ID {
-		t.Errorf("NextHITID = %d; want > %d", rec.NextHITID, hits[1].ID)
+	if rec.Queue.NextHITID <= hits[1].ID {
+		t.Errorf("NextHITID = %d; want > %d", rec.Queue.NextHITID, hits[1].ID)
 	}
 	// alice's judged pairs travel to the resolver as partial answers.
 	if rec.Cache.PartialLen() == 0 {

@@ -32,11 +32,12 @@ type StoreOptions = store.Options
 type FileStore = store.FileLog
 
 // Recovered is the session state OpenStore replayed from disk; pass it
-// to RestoreResolver (and, for queue sessions, RestoreQueue) to resume.
+// to RestoreResolver (and, for queue sessions, its Queue to
+// RestoreQueue) to resume.
 type Recovered = store.Recovered
 
 // QueueSnapshot is a queue backend's recovered state (open HITs, claim
-// leases, collected assignments); see RestoreQueue.
+// leases, collected assignments, the HIT ID floor); see RestoreQueue.
 type QueueSnapshot = crowd.QueueSnapshot
 
 // QueueJournal is the queue-side persistence hook: NewQueueJournal
@@ -62,17 +63,15 @@ func NewQueueJournal(s Store) QueueJournal {
 // open HITs resume their lifecycle, outstanding claim leases survive
 // with their original deadlines (leases that expired during the outage
 // surface as normal expiries on the first sweep), and workers keep their
-// identities. Collected in-flight assignments travel to the resolver via
-// Recovered.Resume instead.
+// identities. It also raises the process-wide HIT ID allocator to the
+// snapshot's NextHITID (never lowering it), so HITs posted after a
+// recovery never collide with recovered ones. Collected in-flight
+// assignments travel to the resolver via Recovered.Resume instead. The
+// live queue and the store's replay apply the same transitions (see
+// crowd.QueueState), so the restored queue is the one that never
+// crashed.
 func RestoreQueue(opts QueueOptions, s *QueueSnapshot) *QueueBackend {
 	return crowd.RestoreQueue(opts, s)
-}
-
-// EnsureHITIDFloor raises the process-wide HIT ID allocator to at least
-// n, so HITs posted after a recovery never collide with recovered ones.
-// Pass the max Recovered.NextHITID across every session being restored.
-func EnsureHITIDFloor(n int) {
-	crowd.EnsureHITIDFloor(n)
 }
 
 // RestoreResolver rebuilds a resolution session from recovered state:

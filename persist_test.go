@@ -363,7 +363,6 @@ func TestRestoreResolverAdoptsInFlight(t *testing.T) {
 		t.Fatal("crashed session has no in-flight HITs to adopt")
 	}
 	queue2 := RestoreQueue(QueueOptions{Lease: time.Minute, Journal: NewQueueJournal(fl2)}, rec.Queue)
-	EnsureHITIDFloor(rec.NextHITID)
 	ropts := opts
 	ropts.Backend = queue2
 	ropts.Store = fl2
