@@ -8,6 +8,7 @@ package aggregate
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 
@@ -155,70 +156,120 @@ func mapClassPrior(priorSum float64, nPairs int, alpha, beta float64) float64 {
 	return prior
 }
 
-// vote is one worker's dense-indexed verdict on a pair; l is 1 for a
-// match and 0 for a non-match.
-type vote struct {
-	w, l int
-}
-
 // confusion is one worker's confusion matrix conf[c][l] = P(answers l |
 // class c), or its expected counts; classes and labels: 0 = non-match,
 // 1 = match.
 type confusion = [2][2]float64
 
 // answerIndex is the dense view of an answer set shared by the EM
-// aggregators: pairs and workers renumbered to contiguous indices, the
-// votes grouped per pair, and the majority-fraction initial posterior.
-// All of it is integer bookkeeping plus the same float divisions the
-// aggregators always performed, so sharing it cannot perturb a single
-// output bit.
+// aggregators. Workers are numbered by first appearance and each vote is
+// packed into one code, dense worker << 1 | label (1 = match). A pair's
+// signature is the ordered sequence of its vote codes; pairs with the
+// same signature start from the same majority fraction and, since every
+// E-step reads nothing of a pair but its codes, keep the same posterior
+// in every iteration — so EM tracks one posterior per signature. All of
+// it is integer bookkeeping plus the same float divisions the
+// aggregators always performed, so it cannot perturb a single output bit.
 type answerIndex struct {
-	pairs    []record.Pair
-	byPair   [][]vote
-	nWorkers int
-	post     []float64 // majority-vote initialization, mutated by EM
+	pairs []record.Pair
+	sigOf []int32 // signature of each pair
+	// Signature s's codes are sigCodes[sigStart[s]:sigStart[s+1]].
+	sigStart, sigCodes []int32
+	// The code-major vote list: the signatures of code k's votes, in pair
+	// order, are codeSigs[codeStart[k]:codeStart[k+1]].
+	codeStart, codeSigs []int32
+	nWorkers            int
+	post                []float64 // per signature: majority-vote initialization, mutated by EM
 }
 
+// indexAnswers builds the index in any answer order. It looks a pair up
+// only when the pair changes from the previous answer, and numbers
+// workers by first appearance: MAP's pool sums run in worker order.
 func indexAnswers(answers []Answer) *answerIndex {
-	pairIdx := make(map[record.Pair]int)
+	pairIdx := make(map[record.Pair]int32)
 	var pairs []record.Pair
-	workerIdx := make(map[int]int)
-	nWorkers := 0
-	for _, a := range answers {
-		if _, ok := pairIdx[a.Pair]; !ok {
-			pairIdx[a.Pair] = len(pairs)
-			pairs = append(pairs, a.Pair)
+	workerIdx := make(map[int]int32)
+	of := make([]int32, len(answers)) // pair of each answer; later, signature of each vote
+	codes := make([]int32, len(answers))
+	for i, a := range answers {
+		if i == 0 || a.Pair != answers[i-1].Pair {
+			p, ok := pairIdx[a.Pair]
+			if !ok {
+				p = int32(len(pairs))
+				pairIdx[a.Pair] = p
+				pairs = append(pairs, a.Pair)
+			}
+			of[i] = p
+		} else {
+			of[i] = of[i-1]
 		}
-		if _, ok := workerIdx[a.Worker]; !ok {
-			workerIdx[a.Worker] = nWorkers
-			nWorkers++
+		w, ok := workerIdx[a.Worker]
+		if !ok {
+			w = int32(len(workerIdx))
+			workerIdx[a.Worker] = w
 		}
-	}
-	byPair := make([][]vote, len(pairs))
-	for _, a := range answers {
-		v := vote{w: workerIdx[a.Worker]}
+		codes[i] = w << 1
 		if a.Match {
-			v.l = 1
+			codes[i] |= 1
 		}
-		i := pairIdx[a.Pair]
-		byPair[i] = append(byPair[i], v)
 	}
-	post := make([]float64, len(pairs))
-	for i, vs := range byPair {
-		yes := 0
-		for _, v := range vs {
-			yes += v.l
+	start, votes := bucket(of, codes, len(pairs))
+
+	ix := &answerIndex{pairs: pairs, sigOf: make([]int32, len(pairs)), sigStart: []int32{0}, nWorkers: len(workerIdx)}
+	sigIdx := make(map[string]int32)
+	var key []byte
+	for i := range pairs {
+		vs := votes[start[i]:start[i+1]]
+		key = key[:0]
+		for _, c := range vs {
+			key = binary.LittleEndian.AppendUint32(key, uint32(c))
 		}
-		post[i] = float64(yes) / float64(len(vs))
+		s, ok := sigIdx[string(key)]
+		if !ok {
+			s = int32(len(ix.post))
+			sigIdx[string(key)] = s
+			ix.sigCodes = append(ix.sigCodes, vs...)
+			ix.sigStart = append(ix.sigStart, int32(len(ix.sigCodes)))
+			yes := 0
+			for _, c := range vs {
+				yes += int(c & 1)
+			}
+			ix.post = append(ix.post, float64(yes)/float64(len(vs)))
+		}
+		ix.sigOf[i] = s
+		for j := start[i]; j < start[i+1]; j++ {
+			of[j] = s
+		}
 	}
-	return &answerIndex{pairs: pairs, byPair: byPair, nWorkers: nWorkers, post: post}
+	ix.codeStart, ix.codeSigs = bucket(votes, of, 2*ix.nWorkers)
+	return ix
+}
+
+// bucket is a stable counting sort: it groups vals by their keys (each
+// below n), in input order within a key; key k's values are
+// out[start[k]:start[k+1]].
+func bucket(keys, vals []int32, n int) (start, out []int32) {
+	start = make([]int32, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	out = make([]int32, len(keys))
+	fill := slices.Clone(start[:n])
+	for i, k := range keys {
+		out[fill[k]] = vals[i]
+		fill[k]++
+	}
+	return start, out
 }
 
 // posterior copies the dense posterior back out under its pair keys.
 func (ix *answerIndex) posterior() Posterior {
 	out := make(Posterior, len(ix.pairs))
 	for i, pr := range ix.pairs {
-		out[pr] = ix.post[i]
+		out[pr] = ix.post[ix.sigOf[i]]
 	}
 	return out
 }
@@ -231,44 +282,49 @@ func (ix *answerIndex) posterior() Posterior {
 // class c) — followed by the E-step, which recomputes each posterior in
 // log space.
 //
+// Every floating-point sum adds the operands of a per-pair, per-vote loop
+// in that loop's order, so the posteriors are bit-identical to it:
+//   - the prior sums the posterior of every pair, in pair order;
+//   - the M-step sums each count over its code's votes in pair order,
+//     which is the order a pair-major walk adds them to that count;
+//   - the E-step runs once per signature. A pair's log sums would add its
+//     signature's log-table entries in the same order, and its posterior
+//     and change equal its signature's, so the max change is the same.
+//
 // The E-step takes the logs of the confusion rows and of the prior once
-// per iteration, not once per vote. math.Log is pure, so each pair's sum
-// adds the same operands in the same order as a per-vote log would, and
-// the posteriors are bit-identical to it.
+// per iteration, not once per vote; math.Log is pure, so this too adds
+// the same operands.
 func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(counts, conf []confusion)) Posterior {
 	post := ix.post
 	counts := make([]confusion, ix.nWorkers)
 	conf := make([]confusion, ix.nWorkers)
-	logConf := make([]confusion, ix.nWorkers)
+	logConf := make([][2]float64, 2*ix.nWorkers) // logConf[code][c]
 	for iter := 0; iter < maxIter; iter++ {
 		var priorSum float64
-		for i := range post {
-			priorSum += post[i]
+		for _, s := range ix.sigOf {
+			priorSum += post[s]
 		}
-		prior := mapClassPrior(priorSum, len(post), alpha, beta)
-		clear(counts)
-		for i, vs := range ix.byPair {
-			for _, v := range vs {
-				counts[v.w][1][v.l] += post[i]
-				counts[v.w][0][v.l] += 1 - post[i]
+		prior := mapClassPrior(priorSum, len(ix.sigOf), alpha, beta)
+		for k := range logConf {
+			var yes, no float64
+			for _, s := range ix.codeSigs[ix.codeStart[k]:ix.codeStart[k+1]] {
+				yes += post[s]
+				no += 1 - post[s]
 			}
+			counts[k>>1][1][k&1], counts[k>>1][0][k&1] = yes, no
 		}
 		rows(counts, conf)
 
-		for w := range conf {
-			for c := 0; c < 2; c++ {
-				for l := 0; l < 2; l++ {
-					logConf[w][c][l] = math.Log(conf[w][c][l])
-				}
-			}
+		for k := range logConf {
+			logConf[k] = [2]float64{math.Log(conf[k>>1][0][k&1]), math.Log(conf[k>>1][1][k&1])}
 		}
 		logPrior1, logPrior0 := math.Log(prior), math.Log(1-prior)
 		maxDelta := 0.0
-		for i, vs := range ix.byPair {
+		for s := range post {
 			logP1, logP0 := logPrior1, logPrior0
-			for _, v := range vs {
-				logP1 += logConf[v.w][1][v.l]
-				logP0 += logConf[v.w][0][v.l]
+			for _, k := range ix.sigCodes[ix.sigStart[s]:ix.sigStart[s+1]] {
+				logP1 += logConf[k][1]
+				logP0 += logConf[k][0]
 			}
 			// p1/(p1+p0) with p = exp(logP − max): the larger term's p is
 			// exp(0) = 1 exactly, so only the other needs math.Exp.
@@ -279,10 +335,10 @@ func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(count
 			} else {
 				newPost = 1 / (1 + math.Exp(logP0-logP1))
 			}
-			if d := math.Abs(newPost - post[i]); d > maxDelta {
+			if d := math.Abs(newPost - post[s]); d > maxDelta {
 				maxDelta = d
 			}
-			post[i] = newPost
+			post[s] = newPost
 		}
 		if maxDelta < tol {
 			break

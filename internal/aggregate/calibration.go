@@ -1,6 +1,11 @@
 package aggregate
 
-import "github.com/crowder/crowder/internal/record"
+import (
+	"maps"
+	"slices"
+
+	"github.com/crowder/crowder/internal/record"
+)
 
 // CalibrationBucket is one posterior bin of a calibration report: the
 // pairs whose posterior fell in [Lo, Hi), the mean posterior the
@@ -18,10 +23,12 @@ type CalibrationBucket struct {
 }
 
 // Calibration buckets a posterior into n equal-width bins against a
-// reference truth — the posterior-vs-empirical-precision report the
-// aggregation bench publishes. The top bucket is closed ([1−1/n, 1]) so
-// posterior 1.0 lands in it. Empty buckets are reported with zero
-// counts, keeping the layout fixed for diffing across runs.
+// reference truth — the posterior-vs-empirical-precision report that
+// shows the sparse-coverage degeneracy. The top bucket is closed
+// ([1−1/n, 1]) so posterior 1.0 lands in it. Empty buckets are reported
+// with zero counts, keeping the layout fixed for diffing across runs.
+// Pairs are summed in canonical order, so the report is a pure function
+// of the posterior, to the last bit of every mean.
 func Calibration(post Posterior, truth func(record.Pair) bool, n int) []CalibrationBucket {
 	if n <= 0 {
 		n = 10
@@ -34,7 +41,8 @@ func Calibration(post Posterior, truth func(record.Pair) bool, n int) []Calibrat
 	}
 	sums := make([]float64, n)
 	hits := make([]int, n)
-	for pr, p := range post {
+	for _, pr := range slices.SortedFunc(maps.Keys(post), record.ComparePairs) {
+		p := post[pr]
 		i := int(p / width)
 		if i >= n {
 			i = n - 1

@@ -1,7 +1,10 @@
 package aggregate
 
 import (
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -70,6 +73,29 @@ func TestCalibrationExposesDegeneracy(t *testing.T) {
 	for i, b := range Calibration(DawidSkeneMAP(answers, MAPOptions{}), truth, 10) {
 		if b.Lo >= 0.5 && b.Pairs > 0 && b.EmpiricalPrecision < 1 {
 			t.Errorf("MAP bucket %d (%+v) holds non-matches above the decision boundary", i, b)
+		}
+	}
+}
+
+// Calibration sums each bucket in canonical pair order: two calls on one
+// posterior agree to the last bit, and each mean is the canonical-order
+// sum over its bucket.
+func TestCalibrationOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	post := Posterior{}
+	for i := 0; i < 2000; i++ {
+		post[mk(2*i, 2*i+1)] = rng.Float64()
+	}
+	truth := func(p record.Pair) bool { return p.A%6 == 0 }
+	first, second := Calibration(post, truth, 10), Calibration(post, truth, 10)
+	var sums [10]float64
+	for _, p := range slices.SortedFunc(maps.Keys(post), record.ComparePairs) {
+		sums[int(post[p]*10)] += post[p]
+	}
+	for i := range first {
+		want := sums[i] / float64(first[i].Pairs)
+		if math.Float64bits(first[i].MeanPosterior) != math.Float64bits(want) || math.Float64bits(second[i].MeanPosterior) != math.Float64bits(want) {
+			t.Errorf("bucket %d mean posterior %v then %v; canonical-order sum gives %v", i, first[i].MeanPosterior, second[i].MeanPosterior, want)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package aggregate
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -196,6 +198,7 @@ func TestSharedEMStepBitExact(t *testing.T) {
 	}
 	noisy, _ := buildNoisyAnswers(3, 90, 5, 3, 0.8)
 	inputs["noisy"] = noisy
+	maps.Copy(inputs, emEdgeInputs())
 
 	dsOpts := []DawidSkeneOptions{{}, {MaxIterations: 3}, {Smoothing: 0.5, PriorAlpha: 2, PriorBeta: 3}}
 	mapOpts := []MAPOptions{{}, {MaxIterations: 2}, {Anchor: -1}, {ConfAlpha: 9, ConfBeta: 2, Anchor: 3}}
@@ -218,4 +221,199 @@ func TestSharedEMStepBitExact(t *testing.T) {
 			same(fmt.Sprintf("%s DawidSkeneMAP opts %d", name, i), DawidSkeneMAP(answers, o), refDawidSkeneMAP(answers, o))
 		}
 	}
+}
+
+// hitAnswers draws nHITs HITs, every pair of a HIT answered by the same
+// three workers out of a pool of nWorkers (worker IDs drawn sparse and
+// out of order), in the order the crowd returns them: HIT by HIT, each
+// worker's whole HIT at once, so a pair's votes are not adjacent. A pair
+// HIT holds k disjoint pairs, each judged on its own; a cluster HIT holds
+// every pair over k records, and a worker answers by whether their own
+// (noisy) entity labelling puts the two records together, so their
+// answers are transitively closed. One worker in four is a spammer.
+func hitAnswers(rng *rand.Rand, nHITs, k, nWorkers int, cluster bool) []Answer {
+	pool := rng.Perm(4 * nWorkers)[:nWorkers]
+	var answers []Answer
+	next := 0
+	for h := 0; h < nHITs; h++ {
+		if cluster {
+			entity := make([]int, k)
+			for i := range entity {
+				entity[i] = rng.Intn(k/2 + 1)
+			}
+			for _, w := range rng.Perm(nWorkers)[:3] {
+				labels := slices.Clone(entity)
+				for i := range labels {
+					if w%4 == 0 || rng.Float64() < 0.1 {
+						labels[i] = rng.Intn(k/2 + 1)
+					}
+				}
+				for i := 0; i < k; i++ {
+					for j := i + 1; j < k; j++ {
+						answers = append(answers, Answer{Pair: mk(next+i, next+j), Worker: pool[w], Match: labels[i] == labels[j]})
+					}
+				}
+			}
+			next += k
+			continue
+		}
+		var pairs []record.Pair
+		var truth []bool
+		for i := 0; i < k; i++ {
+			pairs = append(pairs, mk(next, next+1))
+			truth = append(truth, rng.Intn(3) == 0)
+			next += 2
+		}
+		for _, w := range rng.Perm(nWorkers)[:3] {
+			for i, p := range pairs {
+				ans := truth[i]
+				if w%4 == 0 {
+					ans = rng.Intn(2) == 0
+				} else if rng.Float64() < 0.15 {
+					ans = !ans
+				}
+				answers = append(answers, Answer{Pair: p, Worker: pool[w], Match: ans})
+			}
+		}
+	}
+	return answers
+}
+
+// emEdgeInputs are the answer sets that exercise signature collapse, each
+// as the crowd returned it, shuffled, and in canonical order:
+//   - pair and cluster HITs, whose pairs share three workers;
+//   - a worker answering one pair twice, once with the same label and
+//     once with the opposite one;
+//   - pairs whose votes are the same multiset in different orders, which
+//     are distinct signatures: their log sums add in different orders.
+func emEdgeInputs() map[string][]Answer {
+	rng := rand.New(rand.NewSource(38))
+	sets := map[string][]Answer{
+		"pair HITs":    hitAnswers(rng, 12, 10, 9, false),
+		"cluster HITs": hitAnswers(rng, 8, 6, 7, true),
+	}
+
+	dup := hitAnswers(rng, 6, 8, 6, false)
+	for i, n := 0, len(dup); i < n; i += 5 {
+		a := dup[i]
+		dup = append(dup, a)
+		a.Match = !a.Match
+		dup = append(dup, a)
+	}
+	sets["repeated votes"] = dup
+
+	order := hitAnswers(rng, 4, 8, 5, false)
+	votes := []Answer{{Worker: 101, Match: true}, {Worker: 202}, {Worker: 303, Match: true}, {Worker: 404}}
+	for i := 0; i < 24; i++ {
+		p := mk(10_000+2*i, 10_001+2*i)
+		for _, j := range rng.Perm(len(votes))[:3+i%2] {
+			order = append(order, Answer{Pair: p, Worker: votes[j].Worker, Match: votes[j].Match})
+		}
+	}
+	sets["vote order"] = order
+
+	out := map[string][]Answer{}
+	for name, a := range sets {
+		out[name] = a
+		shuffled := slices.Clone(a)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		out[name+" shuffled"] = shuffled
+		canonical := slices.Clone(a)
+		SortCanonical(canonical)
+		out[name+" canonical"] = canonical
+	}
+	return out
+}
+
+// A HIT's pairs answered "no" by the same three workers share one
+// signature: EM tracks one posterior for all ten.
+func TestIndexAnswersCollapsesHIT(t *testing.T) {
+	var answers []Answer
+	for _, w := range []int{31, 7, 19} {
+		for i := 0; i < 10; i++ {
+			answers = append(answers, Answer{Pair: mk(2*i, 2*i+1), Worker: w})
+		}
+	}
+	ix := indexAnswers(answers)
+	if len(ix.pairs) != 10 || len(ix.post) != 1 {
+		t.Fatalf("%d pairs in %d signatures; want 10 in 1", len(ix.pairs), len(ix.post))
+	}
+	if want := []int32{0, 2, 4}; !slices.Equal(ix.sigCodes, want) {
+		t.Errorf("signature codes %v; want %v (workers by first appearance, label 0)", ix.sigCodes, want)
+	}
+	if len(ix.codeSigs) != 30 {
+		t.Errorf("code-major list holds %d votes; want 30", len(ix.codeSigs))
+	}
+	post := DawidSkene(answers, DawidSkeneOptions{})
+	for p, v := range post {
+		if v != post[mk(0, 1)] {
+			t.Fatalf("pair %v posterior %v; pair (0,1) %v", p, v, post[mk(0, 1)])
+		}
+	}
+}
+
+// encodeAnswers is FuzzEMBitExact's encoding of an answer set, two bytes
+// per answer: the pair's index by first appearance, then worker << 1 |
+// match, workers numbered by first appearance. It stops at the 256th pair
+// or 128th worker.
+func encodeAnswers(answers []Answer) []byte {
+	pairs := map[record.Pair]int{}
+	workers := map[int]int{}
+	var out []byte
+	for _, a := range answers {
+		p, ok := pairs[a.Pair]
+		if !ok {
+			p = len(pairs)
+			pairs[a.Pair] = p
+		}
+		w, ok := workers[a.Worker]
+		if !ok {
+			w = len(workers)
+			workers[a.Worker] = w
+		}
+		if p > 255 || w > 127 {
+			break
+		}
+		b := byte(w << 1)
+		if a.Match {
+			b |= 1
+		}
+		out = append(out, byte(p), b)
+	}
+	return out
+}
+
+// FuzzEMBitExact decodes an answer set (byte 0 picks the options, the
+// rest is encodeAnswers' encoding) and requires DawidSkene and
+// DawidSkeneMAP to reproduce the reference loop to the last bit of every
+// posterior. The seed corpus is emEdgeInputs.
+func FuzzEMBitExact(f *testing.F) {
+	inputs := emEdgeInputs()
+	for i, name := range slices.Sorted(maps.Keys(inputs)) {
+		f.Add(append([]byte{byte(i)}, encodeAnswers(inputs[name])...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		var answers []Answer
+		for i := 1; i+1 < len(data); i += 2 {
+			answers = append(answers, Answer{Pair: mk(2*int(data[i]), 2*int(data[i])+1), Worker: int(data[i+1] >> 1), Match: data[i+1]&1 == 1})
+		}
+		dsOpts := []DawidSkeneOptions{{}, {MaxIterations: 3}, {Smoothing: 0.5, PriorAlpha: 2, PriorBeta: 3}}
+		mapOpts := []MAPOptions{{}, {MaxIterations: 2}, {Anchor: -1}, {ConfAlpha: 9, ConfBeta: 2, Anchor: 3}}
+		check := func(method string, got, want Posterior) {
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d posteriors; reference %d", method, len(got), len(want))
+			}
+			for p, w := range want {
+				if g, ok := got[p]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: pair %v posterior %v; reference %v", method, p, got[p], w)
+				}
+			}
+		}
+		ds, mp := dsOpts[int(data[0])%len(dsOpts)], mapOpts[int(data[0])%len(mapOpts)]
+		check("DawidSkene", DawidSkene(answers, ds), refDawidSkene(answers, ds))
+		check("DawidSkeneMAP", DawidSkeneMAP(answers, mp), refDawidSkeneMAP(answers, mp))
+	})
 }

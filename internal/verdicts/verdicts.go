@@ -342,7 +342,11 @@ func (c *Cache) PartialLen() int { return len(c.partial) }
 // the maintained pair order and sorting each pair's few answers yields
 // it without a global sort.
 func (c *Cache) AllAnswers() []aggregate.Answer {
-	var out []aggregate.Answer
+	n := 0
+	for _, e := range c.entries {
+		n += len(e.Answers)
+	}
+	out := make([]aggregate.Answer, 0, n)
 	for _, p := range c.Pairs() {
 		lo := len(out)
 		out = append(out, c.entries[p].Answers...)
