@@ -151,26 +151,26 @@ func TestRunClusterHITsBasics(t *testing.T) {
 func TestClusterAnswersTransitivity(t *testing.T) {
 	// A perfect worker must produce transitively consistent answers; an
 	// (impossible) intransitive configuration cannot survive union-find.
-	h := hitgen.ClusterHIT{Records: []record.ID{0, 1, 2}}
+	answer := func(w *Worker, covered []record.Pair, truth record.PairSet) map[record.Pair]bool {
+		s := &Simulator{truth: truth, pool: &Population{Workers: []*Worker{w}}}
+		s.cfg.defaults()
+		o := s.simulateClusterHIT(HIT{Kind: ClusterKind, Records: []record.ID{0, 1, 2}, Pairs: covered, Assignments: 1})
+		um := map[record.Pair]bool{}
+		for _, a := range o.answers {
+			um[a.Pair] = a.Match
+		}
+		return um
+	}
 	covered := []record.Pair{mk(0, 1), mk(1, 2), mk(0, 2)}
 	truth := record.NewPairSet(mk(0, 1), mk(1, 2), mk(0, 2))
-	w := &Worker{TPR: 1, TNR: 1}
-	rng := rand.New(rand.NewSource(1))
-	cfg := Config{}
-	cfg.defaults()
-	answers := clusterAnswers(h, covered, truth, w, &cfg, rng)
-	for _, a := range answers {
-		if !a.Match {
-			t.Errorf("perfect worker answered %v as non-match", a.Pair)
+	for p, m := range answer(&Worker{TPR: 1, TNR: 1}, covered, truth) {
+		if !m {
+			t.Errorf("perfect worker answered %v as non-match", p)
 		}
 	}
 	// If a worker says (0,1) and (1,2) match, transitivity forces (0,2).
 	biased := &Worker{TPR: 1, TNR: 0} // answers yes to everything
-	answers = clusterAnswers(h, covered[:2], record.NewPairSet(), biased, &cfg, rng)
-	um := map[record.Pair]bool{}
-	for _, a := range answers {
-		um[a.Pair] = a.Match
-	}
+	um := answer(biased, covered[:2], record.NewPairSet())
 	if !um[mk(0, 1)] || !um[mk(1, 2)] {
 		t.Fatal("biased worker should have matched both pairs")
 	}

@@ -406,11 +406,18 @@ func interimPosterior(runs []*hitRun, agg aggregate.Aggregator) aggregate.Poster
 // assignments of retracted HITs, whose answers are otherwise excluded
 // (their pairs were resolved by deduction, not by these fragments).
 func assembleResult(b Backend, runs []*hitRun, complete bool) *Result {
-	res := &Result{}
-	used := make(map[int]bool)
-	total := 0
+	total, answers := 0, 0
 	for _, hr := range runs {
 		total += len(hr.slots)
+		if hr.state != HITRetracted {
+			for _, a := range hr.slots {
+				answers += len(a.Answers)
+			}
+		}
+	}
+	res := &Result{Answers: make([]aggregate.Answer, 0, answers), AssignmentSeconds: make([]float64, 0, total)}
+	used := make(map[int]bool)
+	for _, hr := range runs {
 		if hr.state == HITRetracted {
 			for _, a := range hr.slots {
 				res.AssignmentSeconds = append(res.AssignmentSeconds, a.Seconds)

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -345,7 +346,7 @@ func (q *Queue) Answer(token string, verdicts []Verdict) error {
 		matches[i] = m
 	}
 	if h.Kind == ClusterKind {
-		matches = closeOver(h.Records, h.Pairs, matches)
+		matches, _ = closeOver(h.Records, h.Pairs, matches)
 	}
 	wid, known := s.workerID[c.Worker]
 	if !known {
@@ -431,35 +432,44 @@ func newToken() string {
 // closeOver applies the cluster-interface semantics to raw pair
 // verdicts: union-find over the records joins every matched pair, then
 // each pair is re-read from the closure. A pair with an endpoint outside
-// records closes to false.
-func closeOver(records []record.ID, pairs []record.Pair, matched []bool) []bool {
-	idx := make(map[record.ID]int, len(records))
-	for i, r := range records {
-		idx[r] = i
-	}
-	parent := make([]int, len(records))
+// records closes to false. It also returns the sizes of the entities the
+// closure partitions the (distinct) records into, in no particular
+// order. The union-find runs over the records' positions in a sorted
+// copy, so endpoints are found by binary search, with no map.
+func closeOver(records []record.ID, pairs []record.Pair, matched []bool) (closed []bool, sizes []int) {
+	sorted := slices.Sorted(slices.Values(records))
+	parent := make([]int32, len(sorted))
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	find := func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
+	// ends[2i], ends[2i+1] are pair i's endpoint positions, or -1.
+	ends := make([]int32, 2*len(pairs))
 	for i, p := range pairs {
-		ia, okA := idx[p.A]
-		ib, okB := idx[p.B]
-		if matched[i] && okA && okB {
-			parent[find(ia)] = find(ib)
+		for k, r := range [2]record.ID{p.A, p.B} {
+			ends[2*i+k] = -1
+			if at, ok := slices.BinarySearch(sorted, r); ok {
+				ends[2*i+k] = int32(at)
+			}
+		}
+		if a, b := ends[2*i], ends[2*i+1]; matched[i] && a >= 0 && b >= 0 {
+			parent[find(a)] = find(b)
 		}
 	}
-	out := make([]bool, len(pairs))
-	for i, p := range pairs {
-		ia, okA := idx[p.A]
-		ib, okB := idx[p.B]
-		out[i] = okA && okB && find(ia) == find(ib)
+	closed = make([]bool, len(pairs))
+	for i := range pairs {
+		a, b := ends[2*i], ends[2*i+1]
+		closed[i] = a >= 0 && b >= 0 && find(a) == find(b)
 	}
-	return out
+	counts := make([]int, len(sorted))
+	for i := range parent {
+		counts[find(int32(i))]++
+	}
+	return closed, slices.DeleteFunc(counts, func(c int) bool { return c == 0 })
 }

@@ -277,23 +277,6 @@ func RunClusterHITs(hits []hitgen.ClusterHIT, pairs []record.Pair, truth record.
 	return ExecuteHITs(context.Background(), sim, ClusterHITsFromGen(records, covered, cfg.Assignments), ExecuteOptions{})
 }
 
-// clusterAnswers simulates one worker completing one cluster-based HIT:
-// noisy pairwise judgments on the covered pairs, drawn in covered order,
-// transitively closed over the HIT's records (same label ⇒ same entity),
-// then re-read as per-pair answers.
-func clusterAnswers(h hitgen.ClusterHIT, covered []record.Pair, truth record.PairSet, w *Worker, cfg *Config, rng *rand.Rand) []aggregate.Answer {
-	judged := make([]bool, len(covered))
-	for i, p := range covered {
-		judged[i] = w.AnswerWithDifficulty(truth.Has(p.A, p.B), cfg.difficultyOf(p), rng)
-	}
-	closed := closeOver(h.Records, covered, judged)
-	out := make([]aggregate.Answer, len(covered))
-	for i, p := range covered {
-		out[i] = aggregate.Answer{Pair: p, Worker: w.ID, Match: closed[i]}
-	}
-	return out
-}
-
 // preparePool applies the qualification test if configured and validates
 // pool size against the replication factor.
 func preparePool(pop *Population, cfg Config) (*Population, error) {

@@ -1,9 +1,10 @@
 package crowd
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/crowder/crowder/internal/aggregate"
@@ -61,7 +62,15 @@ func (s *Simulator) Post(ctx context.Context, hits []HIT) error {
 		}
 	})
 
-	var asgs []Assignment
+	total, pairAnswers := 0, 0
+	for i, h := range hits {
+		total += h.Assignments
+		if h.Kind != ClusterKind {
+			pairAnswers += len(outcomes[i].answers)
+		}
+	}
+	asgs := make([]Assignment, 0, total)
+	slotMajor := make([]aggregate.Answer, 0, pairAnswers)
 	for i, o := range outcomes {
 		h := hits[i]
 		r := h.Assignments
@@ -70,17 +79,19 @@ func (s *Simulator) Post(ctx context.Context, hits []HIT) error {
 			a := Assignment{HIT: h.ID, Slot: slot, Worker: -1, Seconds: o.seconds[slot]}
 			if h.Kind == ClusterKind {
 				// Cluster assignments are one worker's pass over the whole
-				// group: answers are stored assignment-major.
-				a.Answers = append([]aggregate.Answer(nil), o.answers[slot*n:(slot+1)*n]...)
+				// group: answers are stored assignment-major, so each
+				// slot's answers are already contiguous.
+				a.Answers = o.answers[slot*n : (slot+1)*n : (slot+1)*n]
 				a.Worker = o.workers[slot]
 			} else {
 				// Pair assignments replicate each pair to its own worker
-				// set: answers are stored pair-major, so slot s holds every
-				// pair's s-th replica.
-				a.Answers = make([]aggregate.Answer, n)
+				// set: answers are stored pair-major, so slot s gathers
+				// every pair's s-th replica.
+				lo := len(slotMajor)
 				for p := 0; p < n; p++ {
-					a.Answers[p] = o.answers[p*r+slot]
+					slotMajor = append(slotMajor, o.answers[p*r+slot])
 				}
+				a.Answers = slotMajor[lo:len(slotMajor):len(slotMajor)]
 			}
 			asgs = append(asgs, a)
 		}
@@ -88,7 +99,7 @@ func (s *Simulator) Post(ctx context.Context, hits []HIT) error {
 	// The virtual clock: deliver in simulated completion order. The sort
 	// is stable over (Ord, slot) construction order, so ties — and thus
 	// the whole stream — are deterministic.
-	sort.SliceStable(asgs, func(i, j int) bool { return asgs[i].Seconds < asgs[j].Seconds })
+	slices.SortStableFunc(asgs, func(a, b Assignment) int { return cmp.Compare(a.Seconds, b.Seconds) })
 
 	s.mu.Lock()
 	for i, o := range outcomes {
@@ -164,32 +175,44 @@ func (s *Simulator) simulatePairHIT(h HIT) hitOutcome {
 }
 
 // simulateClusterHIT simulates one cluster-based HIT: each assigned
-// worker produces noisy pairwise judgments on the covered pairs,
-// transitively closed by union-find (the colour-labelling interface
-// forces records with the same label into one entity). The worker's
-// completion time follows the Section 6 comparison model applied to
-// their own inferred partition. Randomness comes from the HIT's ordinal
-// stream (hitSeed), keeping concurrent execution bit-identical.
+// worker judges every covered pair through their confusion matrix, and
+// the judgments are transitively closed by union-find (the
+// colour-labelling interface forces records with the same label into
+// one entity). The worker's completion time follows the Section 6
+// comparison model applied to their own inferred partition. Randomness
+// comes from the HIT's ordinal stream (hitSeed), keeping concurrent
+// execution bit-identical; a covered pair's truth and difficulty are
+// looked up once, however many workers judge it.
 func (s *Simulator) simulateClusterHIT(h HIT) hitOutcome {
 	cfg := &s.cfg
-	ch := hitgen.ClusterHIT{Records: h.Records}
 	rng := rand.New(rand.NewSource(hitSeed(cfg.Seed, streamClusterHITs, h.Ord)))
-	var o hitOutcome
-	for _, w := range pickDistinct(s.pool, h.Assignments, rng) {
-		o.workers = append(o.workers, w.ID)
-		answers := clusterAnswers(ch, h.Pairs, s.truth, w, cfg, rng)
-		o.answers = append(o.answers, answers...)
-		// Worker's own partition determines their comparison count.
-		own := record.NewPairSet()
-		for _, a := range answers {
-			if a.Match {
-				own.Add(a.Pair.A, a.Pair.B)
-			}
+	n := len(h.Pairs)
+	isMatch := make([]bool, n)
+	difficulty := make([]float64, n)
+	for i, p := range h.Pairs {
+		isMatch[i] = s.truth.Has(p.A, p.B)
+		difficulty[i] = cfg.difficultyOf(p)
+	}
+	workers := pickDistinct(s.pool, h.Assignments, rng)
+	o := hitOutcome{
+		answers: make([]aggregate.Answer, 0, len(workers)*n),
+		seconds: make([]float64, 0, len(workers)),
+		workers: make([]int, 0, len(workers)),
+	}
+	judged := make([]bool, n)
+	for _, w := range workers {
+		for i := range judged {
+			judged[i] = w.AnswerWithDifficulty(isMatch[i], difficulty[i], rng)
 		}
-		comparisons := hitgen.BestOrderComparisons(hitgen.EntitySizes(ch, own))
+		closed, sizes := closeOver(h.Records, h.Pairs, judged)
+		for i, p := range h.Pairs {
+			o.answers = append(o.answers, aggregate.Answer{Pair: p, Worker: w.ID, Match: closed[i]})
+		}
+		comparisons := hitgen.BestOrderComparisons(sizes)
+		o.workers = append(o.workers, w.ID)
 		o.seconds = append(o.seconds, (cfg.BaseSeconds+cfg.SecondsPerClusterComparison*float64(comparisons))*w.Speed)
 	}
-	o.effort = float64(hitgen.BestOrderComparisons(hitgen.EntitySizes(ch, s.truth))) *
+	o.effort = float64(hitgen.BestOrderComparisons(hitgen.EntitySizes(hitgen.ClusterHIT{Records: h.Records}, s.truth))) *
 		cfg.SecondsPerClusterComparison / cfg.SecondsPerPairComparison
 	return o
 }

@@ -82,8 +82,10 @@ func WorstOrderComparisons(entitySizes []int) int {
 
 // EntitySizes partitions the records of a cluster-based HIT into entities
 // according to a ground-truth match set, returning the entity sizes in
-// ascending order (the best identification order, which Section 6 argues a
-// sensible worker approximates). Records not matching anything inside the
+// ascending order. Ascending is the worst identification order, not the
+// best: by Equation 2 and Example 4 a sensible worker identifies entities
+// in descending size, the order BestOrderComparisons sorts them into
+// (see the file comment). Records not matching anything inside the
 // HIT form singleton entities. Entities are the connected components of
 // the match relation restricted to the HIT (matching is transitively
 // closed within a HIT by the colour-labelling interface of Figure 4).

@@ -31,11 +31,11 @@ import (
 // best.
 //
 // Storage and access are built for scale: postings are block-compressed
-// (delta-encoded uvarints with per-block max-ID skip pointers, see
-// PostingList) instead of flat []int32 slices, probes terminate block
-// scans through the skip pointers and reject most collisions on a
-// contiguous per-record summary (joinState.summary) before touching a
-// token array, and the exact score gallops when token-set sizes are
+// (delta-encoded uvarints in independently decodable blocks, see
+// PostingList) instead of flat []int32 slices, probes stop decoding at
+// the probing record's ID and reject most collisions on a contiguous
+// per-record summary (joinState.summary) before touching a dedup stamp
+// or a token array, and the exact score gallops when token-set sizes are
 // skewed. Candidates stream out of UpdateSeq
 // one at a time — Update is the materializing wrapper — so a consumer
 // such as a bounded top-K ranking heap never holds the full candidate
@@ -205,20 +205,11 @@ func (ix *Index) delta(upto int, yield func(ScoredPair) bool) {
 	}
 
 	// probe scans record i's prefix tokens' postings for candidates,
-	// emitting every verified pair. Skip pointers bound each posting
-	// scan to entries below i without decoding trailing blocks.
+	// emitting every verified pair (see joinState.probeList).
 	probe := func(i int, sc *probeScratch, emit func(ScoredPair) bool) bool {
-		si, i32 := ix.summary[i], int32(i)
-		ok := true
+		si := ix.summary[i]
 		for _, tok := range ix.pref(i, lo) {
-			ix.postings[tok].forEachLess(i32, &sc.dbuf, func(j32 int32) bool {
-				if sc.stamp[j32] != i32 {
-					sc.stamp[j32] = i32
-					ok = ix.verify(ids, si, i, int(j32), emit)
-				}
-				return ok
-			})
-			if !ok {
+			if !ix.probeList(&ix.postings[tok], ids, i, si, sc, emit) {
 				return false
 			}
 		}

@@ -14,15 +14,15 @@ import "encoding/binary"
 // small positive integers and typically occupy one byte in dense lists —
 // a 3–4× footprint reduction before accounting for slice slack.
 //
-// Each block boundary carries the largest ID of the finished block (its
-// skip pointer) and the byte offset where the next block's deltas start.
+// Each block boundary carries the largest ID of the finished block (the
+// next block's delta base) and the byte offset where the next block's
+// deltas start, so any block decodes on its own.
 // The first block needs neither (offset 0, and a single-block list's max
 // is the list's last ID), so a list only pays metadata from its second
 // block on — prefix postings are frequently short, and a short list is
-// just its delta bytes. Skip pointers bound the probe's scans
-// (forEachLess): the probe phase enumerates entries strictly below the
-// probing record's ID, and blocks whose first possible entry is already
-// at or past the bound are never decoded.
+// just its delta bytes. The probe phase enumerates entries strictly
+// below the probing record's ID (decodeLess), so it stops decoding at
+// the first entry past that bound and never touches a later block.
 const (
 	postingBlockShift = 7
 	// PostingBlockSize is the number of IDs per compressed block.
@@ -32,7 +32,7 @@ const (
 
 // postingBlock is the boundary metadata between block i and block i+1:
 // the byte offset of block i+1's first delta and the largest ID of
-// block i (block i's skip pointer, equivalently block i+1's delta base).
+// block i (block i+1's delta base).
 type postingBlock struct {
 	off uint32
 	max int32
@@ -107,8 +107,15 @@ func (p *PostingList) blockLen(b int) int {
 	return cnt
 }
 
-// decodeBlock decodes block b into buf and returns the entry count.
-func (p *PostingList) decodeBlock(b int, buf *[PostingBlockSize]int32) int {
+// decodeLess decodes block b into buf up to the first entry at or past
+// bound and returns the entries below it: a full block, a block cut at
+// the bound, or, past the last block, nothing. A scan of the entries
+// below a bound is therefore over at the first result shorter than
+// PostingBlockSize, and never decodes a block that lies wholly past it.
+func (p *PostingList) decodeLess(b int, bound int32, buf *[PostingBlockSize]int32) []int32 {
+	if b >= p.numBlocks() {
+		return nil
+	}
 	cnt := p.blockLen(b)
 	acc := p.blockBase(b)
 	data := p.data[p.blockOff(b):]
@@ -123,34 +130,10 @@ func (p *PostingList) decodeBlock(b int, buf *[PostingBlockSize]int32) int {
 			data = data[w:]
 		}
 		acc += int32(d)
+		if acc >= bound {
+			return buf[:k]
+		}
 		buf[k] = acc
 	}
-	return cnt
-}
-
-// forEachLess calls fn for every ID strictly below bound, in ascending
-// order, stopping early if fn returns false. Blocks that cannot contain
-// an entry below the bound are skipped without decoding. The decode
-// buffer is the caller's, so the probe hot loop can reuse one buffer
-// across every posting list it scans.
-func (p *PostingList) forEachLess(bound int32, buf *[PostingBlockSize]int32, fn func(int32) bool) {
-	nb := p.numBlocks()
-	for b := 0; b < nb; b++ {
-		// Entries of block b are strictly greater than the previous
-		// block's max: once that reaches the bound, nothing below it can
-		// follow (skip-pointer early termination).
-		if base := p.blockBase(b); base+1 >= bound {
-			return
-		}
-		cnt := p.decodeBlock(b, buf)
-		for k := 0; k < cnt; k++ {
-			id := buf[k]
-			if id >= bound {
-				return
-			}
-			if !fn(id) {
-				return
-			}
-		}
-	}
+	return buf[:cnt]
 }

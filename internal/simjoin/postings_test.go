@@ -27,16 +27,18 @@ func buildPostingList(ids []int32) *PostingList {
 	return &p
 }
 
-// collectLess returns the list's IDs strictly below bound, read through
-// the probe's bounded scan.
+// collectLess returns the list's IDs strictly below bound, read block by
+// block the way the probe kernel reads them.
 func collectLess(p *PostingList, bound int32) []int32 {
 	var buf [PostingBlockSize]int32
 	var out []int32
-	p.forEachLess(bound, &buf, func(v int32) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
+	for b := 0; ; b++ {
+		js := p.decodeLess(b, bound, &buf)
+		out = append(out, js...)
+		if len(js) < PostingBlockSize {
+			return out
+		}
+	}
 }
 
 func TestPostingListRoundTrip(t *testing.T) {
@@ -78,12 +80,15 @@ func TestPostingListAppendPanicsOnNonAscending(t *testing.T) {
 	p.Append(5)
 }
 
-func TestForEachLessMatchesFilter(t *testing.T) {
+func TestDecodeLessMatchesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ids := randomAscending(rng, 3000, 50)
 	p := buildPostingList(ids)
+	bounds := []int32{0, ids[0], ids[0] + 1, ids[PostingBlockSize-1], ids[PostingBlockSize-1] + 1, ids[PostingBlockSize], ids[len(ids)-1], ids[len(ids)-1] + 1}
 	for trial := 0; trial < 200; trial++ {
-		bound := int32(rng.Intn(int(ids[len(ids)-1]) + 100))
+		bounds = append(bounds, int32(rng.Intn(int(ids[len(ids)-1])+100)))
+	}
+	for _, bound := range bounds {
 		got := collectLess(p, bound)
 		var want []int32
 		for _, v := range ids {
@@ -94,15 +99,5 @@ func TestForEachLessMatchesFilter(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("bound=%d: got %d entries want %d", bound, len(got), len(want))
 		}
-	}
-	// Early stop.
-	var buf [PostingBlockSize]int32
-	var got []int32
-	p.forEachLess(ids[len(ids)-1]+1, &buf, func(v int32) bool {
-		got = append(got, v)
-		return len(got) < 7
-	})
-	if len(got) != 7 {
-		t.Fatalf("early stop: %d entries", len(got))
 	}
 }

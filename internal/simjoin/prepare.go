@@ -1,6 +1,7 @@
 package simjoin
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -40,17 +41,26 @@ type joinState struct {
 	prefOffs  []int32
 }
 
-// recSummary is a record's token set reduced to 16 bytes: its size and
-// an xor-bitmap signature. Every token flips one of 64 bits, so tokens
+// recSummary is a record's token set reduced to 24 bytes: its size and
+// a 128-bit xor signature. Every token flips one of 128 bits, so tokens
 // two records share cancel in sig_x ^ sig_y and each remaining set bit
 // needs at least one token of the symmetric difference:
 // popcount(sig_x ^ sig_y) ≤ |x Δ y|.
 type recSummary struct {
-	sig  uint64
+	sig  [2]uint64
 	size int32
 }
 
-func sigBit(tok int32) uint64 { return 1 << (uint32(tok) * 0x9E3779B1 >> 26) }
+// sigHashMask is applied to every token's signature hash. It is all
+// ones; tests narrow it to force every token onto one signature bit.
+var sigHashMask uint64 = math.MaxUint64
+
+// flip xors token tok's signature bit into s: the top seven bits of a
+// fixed 64-bit multiplicative hash of the ID pick one of the 128.
+func (s *recSummary) flip(tok int32) {
+	b := (uint64(uint32(tok)) * 0x9E3779B97F4A7C15 & sigHashMask) >> 57
+	s.sig[b>>6] ^= 1 << (b & 63)
+}
 
 // summaryRejects reports whether the two summaries alone prove the pair
 // is below the threshold: |x Δ y| is at least the size difference and at
@@ -58,7 +68,7 @@ func sigBit(tok int32) uint64 { return 1 << (uint32(tok) * 0x9E3779B1 >> 26) }
 // may be. It is a pure upper-bound prune — a pair it lets through is
 // still scored by similarity.Jaccard.
 func summaryRejects(a, b recSummary, maxSym []int32) bool {
-	d := int32(bits.OnesCount64(a.sig ^ b.sig))
+	d := int32(bits.OnesCount64(a.sig[0]^b.sig[0]) + bits.OnesCount64(a.sig[1]^b.sig[1]))
 	d = max(d, a.size-b.size, b.size-a.size)
 	return d > maxSym[a.size+b.size]
 }
@@ -146,12 +156,12 @@ func (st *joinState) prepare(upto int) (ids [][]int32, lo, n int) {
 		var keys []uint64
 		for i := lo + (n-lo)*w/workers; i < lo+(n-lo)*(w+1)/workers; i++ {
 			keys = keys[:0]
-			var sig uint64
+			sum := recSummary{size: int32(len(ids[i]))}
 			for _, tok := range ids[i] {
 				keys = append(keys, uint64(st.weight[tok])<<32|uint64(tok))
-				sig ^= sigBit(tok)
+				sum.flip(tok)
 			}
-			st.summary[i] = recSummary{sig: sig, size: int32(len(ids[i]))}
+			st.summary[i] = sum
 			slices.Sort(keys)
 			p := st.pref(i, lo)
 			for k := range p {
@@ -167,22 +177,37 @@ func (st *joinState) pref(i, lo int) []int32 {
 	return st.prefArena[st.prefOffs[i-lo]:st.prefOffs[i-lo+1]]
 }
 
-// verify is the probe's tail for a candidate j < i that the caller's
-// stamp has seen for the first time: source admissibility, the summary
-// filter, and only then the exact score. si is summary[i], hoisted by
-// the caller. It returns false when emit stopped the scan.
-func (st *joinState) verify(ids [][]int32, si recSummary, i, j int, emit func(ScoredPair) bool) bool {
-	if !st.opts.crossOK(st.t, record.ID(j), record.ID(i)) {
-		return true
+// probeList is the probe kernel, shared by Index and Sharded: it scans
+// the entries j < i of one posting list that record i's prefix hits and
+// emits every pair {j, i} that reaches the threshold. Each entry meets
+// the summary filter first, which rejects most collisions from two
+// contiguous arrays; only a survivor reads and writes the dedup stamp
+// (so a pair is scored once however many prefix tokens it shares), is
+// checked for source admissibility and is scored by similarity.Jaccard.
+// si is summary[i], hoisted by the caller. It returns false when emit
+// stopped the scan.
+func (st *joinState) probeList(p *PostingList, ids [][]int32, i int, si recSummary, sc *probeScratch, emit func(ScoredPair) bool) bool {
+	summary, maxSym, stamp, i32 := st.summary, st.maxSym, sc.stamp, int32(i)
+	for b := 0; ; b++ {
+		js := p.decodeLess(b, i32, &sc.dbuf)
+		for _, j32 := range js {
+			if summaryRejects(si, summary[j32], maxSym) || stamp[j32] == i32 {
+				continue
+			}
+			stamp[j32] = i32
+			a := record.ID(j32)
+			if !st.opts.crossOK(st.t, a, record.ID(i)) {
+				continue
+			}
+			if sim := similarity.Jaccard(ids[i], ids[j32]); sim >= st.opts.Threshold &&
+				!emit(ScoredPair{Pair: record.Pair{A: a, B: record.ID(i)}, Likelihood: sim}) {
+				return false
+			}
+		}
+		if len(js) < PostingBlockSize {
+			return true
+		}
 	}
-	if summaryRejects(si, st.summary[j], st.maxSym) {
-		return true
-	}
-	sim := similarity.Jaccard(ids[i], ids[j])
-	if sim < st.opts.Threshold {
-		return true
-	}
-	return emit(ScoredPair{Pair: record.Pair{A: record.ID(j), B: record.ID(i)}, Likelihood: sim})
 }
 
 // pairEmpties records the delta's token-less records and yields their

@@ -2,7 +2,9 @@ package simjoin
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -13,7 +15,7 @@ import (
 func summarize(set []int32) recSummary {
 	s := recSummary{size: int32(len(set))}
 	for _, tok := range set {
-		s.sig ^= sigBit(tok)
+		s.flip(tok)
 	}
 	return s
 }
@@ -84,6 +86,108 @@ func TestSummaryFilterSound(t *testing.T) {
 	}
 	if a, b := seqSet(0, 8), append(seqSet(0, 6), 90, 91); summaryRejects(summarize(a), summarize(b), st.maxSym) {
 		t.Error("a 6/10 pair is rejected at tau 0.6")
+	}
+}
+
+// The 128-bit signature keeps the filter exact: the signatures' Hamming
+// distance never exceeds |x Δ y|, so summaryRejects never rejects a
+// pair with Jaccard ≥ τ. The sets are near-duplicates over a wide ID
+// range, so pairs straddle every threshold and tokens land on both
+// signature words.
+func TestSummary128Sound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	words := [2]bool{}
+	for _, tau := range []float64{0.3, 0.4, 0.5, 0.8, 1.0} {
+		st := &joinState{opts: Options{Threshold: tau}}
+		rejected := 0
+		for trial := 0; trial < 20000; trial++ {
+			set := map[int32]bool{}
+			for k := 1 + rng.Intn(40); k > 0; k-- {
+				set[rng.Int31n(1<<20)] = true
+			}
+			var a, b []int32
+			for tok := range set {
+				if rng.Intn(8) != 0 {
+					a = append(a, tok)
+				}
+				if rng.Intn(8) != 0 {
+					b = append(b, tok)
+				}
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				b = append(b, rng.Int31n(1<<20)+1<<20)
+			}
+			slices.Sort(a)
+			slices.Sort(b)
+			sa, sb := summarize(a), summarize(b)
+			words[0] = words[0] || sa.sig[0] != 0
+			words[1] = words[1] || sa.sig[1] != 0
+			inter := similarity.IntersectSize(a, b)
+			if d := bits.OnesCount64(sa.sig[0]^sb.sig[0]) + bits.OnesCount64(sa.sig[1]^sb.sig[1]); d > len(a)+len(b)-2*inter {
+				t.Fatalf("Hamming distance %d exceeds |x Δ y| = %d", d, len(a)+len(b)-2*inter)
+			}
+			st.growMaxSym(len(a) + len(b))
+			if summaryRejects(sa, sb, st.maxSym) {
+				rejected++
+				if sim := similarity.Jaccard(a, b); sim >= tau {
+					t.Fatalf("tau=%v: summaries reject a pair at Jaccard %v", tau, sim)
+				}
+			}
+		}
+		if rejected == 0 {
+			t.Errorf("tau=%v: the filter rejected nothing", tau)
+		}
+	}
+	if !words[0] || !words[1] {
+		t.Errorf("signature words in use: %v; want both", words)
+	}
+}
+
+// narrowSig masks every token's signature hash with mask until the test
+// ends.
+func narrowSig(t *testing.T, mask uint64) {
+	old := sigHashMask
+	sigHashMask = mask
+	t.Cleanup(func() { sigHashMask = old })
+}
+
+// With every token forced onto one signature bit the signature is a
+// parity bit and the filter leans on the size bound alone; Index and
+// Sharded must still find exactly the brute-force pairs, in one batch
+// and over deltas.
+func TestJoinWithCollidingSignatures(t *testing.T) {
+	narrowSig(t, 0)
+	rng := rand.New(rand.NewSource(7))
+	for _, tau := range []float64{0.3, 0.4, 0.5, 0.8, 1.0} {
+		full := randomShardTable(rng, 80, false)
+		n := full.Len()
+		want := BruteForce(full, Options{Threshold: tau})
+		for _, split := range [][]int{{n}, {25, 30, n - 55}} {
+			opts := Options{Threshold: tau, Parallelism: 2}
+			tab, stab := record.NewTable("text"), record.NewTable("text")
+			ix, sx := NewIndex(tab, opts), NewSharded(stab, 3, opts)
+			var got, sgot []ScoredPair
+			next := 0
+			for _, size := range split {
+				for ; size > 0; size-- {
+					tab.Append(full.Records[next].Values...)
+					stab.Append(full.Records[next].Values...)
+					next++
+				}
+				got = append(got, ix.Update()...)
+				sgot = append(sgot, drainScatter(sx)...)
+			}
+			for _, sum := range ix.summary {
+				if sum.sig[0]&^1 != 0 || sum.sig[1] != 0 {
+					t.Fatalf("signature %x uses more than bit 0 under a zero mask", sum.sig)
+				}
+			}
+			SortScored(got)
+			SortScored(sgot)
+			label := fmt.Sprintf("tau %v split %v", tau, split)
+			assertSamePairs(t, label+" index", want, got)
+			assertSamePairs(t, label+" sharded", want, sgot)
+		}
 	}
 }
 

@@ -63,12 +63,10 @@ type joinShard struct {
 	postings []PostingList
 	// members lists the shard's owned records, ascending.
 	members []int32
-	// stamp is the shard's probe-dedup array (see Index.probeScratch);
-	// probe indices strictly increase across updates, so it is never
-	// cleared.
-	stamp []int32
-	// dbuf is the shard's posting-block decode buffer.
-	dbuf [PostingBlockSize]int32
+	// probeScratch is the shard's dedup stamps and block-decode buffer;
+	// probe indices strictly increase across updates, so the stamps are
+	// never cleared.
+	probeScratch
 }
 
 // ShardOfTokens returns the shard owning a record whose sorted token-ID
@@ -271,21 +269,9 @@ func (sx *Sharded) UpdateScatter(sink func(shard int, sp ScoredPair) bool) {
 // postings, emitting every verified pair — the same probe as
 // Index.delta restricted to the slots this shard owns.
 func (sx *Sharded) probeShard(sh *joinShard, ids [][]int32, i int, pref []int32, emit func(ScoredPair) bool) bool {
-	si, i32 := sx.summary[i], int32(i)
-	ok := true
+	si := sx.summary[i]
 	for _, tok := range pref {
-		slot, hit := sh.tokIdx[tok]
-		if !hit {
-			continue
-		}
-		sh.postings[slot].forEachLess(i32, &sh.dbuf, func(j32 int32) bool {
-			if sh.stamp[j32] != i32 {
-				sh.stamp[j32] = i32
-				ok = sx.verify(ids, si, i, int(j32), emit)
-			}
-			return ok
-		})
-		if !ok {
+		if slot, hit := sh.tokIdx[tok]; hit && !sx.probeList(&sh.postings[slot], ids, i, si, &sh.probeScratch, emit) {
 			return false
 		}
 	}

@@ -8,16 +8,16 @@
 // adopt some indexing techniques ... to avoid all-pairs comparison"). The
 // implementation runs over the table's interned token IDs
 // (record.Table.TokenIDs): the inverted index maps dense token IDs to
-// block-compressed posting lists (PostingList: delta-encoded IDs with
-// per-block skip pointers), and both the per-delta prefix build and the
-// probe phase are spread across Options.Parallelism workers. A probe
-// handles each posting collision in this order: dedupe against the
-// worker's stamp array, source admissibility, the summary filter — a
-// 16-byte per-record {signature, size} that bounds |x Δ y| from below
-// and rejects, exactly, pairs that cannot reach the threshold without
-// touching their token arrays (see recSummary) — and only then the exact
-// score, a merge (galloping when the set sizes are skewed) over sorted
-// []int32. The Index type is the
+// block-compressed posting lists (PostingList: delta-encoded IDs in
+// independently decodable blocks), and both the per-delta prefix build
+// and the probe phase are spread across Options.Parallelism workers. A
+// probe handles each posting collision in this order: the summary
+// filter — a 24-byte per-record {128-bit signature, size} that bounds
+// |x Δ y| from below and rejects, exactly, pairs that cannot reach the
+// threshold without touching their token arrays (see recSummary) — then,
+// for the few survivors, dedupe against the worker's stamp array, source
+// admissibility, and only then the exact score, a merge (galloping when
+// the set sizes are skewed) over sorted []int32. The Index type is the
 // persistent, incrementally maintained form of the same join: new records
 // probe the postings built by earlier batches and then insert themselves,
 // so a delta of d records costs O(d·candidates) instead of a full

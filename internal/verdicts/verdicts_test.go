@@ -364,3 +364,59 @@ func TestMachineDumpRestoreAndPartials(t *testing.T) {
 		t.Errorf("restored MachineLen = %d; want 1", restored.MachineLen())
 	}
 }
+
+// One AddAnswers call over interleaved answers for several pairs must
+// leave the cache exactly as feeding the answers one call at a time:
+// per-pair answer order, provenance, partial fragments and the pair
+// order. The pairs cover an asked entry holding an earlier answer, a
+// pair with only a partial fragment, a machine entry and incidental
+// pairs with no entry at all.
+func TestAddAnswersBatchMatchesPerAnswer(t *testing.T) {
+	asked, fragment, machine, untouched := mk(0, 1), mk(2, 3), mk(4, 5), mk(6, 7)
+	incidental := []record.Pair{mk(1, 9), mk(0, 8)}
+	build := func() *Cache {
+		c := NewCache()
+		c.Put(asked, 0.7)
+		c.AddAnswers([]aggregate.Answer{{Pair: asked, Worker: 7, Match: true}})
+		c.AddPartialAnswers([]aggregate.Answer{{Pair: fragment, Worker: 1, Match: false}})
+		c.AddPartialAnswers([]aggregate.Answer{{Pair: untouched, Worker: 2, Match: true}})
+		c.PutMachine(machine, 0.6, 0.9)
+		return c
+	}
+	rng := rand.New(rand.NewSource(5))
+	pairs := append([]record.Pair{asked, fragment, machine}, incidental...)
+	var answers []aggregate.Answer
+	for k := 0; k < 40; k++ {
+		answers = append(answers, aggregate.Answer{Pair: pairs[rng.Intn(len(pairs))], Worker: rng.Intn(6), Match: rng.Intn(2) == 0})
+	}
+
+	batch, single := build(), build()
+	batch.AddAnswers(answers)
+	for i := range answers {
+		single.AddAnswers(answers[i : i+1])
+	}
+	if got, want := batch.Pairs(), single.Pairs(); !slices.Equal(got, want) {
+		t.Fatalf("Pairs = %v; per-answer %v", got, want)
+	}
+	for _, p := range append(pairs, untouched) {
+		b, s := batch.Get(p), single.Get(p)
+		if (b == nil) != (s == nil) {
+			t.Fatalf("%v: entry presence differs", p)
+		}
+		if b != nil && (!slices.Equal(b.Answers, s.Answers) || b.Provenance != s.Provenance || b.Likelihood != s.Likelihood || b.Posterior != s.Posterior) {
+			t.Errorf("%v: batch entry %+v; per-answer %+v", p, b, s)
+		}
+		if !slices.Equal(batch.PartialAnswers(p), single.PartialAnswers(p)) {
+			t.Errorf("%v: partials %v; per-answer %v", p, batch.PartialAnswers(p), single.PartialAnswers(p))
+		}
+	}
+	if e := batch.Get(machine); e.Provenance != Asked {
+		t.Errorf("machine entry answered by the crowd has provenance %v; want asked", e.Provenance)
+	}
+	if batch.PartialAnswers(fragment) != nil || batch.PartialAnswers(untouched) == nil {
+		t.Error("a judged pair keeps its fragment, or an unjudged one lost its own")
+	}
+	if n := len(batch.Get(asked).Answers); n < 2 || batch.Get(asked).Answers[0].Worker != 7 {
+		t.Errorf("asked entry's earlier answer is not kept first: %v", batch.Get(asked).Answers)
+	}
+}
