@@ -98,8 +98,13 @@ func (t *Table) Append(values ...string) int {
 
 // AppendFrom adds a record tagged with a source index. When records come
 // from two sources (e.g. integrating two catalogs), set CrossSourceOnly in
-// Options so only cross-source pairs are considered.
+// Options so only cross-source pairs are considered. The source must be
+// non-negative: AppendFrom panics otherwise, since the session log
+// reserves negative tags for records appended without one.
 func (t *Table) AppendFrom(source int, values ...string) int {
+	if source < 0 {
+		panic(fmt.Sprintf("crowder: AppendFrom source %d is negative", source))
+	}
 	return int(t.inner.AppendFrom(source, values...))
 }
 
@@ -197,18 +202,20 @@ const (
 )
 
 // AggregationMode selects how the replicated crowd answers of each pair
-// are combined into a match posterior.
-type AggregationMode int
+// are combined into a match posterior. Its String is the mode's wire
+// name — the identity persisted on the verdict cache and accepted by the
+// service API ("dawid-skene", "majority-vote", "dawid-skene-map").
+type AggregationMode = aggregate.Method
 
 const (
 	// AggregationDawidSkene (the default) runs plain Dawid–Skene EM with
 	// additive smoothing — bit-identical to every release before the
 	// aggregator became pluggable.
-	AggregationDawidSkene AggregationMode = iota
+	AggregationDawidSkene = aggregate.MethodDawidSkene
 	// AggregationMajorityVote scores each pair by its raw match
 	// fraction: the paper's baseline, susceptible to spammers but cheap
 	// and trivially auditable.
-	AggregationMajorityVote
+	AggregationMajorityVote = aggregate.MethodMajorityVote
 	// AggregationDawidSkeneMAP runs Dawid–Skene with
 	// maximum-a-posteriori M-steps: an informative diagonal Beta prior
 	// on every worker confusion row plus pool-mean anchoring of workers
@@ -218,58 +225,15 @@ const (
 	// TestDawidSkeneMAPNeverInvertsUnanimous and
 	// TestAggregationMAPF1AtLeastDefault hold its gate); outputs differ
 	// from the default, converging to it as worker histories grow dense.
-	AggregationDawidSkeneMAP
+	AggregationDawidSkeneMAP = aggregate.MethodDawidSkeneMAP
 )
-
-// aggregateMethod maps the public enum to the internal aggregator
-// registry. The zero values correspond, so a zero Options keeps the
-// pinned default.
-func (m AggregationMode) aggregateMethod() (aggregate.Method, error) {
-	switch m {
-	case AggregationDawidSkene:
-		return aggregate.MethodDawidSkene, nil
-	case AggregationMajorityVote:
-		return aggregate.MethodMajorityVote, nil
-	case AggregationDawidSkeneMAP:
-		return aggregate.MethodDawidSkeneMAP, nil
-	default:
-		return 0, fmt.Errorf("crowder: unknown aggregation mode %d", int(m))
-	}
-}
-
-// String returns the mode's wire name — the identity persisted on the
-// verdict cache and accepted by the service API ("dawid-skene",
-// "majority-vote", "dawid-skene-map").
-func (m AggregationMode) String() string {
-	am, err := m.aggregateMethod()
-	if err != nil {
-		return fmt.Sprintf("aggregation(%d)", int(m))
-	}
-	return am.String()
-}
 
 // ParseAggregationMode maps a wire name back to its AggregationMode;
 // the empty string selects the default. It is the inverse of
 // AggregationMode.String and the parser behind the service API's
 // "aggregation" table option.
 func ParseAggregationMode(s string) (AggregationMode, error) {
-	m, err := aggregate.ParseMethod(s)
-	if err != nil {
-		return 0, fmt.Errorf("crowder: %w", err)
-	}
-	switch m {
-	case aggregate.MethodDawidSkene:
-		return AggregationDawidSkene, nil
-	case aggregate.MethodMajorityVote:
-		return AggregationMajorityVote, nil
-	case aggregate.MethodDawidSkeneMAP:
-		return AggregationDawidSkeneMAP, nil
-	default:
-		// A method ParseMethod knows but this mapping does not means the
-		// two enums drifted; surface it rather than silently resolving
-		// under the default aggregator.
-		return 0, fmt.Errorf("crowder: aggregate method %q has no AggregationMode", m)
-	}
+	return aggregate.ParseMethod(s)
 }
 
 // Options configures Resolve.

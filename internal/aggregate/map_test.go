@@ -61,14 +61,16 @@ func TestSparseCoverageDegeneracyRegression(t *testing.T) {
 		t.Fatalf("repro built %d workers; the ROADMAP scenario has 24", workers)
 	}
 
+	// Plain Dawid–Skene does not just flip the false pair: it publishes
+	// it in the top posterior decile, as confident as the true matches.
 	ds := DawidSkene(answers, DawidSkeneOptions{})
-	if ds[falsePair] <= 0.5 {
-		t.Fatalf("plain Dawid–Skene gave the false 3-0 pair posterior %v; the pinned degeneracy should invert it — did the default path change?", ds[falsePair])
+	if ds[falsePair] < 0.9 {
+		t.Fatalf("plain Dawid–Skene gave the false 3-0 pair posterior %v; the pinned degeneracy should invert it to ≥ 0.9 — did the default path change?", ds[falsePair])
 	}
 
 	mp := DawidSkeneMAP(answers, MAPOptions{})
-	if mp[falsePair] > 0.5 {
-		t.Errorf("MAP aggregator gave the unanimously rejected pair posterior %v; must stay ≤ 0.5", mp[falsePair])
+	if mp[falsePair] >= 0.5 {
+		t.Errorf("MAP aggregator gave the unanimously rejected pair posterior %v; must stay below 0.5", mp[falsePair])
 	}
 	// The fix must not cost the true matches: every unanimous 3-0 match
 	// keeps a confident posterior.

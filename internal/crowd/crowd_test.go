@@ -11,14 +11,25 @@ import (
 
 func mk(a, b int) record.Pair { return record.MakePair(record.ID(a), record.ID(b)) }
 
+// countClass returns the number of workers of class c in p.
+func countClass(p *Population, c WorkerClass) int {
+	n := 0
+	for _, w := range p.Workers {
+		if w.Class == c {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNewPopulationComposition(t *testing.T) {
 	pop := NewPopulation(1, PopulationOptions{Size: 1000})
 	if pop.Size() != 1000 {
 		t.Fatalf("Size = %d; want 1000", pop.Size())
 	}
-	spam := pop.CountClass(Spammer)
-	sloppy := pop.CountClass(Sloppy)
-	reliable := pop.CountClass(Reliable)
+	spam := countClass(pop, Spammer)
+	sloppy := countClass(pop, Sloppy)
+	reliable := countClass(pop, Reliable)
 	if spam+sloppy+reliable != 1000 {
 		t.Fatal("classes do not partition the population")
 	}
@@ -68,13 +79,13 @@ func TestQualificationTestWeedsSpammers(t *testing.T) {
 	if q.Size() >= pop.Size() {
 		t.Fatal("qualification test should remove some workers")
 	}
-	spamBefore := float64(pop.CountClass(Spammer)) / float64(pop.Size())
-	spamAfter := float64(q.CountClass(Spammer)) / float64(q.Size())
+	spamBefore := float64(countClass(pop, Spammer)) / float64(pop.Size())
+	spamAfter := float64(countClass(q, Spammer)) / float64(q.Size())
 	if spamAfter >= spamBefore/2 {
 		t.Errorf("spammer rate %.3f → %.3f; test should cut it at least in half", spamBefore, spamAfter)
 	}
-	relBefore := float64(pop.CountClass(Reliable)) / float64(pop.Size())
-	relAfter := float64(q.CountClass(Reliable)) / float64(q.Size())
+	relBefore := float64(countClass(pop, Reliable)) / float64(pop.Size())
+	relAfter := float64(countClass(q, Reliable)) / float64(q.Size())
 	if relAfter <= relBefore {
 		t.Errorf("reliable share should rise: %.3f → %.3f", relBefore, relAfter)
 	}
@@ -436,11 +447,11 @@ func TestPairAnswersInvariantUnderBatching(t *testing.T) {
 // zero value keeps the 0.12 default.
 func TestNoSpammersSentinel(t *testing.T) {
 	clean := NewPopulation(1, PopulationOptions{Size: 800, SpammerRate: NoSpammers})
-	if got := clean.CountClass(Spammer); got != 0 {
+	if got := countClass(clean, Spammer); got != 0 {
 		t.Errorf("NoSpammers pool has %d spammers", got)
 	}
 	def := NewPopulation(1, PopulationOptions{Size: 800})
-	if got := def.CountClass(Spammer); got == 0 {
+	if got := countClass(def, Spammer); got == 0 {
 		t.Error("zero-value options should keep the default spammer rate")
 	}
 }

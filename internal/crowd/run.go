@@ -20,6 +20,33 @@ const (
 	DefaultAssignments   = 3
 )
 
+// The worker-time and attraction model of Section 7.1 and Figure 14(b).
+const (
+	// baseSeconds is the fixed per-assignment overhead: reading the
+	// instructions, loading the page, submitting.
+	baseSeconds = 20
+	// secondsPerPairComparison is the time to tick one pair in a
+	// pair-based HIT.
+	secondsPerPairComparison = 5
+	// secondsPerClusterComparison is the time for one implicit
+	// comparison in a cluster-based HIT; lower than the pair cost
+	// because sorting and colour labels let workers scan records on one
+	// screen.
+	secondsPerClusterComparison = 1.5
+
+	// pairAttraction and clusterAttraction scale how much of the worker
+	// pool each interface draws (1.0 and 0.45). The paper found
+	// pair-based HITs "attracted more workers ... due to the unfamiliar
+	// interface of cluster-based HITs".
+	pairAttraction    = 1.0
+	clusterAttraction = 0.45
+	// fairComparisons is the per-HIT effort workers consider fair at the
+	// fixed price; HITs demanding more deter workers proportionally.
+	// This drives Figure 14(b), where 28-pair HITs at $0.02 attracted
+	// few workers.
+	fairComparisons = 20
+)
+
 // Config parameterizes a crowd run.
 type Config struct {
 	// Assignments is the replication factor per HIT (default 3).
@@ -33,29 +60,6 @@ type Config struct {
 	// stream seeded by (Seed, HIT index), so the answers are bit-identical
 	// at every parallelism level.
 	Parallelism int
-
-	// BaseSeconds is the fixed per-assignment overhead: reading the
-	// instructions, loading the page, submitting (default 20).
-	BaseSeconds float64
-	// SecondsPerPairComparison is the time to tick one pair in a
-	// pair-based HIT (default 5).
-	SecondsPerPairComparison float64
-	// SecondsPerClusterComparison is the time for one implicit comparison
-	// in a cluster-based HIT; lower than the pair cost because sorting and
-	// colour labels let workers scan records on one screen (default 1.5).
-	SecondsPerClusterComparison float64
-
-	// PairAttraction and ClusterAttraction scale how much of the worker
-	// pool each interface draws. The paper found pair-based HITs
-	// "attracted more workers ... due to the unfamiliar interface of
-	// cluster-based HITs" (defaults 1.0 and 0.6).
-	PairAttraction    float64
-	ClusterAttraction float64
-	// FairComparisons is the per-HIT effort workers consider fair at the
-	// fixed price; HITs demanding more deter workers proportionally
-	// (default 20). This drives Figure 14(b), where 28-pair HITs at $0.02
-	// attracted few workers.
-	FairComparisons float64
 
 	// Difficulty optionally maps each pair to a judgment difficulty in
 	// [0, 1] (0 = trivially obvious, 1 = genuinely ambiguous). Workers'
@@ -101,24 +105,6 @@ func DifficultyFromLikelihood(likelihood map[record.Pair]float64) func(record.Pa
 func (c *Config) defaults() {
 	if c.Assignments <= 0 {
 		c.Assignments = DefaultAssignments
-	}
-	if c.BaseSeconds <= 0 {
-		c.BaseSeconds = 20
-	}
-	if c.SecondsPerPairComparison <= 0 {
-		c.SecondsPerPairComparison = 5
-	}
-	if c.SecondsPerClusterComparison <= 0 {
-		c.SecondsPerClusterComparison = 1.5
-	}
-	if c.PairAttraction <= 0 {
-		c.PairAttraction = 1.0
-	}
-	if c.ClusterAttraction <= 0 {
-		c.ClusterAttraction = 0.45
-	}
-	if c.FairComparisons <= 0 {
-		c.FairComparisons = 20
 	}
 }
 

@@ -126,16 +126,16 @@ func (s *Simulator) Collect(ctx context.Context) <-chan Assignment {
 // kind, deterred by over-fair effort).
 func (s *Simulator) TotalSeconds(assignmentSeconds []float64) float64 {
 	s.mu.Lock()
-	attractionBase := s.cfg.PairAttraction
+	attractionBase := pairAttraction
 	if s.kindSet && s.kind == ClusterKind {
-		attractionBase = s.cfg.ClusterAttraction
+		attractionBase = clusterAttraction
 	}
 	avgEffort := 0.0
 	if s.hitCount > 0 {
 		avgEffort = s.totalEffort / float64(s.hitCount)
 	}
 	s.mu.Unlock()
-	attraction := attractionBase * effortDiscount(avgEffort, s.cfg.FairComparisons)
+	attraction := attractionBase * effortDiscount(avgEffort, fairComparisons)
 	return makespan(assignmentSeconds, s.pool, attraction)
 }
 
@@ -162,7 +162,7 @@ func (s *Simulator) simulatePairHIT(h HIT) hitOutcome {
 			slotSpeed[slot] += w.Speed
 		}
 	}
-	hitSeconds := cfg.BaseSeconds + cfg.SecondsPerPairComparison*float64(len(h.Pairs))
+	hitSeconds := baseSeconds + secondsPerPairComparison*float64(len(h.Pairs))
 	for slot := 0; slot < r; slot++ {
 		speed := 1.0
 		if len(h.Pairs) > 0 {
@@ -210,9 +210,9 @@ func (s *Simulator) simulateClusterHIT(h HIT) hitOutcome {
 		}
 		comparisons := hitgen.BestOrderComparisons(sizes)
 		o.workers = append(o.workers, w.ID)
-		o.seconds = append(o.seconds, (cfg.BaseSeconds+cfg.SecondsPerClusterComparison*float64(comparisons))*w.Speed)
+		o.seconds = append(o.seconds, (baseSeconds+secondsPerClusterComparison*float64(comparisons))*w.Speed)
 	}
 	o.effort = float64(hitgen.BestOrderComparisons(hitgen.EntitySizes(hitgen.ClusterHIT{Records: h.Records}, s.truth))) *
-		cfg.SecondsPerClusterComparison / cfg.SecondsPerPairComparison
+		secondsPerClusterComparison / secondsPerPairComparison
 	return o
 }

@@ -36,10 +36,10 @@ func referenceClusterHIT(s *Simulator, h HIT) hitOutcome {
 			}
 		}
 		comparisons := hitgen.BestOrderComparisons(hitgen.EntitySizes(ch, own))
-		o.seconds = append(o.seconds, (cfg.BaseSeconds+cfg.SecondsPerClusterComparison*float64(comparisons))*w.Speed)
+		o.seconds = append(o.seconds, (baseSeconds+secondsPerClusterComparison*float64(comparisons))*w.Speed)
 	}
 	o.effort = float64(hitgen.BestOrderComparisons(hitgen.EntitySizes(ch, s.truth))) *
-		cfg.SecondsPerClusterComparison / cfg.SecondsPerPairComparison
+		secondsPerClusterComparison / secondsPerPairComparison
 	return o
 }
 

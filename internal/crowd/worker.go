@@ -103,9 +103,10 @@ type PopulationOptions struct {
 	// SpammerRate is the fraction of spammers. 0 means the default 0.12;
 	// a negative value (NoSpammers) means a clean pool with no spammers.
 	SpammerRate float64
-	// SloppyRate is the fraction of sloppy workers (default 0.20).
-	SloppyRate float64
 }
+
+// sloppyRate is the fraction of sloppy workers in a generated pool.
+const sloppyRate = 0.20
 
 func (o *PopulationOptions) defaults() {
 	if o.Size <= 0 {
@@ -116,9 +117,6 @@ func (o *PopulationOptions) defaults() {
 	} else if o.SpammerRate == 0 {
 		o.SpammerRate = 0.12
 	}
-	if o.SloppyRate == 0 {
-		o.SloppyRate = 0.20
-	}
 }
 
 // Population is a pool of simulated workers.
@@ -127,7 +125,7 @@ type Population struct {
 }
 
 // NewPopulation generates a deterministic worker pool: SpammerRate
-// spammers, SloppyRate sloppy workers, the rest reliable.
+// spammers, sloppyRate sloppy workers, the rest reliable.
 func NewPopulation(seed int64, opts PopulationOptions) *Population {
 	opts.defaults()
 	rng := rand.New(rand.NewSource(seed))
@@ -146,7 +144,7 @@ func NewPopulation(seed int64, opts PopulationOptions) *Population {
 			default: // always answers "non-match"
 				w.TPR, w.TNR = 0.05, 0.95
 			}
-		case r < opts.SpammerRate+opts.SloppyRate:
+		case r < opts.SpammerRate+sloppyRate:
 			w.Class = Sloppy
 			w.TPR = 0.75 + 0.15*rng.Float64()
 			w.TNR = 0.75 + 0.15*rng.Float64()
@@ -187,14 +185,3 @@ func (p *Population) QualificationTest(seed int64) *Population {
 
 // Size returns the number of workers in the pool.
 func (p *Population) Size() int { return len(p.Workers) }
-
-// CountClass returns the number of workers of the given class.
-func (p *Population) CountClass(c WorkerClass) int {
-	n := 0
-	for _, w := range p.Workers {
-		if w.Class == c {
-			n++
-		}
-	}
-	return n
-}

@@ -48,35 +48,12 @@ func ClusterComparisons(entitySizes []int) int {
 	return total
 }
 
-// ClusterComparisonsEq2 evaluates the equivalent Equation 2 form:
-// (n−1)·m − Σ_{i=1..m−1} (m−i)·|e_i|. Exposed separately so tests can
-// verify the paper's algebraic equivalence claim.
-func ClusterComparisonsEq2(entitySizes []int) int {
-	n, m := 0, len(entitySizes)
-	for _, s := range entitySizes {
-		n += s
-	}
-	total := (n - 1) * m
-	for i := 0; i < m-1; i++ {
-		total -= (m - 1 - i) * entitySizes[i]
-	}
-	return total
-}
-
 // BestOrderComparisons returns the minimum comparisons over entity
 // identification orders: descending size (see the package comment on the
 // direction; this is the order the paper's Example 4 uses).
 func BestOrderComparisons(entitySizes []int) int {
 	s := append([]int(nil), entitySizes...)
 	sort.Sort(sort.Reverse(sort.IntSlice(s)))
-	return ClusterComparisons(s)
-}
-
-// WorstOrderComparisons returns the maximum comparisons over entity
-// identification orders: ascending size.
-func WorstOrderComparisons(entitySizes []int) int {
-	s := append([]int(nil), entitySizes...)
-	sort.Ints(s)
 	return ClusterComparisons(s)
 }
 

@@ -2,6 +2,7 @@ package hitgen
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -201,4 +202,27 @@ func TestMoreMatchesFewerComparisonsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ClusterComparisonsEq2 evaluates the equivalent Equation 2 form:
+// (n−1)·m − Σ_{i=1..m−1} (m−i)·|e_i|. The tests check it against
+// ClusterComparisons: the paper's algebraic equivalence claim.
+func ClusterComparisonsEq2(entitySizes []int) int {
+	n, m := 0, len(entitySizes)
+	for _, s := range entitySizes {
+		n += s
+	}
+	total := (n - 1) * m
+	for i := 0; i < m-1; i++ {
+		total -= (m - 1 - i) * entitySizes[i]
+	}
+	return total
+}
+
+// WorstOrderComparisons returns the maximum comparisons over entity
+// identification orders: ascending size.
+func WorstOrderComparisons(entitySizes []int) int {
+	s := append([]int(nil), entitySizes...)
+	sort.Ints(s)
+	return ClusterComparisons(s)
 }

@@ -27,9 +27,6 @@ func (p Pattern) Slots() int {
 	return s
 }
 
-// Feasible reports whether the pattern fits within capacity k.
-func (p Pattern) Feasible(k int) bool { return p.Slots() <= k }
-
 func (p Pattern) String() string { return fmt.Sprint(p.Count) }
 
 func (p Pattern) clone() Pattern {

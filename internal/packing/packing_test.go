@@ -44,11 +44,11 @@ func verifyPacking(t *testing.T, sizes []int, bins [][]int, k int) {
 func TestPatternFeasible(t *testing.T) {
 	// Paper example: k=4, p1 = [0,0,0,1] is feasible (4 ≤ 4).
 	p1 := Pattern{Count: []int{0, 0, 0, 1}}
-	if !p1.Feasible(4) || p1.Slots() != 4 {
-		t.Fatalf("p1 slots=%d feasible=%v", p1.Slots(), p1.Feasible(4))
+	if p1.Slots() != 4 {
+		t.Fatalf("p1 slots=%d; want 4", p1.Slots())
 	}
 	p2 := Pattern{Count: []int{1, 0, 0, 1}}
-	if p2.Feasible(4) {
+	if p2.Slots() <= 4 {
 		t.Fatal("[1,0,0,1] uses 5 slots and must be infeasible for k=4")
 	}
 }
@@ -318,7 +318,7 @@ func TestPriceKnapsack(t *testing.T) {
 	if p.Count[2] != 2 {
 		t.Fatalf("pattern = %v; want two size-3 items", p)
 	}
-	if !p.Feasible(6) {
+	if p.Slots() > 6 {
 		t.Fatal("priced pattern must be feasible")
 	}
 }

@@ -120,17 +120,6 @@ func (t *Table) CrossOK(crossOnly bool, a, b ID) bool {
 	return t.Source[a] != t.Source[b]
 }
 
-// AttrIndex returns the position of the named attribute in the schema, or
-// -1 if absent.
-func (t *Table) AttrIndex(name string) int {
-	for i, s := range t.Schema {
-		if s == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Pair is an unordered pair of record IDs with A < B canonically.
 type Pair struct {
 	A, B ID
@@ -146,18 +135,6 @@ func MakePair(a, b ID) Pair {
 
 // Contains reports whether id is one of the pair's endpoints.
 func (p Pair) Contains(id ID) bool { return p.A == id || p.B == id }
-
-// Other returns the endpoint that is not id. It panics if id is not an
-// endpoint, which indicates a programming error at the call site.
-func (p Pair) Other(id ID) ID {
-	switch id {
-	case p.A:
-		return p.B
-	case p.B:
-		return p.A
-	}
-	panic(fmt.Sprintf("record: pair %v does not contain %d", p, id))
-}
 
 func (p Pair) String() string { return fmt.Sprintf("(r%d,r%d)", p.A, p.B) }
 

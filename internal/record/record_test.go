@@ -51,16 +51,6 @@ func TestTableAppendFromAfterAppend(t *testing.T) {
 	}
 }
 
-func TestAttrIndex(t *testing.T) {
-	tab := NewTable("name", "address", "city", "type")
-	if got := tab.AttrIndex("city"); got != 2 {
-		t.Errorf("AttrIndex(city) = %d; want 2", got)
-	}
-	if got := tab.AttrIndex("missing"); got != -1 {
-		t.Errorf("AttrIndex(missing) = %d; want -1", got)
-	}
-}
-
 func TestRecordAttrOutOfRange(t *testing.T) {
 	r := Record{ID: 0, Values: []string{"a"}}
 	if r.Attr(1) != "" || r.Attr(-1) != "" {
@@ -79,19 +69,6 @@ func TestMakePairCanonical(t *testing.T) {
 	if MakePair(2, 5) != p {
 		t.Fatal("MakePair should be order-insensitive")
 	}
-}
-
-func TestPairOther(t *testing.T) {
-	p := MakePair(3, 7)
-	if p.Other(3) != 7 || p.Other(7) != 3 {
-		t.Fatal("Other returned the wrong endpoint")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Other on non-member should panic")
-		}
-	}()
-	p.Other(9)
 }
 
 func TestPairContains(t *testing.T) {

@@ -106,21 +106,8 @@ func NewSharded(t *record.Table, shards int, opts Options) *Sharded {
 	return sx
 }
 
-// NumShards returns the shard count.
-func (sx *Sharded) NumShards() int { return len(sx.shards) }
-
 // Indexed returns the number of records absorbed so far.
 func (sx *Sharded) Indexed() int { return sx.n }
-
-// ShardSizes returns the number of records owned by each shard — the
-// balance diagnostic for the hashed partition.
-func (sx *Sharded) ShardSizes() []int {
-	out := make([]int, len(sx.shards))
-	for s := range sx.shards {
-		out[s] = len(sx.shards[s].members)
-	}
-	return out
-}
 
 // PostingsBytes returns the compressed footprint of all shards'
 // posting lists in bytes.

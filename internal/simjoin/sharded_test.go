@@ -35,7 +35,7 @@ func randomShardTable(rng *rand.Rand, n int, cross bool) *record.Table {
 // drainScatter collects one UpdateScatter pass into per-shard slices and
 // returns their canonically sorted union.
 func drainScatter(sx *Sharded) []ScoredPair {
-	perShard := make([][]ScoredPair, sx.NumShards())
+	perShard := make([][]ScoredPair, len(sx.shards))
 	sx.UpdateScatter(func(s int, sp ScoredPair) bool {
 		perShard[s] = append(perShard[s], sp)
 		return true
@@ -224,15 +224,15 @@ func TestShardedDiagnostics(t *testing.T) {
 		t.Errorf("sharded postings hold %d entries, single index %d", got, want)
 	}
 	total := 0
-	for _, c := range sx.ShardSizes() {
-		total += c
+	for s := range sx.shards {
+		total += len(sx.shards[s].members)
 	}
 	// Only records with a non-empty prefix become members; empties are
 	// tracked globally. Members must never exceed the table.
 	if total > tab.Len() {
 		t.Errorf("shard members total %d of %d records", total, tab.Len())
 	}
-	if sx.NumShards() != 4 {
-		t.Errorf("NumShards = %d", sx.NumShards())
+	if len(sx.shards) != 4 {
+		t.Errorf("shard count = %d", len(sx.shards))
 	}
 }

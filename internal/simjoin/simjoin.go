@@ -25,9 +25,7 @@
 // consumer ranking with a bounded top-K heap never materializes the full
 // candidate set; Index.Update and the one-shot Join are the materializing
 // wrappers, canonically sorted and bit-identical at every parallelism
-// level. BruteForce provides the reference all-pairs
-// implementation used for testing equivalence and for self-joins of tiny
-// tables.
+// level.
 package simjoin
 
 import (
@@ -37,7 +35,6 @@ import (
 
 	"github.com/crowder/crowder/internal/engine"
 	"github.com/crowder/crowder/internal/record"
-	"github.com/crowder/crowder/internal/similarity"
 )
 
 // ScoredPair is a candidate pair with its machine likelihood.
@@ -98,9 +95,10 @@ func (o Options) crossOK(t *record.Table, a, b record.ID) bool {
 // record indexes only its first len−⌈τ·len⌉+1 tokens, and candidates are
 // generated from index collisions, then confirmed with the summary filter
 // (size and signature bounds) and an exact merge-intersection. Records with empty token sets pair with each
-// other at likelihood 1 (the empty-set convention), keeping Join ≡
-// BruteForce on every input. With τ = 0 the prefix degenerates to every
-// token, so Join switches to a sharded all-pairs scan instead.
+// other at likelihood 1 (the empty-set convention), keeping Join equal
+// to the all-pairs definition on every input. With τ = 0 the prefix
+// degenerates to every token, so Join switches to a sharded all-pairs
+// scan instead.
 //
 // Join is the one-shot form of the incremental Index: it builds a fresh
 // Index over the table and absorbs every record in a single Update, so the
@@ -154,32 +152,6 @@ func passesLengthFilter(la, lb int, tau float64) bool {
 		lo, hi = hi, lo
 	}
 	return float64(lo)+1e-9 >= tau*float64(hi)
-}
-
-// BruteForce computes the join by comparing every pair of records,
-// respecting the same options. It is the testing oracle for Join and is
-// also convenient for tiny tables. It is deliberately sequential and
-// straightforward — its value is being obviously correct.
-func BruteForce(t *record.Table, opts Options) []ScoredPair {
-	ids := t.TokenIDs()
-	n := t.Len()
-	var out []ScoredPair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !opts.crossOK(t, record.ID(i), record.ID(j)) {
-				continue
-			}
-			sim := similarity.Jaccard(ids[i], ids[j])
-			if sim >= opts.Threshold {
-				out = append(out, ScoredPair{
-					Pair:       record.Pair{A: record.ID(i), B: record.ID(j)},
-					Likelihood: sim,
-				})
-			}
-		}
-	}
-	SortScored(out)
-	return out
 }
 
 // Pairs extracts just the pairs from a scored slice, preserving order.

@@ -10,6 +10,7 @@ import (
 
 	"github.com/crowder/crowder/internal/dataset"
 	"github.com/crowder/crowder/internal/record"
+	"github.com/crowder/crowder/internal/similarity"
 )
 
 // paperTable builds Table 1 of the paper (nine product records).
@@ -378,4 +379,30 @@ func BenchmarkJoinRestaurantScales(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BruteForce computes the join by comparing every pair of records,
+// respecting the same options. It is the testing oracle for Join: it is
+// deliberately sequential and straightforward — its value is being
+// obviously correct.
+func BruteForce(t *record.Table, opts Options) []ScoredPair {
+	ids := t.TokenIDs()
+	n := t.Len()
+	var out []ScoredPair
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if !opts.crossOK(t, record.ID(i), record.ID(j)) {
+				continue
+			}
+			sim := similarity.Jaccard(ids[i], ids[j])
+			if sim >= opts.Threshold {
+				out = append(out, ScoredPair{
+					Pair:       record.Pair{A: record.ID(i), B: record.ID(j)},
+					Likelihood: sim,
+				})
+			}
+		}
+	}
+	SortScored(out)
+	return out
 }

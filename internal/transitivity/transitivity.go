@@ -84,8 +84,6 @@ type Graph struct {
 	// so schedulers cap the proof length and ask the crowd directly for
 	// anything that would need a longer one. 0 means unlimited.
 	MaxProof int
-
-	observed int
 }
 
 // New creates an empty deduction graph.
@@ -97,9 +95,6 @@ func New() *Graph {
 		neg:    make(map[record.ID]map[record.ID]record.Pair),
 	}
 }
-
-// Observed returns the number of asked verdicts absorbed so far.
-func (g *Graph) Observed() int { return g.observed }
 
 // find returns the cluster root of v with path compression. Records
 // never observed are their own singleton cluster.
@@ -114,12 +109,6 @@ func (g *Graph) find(v record.ID) record.ID {
 	root := g.find(p)
 	g.parent[v] = root
 	return root
-}
-
-// SameCluster reports whether a and b are in one positive-closure
-// cluster.
-func (g *Graph) SameCluster(a, b record.ID) bool {
-	return a == b || g.find(a) == g.find(b)
 }
 
 // Root returns the canonical representative of v's positive-closure
@@ -149,7 +138,6 @@ func (g *Graph) Observe(p record.Pair, match bool) {
 // therefore stop deduction chains cold instead of silently compounding
 // their noise into pairs nobody asked about.
 func (g *Graph) ObserveStrength(p record.Pair, match, strong bool) {
-	g.observed++
 	if !match {
 		ra, rb := g.find(p.A), g.find(p.B)
 		if ra == rb {

@@ -140,10 +140,6 @@ func (c *Cache) BindAggregator(name string) error {
 	return nil
 }
 
-// AggregatorName returns the bound aggregator identity, or "" if the
-// cache was never bound (session caches are bound at creation).
-func (c *Cache) AggregatorName() string { return c.aggregator }
-
 // Len returns the number of judged pairs.
 func (c *Cache) Len() int { return len(c.entries) }
 
@@ -317,18 +313,10 @@ func (c *Cache) AddPartialAnswers(answers []aggregate.Answer) {
 		}
 		if !fresh[a.Pair] {
 			fresh[a.Pair] = true
-			// A fresh slice, not a truncation: slices handed out by
-			// PartialAnswers must not be mutated under their callers.
-			c.partial[a.Pair] = nil
+			c.partial[a.Pair] = nil // this fragment replaces any earlier one
 		}
 		c.partial[a.Pair] = append(c.partial[a.Pair], a)
 	}
-}
-
-// PartialAnswers returns the answers collected for a not-yet-judged pair
-// by aborted resolutions, or nil.
-func (c *Cache) PartialAnswers(p record.Pair) []aggregate.Answer {
-	return c.partial[p]
 }
 
 // PartialLen returns the number of pairs holding partial answer sets.

@@ -97,7 +97,7 @@ func TestPartialAnswersLifecycle(t *testing.T) {
 	if c.PartialLen() != 2 {
 		t.Fatalf("PartialLen = %d; want 2", c.PartialLen())
 	}
-	if got := c.PartialAnswers(p1); len(got) != 2 {
+	if got := c.partial[p1]; len(got) != 2 {
 		t.Fatalf("PartialAnswers(p1) = %v", got)
 	}
 	// Partial answers never count as judged.
@@ -110,21 +110,21 @@ func TestPartialAnswersLifecycle(t *testing.T) {
 		{Pair: p1, Worker: 2, Match: false},
 		{Pair: p1, Worker: 3, Match: true},
 	})
-	if c.PartialAnswers(p1) != nil {
+	if c.partial[p1] != nil {
 		t.Error("full judgment should clear the pair's partial answers")
 	}
-	if c.PartialLen() != 1 || c.PartialAnswers(p2) == nil {
+	if c.PartialLen() != 1 || c.partial[p2] == nil {
 		t.Error("other pairs' partial answers must survive")
 	}
 	// Fragments arriving for an already-judged pair are moot.
 	c.AddPartialAnswers([]aggregate.Answer{{Pair: p1, Worker: 9, Match: true}})
-	if len(c.PartialAnswers(p1)) != 0 {
+	if len(c.partial[p1]) != 0 {
 		t.Error("partial answers for a judged pair should be dropped")
 	}
 	// A retried-and-cancelled run's fragment replaces the previous one
 	// instead of accumulating duplicates.
 	c.AddPartialAnswers([]aggregate.Answer{{Pair: p2, Worker: 5, Match: true}})
-	if got := c.PartialAnswers(p2); len(got) != 1 || got[0].Worker != 5 {
+	if got := c.partial[p2]; len(got) != 1 || got[0].Worker != 5 {
 		t.Errorf("latest fragment should replace the old one; got %v", got)
 	}
 	// AllAnswers sees only full judgments.
@@ -197,7 +197,7 @@ func TestPutDeducedSupersedesPartialFragments(t *testing.T) {
 // and fresh answers are never re-aggregated under mixed modes.
 func TestBindAggregator(t *testing.T) {
 	c := NewCache()
-	if got := c.AggregatorName(); got != "" {
+	if got := c.aggregator; got != "" {
 		t.Fatalf("fresh cache is bound to %q", got)
 	}
 	if err := c.BindAggregator(""); err == nil {
@@ -206,8 +206,8 @@ func TestBindAggregator(t *testing.T) {
 	if err := c.BindAggregator("dawid-skene-map"); err != nil {
 		t.Fatalf("first bind failed: %v", err)
 	}
-	if got := c.AggregatorName(); got != "dawid-skene-map" {
-		t.Fatalf("AggregatorName = %q after bind", got)
+	if got := c.aggregator; got != "dawid-skene-map" {
+		t.Fatalf("aggregator = %q after bind", got)
 	}
 	if err := c.BindAggregator("dawid-skene-map"); err != nil {
 		t.Fatalf("re-binding the same aggregator failed: %v", err)
@@ -351,7 +351,7 @@ func TestMachineDumpRestoreAndPartials(t *testing.T) {
 	p := mk(0, 1)
 	c.AddPartialAnswers([]aggregate.Answer{{Pair: p, Worker: 3, Match: true}})
 	c.PutMachine(p, 0.7, 0.88)
-	if len(c.PartialAnswers(p)) != 0 {
+	if len(c.partial[p]) != 0 {
 		t.Error("machine judgment should clear the pair's partial answers")
 	}
 
@@ -406,14 +406,14 @@ func TestAddAnswersBatchMatchesPerAnswer(t *testing.T) {
 		if b != nil && (!slices.Equal(b.Answers, s.Answers) || b.Provenance != s.Provenance || b.Likelihood != s.Likelihood || b.Posterior != s.Posterior) {
 			t.Errorf("%v: batch entry %+v; per-answer %+v", p, b, s)
 		}
-		if !slices.Equal(batch.PartialAnswers(p), single.PartialAnswers(p)) {
-			t.Errorf("%v: partials %v; per-answer %v", p, batch.PartialAnswers(p), single.PartialAnswers(p))
+		if !slices.Equal(batch.partial[p], single.partial[p]) {
+			t.Errorf("%v: partials %v; per-answer %v", p, batch.partial[p], single.partial[p])
 		}
 	}
 	if e := batch.Get(machine); e.Provenance != Asked {
 		t.Errorf("machine entry answered by the crowd has provenance %v; want asked", e.Provenance)
 	}
-	if batch.PartialAnswers(fragment) != nil || batch.PartialAnswers(untouched) == nil {
+	if batch.partial[fragment] != nil || batch.partial[untouched] == nil {
 		t.Error("a judged pair keeps its fragment, or an unjudged one lost its own")
 	}
 	if n := len(batch.Get(asked).Answers); n < 2 || batch.Get(asked).Answers[0].Worker != 7 {

@@ -86,8 +86,8 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Table, error) {
 		}
 		if srcIdx >= 0 {
 			src, err := strconv.Atoi(row[srcIdx])
-			if err != nil {
-				return fmt.Errorf("crowder: row %d: source %q is not an integer", rowNum, row[srcIdx])
+			if err != nil || src < 0 {
+				return fmt.Errorf("crowder: row %d: source %q is not a non-negative integer", rowNum, row[srcIdx])
 			}
 			vals := append(append([]string(nil), row[:srcIdx]...), row[srcIdx+1:]...)
 			t.AppendFrom(src, vals...)

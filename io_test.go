@@ -73,6 +73,7 @@ func TestReadCSVErrors(t *testing.T) {
 		{"missing source col", "a,b\nc,d\n", CSVOptions{Header: true, SourceColumn: "zzz"}},
 		{"bad source index", "a,b\n", CSVOptions{SourceColumn: "9"}},
 		{"non-integer source", "name,src\nx,notanint\n", CSVOptions{Header: true, SourceColumn: "src"}},
+		{"negative source", "name,src\nx,-1\n", CSVOptions{Header: true, SourceColumn: "src"}},
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.in), c.opts); err == nil {

@@ -145,6 +145,148 @@ func TestRestoreResolverAggregatorMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreResolverPreloadedTable: a session handed a pre-loaded
+// table journals those rows, source tags included, so a crash after its
+// first delta recovers the whole table. Restored ≡ never-crashed on
+// Len, every Verdict and the next delta's Result. The cross-source case
+// tags the duplicates (the dataset's last 24 rows) as a second source;
+// the pre-loaded part holds four of them, so both deltas buy verdicts.
+func TestRestoreResolverPreloadedTable(t *testing.T) {
+	rows, schema, oracle := resolverDataset(13, 120, 24)
+	pre, later := rows[:100], rows[100:]
+	source := func(i int) int {
+		if i >= len(rows)-24 {
+			return 1
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		name  string
+		cross bool
+	}{{"single-source", false}, {"cross-source", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Threshold: 0.4, HITType: PairHITs, Oracle: oracle, Seed: 5, CrossSourceOnly: tc.cross}
+			preloaded := func() *Table {
+				tab := NewTable(schema...)
+				for i, row := range pre {
+					if tc.cross {
+						tab.AppendFrom(source(i), row...)
+					} else {
+						tab.Append(row...)
+					}
+				}
+				return tab
+			}
+			appendLater := func(rv *Resolver) {
+				for i, row := range later {
+					if tc.cross {
+						rv.AppendFrom(source(len(pre)+i), row...)
+					} else {
+						rv.Append(row...)
+					}
+				}
+			}
+
+			control, err := NewResolver(preloaded(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := control.ResolveDelta(); err != nil {
+				t.Fatal(err)
+			}
+			appendLater(control)
+			want, err := control.ResolveDelta()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dir := t.TempDir()
+			dopts := opts
+			dopts.Store = openTestStore(t, dir)
+			durable, err := NewResolver(preloaded(), dopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := durable.ResolveDelta(); err != nil {
+				t.Fatal(err)
+			}
+			fl2, rec, err := OpenStore(dir, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fl2.Close()
+			ropts := opts
+			ropts.Store = fl2
+			restored, err := RestoreResolver(rec, ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Len() != len(pre) {
+				t.Fatalf("restored session holds %d records; %d were pre-loaded", restored.Len(), len(pre))
+			}
+			appendLater(restored)
+			got, err := restored.ResolveDelta()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Len() != control.Len() {
+				t.Fatalf("restored Len %d; control %d", restored.Len(), control.Len())
+			}
+			for a := 0; a < control.Len(); a++ {
+				for b := a + 1; b < control.Len(); b++ {
+					p := Pair{A: a, B: b}
+					wv, wok := control.Verdict(p)
+					gv, gok := restored.Verdict(p)
+					if wv != gv || wok != gok {
+						t.Fatalf("Verdict(%v): restored (%v, %v); control (%v, %v)", p, gv, gok, wv, wok)
+					}
+				}
+			}
+			assertSameMatches(t, "next delta", want.Matches, got.Matches)
+			if got.HITs != want.HITs || got.Candidates != want.Candidates || got.TotalPairs != want.TotalPairs || got.CostDollars != want.CostDollars {
+				t.Errorf("next delta: restored (%d HITs, %d cand, %d pairs, $%v); control (%d, %d, %d, $%v)",
+					got.HITs, got.Candidates, got.TotalPairs, got.CostDollars,
+					want.HITs, want.Candidates, want.TotalPairs, want.CostDollars)
+			}
+			assertSameCache(t, "restored vs control", control.cache, restored.cache)
+		})
+	}
+}
+
+// TestAppendFromRejectsNegativeSource: the session log tags rows
+// appended without a source with a negative one, so a negative source
+// would come back from recovery as untagged. AppendFrom refuses it, on
+// a Table and on a Resolver, before anything reaches the log. (ReadCSV
+// reports a negative source cell as an input error instead; see
+// TestReadCSVErrors.)
+func TestAppendFromRejectsNegativeSource(t *testing.T) {
+	mustPanic := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: a negative source did not panic", label)
+			}
+		}()
+		f()
+	}
+	mustPanic("Table.AppendFrom", func() { NewTable("name").AppendFrom(-1, "x") })
+
+	dir := t.TempDir()
+	rv, err := NewResolver(NewTable("name"), Options{Store: openTestStore(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("Resolver.AppendFrom", func() { rv.AppendFrom(-1, "x") })
+	rv.AppendFrom(0, "y")
+	_, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Rows) != 1 || rec.Rows[0].Src != 0 {
+		t.Errorf("log holds rows %+v; want only the source-0 row", rec.Rows)
+	}
+}
+
 // TestRestoreResolverIgnoresLegacyBlockedCursor: logs written while the
 // resolver also offered token blocking carry a "blocked" cursor on every
 // Prune frame. Such a log still opens and restores: the field is

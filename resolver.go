@@ -120,9 +120,23 @@ func NewResolver(t *Table, opts Options) (*Resolver, error) {
 	}
 	// Log the session identity first: recovery needs the schema to
 	// rebuild the table and the aggregator identity to cross-check the
-	// supplied options.
+	// supplied options. Then log a pre-loaded table's rows, which
+	// recovery re-appends like any other.
 	if err := r.log.Log(&store.Meta{Schema: t.inner.Schema, Aggregator: r.agg.Name()}); err != nil {
 		return nil, err
+	}
+	if t.Len() > 0 {
+		ev := &store.Append{Rows: make([]store.Row, t.Len())}
+		for i, rec := range t.inner.Records {
+			src := -1
+			if i < len(t.inner.Source) {
+				src = t.inner.Source[i]
+			}
+			ev.Rows[i] = store.Row{Src: src, Values: rec.Values}
+		}
+		if err := r.log.Log(ev); err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }
@@ -139,11 +153,7 @@ func newResolverWith(t *Table, opts Options, cache *verdicts.Cache) (*Resolver, 
 		return nil, err
 	}
 	opts.defaults()
-	method, err := opts.Aggregation.aggregateMethod()
-	if err != nil {
-		return nil, err
-	}
-	agg, err := aggregate.New(method)
+	agg, err := aggregate.New(opts.Aggregation)
 	if err != nil {
 		return nil, err
 	}
