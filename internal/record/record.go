@@ -58,7 +58,8 @@ type Table struct {
 	// Source optionally tags each record with the data source it came from
 	// (used by integrated datasets such as Product = abt ∪ buy). Empty when
 	// the table has a single source. When non-empty, len(Source) equals
-	// len(Records) and Source[i] is the source index of Records[i].
+	// len(Records) and Source[i] is the source index of Records[i]; a
+	// record appended without a tag counts as source 0.
 	Source []int
 
 	// Token cache (see TokenIDs): every record is tokenized and interned at
@@ -79,22 +80,27 @@ func NewTable(schema ...string) *Table {
 }
 
 // Append adds a record with the given attribute values and returns its ID.
+// In a multi-source table the record is tagged source 0.
 func (t *Table) Append(values ...string) ID {
 	id := ID(len(t.Records))
 	vs := make([]string, len(values))
 	copy(vs, values)
 	t.Records = append(t.Records, Record{ID: id, Values: vs})
+	if len(t.Source) > 0 {
+		t.Source = append(t.Source, 0)
+	}
 	return id
 }
 
 // AppendFrom adds a record tagged with a source index (for integrated
-// two-source tables such as Product).
+// two-source tables such as Product). The first tagged record turns the
+// table multi-source: the records before it are tagged source 0.
 func (t *Table) AppendFrom(source int, values ...string) ID {
 	id := t.Append(values...)
-	for len(t.Source) < len(t.Records)-1 {
+	for len(t.Source) < len(t.Records) {
 		t.Source = append(t.Source, 0)
 	}
-	t.Source = append(t.Source, source)
+	t.Source[id] = source
 	return id
 }
 

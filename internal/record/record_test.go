@@ -51,6 +51,21 @@ func TestTableAppendFromAfterAppend(t *testing.T) {
 	}
 }
 
+// An untagged record appended after a tagged one keeps Source as long
+// as Records (tagged 0), so CrossOK can index it.
+func TestTableAppendAfterAppendFrom(t *testing.T) {
+	tab := NewTable("name")
+	tab.AppendFrom(0, "a")
+	tab.AppendFrom(1, "b")
+	tab.Append("c")
+	if len(tab.Source) != 3 || tab.Source[2] != 0 {
+		t.Fatalf("Source = %v; want [0 1 0]", tab.Source)
+	}
+	if tab.CrossOK(true, 0, 2) || !tab.CrossOK(true, 1, 2) {
+		t.Error("CrossOK does not read the untagged record as source 0")
+	}
+}
+
 func TestRecordAttrOutOfRange(t *testing.T) {
 	r := Record{ID: 0, Values: []string{"a"}}
 	if r.Attr(1) != "" || r.Attr(-1) != "" {
@@ -212,6 +227,19 @@ func TestPairUniverse(t *testing.T) {
 	}
 	if got := multi.PairUniverse(false); got != 15 {
 		t.Errorf("all-pairs universe = %d; want 15", got)
+	}
+}
+
+// PairUniverse counts an untagged record appended after tagged ones
+// as source 0, as CrossOK judges its pairs.
+func TestPairUniverseMixedAppend(t *testing.T) {
+	tab := NewTable("name")
+	tab.AppendFrom(0, "a")
+	tab.AppendFrom(1, "b")
+	tab.Append("c")
+	// Sources {0: 2, 1: 1}: the cross pairs are (a,b) and (b,c).
+	if got := tab.PairUniverse(true); got != 2 {
+		t.Errorf("cross universe = %d; want 2", got)
 	}
 }
 

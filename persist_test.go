@@ -287,6 +287,75 @@ func TestAppendFromRejectsNegativeSource(t *testing.T) {
 	}
 }
 
+// TestRestoreResolverMixedSourceTags: a session that mixes Append and
+// AppendFrom under CrossSourceOnly recovers the same source tags (an
+// untagged row counts as source 0 before and after the crash), so the
+// restored session's next delta equals the never-crashed one's.
+func TestRestoreResolverMixedSourceTags(t *testing.T) {
+	opts := Options{Threshold: 0.1, CrossSourceOnly: true, MachineOnly: true}
+	first := func(rv *Resolver) {
+		rv.AppendFrom(0, "apple ipod touch 8gb")
+		rv.AppendFrom(1, "apple ipod touch 8gb black")
+		rv.Append("apple ipod touch 8gb 2nd gen")
+	}
+	second := func(rv *Resolver) {
+		rv.Append("apple ipod touch 8gb white")
+		rv.AppendFrom(1, "apple ipod touch 8gb silver")
+	}
+
+	control, err := NewResolver(NewTable("name"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first(control)
+	if _, err := control.ResolveDelta(); err != nil {
+		t.Fatal(err)
+	}
+	second(control)
+	want, err := control.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	dopts := opts
+	dopts.Store = openTestStore(t, dir)
+	durable, err := NewResolver(NewTable("name"), dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first(durable)
+	if _, err := durable.ResolveDelta(); err != nil {
+		t.Fatal(err)
+	}
+	fl2, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl2.Close()
+	ropts := opts
+	ropts.Store = fl2
+	restored, err := RestoreResolver(rec, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second(restored)
+	got, err := restored.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sources {0:3, 1:2}: 6 cross pairs.
+	if want.TotalPairs != 6 {
+		t.Errorf("control TotalPairs = %d; want 6", want.TotalPairs)
+	}
+	if got.TotalPairs != want.TotalPairs || got.Candidates != want.Candidates || got.NewCandidates != want.NewCandidates {
+		t.Errorf("next delta: restored (%d pairs, %d cand, %d new); control (%d, %d, %d)",
+			got.TotalPairs, got.Candidates, got.NewCandidates,
+			want.TotalPairs, want.Candidates, want.NewCandidates)
+	}
+	assertSameMatches(t, "next delta", want.Matches, got.Matches)
+}
+
 // TestRestoreResolverIgnoresLegacyBlockedCursor: logs written while the
 // resolver also offered token blocking carry a "blocked" cursor on every
 // Prune frame. Such a log still opens and restores: the field is

@@ -311,6 +311,29 @@ func TestResolveCrossSourceUniverse(t *testing.T) {
 	}
 }
 
+// A record appended without a source after tagged ones counts as source
+// 0 under CrossSourceOnly; the join used to index past the end of the
+// source tags and panic.
+func TestResolveCrossSourceUntaggedAppend(t *testing.T) {
+	tab := NewTable("name")
+	tab.AppendFrom(0, "apple ipod touch 8gb")
+	tab.AppendFrom(1, "apple ipod touch 8gb black")
+	tab.Append("apple ipod touch 8gb 2nd gen")
+	res, err := Resolve(tab, Options{Threshold: 0.1, CrossSourceOnly: true, MachineOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sources {0:2, 1:1}: cross pairs (0,1) and (1,2).
+	if res.TotalPairs != 2 || res.Candidates != 2 {
+		t.Errorf("TotalPairs = %d, Candidates = %d; want 2 and 2", res.TotalPairs, res.Candidates)
+	}
+	for _, m := range res.Matches {
+		if m.Pair == (Pair{0, 2}) {
+			t.Errorf("same-source pair leaked: %v", m.Pair)
+		}
+	}
+}
+
 func TestNoSpammersOption(t *testing.T) {
 	tab, oracle := paperTable()
 	clean, err := Resolve(tab, Options{Threshold: 0.3, Oracle: oracle, Seed: 1, SpammerRate: NoSpammers})
