@@ -13,44 +13,53 @@ import (
 // become flat slices, and the per-token memory drops from a map entry to
 // four bytes. IDs are assigned in first-seen order, starting at 0.
 //
-// The interner holds no pointer per token. Token bytes lie back to back
-// in one arena, in ID order, bounded by uint32 offsets; an open-addressing
-// table — a power-of-two slot array, linearly probed, at most half full —
-// maps a token's 32-bit hash to its ID and its arena bounds. A probe reads
-// one slot and reads the arena only when the slot's hash equals the
-// token's: equal hashes alone never decide equality. The hash is a fixed
-// function of the bytes, so probe sequences, like IDs, are the same in
-// every process.
+// The interner holds no pointer per token. It is partitioned by the top
+// six bits of a token's 32-bit hash; in each partition, token bytes lie
+// back to back in one arena, bounded by uint32 offsets, and an
+// open-addressing table — a power-of-two slot array, linearly probed, at
+// most half full — maps a token's hash to its index in the partition and
+// its arena bounds. A probe reads the arena only when the slot's hash
+// equals the token's: equal hashes alone never decide equality. The hash
+// is a fixed function of the bytes, so partitions, probe sequences and
+// IDs are the same in every process.
 //
 // An Interner is not safe for concurrent use while it is being mutated:
-// Intern may reallocate the arena and the slot array under a reader.
+// Intern may reallocate the arenas and the slot arrays under a reader.
 // Reads alone (Lookup, Token, Len) may run concurrently. A Table's
 // interner is touched only under the table's lock.
 type Interner struct {
-	slots []slot
-	arena []byte
-	// offs[id] and offs[id+1] bound token id in arena; offs[0] is 0.
-	offs []uint32
-	// hashes[id] is token id's hash, which a chunk-local dictionary
-	// hands to the merge so that nothing is hashed twice.
-	hashes []uint32
+	parts [internParts]internPart
+	// locs[id] is token id's index in its partition·internParts + partition.
+	locs []uint32
 }
 
-// slot is one entry of the table: a token's hash, its ID plus one (so the
-// zero slot is empty), and its bytes' bounds in the arena, so a hit reads
-// the slot and the bytes and nothing else.
+const internParts = 64
+
+type internPart struct {
+	slots []slot
+	arena []byte
+	// offs[l] and offs[l+1] bound the partition's token l in arena;
+	// ids[l] is its ID, or −1 while a bulk fill has yet to assign one.
+	offs []uint32
+	ids  []int32
+}
+
+// slot is one entry of a partition's table: a token's hash, its index
+// plus one (so the zero slot is empty), and its bytes' bounds in the
+// arena, so a hit reads the slot and the bytes and nothing else.
 type slot struct {
 	hash     uint32
-	id       int32
+	idx      int32
 	off, end uint32
 }
 
 // hashMask is applied to every token hash. It is all ones; tests narrow
-// it to force collisions.
+// it to force collisions, which also puts every token in partition 0.
 var hashMask uint32 = math.MaxUint32
 
 // tokenHash hashes a token's bytes: FNV-1a, then murmur3's finalizer, so
-// that the low bits, which pick the slot, depend on every byte.
+// that the low bits (the slot) and the top bits (the partition) depend
+// on every byte.
 func tokenHash(tok []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range tok {
@@ -64,9 +73,17 @@ func tokenHash(tok []byte) uint32 {
 	return h & hashMask
 }
 
+// partOf returns the partition of a token whose hash is h: its top six
+// bits, one of internParts.
+func partOf(h uint32) uint32 { return h >> 26 }
+
 // NewInterner creates an empty interner.
 func NewInterner() *Interner {
-	return &Interner{slots: make([]slot, 16), offs: []uint32{0}}
+	in := &Interner{}
+	for p := range in.parts {
+		in.parts[p] = internPart{slots: make([]slot, 8), offs: []uint32{0}}
+	}
+	return in
 }
 
 // Intern returns the ID of tok, assigning the next dense ID if unseen.
@@ -78,100 +95,102 @@ func (in *Interner) Intern(tok string) int32 {
 // Lookup returns the ID of tok if it has been interned.
 func (in *Interner) Lookup(tok string) (int32, bool) {
 	b := []byte(tok)
-	i, ok := in.find(tokenHash(b), b)
-	return in.slots[i].id - 1, ok
+	h := tokenHash(b)
+	pt := &in.parts[partOf(h)]
+	if i, ok := pt.find(h, b); ok {
+		return pt.ids[pt.slots[i].idx-1], true
+	}
+	return -1, false
 }
 
 // Token returns the string for an interned ID. It panics on out-of-range
 // IDs, which indicates a programming error at the call site.
 func (in *Interner) Token(id int32) string {
-	return string(in.token(id))
+	pt, l := &in.parts[in.locs[id]%internParts], in.locs[id]/internParts
+	return string(pt.arena[pt.offs[l]:pt.offs[l+1]])
 }
 
 // Len returns the number of distinct interned tokens; valid IDs are
 // [0, Len).
-func (in *Interner) Len() int { return len(in.hashes) }
+func (in *Interner) Len() int { return len(in.locs) }
 
-// token returns token id's bytes in the arena.
-func (in *Interner) token(id int32) []byte {
-	return in.arena[in.offs[id]:in.offs[id+1]]
+// intern returns the ID of tok, whose hash is h, assigning the next ID if
+// unseen. It copies tok and keeps no reference to it.
+func (in *Interner) intern(h uint32, tok []byte) int32 {
+	p := partOf(h)
+	l := in.parts[p].add(h, tok)
+	if l < 0 {
+		return in.assign(p, l)
+	}
+	return in.parts[p].ids[l]
+}
+
+// assign gives partition p's token l, which may carry add's flag, the
+// next ID and returns it.
+func (in *Interner) assign(p uint32, l int32) int32 {
+	id := int32(len(in.locs))
+	in.parts[p].ids[l&math.MaxInt32] = id
+	in.locs = append(in.locs, uint32(l&math.MaxInt32)*internParts+p)
+	return id
 }
 
 // find returns the index of the slot holding tok, whose hash is h, and
 // true; or, when tok is absent, the empty slot it would go in and false.
-func (in *Interner) find(h uint32, tok []byte) (int, bool) {
-	mask := len(in.slots) - 1
+func (pt *internPart) find(h uint32, tok []byte) (int, bool) {
+	mask := len(pt.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
-		s := in.slots[i]
-		if s.id == 0 {
+		s := pt.slots[i]
+		if s.idx == 0 {
 			return i, false
 		}
-		if s.hash == h && string(in.arena[s.off:s.end]) == string(tok) {
+		if s.hash == h && string(pt.arena[s.off:s.end]) == string(tok) {
 			return i, true
 		}
 	}
 }
 
-// intern returns the ID of tok, whose hash is h, assigning the next ID if
-// unseen. It copies tok into the arena and keeps no reference to it.
-func (in *Interner) intern(h uint32, tok []byte) int32 {
-	i, ok := in.find(h, tok)
+// add returns the index of tok, whose hash is h, in the partition. A new
+// token takes the next index, returned with the sign bit set, and ID −1.
+func (pt *internPart) add(h uint32, tok []byte) int32 {
+	i, ok := pt.find(h, tok)
 	if ok {
-		return in.slots[i].id - 1
+		return pt.slots[i].idx - 1
 	}
-	id := int32(len(in.hashes))
-	in.arena = append(in.arena, tok...)
-	if uint64(len(in.arena)) > math.MaxUint32 {
-		panic("record: interned tokens exceed 4 GiB")
+	l := int32(len(pt.ids))
+	pt.arena = append(pt.arena, tok...)
+	if uint64(len(pt.arena)) > math.MaxUint32 {
+		panic("record: a partition's interned tokens exceed 4 GiB")
 	}
-	in.offs = append(in.offs, uint32(len(in.arena)))
-	in.hashes = append(in.hashes, h)
-	in.slots[i] = slot{hash: h, id: id + 1, off: in.offs[id], end: in.offs[id+1]}
-	if 2*len(in.hashes) > len(in.slots) {
-		in.rehash(2 * len(in.slots))
+	pt.offs = append(pt.offs, uint32(len(pt.arena)))
+	pt.ids = append(pt.ids, -1)
+	pt.slots[i] = slot{hash: h, idx: l + 1, off: pt.offs[l], end: pt.offs[l+1]}
+	if 2*len(pt.ids) > len(pt.slots) {
+		pt.rehash(2 * len(pt.slots))
 	}
-	return id
+	return l | math.MinInt32
 }
 
 // rehash rebuilds the table with n slots. The old slots are read in
 // order, so the writes, which land near i or i+len(old), are too.
-func (in *Interner) rehash(n int) {
-	old := in.slots
-	in.slots = make([]slot, n)
+func (pt *internPart) rehash(n int) {
+	old := pt.slots
+	pt.slots = make([]slot, n)
 	mask := n - 1
 	for _, s := range old {
-		if s.id == 0 {
+		if s.idx == 0 {
 			continue
 		}
 		i := int(s.hash) & mask
-		for in.slots[i].id != 0 {
+		for pt.slots[i].idx != 0 {
 			i = (i + 1) & mask
 		}
-		in.slots[i] = s
+		pt.slots[i] = s
 	}
-}
-
-// resolve appends to ids, for each of d's tokens in ID order, its ID in
-// in, or −1 (an empty slot's id less one) where in lacks it. It only
-// reads in.
-func (in *Interner) resolve(d *Interner, ids []int32) []int32 {
-	for id, h := range d.hashes {
-		i, _ := in.find(h, d.token(int32(id)))
-		ids = append(ids, in.slots[i].id-1)
-	}
-	return ids
-}
-
-// reset empties the interner, keeping its memory for reuse.
-func (in *Interner) reset() {
-	clear(in.slots)
-	in.arena, in.offs, in.hashes = in.arena[:0], in.offs[:1], in.hashes[:0]
 }
 
 // The token cache is filled in chunks of tokenChunkRecords contiguous
-// records. With several workers, up to tokenWaveChunks chunks are scanned
-// at once and then merged, which bounds the scratch and the chunk-local
-// dictionaries alive at any moment no matter how large the backlog is.
+// records. A bulk fill takes up to tokenWaveChunks chunks at a time,
+// which bounds its scratch no matter how large the backlog is.
 const (
 	tokenChunkRecords = 2048
 	tokenWaveChunks   = 16
@@ -180,69 +199,58 @@ const (
 // tokenChunk is one contiguous run of records on its way into the cache.
 type tokenChunk struct {
 	lo, hi int
-	// flat holds the ID of every token occurrence, record after record;
-	// offs[k] and offs[k+1] bound record lo+k in it.
+	// low holds the chunk's tokens, lowered; occ and flat hold each
+	// occurrence and its ID, and offs[k] and offs[k+1] bound record lo+k.
+	low  []byte
+	occ  []occurrence
 	flat []int32
 	offs []int
-	// dict is the chunk-local dictionary flat's IDs refer to until
-	// finish translates them through remap, which the worker fills with
-	// the IDs the table's interner already has and the merge completes.
-	// Both stay nil on the inline path, where flat holds final IDs.
-	dict  *Interner
-	remap []int32
-	// low is the scratch each token is lowered into.
-	low []byte
+	// A bulk fill groups the occurrences by partition, in order within
+	// each: partition p's are grouped[parts[p]:parts[p+1]], and ids[j] is
+	// grouped[j]'s index in its partition, then its ID.
+	grouped []occurrence
+	ids     []int32
+	parts   [internParts + 1]int32
 }
+
+// occurrence is one token occurrence: its hash and its bounds in low.
+type occurrence struct{ hash, off, end uint32 }
 
 func isAlnum(c byte) bool { return c-'0' < 10 || (c|0x20)-'a' < 26 }
 
-// appendTokenIDs scans one attribute value and appends the ID of each of
-// its tokens, interned in in, to dst. A byte outside [0-9A-Za-z] separates
-// tokens — exactly Normalize's rune rule, since every byte of a non-ASCII
-// or invalid sequence is ≥ 0x80 and the rune it belongs to becomes a
-// space. Each token is lowered into the scratch low (OR-ing 0x20 lowers a
-// letter and leaves a digit as it is), so nothing is allocated per token.
-func (in *Interner) appendTokenIDs(dst []int32, v string, low *[]byte) []int32 {
-	b := *low
-	for i := 0; i < len(v); {
-		if !isAlnum(v[i]) {
-			i++
-			continue
+// scan tokenizes the chunk's records into low, occ and offs. A byte
+// outside [0-9A-Za-z] separates tokens — exactly Normalize's rune rule,
+// since every byte of a non-ASCII or invalid sequence is ≥ 0x80 and the
+// rune it belongs to becomes a space. OR-ing 0x20 lowers a letter and
+// leaves a digit as it is.
+func (c *tokenChunk) scan(recs []Record) {
+	c.low, c.occ, c.offs = c.low[:0], c.occ[:0], append(c.offs[:0], 0)
+	for _, r := range recs[c.lo:c.hi] {
+		for _, v := range r.Values {
+			for i := 0; i < len(v); {
+				if !isAlnum(v[i]) {
+					i++
+					continue
+				}
+				off := len(c.low)
+				for ; i < len(v) && isAlnum(v[i]); i++ {
+					c.low = append(c.low, v[i]|0x20)
+				}
+				c.occ = append(c.occ, occurrence{tokenHash(c.low[off:]), uint32(off), uint32(len(c.low))})
+			}
 		}
-		b = b[:0]
-		for ; i < len(v) && isAlnum(v[i]); i++ {
-			b = append(b, v[i]|0x20)
-		}
-		dst = append(dst, in.intern(tokenHash(b), b))
+		c.offs = append(c.offs, len(c.occ))
 	}
-	*low = b
-	return dst
+	c.flat = slices.Grow(c.flat[:0], len(c.occ))[:len(c.occ)]
 }
 
-// scan tokenizes the chunk's records into flat, interning in in.
-func (c *tokenChunk) scan(recs []Record, in *Interner) {
-	c.flat, c.offs = c.flat[:0], append(c.offs[:0], 0)
-	for i := c.lo; i < c.hi; i++ {
-		for _, v := range recs[i].Values {
-			c.flat = in.appendTokenIDs(c.flat, v, &c.low)
-		}
-		c.offs = append(c.offs, len(c.flat))
-	}
-}
-
-// finish turns the scanned occurrences into each record's canonical set
-// — translated through remap when the scan used a chunk-local
-// dictionary, sorted, deduplicated — and stores the sets in out, backed
-// by one exact-size arena for the whole chunk.
+// finish turns the occurrences' IDs into each record's canonical set —
+// sorted, deduplicated — and stores the sets in out, backed by one
+// exact-size arena for the whole chunk.
 func (c *tokenChunk) finish(out [][]int32) {
 	w := 0
 	for k := 0; k < c.hi-c.lo; k++ {
 		set := c.flat[c.offs[k]:c.offs[k+1]]
-		if c.remap != nil {
-			for x, id := range set {
-				set[x] = c.remap[id]
-			}
-		}
 		slices.Sort(set)
 		set = slices.Compact(set)
 		c.offs[k] = w
@@ -261,16 +269,15 @@ func (c *tokenChunk) finish(out [][]int32) {
 // record, tokenizing each record exactly once over the table's lifetime.
 // The caller must hold t.mu.
 //
-// With one worker (every lazy caller) the records are scanned inline,
-// straight into the table's interner. With more, each wave of chunks is
-// scanned concurrently against chunk-local dictionaries, and each worker
-// looks its dictionary's tokens up in the table's interner, which nothing
-// writes meanwhile. The tokens it lacked are then merged into it serially
-// — in chunk order, each dictionary in its local first-seen order, which
-// is the global first-seen order a serial scan assigns IDs in, reusing
-// the hashes the workers computed — and the chunks are translated and
-// finished concurrently. Either way the cache, the interner and every ID
-// are identical.
+// A delta under a wave of chunks (four at one worker) is interned inline,
+// token by token: there the interner stays in cache and a bulk fill costs
+// more than it saves. A longer one goes a wave at a time: the chunks are
+// scanned and their occurrences grouped by partition; each partition
+// interns its occurrences in order, in a table that stays in cache,
+// flagging tokens it adds; a serial pass in occurrence order gives them
+// IDs, first-seen as inline; each partition patches its IDs in and each
+// chunk gathers them back in order. The cache, the interner and every ID
+// are the same at every worker count.
 func (t *Table) ensureTokenIDs(workers int) {
 	if t.interner == nil {
 		t.interner = NewInterner()
@@ -280,47 +287,87 @@ func (t *Table) ensureTokenIDs(workers int) {
 		return
 	}
 	t.tokenIDs = append(t.tokenIDs, make([][]int32, n-lo)...)
-	if workers = min(workers, (n-lo)/tokenChunkRecords); workers <= 1 {
+	if wave := tokenWaveChunks * tokenChunkRecords; n-lo < wave || workers <= 1 && n-lo < 4*wave {
 		var c tokenChunk
 		for next := lo; next < n; next += tokenChunkRecords {
 			c.lo, c.hi = next, min(next+tokenChunkRecords, n)
-			c.scan(t.Records, t.interner)
+			c.scan(t.Records)
+			for k, o := range c.occ {
+				c.flat[k] = t.interner.intern(o.hash, c.low[o.off:o.end])
+			}
 			c.finish(t.tokenIDs)
 		}
 		return
 	}
 	wave := make([]tokenChunk, tokenWaveChunks)
+	each := func(m int, fn func(i int)) {
+		g := min(workers, m)
+		engine.Workers(g, func(w int) {
+			for i := w; i < m; i += g {
+				fn(i)
+			}
+		})
+	}
 	for next := lo; next < n; {
 		k := 0
 		for ; k < len(wave) && next < n; k, next = k+1, next+tokenChunkRecords {
 			wave[k].lo, wave[k].hi = next, min(next+tokenChunkRecords, n)
 		}
 		live := wave[:k]
-		eachChunk := func(fn func(c *tokenChunk)) {
-			g := min(workers, len(live))
-			engine.Workers(g, func(w int) {
-				for x := w; x < len(live); x += g {
-					fn(&live[x])
-				}
-			})
-		}
-		eachChunk(func(c *tokenChunk) {
-			if c.dict == nil {
-				c.dict = NewInterner()
-			}
-			c.scan(t.Records, c.dict)
-			c.remap = t.interner.resolve(c.dict, c.remap[:0])
-		})
-		for x := range live {
+		each(len(live), func(x int) {
 			c := &live[x]
-			for id, g := range c.remap {
-				if g < 0 {
-					c.remap[id] = t.interner.intern(c.dict.hashes[id], c.dict.token(int32(id)))
+			c.scan(t.Records)
+			c.parts = [internParts + 1]int32{}
+			for _, o := range c.occ {
+				c.parts[partOf(o.hash)+1]++
+			}
+			for p := 1; p <= internParts; p++ {
+				c.parts[p] += c.parts[p-1]
+			}
+			c.grouped = slices.Grow(c.grouped[:0], len(c.occ))[:len(c.occ)]
+			c.ids = slices.Grow(c.ids[:0], len(c.occ))[:len(c.occ)]
+			next := c.parts
+			for _, o := range c.occ {
+				c.grouped[next[partOf(o.hash)]] = o
+				next[partOf(o.hash)]++
+			}
+		})
+		each(internParts, func(p int) {
+			pt := &t.interner.parts[p]
+			for _, c := range live {
+				for j := c.parts[p]; j < c.parts[p+1]; j++ {
+					o := c.grouped[j]
+					c.ids[j] = pt.add(o.hash, c.low[o.off:o.end])
 				}
 			}
-			c.dict.reset()
+		})
+		for _, c := range live {
+			next := c.parts
+			for _, o := range c.occ {
+				p := partOf(o.hash)
+				if l := c.ids[next[p]]; l < 0 {
+					t.interner.assign(p, l)
+				}
+				next[p]++
+			}
 		}
-		eachChunk(func(c *tokenChunk) { c.finish(t.tokenIDs) })
+		each(internParts, func(p int) {
+			ids := t.interner.parts[p].ids
+			for _, c := range live {
+				for j := c.parts[p]; j < c.parts[p+1]; j++ {
+					c.ids[j] = ids[c.ids[j]&math.MaxInt32]
+				}
+			}
+		})
+		each(len(live), func(x int) {
+			c := &live[x]
+			next := c.parts
+			for k, o := range c.occ {
+				c.flat[k] = c.ids[next[partOf(o.hash)]]
+				next[partOf(o.hash)]++
+			}
+			c.finish(t.tokenIDs)
+		})
 	}
 }
 

@@ -9,12 +9,12 @@
 // replacing non-alphanumeric characters with spaces, per Section 7.1).
 // Normalize and Tokenize are the definition of that token set. A Table's
 // token cache (TokenIDs, TokenUniverse, Postings) does not call them: it
-// fills itself with a single-pass byte-level scanner, chunk-parallel
-// under WarmTokens and inline for lazy callers, that yields the same sets
-// and the same first-seen token IDs (see ensureTokenIDs). The IDs come
-// from an Interner that keeps every token's bytes in one arena and finds
-// them through a flat open-addressing table, so it holds no pointer per
-// token.
+// fills itself with a single-pass byte-level scanner that yields the same
+// sets and the same first-seen token IDs (see ensureTokenIDs). The IDs
+// come from an Interner partitioned by token hash, each partition's
+// bytes in one arena found through a flat open-addressing table, so it
+// holds no pointer per token and a bulk fill interns partition by
+// partition, in cache.
 package record
 
 import (

@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -139,6 +140,32 @@ func TestTokenCacheWorkerAndBatchInvariance(t *testing.T) {
 	checkWorkerAndBatchInvariance(t, syntheticRows)
 }
 
+// The same holds for rows shaped like a scale join's input, whose
+// universe is mostly tokens seen once.
+func TestTokenCacheManyDistinctTokens(t *testing.T) {
+	checkWorkerAndBatchInvariance(t, scaleRows)
+}
+
+// scaleRows builds n rows shaped like dataset.ScaleN's: a unique SKU,
+// five descriptors drawn from n/2, so mostly seen once, and two tokens
+// from a Zipf head of 2 000, in mixed case. Each chunk also carries a
+// token shared with its neighbours: x5 is first seen in two chunks of
+// the first wave, 14 and 15, and again in chunk 16, the next wave's
+// first.
+func scaleRows(n int) [][]string {
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1999)
+	desc := func() int { return rng.Intn(n/2 + 1) }
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{
+			fmt.Sprintf("Cat%d cat%d SKU-%d", zipf.Uint64(), zipf.Uint64(), i),
+			fmt.Sprintf("d%d D%d d%d d%d d%d x%d", desc(), desc(), desc(), desc(), desc(), (i/tokenChunkRecords+1)/3),
+		}
+	}
+	return rows
+}
+
 // Token hashes decide only where a token is looked for, never which token
 // it is: with every hash one constant, or one bit, the cache still equals
 // the reference at every size, worker count and arrival order.
@@ -191,6 +218,17 @@ func checkWorkerAndBatchInvariance(t *testing.T, rowsOf func(n int) [][]string) 
 			}
 			tab.WarmTokens(workers)
 			assertCache(t, fmt.Sprintf("n=%d workers=%d", n, workers), tab, toks, ids)
+
+			// A delta of a wave or more filled onto a warm table.
+			tab = NewTable("a", "b")
+			for i, row := range rows {
+				if i == n/16 {
+					tab.TokenIDs()
+				}
+				tab.Append(row...)
+			}
+			tab.WarmTokens(workers)
+			assertCache(t, fmt.Sprintf("n=%d workers=%d warm delta", n, workers), tab, toks, ids)
 		}
 
 		// Many appends of growing size, each followed by a lazy or a
@@ -234,5 +272,25 @@ func TestTokenCacheSmallDeltaAllocations(t *testing.T) {
 	// The cache's slice headers alone are 24 B × 50 000 records.
 	if med := perDelta[len(perDelta)/2]; med > 64<<10 {
 		t.Errorf("a 100-record delta allocated %d bytes (median of %v); want O(delta)", med, perDelta)
+	}
+}
+
+// BenchmarkTokenCache times a cold fill of the token cache over
+// scale-shaped rows, a batch-sized table and a scale-sized one, at one
+// worker (the lazy TokenIDs path) and at GOMAXPROCS.
+func BenchmarkTokenCache(b *testing.B) {
+	for _, n := range []int{1 << 13, 1 << 18} {
+		tab := NewTable("a", "b")
+		for _, row := range scaleRows(n) {
+			tab.Append(row...)
+		}
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("rows=%d/workers=%d", n, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tab.interner, tab.tokenIDs = nil, nil
+					tab.WarmTokens(workers)
+				}
+			})
+		}
 	}
 }

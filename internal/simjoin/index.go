@@ -194,13 +194,37 @@ func (ix *Index) delta(upto int, yield func(ScoredPair) bool) {
 
 	// Insert the new records' prefixes before any probing, so pairs
 	// between two records of the same delta are found too (the probe of
-	// record i only looks at postings entries j < i).
+	// record i only looks at postings entries j < i). A delta with no
+	// fewer prefix entries than tokens goes token-major: a stable
+	// counting sort puts token tok's records in recs[at[tok]:at[tok+1]]
+	// and each list takes its appends in one run.
 	if grow := len(ix.weight) - len(ix.postings); grow > 0 {
 		ix.postings = slices.Grow(ix.postings, grow)[:len(ix.weight)]
 	}
-	for i := lo; i < n; i++ {
-		for _, tok := range ix.pref(i, lo) {
-			ix.postings[tok].Append(int32(i))
+	if len(ix.prefArena) < len(ix.postings) {
+		for i := lo; i < n; i++ {
+			for _, tok := range ix.pref(i, lo) {
+				ix.postings[tok].Append(int32(i))
+			}
+		}
+	} else {
+		at, recs := make([]int32, len(ix.postings)+2), make([]int32, len(ix.prefArena))
+		for _, tok := range ix.prefArena {
+			at[tok+2]++
+		}
+		for tok := 2; tok < len(at); tok++ {
+			at[tok] += at[tok-1]
+		}
+		for i := lo; i < n; i++ {
+			for _, tok := range ix.pref(i, lo) {
+				recs[at[tok+1]] = int32(i)
+				at[tok+1]++
+			}
+		}
+		for tok := range ix.postings {
+			for _, j := range recs[at[tok]:at[tok+1]] {
+				ix.postings[tok].Append(j)
+			}
 		}
 	}
 

@@ -1,6 +1,10 @@
 package simjoin
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -114,5 +118,92 @@ func TestJoinMatchesOneShotIndex(t *testing.T) {
 	for _, tau := range []float64{0, 0.4, 0.8} {
 		opts := Options{Threshold: tau}
 		assertSamePairs(t, "join vs index", NewIndex(tab, opts).Update(), Join(tab, opts))
+	}
+}
+
+// Every posting list is byte for byte the list that appending each
+// delta's prefixes record by record builds — PostingList's definition —
+// whichever way the delta is inserted: token-major for a delta with as
+// many prefix entries as the index has tokens, record-major below that.
+// The deltas are one large first delta, then small ones, with a large
+// one in the middle, over rows that mix unique, Zipf-head and one-token
+// rows (whose lists cross block boundaries) and token-less rows.
+func TestPostingsMatchPerRecordAppend(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		zipf := rand.NewZipf(rng, 1.3, 1, 199)
+		tab := record.NewTable("a")
+		ix := NewIndex(tab, Options{Threshold: []float64{0.2, 0.5, 0.8}[seed%3]})
+		var ref []PostingList
+		var tokenMajor, recordMajor int
+		for d := 0; d < 30; d++ {
+			size := 1 + rng.Intn(40)
+			if d == 0 || d == 15 {
+				size = 3000 / (d/15 + 1)
+			}
+			for k := 0; k < size; k++ {
+				switch r := tab.Len(); rng.Intn(8) {
+				case 0:
+					tab.Append("")
+				case 1, 2:
+					tab.Append(fmt.Sprintf("h%d", rng.Intn(5)))
+				default:
+					tab.Append(fmt.Sprintf("u%d c%d c%d w%d w%d w%d", r, zipf.Uint64(), zipf.Uint64(), rng.Intn(500), rng.Intn(500), rng.Intn(500)))
+				}
+			}
+			lo := ix.Indexed()
+			ix.Absorb(tab.Len())
+			if len(ix.prefArena) >= len(ix.postings) {
+				tokenMajor++
+			} else {
+				recordMajor++
+			}
+			for len(ref) < len(ix.postings) {
+				ref = append(ref, PostingList{})
+			}
+			for i := lo; i < tab.Len(); i++ {
+				for _, tok := range ix.pref(i, lo) {
+					ref[tok].Append(int32(i))
+				}
+			}
+			for tok := range ref {
+				got, want := &ix.postings[tok], &ref[tok]
+				if !slices.Equal(got.data, want.data) || !slices.Equal(got.meta, want.meta) || got.last != want.last || got.n != want.n {
+					t.Fatalf("seed %d delta %d: token %d's list is %+v; per-record appends give %+v", seed, d, tok, *got, *want)
+				}
+			}
+		}
+		if tokenMajor == 0 || recordMajor == 0 {
+			t.Fatalf("seed %d: %d token-major and %d record-major deltas; want both", seed, tokenMajor, recordMajor)
+		}
+	}
+}
+
+// A small delta on a large index allocates for the delta, not for the
+// token universe: nothing the delta's prepare and insert use is sized by
+// it. The index's own slices only grow amortized, hence the median.
+func TestAbsorbSmallDeltaAllocations(t *testing.T) {
+	tab := record.NewTable("a")
+	for i := 0; i < 50000; i++ {
+		tab.Append(fmt.Sprintf("u%d c%d d%d d%d", i, i%97, (i*31)%5000, (i*17)%5000))
+	}
+	ix := NewIndex(tab, Options{Threshold: 0.5, Parallelism: 1})
+	ix.Absorb(tab.Len())
+	var perDelta []uint64
+	var before, after runtime.MemStats
+	for d := 0; d < 21; d++ {
+		for k := 0; k < 100; k++ {
+			tab.Append(fmt.Sprintf("fresh%d c%d d%d", d*100+k, k%97, k))
+		}
+		tab.TokenIDs()
+		runtime.ReadMemStats(&before)
+		ix.Absorb(tab.Len())
+		runtime.ReadMemStats(&after)
+		perDelta = append(perDelta, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(perDelta)
+	// The universe holds 55 000 tokens: 4 B apiece is 220 KB.
+	if med := perDelta[len(perDelta)/2]; med > 32<<10 {
+		t.Errorf("a 100-record Absorb allocated %d bytes (median of %v); want O(delta)", med, perDelta)
 	}
 }

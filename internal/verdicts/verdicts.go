@@ -277,6 +277,15 @@ func (c *Cache) GroundEntries() []*Entry {
 	return out
 }
 
+// Reserve makes room for n answers on an entry that holds none yet, so
+// a pair whose HITs are replicated n times takes its answers in one
+// allocation instead of regrowing the slice answer by answer.
+func (e *Entry) Reserve(n int) {
+	if e.Answers == nil {
+		e.Answers = make([]aggregate.Answer, 0, n)
+	}
+}
+
 // AddAnswers appends crowd answers to their pairs' entries. Answers for
 // pairs without an entry create one (with zero likelihood), so cluster
 // HITs that incidentally cover extra pairs are still recorded. A pair

@@ -420,3 +420,25 @@ func TestAddAnswersBatchMatchesPerAnswer(t *testing.T) {
 		t.Errorf("asked entry's earlier answer is not kept first: %v", batch.Get(asked).Answers)
 	}
 }
+
+// An entry reserved for the replication factor takes a pair's three
+// answers in one allocation, the reservation; appended one at a time
+// they would regrow the slice from capacity 1 to 2 to 4. Reserving an
+// entry that already holds answers leaves them as they are.
+func TestReservedAnswersAllocateOnce(t *testing.T) {
+	p := mk(0, 1)
+	answers := []aggregate.Answer{{Pair: p, Worker: 1, Match: true}, {Pair: p, Worker: 2}, {Pair: p, Worker: 3, Match: true}}
+	c := NewCache()
+	e := c.Put(p, 0.5)
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Answers = nil
+		e.Reserve(3)
+		c.AddAnswers(answers)
+	}); allocs != 1 {
+		t.Errorf("a reserved pair's 3 answers cost %v allocations; want 1", allocs)
+	}
+	e.Reserve(8)
+	if !slices.Equal(e.Answers, answers) || cap(e.Answers) != 3 {
+		t.Errorf("Reserve on an answered entry changed it: %v (cap %d)", e.Answers, cap(e.Answers))
+	}
+}

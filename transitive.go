@@ -135,7 +135,7 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 		}
 		for _, sp := range window {
 			if g == nil || answered.Has(sp.Pair.A, sp.Pair.B) {
-				rv.cache.Put(sp.Pair, sp.Likelihood)
+				rv.cache.Put(sp.Pair, sp.Likelihood).Reserve(opts.Assignments)
 				ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
 			} else if !deduce(sp) {
 				requeue = append(requeue, sp)
