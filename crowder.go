@@ -68,6 +68,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/crowder/crowder/internal/aggregate"
@@ -78,6 +79,7 @@ import (
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/store"
+	"github.com/crowder/crowder/internal/verdicts"
 )
 
 // Table is a collection of records to de-duplicate. Records are dense
@@ -672,10 +674,12 @@ func stageGenerate(_ context.Context, st *resolveState) (*resolveState, error) {
 }
 
 // hitBatch is a set of pairs batched into HITs but not yet posted: per
-// HIT, the pairs it asks about and, for cluster-based HITs, the record
-// group shown to the worker (records is nil for pair-based batches).
+// HIT, the pairs it asks about, their slots (indices) in the batched
+// pair list and, for cluster-based HITs, the record group shown to the
+// worker (records is nil for pair-based batches).
 type hitBatch struct {
 	pairs   [][]record.Pair
+	slots   [][]int32
 	records [][]record.ID
 }
 
@@ -690,9 +694,14 @@ func batchHITs(pairs []record.Pair, opts Options) (hitBatch, error) {
 		if err != nil {
 			return hitBatch{}, err
 		}
-		b := hitBatch{pairs: make([][]record.Pair, len(gen))}
+		b := hitBatch{pairs: make([][]record.Pair, len(gen)), slots: make([][]int32, len(gen))}
+		slots := make([]int32, len(pairs))
+		for i := range slots {
+			slots[i] = int32(i)
+		}
 		for i, h := range gen {
-			b.pairs[i] = h.Pairs
+			// Pair HITs take the pairs in order, ClusterSize at a time.
+			b.pairs[i], b.slots[i], slots = h.Pairs, slots[:len(h.Pairs)], slots[len(h.Pairs):]
 		}
 		return b, nil
 	}
@@ -700,11 +709,11 @@ func batchHITs(pairs []record.Pair, opts Options) (hitBatch, error) {
 	if err != nil {
 		return hitBatch{}, err
 	}
-	covers, err := hitgen.Covers(pairs, gen, opts.ClusterSize)
+	covers, slots, err := hitgen.Covers(pairs, gen, opts.ClusterSize)
 	if err != nil {
 		return hitBatch{}, fmt.Errorf("crowder: generated HITs violate the covering invariant: %w", err)
 	}
-	b := hitBatch{pairs: covers, records: make([][]record.ID, len(gen))}
+	b := hitBatch{pairs: covers, slots: slots, records: make([][]record.ID, len(gen))}
 	for i, h := range gen {
 		b.records[i] = h.Records
 	}
@@ -804,16 +813,16 @@ func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) 
 		if err := rv.log.Log(&store.Commit{Ops: ops}); err != nil {
 			return nil, err
 		}
-		for _, p := range rv.cache.Pairs() {
+		for e := range rv.cache.Entries() {
 			st.res.Matches = append(st.res.Matches, Match{
-				Pair:       Pair{A: int(p.A), B: int(p.B)},
-				Confidence: rv.cache.Get(p).Likelihood,
+				Pair:       Pair{A: int(e.Pair.A), B: int(e.Pair.B)},
+				Confidence: e.Likelihood,
 			})
 		}
 		SortMatches(st.res.Matches)
 		return st, nil
 	}
-	post := rv.aggregateLocked()
+	answered, post := rv.aggregateLocked()
 	if len(post) == 0 && rv.cache.MachineLen() == 0 {
 		// Nothing judged yet. (The machine-count guard keeps this early
 		// return bit-identical to the pre-hybrid build when Hybrid is off:
@@ -821,12 +830,7 @@ func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) 
 		// router resolved entirely by machine must still rank matches.)
 		return st, nil
 	}
-	for _, pr := range post.Ranked() {
-		st.res.Matches = append(st.res.Matches, Match{
-			Pair:       Pair{A: int(pr.A), B: int(pr.B)},
-			Confidence: post[pr],
-		})
-	}
+	st.res.Matches = append(st.res.Matches, rankedMatches(answered, post)...)
 	if appendInferredMatches(rv.cache, &st.res.Matches) > 0 {
 		SortMatches(st.res.Matches)
 	}
@@ -854,6 +858,30 @@ func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) 
 		}
 	}
 	return st, nil
+}
+
+// rankedMatches ranks the answered entries as aggregate.Posterior.Ranked
+// ranks their posteriors: posterior descending, then canonical pair
+// order — the entries' order, so ties keep their indices' order. For
+// posteriors ≥ +0, as probabilities are, the bits of the posterior
+// complemented are a sort key in that order.
+func rankedMatches(answered []*verdicts.Entry, post []float64) []Match {
+	rank, keys := make([]int32, len(post)), make([]uint64, len(post))
+	plain := true
+	for i, p := range post {
+		rank[i], keys[i] = int32(i), ^math.Float64bits(p)
+		plain = plain && !math.Signbit(p) && !math.IsNaN(p)
+	}
+	if plain {
+		engine.SortByKey(keys, rank)
+	} else {
+		slices.SortFunc(rank, func(a, b int32) int { return cmp.Or(cmp.Compare(post[b], post[a]), cmp.Compare(a, b)) })
+	}
+	ms := make([]Match, len(rank))
+	for k, i := range rank {
+		ms[k] = Match{Pair: Pair{A: int(answered[i].Pair.A), B: int(answered[i].Pair.B)}, Confidence: post[i]}
+	}
+	return ms
 }
 
 // resolvePipeline builds the five-stage engine every resolve runs. The

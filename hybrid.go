@@ -166,17 +166,16 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 // caller holds rv.mu for writing (the feature memo may fill).
 func (r *Resolver) reviewMachineVerdictsLocked(l *learn.Learner, band learn.Band) []simjoin.ScoredPair {
 	var demoted []simjoin.ScoredPair
-	for _, p := range r.cache.Pairs() {
-		e := r.cache.Get(p)
+	for e := range r.cache.Entries() {
 		if e.Provenance != verdicts.Machine {
 			continue
 		}
-		d := band.Decide(r.feats.Margin(l, p))
+		d := band.Decide(r.feats.Margin(l, e.Pair))
 		if (d == learn.DecideMatch && e.Posterior >= 0.5) ||
 			(d == learn.DecideNonMatch && e.Posterior < 0.5) {
 			continue // the verdict still stands
 		}
-		demoted = append(demoted, simjoin.ScoredPair{Pair: p, Likelihood: e.Likelihood})
+		demoted = append(demoted, simjoin.ScoredPair{Pair: e.Pair, Likelihood: e.Likelihood})
 	}
 	return demoted
 }
@@ -228,11 +227,10 @@ func (r *Resolver) learnOptions() learn.Options {
 func (r *Resolver) trainingLabelsLocked() []learn.Label {
 	var labels []learn.Label
 	pos, neg, maxID := 0, 0, record.ID(0)
-	for _, p := range r.cache.Pairs() {
-		if p.B > maxID {
-			maxID = p.B // canonical pairs: B is the larger ID
+	for e := range r.cache.Entries() {
+		if e.Pair.B > maxID {
+			maxID = e.Pair.B // canonical pairs: B is the larger ID
 		}
-		e := r.cache.Get(p)
 		switch e.Provenance {
 		case verdicts.Asked:
 			if len(e.Answers) == 0 {
@@ -249,7 +247,7 @@ func (r *Resolver) trainingLabelsLocked() []learn.Label {
 		} else {
 			neg++
 		}
-		labels = append(labels, learn.Label{Pair: p, Match: match})
+		labels = append(labels, learn.Label{Pair: e.Pair, Match: match})
 	}
 	return append(labels, r.syntheticNegativesLocked(pos, neg, int(maxID)+1)...)
 }

@@ -83,21 +83,9 @@ func (p Posterior) Matches(threshold float64) record.PairSet {
 }
 
 // MajorityVote returns, for each pair, the fraction of its answers that
-// say "match".
+// say "match": the posteriors EM starts from.
 func MajorityVote(answers []Answer) Posterior {
-	yes := make(map[record.Pair]int)
-	total := make(map[record.Pair]int)
-	for _, a := range answers {
-		total[a.Pair]++
-		if a.Match {
-			yes[a.Pair]++
-		}
-	}
-	post := make(Posterior, len(total))
-	for pr, t := range total {
-		post[pr] = float64(yes[pr]) / float64(t)
-	}
-	return post
+	return indexAnswers(answers).posterior()
 }
 
 // DawidSkeneOptions configures the EM run.
@@ -265,6 +253,15 @@ func bucket(keys, vals []int32, n int) (start, out []int32) {
 	return start, out
 }
 
+// dense returns each pair's posterior, in pair order.
+func (ix *answerIndex) dense() []float64 {
+	out := make([]float64, len(ix.sigOf))
+	for i, s := range ix.sigOf {
+		out[i] = ix.post[s]
+	}
+	return out
+}
+
 // posterior copies the dense posterior back out under its pair keys.
 func (ix *answerIndex) posterior() Posterior {
 	out := make(Posterior, len(ix.pairs))
@@ -294,7 +291,7 @@ func (ix *answerIndex) posterior() Posterior {
 // The E-step takes the logs of the confusion rows and of the prior once
 // per iteration, not once per vote; math.Log is pure, so this too adds
 // the same operands.
-func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(counts, conf []confusion)) Posterior {
+func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(counts, conf []confusion)) *answerIndex {
 	post := ix.post
 	counts := make([]confusion, ix.nWorkers)
 	conf := make([]confusion, ix.nWorkers)
@@ -344,7 +341,7 @@ func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(count
 			break
 		}
 	}
-	return ix.posterior()
+	return ix
 }
 
 // DawidSkene runs the EM algorithm: it alternates estimating each pair's
@@ -352,9 +349,14 @@ func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(count
 // re-estimating worker confusion matrices and the class prior given the
 // posteriors (M-step), initialized from majority vote.
 func DawidSkene(answers []Answer, opts DawidSkeneOptions) Posterior {
+	return dawidSkene(answers, opts).posterior()
+}
+
+// dawidSkene is DawidSkene's EM, returning the index it ran on.
+func dawidSkene(answers []Answer, opts DawidSkeneOptions) *answerIndex {
 	opts.defaults()
 	if len(answers) == 0 {
-		return Posterior{}
+		return &answerIndex{}
 	}
 
 	// Confusion rows are the additively smoothed expected counts.

@@ -88,9 +88,14 @@ const coverageUnit = 1.0
 // path does not use this estimator; it ships as its own Aggregator,
 // gated by TestDawidSkeneMAPNeverInvertsUnanimous.
 func DawidSkeneMAP(answers []Answer, opts MAPOptions) Posterior {
+	return dawidSkeneMAP(answers, opts).posterior()
+}
+
+// dawidSkeneMAP is DawidSkeneMAP's EM, returning the index it ran on.
+func dawidSkeneMAP(answers []Answer, opts MAPOptions) *answerIndex {
 	opts.defaults()
 	if len(answers) == 0 {
-		return Posterior{}
+		return &answerIndex{}
 	}
 
 	// The prevalence is the MAP value under Beta(αp, βp); the rows below

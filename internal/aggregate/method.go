@@ -62,6 +62,11 @@ type Aggregator interface {
 	Name() string
 	// Aggregate maps the answers to each judged pair's match posterior.
 	Aggregate(answers []Answer) Posterior
+	// Dense is Aggregate as a slice: the posteriors of the answers' pairs
+	// in order of first appearance — canonical pair order for
+	// canonically sorted answers — bit for bit the values Aggregate maps
+	// them to.
+	Dense(answers []Answer) []float64
 }
 
 // New returns the Aggregator for a method, with that method's default
@@ -85,6 +90,9 @@ func (dawidSkeneAggregator) Name() string { return MethodDawidSkene.String() }
 func (dawidSkeneAggregator) Aggregate(answers []Answer) Posterior {
 	return DawidSkene(answers, DawidSkeneOptions{})
 }
+func (dawidSkeneAggregator) Dense(answers []Answer) []float64 {
+	return dawidSkene(answers, DawidSkeneOptions{}).dense()
+}
 
 type majorityVoteAggregator struct{}
 
@@ -92,10 +100,16 @@ func (majorityVoteAggregator) Name() string { return MethodMajorityVote.String()
 func (majorityVoteAggregator) Aggregate(answers []Answer) Posterior {
 	return MajorityVote(answers)
 }
+func (majorityVoteAggregator) Dense(answers []Answer) []float64 {
+	return indexAnswers(answers).dense()
+}
 
 type dawidSkeneMAPAggregator struct{}
 
 func (dawidSkeneMAPAggregator) Name() string { return MethodDawidSkeneMAP.String() }
 func (dawidSkeneMAPAggregator) Aggregate(answers []Answer) Posterior {
 	return DawidSkeneMAP(answers, MAPOptions{})
+}
+func (dawidSkeneMAPAggregator) Dense(answers []Answer) []float64 {
+	return dawidSkeneMAP(answers, MAPOptions{}).dense()
 }

@@ -1,8 +1,13 @@
 package aggregate
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/crowder/crowder/internal/record"
 )
 
 func TestMethodRoundTrip(t *testing.T) {
@@ -65,6 +70,43 @@ func TestAggregatorsAgreeOnUnanimousAnswers(t *testing.T) {
 		for i, isMatch := range truth {
 			if got := post[mk(2*i, 2*i+1)] >= 0.5; got != isMatch {
 				t.Errorf("%s decided pair %d as %v; unanimous answers say %v", agg.Name(), i, got, isMatch)
+			}
+		}
+	}
+}
+
+// Dense is Aggregate as a slice, bit for bit: for each built-in
+// aggregator, on canonically sorted and on shuffled answer sets, the
+// i-th posterior belongs to the i-th distinct pair in answer order.
+func TestDenseMatchesAggregate(t *testing.T) {
+	inputs := [][]Answer{nil}
+	for _, in := range emEdgeInputs() {
+		inputs = append(inputs, in)
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shuffled := randomAnswers(rng)
+		sorted := slices.Clone(shuffled)
+		SortCanonical(sorted)
+		inputs = append(inputs, shuffled, sorted, hitAnswers(rng, 1+rng.Intn(20), 2+rng.Intn(8), 8+rng.Intn(20), seed%2 == 0))
+	}
+	for _, m := range []Method{MethodDawidSkene, MethodMajorityVote, MethodDawidSkeneMAP} {
+		agg, _ := New(m)
+		for k, answers := range inputs {
+			post, dense := agg.Aggregate(answers), agg.Dense(answers)
+			var order []record.Pair
+			for i, a := range answers {
+				if i == 0 || a.Pair != answers[i-1].Pair && !slices.Contains(order, a.Pair) {
+					order = append(order, a.Pair)
+				}
+			}
+			if len(dense) != len(post) || len(order) != len(post) {
+				t.Fatalf("%v input %d: %d dense posteriors for %d pairs", m, k, len(dense), len(post))
+			}
+			for i, p := range order {
+				if math.Float64bits(dense[i]) != math.Float64bits(post[p]) {
+					t.Fatalf("%v input %d: pair %v dense %v; Aggregate %v", m, k, p, dense[i], post[p])
+				}
 			}
 		}
 	}

@@ -415,10 +415,11 @@ func assembleResult(b Backend, runs []*hitRun, complete bool) *Result {
 			}
 		}
 	}
-	res := &Result{Answers: make([]aggregate.Answer, 0, answers), AssignmentSeconds: make([]float64, 0, total)}
+	res := &Result{Answers: make([]aggregate.Answer, 0, answers), AssignmentSeconds: make([]float64, 0, total), Spans: make([]int, 1, len(runs)+1)}
 	used := make(map[int]bool)
 	for _, hr := range runs {
 		if hr.state == HITRetracted {
+			res.Spans = append(res.Spans, len(res.Answers))
 			for _, a := range hr.slots {
 				res.AssignmentSeconds = append(res.AssignmentSeconds, a.Seconds)
 				if a.Worker >= 0 {
@@ -443,6 +444,7 @@ func assembleResult(b Backend, runs []*hitRun, complete bool) *Result {
 				res.Answers = append(res.Answers, a.Answers...)
 			}
 		}
+		res.Spans = append(res.Spans, len(res.Answers))
 		for _, a := range hr.slots {
 			res.AssignmentSeconds = append(res.AssignmentSeconds, a.Seconds)
 			if a.Worker >= 0 {

@@ -113,6 +113,9 @@ type Result struct {
 	// Answers holds every (pair, worker, verdict) triple across all
 	// assignments, ready for aggregation.
 	Answers []aggregate.Answer
+	// Spans bounds each HIT's answers: those of the i-th HIT executed
+	// are Answers[Spans[i]:Spans[i+1]], empty for a retracted HIT.
+	Spans []int
 	// AssignmentSeconds lists each assignment's completion time.
 	AssignmentSeconds []float64
 	// TotalSeconds is the makespan: when the last assignment finished
@@ -252,7 +255,7 @@ func RunClusterHITs(hits []hitgen.ClusterHIT, pairs []record.Pair, truth record.
 	if err != nil {
 		return nil, err
 	}
-	covered, err := hitgen.Covers(pairs, hits, math.MaxInt)
+	covered, _, err := hitgen.Covers(pairs, hits, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}
@@ -276,12 +279,23 @@ func preparePool(pop *Population, cfg Config) (*Population, error) {
 	return pool, nil
 }
 
-// pickDistinct samples n distinct workers uniformly.
+// pickDistinct samples n distinct workers uniformly: the first n of
+// rng.Perm(pop.Size()), with Perm's draws. Perm shuffles inside out —
+// step i moves entry j ≤ i to i and puts i at j — so an entry past n
+// never moves below it, and only the first n need storing.
 func pickDistinct(pop *Population, n int, rng *rand.Rand) []*Worker {
-	perm := rng.Perm(pop.Size())
+	perm := make([]int, n)
+	for i := 0; i < pop.Size(); i++ {
+		if j := rng.Intn(i + 1); j < n {
+			if i < n {
+				perm[i] = perm[j]
+			}
+			perm[j] = i
+		}
+	}
 	out := make([]*Worker, n)
-	for i := 0; i < n; i++ {
-		out[i] = pop.Workers[perm[i]]
+	for i, w := range perm {
+		out[i] = pop.Workers[w]
 	}
 	return out
 }

@@ -148,8 +148,10 @@ func (s *Simulator) simulatePairHIT(h HIT) hitOutcome {
 	r := h.Assignments
 	var o hitOutcome
 	slotSpeed := make([]float64, r)
+	rng := simRands.Get().(*rand.Rand)
+	defer simRands.Put(rng)
 	for _, p := range h.Pairs {
-		rng := rand.New(rand.NewSource(pairSeed(cfg.Seed, p)))
+		rng.Seed(pairSeed(cfg.Seed, p))
 		isMatch := s.truth.Has(p.A, p.B)
 		difficulty := cfg.difficultyOf(p)
 		for slot, w := range pickDistinct(s.pool, r, rng) {
@@ -185,7 +187,9 @@ func (s *Simulator) simulatePairHIT(h HIT) hitOutcome {
 // looked up once, however many workers judge it.
 func (s *Simulator) simulateClusterHIT(h HIT) hitOutcome {
 	cfg := &s.cfg
-	rng := rand.New(rand.NewSource(hitSeed(cfg.Seed, streamClusterHITs, h.Ord)))
+	rng := simRands.Get().(*rand.Rand)
+	defer simRands.Put(rng)
+	rng.Seed(hitSeed(cfg.Seed, streamClusterHITs, h.Ord))
 	n := len(h.Pairs)
 	isMatch := make([]bool, n)
 	difficulty := make([]float64, n)

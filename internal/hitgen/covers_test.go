@@ -67,13 +67,13 @@ func bruteCheck(pairs []record.Pair, hits []ClusterHIT, k int) error {
 // bruteCover, order included.
 func checkCovers(t *testing.T, label string, pairs []record.Pair, hits []ClusterHIT, k int) {
 	t.Helper()
-	got, err := Covers(pairs, hits, k)
+	got, slots, err := Covers(pairs, hits, k)
 	want := bruteCheck(pairs, hits, k)
 	if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
 		t.Fatalf("%s: Covers error %v; brute force %v", label, err, want)
 	}
 	if err != nil {
-		if got != nil {
+		if got != nil || slots != nil {
 			t.Fatalf("%s: Covers returned covers alongside %v", label, err)
 		}
 		return
@@ -84,6 +84,14 @@ func checkCovers(t *testing.T, label string, pairs []record.Pair, hits []Cluster
 	for i, h := range hits {
 		if w := bruteCover(pairs, h); !slices.Equal(got[i], w) {
 			t.Fatalf("%s: HIT %d %v covers %v; brute force %v", label, i, h.Records, got[i], w)
+		}
+		if len(slots[i]) != len(got[i]) || !slices.IsSorted(slots[i]) {
+			t.Fatalf("%s: HIT %d slots %v for cover %v", label, i, slots[i], got[i])
+		}
+		for j, s := range slots[i] {
+			if pairs[s] != got[i][j] {
+				t.Fatalf("%s: HIT %d slot %d is pair %v, cover has %v", label, i, s, pairs[s], got[i][j])
+			}
 		}
 	}
 }
@@ -120,7 +128,7 @@ func TestCoversPaperOptimal(t *testing.T) {
 		{Records: []record.ID{3, 4, 5, 6}},
 		{Records: []record.ID{4, 7, 8, 9}},
 	}
-	covers, err := Covers(paperPairs(), hits, 4)
+	covers, _, err := Covers(paperPairs(), hits, 4)
 	if err != nil {
 		t.Fatalf("the paper's optimal 3-HIT solution must cover all pairs: %v", err)
 	}
@@ -137,7 +145,7 @@ func TestCoversPaperOptimal(t *testing.T) {
 	}
 	for i := range hits {
 		partial := slices.Delete(slices.Clone(hits), i, i+1)
-		if _, err := Covers(paperPairs(), partial, 4); err == nil {
+		if _, _, err := Covers(paperPairs(), partial, 4); err == nil {
 			t.Errorf("dropping H%d should break coverage", i+1)
 		}
 	}

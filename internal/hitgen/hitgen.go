@@ -73,9 +73,10 @@ type ClusterGenerator interface {
 // at most k records, none twice, and every pair has both endpoints in
 // some HIT — and returns each HIT's covered pairs (Section 3.2: "a
 // cluster-based HIT allows a pair of records to be matched iff both
-// records are in the HIT"). A cover lists its pairs as given, repeats
-// kept, in input order: the crowd simulator draws one RNG value per
-// covered pair, so the order is part of the output. Pair indices are
+// records are in the HIT"), and the same covers as indices into pairs.
+// A cover lists its pairs as given, repeats kept, in input order: the
+// crowd simulator draws one RNG value per covered pair, so the order is
+// part of the output. Pair indices are
 // grouped by A endpoint once, on the pair graph's renumbering, so the pass
 // costs O(|P| + Σ_HIT Σ_member (log V + deg(member))) rather than
 // O(#HITs × |P|).
@@ -83,7 +84,7 @@ type ClusterGenerator interface {
 // The error names the first violation: an oversized HIT or a duplicate
 // record in HIT order, else the first uncovered pair in input order and
 // the number of uncovered input pairs.
-func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, error) {
+func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, [][]int32, error) {
 	// Row v of the endpoint index lists, ascending, the pairs whose A
 	// endpoint is vertex v: each covered pair is collected once, from A.
 	ids, ends := graph.Renumber(pairs)
@@ -103,11 +104,11 @@ func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, err
 	in := make([]int32, len(ids)) // vertex → 1 + the last HIT holding it
 	other := map[record.ID]int{}  // the same for records no pair mentions
 	covered := make([]bool, len(pairs))
-	out := make([][]record.Pair, len(hits))
+	bounds := make([]int, len(hits)+1) // HIT h's indices are idx[bounds[h]:bounds[h+1]]
 	var vs, idx []int32
 	for h, hit := range hits {
 		if hit.Size() > k {
-			return nil, fmt.Errorf("hitgen: HIT %d has %d records, exceeds k=%d", h, hit.Size(), k)
+			return nil, nil, fmt.Errorf("hitgen: HIT %d has %d records, exceeds k=%d", h, hit.Size(), k)
 		}
 		stamp := int32(h + 1)
 		vs = vs[:0]
@@ -120,10 +121,9 @@ func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, err
 				in[v] = stamp
 				vs = append(vs, int32(v))
 			default:
-				return nil, fmt.Errorf("hitgen: HIT %d contains duplicate record %d", h, r)
+				return nil, nil, fmt.Errorf("hitgen: HIT %d contains duplicate record %d", h, r)
 			}
 		}
-		idx = idx[:0]
 		for _, v := range vs {
 			for _, i := range byA[start[v]:start[v+1]] {
 				if in[ends[2*i+1]] == stamp {
@@ -131,11 +131,11 @@ func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, err
 				}
 			}
 		}
-		slices.Sort(idx)
-		for _, i := range idx {
-			out[h] = append(out[h], pairs[i])
+		slices.Sort(idx[bounds[h]:])
+		for _, i := range idx[bounds[h]:] {
 			covered[i] = true
 		}
+		bounds[h+1] = len(idx)
 	}
 	if first := slices.Index(covered, false); first >= 0 {
 		n := 0
@@ -145,9 +145,19 @@ func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, err
 			}
 		}
 		p := pairs[first]
-		return nil, fmt.Errorf("hitgen: pair %v not covered by any HIT (%d uncovered)", record.MakePair(p.A, p.B), n)
+		return nil, nil, fmt.Errorf("hitgen: pair %v not covered by any HIT (%d uncovered)", record.MakePair(p.A, p.B), n)
 	}
-	return out, nil
+	flat := make([]record.Pair, len(idx))
+	for j, i := range idx {
+		flat[j] = pairs[i]
+	}
+	covers, slots := make([][]record.Pair, len(hits)), make([][]int32, len(hits))
+	for h := range hits {
+		if lo, hi := bounds[h], bounds[h+1]; lo < hi {
+			covers[h], slots[h] = flat[lo:hi:hi], idx[lo:hi:hi]
+		}
+	}
+	return covers, slots, nil
 }
 
 // ValidateCover checks Definition 1's two requirements against the
@@ -155,7 +165,7 @@ func Covers(pairs []record.Pair, hits []ClusterHIT, k int) ([][]record.Pair, err
 // nil. Callers that go on to execute the HITs should call Covers instead
 // and keep the covers it returns.
 func ValidateCover(pairs []record.Pair, hits []ClusterHIT, k int) error {
-	_, err := Covers(pairs, hits, k)
+	_, _, err := Covers(pairs, hits, k)
 	return err
 }
 

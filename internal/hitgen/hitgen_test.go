@@ -256,7 +256,7 @@ func TestValidateCoverDetectsViolations(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: ValidateCover = %v; want %q", tc.name, err, tc.want)
 		}
-		if cov, err := Covers(tc.pairs, tc.hits, 4); cov != nil || err == nil || err.Error() != tc.want {
+		if cov, _, err := Covers(tc.pairs, tc.hits, 4); cov != nil || err == nil || err.Error() != tc.want {
 			t.Errorf("%s: Covers = %v, %v; want nil, %q", tc.name, cov, err, tc.want)
 		}
 	}

@@ -2,6 +2,7 @@ package record
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/crowder/crowder/internal/engine"
@@ -38,8 +39,9 @@ const internParts = 64
 type internPart struct {
 	slots []slot
 	arena []byte
-	// offs[l] and offs[l+1] bound the partition's token l in arena;
-	// ids[l] is its ID, or −1 while a bulk fill has yet to assign one.
+	// offs[l] and offs[l+1] bound the partition's token l in arena (offs
+	// is empty until the first token, then starts at 0); ids[l] is its ID,
+	// or −1 while a bulk fill has yet to assign one.
 	offs []uint32
 	ids  []int32
 }
@@ -77,13 +79,31 @@ func tokenHash(tok []byte) uint32 {
 // bits, one of internParts.
 func partOf(h uint32) uint32 { return h >> 26 }
 
-// NewInterner creates an empty interner.
-func NewInterner() *Interner {
-	in := &Interner{}
-	for p := range in.parts {
-		in.parts[p] = internPart{slots: make([]slot, 8), offs: []uint32{0}}
+// NewInterner creates an empty interner. A partition allocates nothing
+// until its first token, unless a fill reserves room for them all.
+func NewInterner() *Interner { return &Interner{} }
+
+// reserve sizes the partitions of an empty interner for tokens distinct
+// tokens of about width bytes each. Each kind of partition storage is
+// carved from one allocation, with capped capacity, so a partition that
+// outgrows its share grows alone while the rest stay put.
+func (in *Interner) reserve(tokens, width int) {
+	per := tokens/internParts + tokens/(4*internParts) + 1 // a quarter over the mean
+	size := 8
+	for size < 2*per {
+		size *= 2
 	}
-	return in
+	slots, ids := make([]slot, internParts*size), make([]int32, internParts*per)
+	offs, arena := make([]uint32, internParts*(per+1)), make([]byte, internParts*per*width)
+	for p := range in.parts {
+		o, a := p*(per+1), p*per*width
+		in.parts[p] = internPart{
+			slots: slots[p*size : (p+1)*size : (p+1)*size],
+			ids:   ids[p*per : p*per : (p+1)*per],
+			offs:  offs[o : o+1 : o+per+1],
+			arena: arena[a : a : a+per*width],
+		}
+	}
 }
 
 // Intern returns the ID of tok, assigning the next dense ID if unseen.
@@ -137,6 +157,9 @@ func (in *Interner) assign(p uint32, l int32) int32 {
 // find returns the index of the slot holding tok, whose hash is h, and
 // true; or, when tok is absent, the empty slot it would go in and false.
 func (pt *internPart) find(h uint32, tok []byte) (int, bool) {
+	if len(pt.slots) == 0 {
+		return 0, false
+	}
 	mask := len(pt.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		s := pt.slots[i]
@@ -152,6 +175,9 @@ func (pt *internPart) find(h uint32, tok []byte) (int, bool) {
 // add returns the index of tok, whose hash is h, in the partition. A new
 // token takes the next index, returned with the sign bit set, and ID −1.
 func (pt *internPart) add(h uint32, tok []byte) int32 {
+	if len(pt.slots) == 0 {
+		pt.slots, pt.offs = make([]slot, 8), []uint32{0}
+	}
 	i, ok := pt.find(h, tok)
 	if ok {
 		return pt.slots[i].idx - 1
@@ -244,6 +270,23 @@ func (c *tokenChunk) scan(recs []Record) {
 	c.flat = slices.Grow(c.flat[:0], len(c.occ))[:len(c.occ)]
 }
 
+// distinct estimates the number of distinct tokens among the chunk's
+// occurrences by linear counting over 2¹⁶ buckets of their hashes.
+func (c *tokenChunk) distinct() int {
+	var seen [1 << 10]uint64
+	for _, o := range c.occ {
+		seen[o.hash>>6&1023] |= 1 << (o.hash & 63)
+	}
+	zeros := 0
+	for _, w := range seen {
+		zeros += 64 - bits.OnesCount64(w)
+	}
+	if zeros == 0 {
+		return len(c.occ)
+	}
+	return int(math.Ceil(-(1 << 16) * math.Log(float64(zeros)/(1<<16))))
+}
+
 // finish turns the occurrences' IDs into each record's canonical set —
 // sorted, deduplicated — and stores the sets in out, backed by one
 // exact-size arena for the whole chunk.
@@ -292,6 +335,14 @@ func (t *Table) ensureTokenIDs(workers int) {
 		for next := lo; next < n; next += tokenChunkRecords {
 			c.lo, c.hi = next, min(next+tokenChunkRecords, n)
 			c.scan(t.Records)
+			if t.interner.Len() == 0 && len(c.occ) > 0 {
+				// A cold fill: size every partition at once from the first
+				// chunk's distinct tokens. A vocabulary grows about as the
+				// square root of the text (Heaps' law), so the fill's is
+				// the chunk's times the square root of the chunk count.
+				chunks := float64(n-next) / tokenChunkRecords
+				t.interner.reserve(int(float64(c.distinct())*math.Sqrt(max(chunks, 1))), (len(c.low)+len(c.occ)-1)/len(c.occ))
+			}
 			for k, o := range c.occ {
 				c.flat[k] = t.interner.intern(o.hash, c.low[o.off:o.end])
 			}

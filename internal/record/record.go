@@ -67,6 +67,9 @@ type Table struct {
 	// mutating the table itself concurrently with reads is not. postings is
 	// the live full inverted index (see Postings); posted counts the records
 	// already inserted into it.
+	// values is the chunk Append carves records' Values from.
+	values []string
+
 	mu       sync.Mutex
 	interner *Interner
 	tokenIDs [][]int32
@@ -83,9 +86,14 @@ func NewTable(schema ...string) *Table {
 // In a multi-source table the record is tagged source 0.
 func (t *Table) Append(values ...string) ID {
 	id := ID(len(t.Records))
-	vs := make([]string, len(values))
-	copy(vs, values)
-	t.Records = append(t.Records, Record{ID: id, Values: vs})
+	if cap(t.values)-len(t.values) < len(values) {
+		t.values = make([]string, 0, max(min(2*cap(t.values), valueChunk), 64, len(values)))
+	}
+	// Capped capacity: appending to one record's values never writes
+	// into the next record's.
+	lo := len(t.values)
+	t.values = append(t.values, values...)
+	t.Records = append(t.Records, Record{ID: id, Values: t.values[lo:len(t.values):len(t.values)]})
 	if len(t.Source) > 0 {
 		t.Source = append(t.Source, 0)
 	}
@@ -103,6 +111,10 @@ func (t *Table) AppendFrom(source int, values ...string) ID {
 	t.Source[id] = source
 	return id
 }
+
+// valueChunk bounds how many values Append allocates at a time; a
+// table's chunks double up to it.
+const valueChunk = 4096
 
 // Len returns the number of records.
 func (t *Table) Len() int { return len(t.Records) }

@@ -2,6 +2,7 @@ package record
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -267,5 +268,50 @@ func TestPostingsIncremental(t *testing.T) {
 	delta, _ := tab.interner.Lookup("delta")
 	if got := posts[delta]; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("postings[delta] = %v", got)
+	}
+}
+
+// Append carves records' values from shared chunks. Each record's Values
+// has its own capacity, so appending to one never writes into the next,
+// and the caller's slice is copied, not kept.
+func TestTableAppendValuesIndependent(t *testing.T) {
+	tab := NewTable("a", "b")
+	row := []string{"", "x"}
+	for i := 0; i < 300; i++ {
+		row[0] = strconv.Itoa(i)
+		tab.Append(row...)
+	}
+	row[0] = "changed"
+	for i := range tab.Records {
+		vs := tab.Records[i].Values
+		if cap(vs) != len(vs) {
+			t.Fatalf("record %d: values capacity %d beyond its %d values", i, cap(vs), len(vs))
+		}
+		_ = append(vs, "intruder")
+	}
+	for i, r := range tab.Records {
+		if want := []string{strconv.Itoa(i), "x"}; !slices.Equal(r.Values, want) {
+			t.Fatalf("record %d: values %q; want %q", i, r.Values, want)
+		}
+	}
+	if id := tab.Append(); len(tab.Records[id].Values) != 0 {
+		t.Fatalf("an empty row has values %q", tab.Records[id].Values)
+	}
+}
+
+// Appending 10 000 rows allocates per chunk of values, not per row.
+func TestTableAppendAllocations(t *testing.T) {
+	rows := make([][]string, 10000)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i), "name", "city"}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		tab := NewTable("id", "name", "city")
+		for _, r := range rows {
+			tab.Append(r...)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("appending %d rows made %.0f allocations; want at most 64", len(rows), allocs)
 	}
 }

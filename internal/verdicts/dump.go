@@ -13,13 +13,12 @@ import (
 // is what makes a restored cache bit-identical regardless of the
 // Put/PutDeduced/AddAnswers order the live session happened to use.
 func (c *Cache) Dump() (entries []Entry, partials []aggregate.Answer) {
-	pairs := c.Pairs()
-	entries = make([]Entry, len(pairs))
-	for i, p := range pairs {
-		entries[i] = copyEntry(c.entries[p])
+	entries = make([]Entry, 0, len(c.entries))
+	for e := range c.Entries() {
+		entries = append(entries, copyEntry(e))
 	}
 
-	pairs = pairs[:0]
+	pairs := make([]record.Pair, 0, len(c.partial))
 	for p := range c.partial {
 		pairs = append(pairs, p)
 	}

@@ -17,9 +17,12 @@ package verdicts
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 
 	"github.com/crowder/crowder/internal/aggregate"
+	"github.com/crowder/crowder/internal/engine"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/transitivity"
 )
@@ -96,12 +99,12 @@ type Entry struct {
 // fragment).
 type Cache struct {
 	entries map[record.Pair]*Entry
-	// sorted and recent hold every entry's pair in canonical order, as
-	// two sorted runs maintained on insert: a new pair is inserted into
-	// the short recent run, which folds into sorted once it outgrows
+	// sorted and recent hold every entry in canonical pair order, as two
+	// sorted runs maintained on insert: a new entry is inserted into the
+	// short recent run, which folds into sorted once it outgrows
 	// √len(sorted). An insert costs O(√n) amortised in any arrival order,
-	// and Pairs is a linear merge of the runs instead of a sort.
-	sorted, recent []record.Pair
+	// and Entries walks the runs merged instead of sorting.
+	sorted, recent []*Entry
 	partial        map[record.Pair][]aggregate.Answer
 	// aggregator is the identity of the method every posterior in the
 	// cache was produced by, set by the first BindAggregator call.
@@ -176,14 +179,15 @@ func (c *Cache) Put(p record.Pair, likelihood float64) *Entry {
 	return e
 }
 
-// insert stores the entry, adding a pair new to the cache to the
-// canonical order.
+// insert stores an entry for a pair new to the cache.
 func (c *Cache) insert(e *Entry) {
-	if _, ok := c.entries[e.Pair]; !ok {
-		i, _ := slices.BinarySearchFunc(c.recent, e.Pair, record.ComparePairs)
-		c.recent = slices.Insert(c.recent, i, e.Pair)
-	}
 	c.entries[e.Pair] = e
+	c.addRecent([]*Entry{e})
+}
+
+// addRecent merges entries new to the cache, sorted, into the recent run.
+func (c *Cache) addRecent(es []*Entry) {
+	c.recent = mergeRuns(c.recent, es)
 	if len(c.recent)*len(c.recent) > len(c.sorted) {
 		c.sorted, c.recent = mergeRuns(c.sorted, c.recent), c.recent[:0]
 	}
@@ -191,17 +195,92 @@ func (c *Cache) insert(e *Entry) {
 
 // mergeRuns merges the sorted run src into the sorted run dst, in place
 // from the back, and returns the grown dst.
-func mergeRuns(dst, src []record.Pair) []record.Pair {
+func mergeRuns(dst, src []*Entry) []*Entry {
 	i, j := len(dst)-1, len(src)-1
 	dst = append(dst, src...)
 	for k := len(dst) - 1; j >= 0; k-- {
-		if i >= 0 && record.ComparePairs(dst[i], src[j]) > 0 {
+		if i >= 0 && record.ComparePairs(dst[i].Pair, src[j].Pair) > 0 {
 			dst[k], i = dst[i], i-1
 		} else {
 			dst[k], j = src[j], j-1
 		}
 	}
 	return dst
+}
+
+// Entries walks every entry in canonical pair order, merging the runs.
+// It only reads the cache.
+func (c *Cache) Entries() iter.Seq[*Entry] {
+	return func(yield func(*Entry) bool) {
+		a, b := c.sorted, c.recent
+		for len(a)+len(b) > 0 {
+			var e *Entry
+			if len(b) == 0 || len(a) > 0 && record.ComparePairs(a[0].Pair, b[0].Pair) < 0 {
+				e, a = a[0], a[1:]
+			} else {
+				e, b = b[0], b[1:]
+			}
+			if !yield(e) {
+				return
+			}
+		}
+	}
+}
+
+// PutAll is Put of each pair with its likelihood, in order, followed by
+// Reserve(n) on its entry, and returns the entries in the pairs' order.
+// The pairs new to the cache join the canonical order through one sort
+// and one merge, and take their entries and answers from shared chunks.
+func (c *Cache) PutAll(pairs []record.Pair, likelihoods []float64, n int) []*Entry {
+	out, fresh := make([]*Entry, len(pairs)), make([]*Entry, 0, len(pairs))
+	var slab []Entry
+	var answers []aggregate.Answer
+	for i, p := range pairs {
+		if _, ok := c.entries[p]; ok {
+			out[i] = c.Put(p, likelihoods[i])
+			out[i].Reserve(n)
+			continue
+		}
+		if len(slab) == cap(slab) {
+			// Chunks within the allocator's small size classes: one
+			// block per window raised a batch resolve's peak heap.
+			slab = make([]Entry, 0, min(entryChunk, len(pairs)-i))
+			answers = make([]aggregate.Answer, cap(slab)*n)
+		}
+		k := len(slab)
+		slab = append(slab, Entry{Pair: p, Likelihood: likelihoods[i], Answers: answers[k*n : k*n : (k+1)*n]})
+		out[i] = &slab[k]
+		c.entries[p] = out[i]
+		fresh = append(fresh, out[i])
+	}
+	if len(fresh) > 0 {
+		sortEntries(fresh)
+		c.addRecent(fresh)
+	}
+	return out
+}
+
+// entryChunk is how many entries PutAll allocates at a time.
+const entryChunk = 256
+
+// sortEntries orders entries by pair: a radix sort on A<<32|B when every
+// ID fits in 32 bits, as record IDs do, else a comparison sort.
+func sortEntries(es []*Entry) {
+	keys, idx := make([]uint64, len(es)), make([]int32, len(es))
+	for i, e := range es {
+		a, b := uint64(e.Pair.A), uint64(e.Pair.B)
+		if a|b > math.MaxUint32 {
+			slices.SortFunc(es, func(a, b *Entry) int { return record.ComparePairs(a.Pair, b.Pair) })
+			return
+		}
+		keys[i], idx[i] = a<<32|b, int32(i)
+	}
+	engine.SortByKey(keys, idx)
+	sorted := make([]*Entry, len(es))
+	for i, j := range idx {
+		sorted[i] = es[j]
+	}
+	copy(es, sorted)
 }
 
 // PutMachine records a machine-resolved verdict: the hybrid router's
@@ -233,8 +312,9 @@ func (c *Cache) MachineLen() int { return c.count(Machine) }
 // initial posterior is the hard deduced verdict (1 or 0); each
 // aggregation pass re-derives it from the proof's supporting pairs.
 func (c *Cache) PutDeduced(likelihood float64, d transitivity.Deduction) *Entry {
-	if e, ok := c.entries[d.Pair]; ok && e.Provenance != Machine {
-		return e
+	old, ok := c.entries[d.Pair]
+	if ok && old.Provenance != Machine {
+		return old
 	}
 	e := &Entry{Pair: d.Pair, Likelihood: likelihood, Provenance: Deduced}
 	ded := d
@@ -242,7 +322,12 @@ func (c *Cache) PutDeduced(likelihood float64, d transitivity.Deduction) *Entry 
 	if d.Match {
 		e.Posterior = 1
 	}
-	c.insert(e)
+	if ok {
+		*old = *e // the machine entry becomes the deduced one, in place
+		e = old
+	} else {
+		c.insert(e)
+	}
 	delete(c.partial, d.Pair)
 	return e
 }
@@ -269,8 +354,8 @@ func (c *Cache) count(prov Provenance) int {
 // the asked entries.
 func (c *Cache) GroundEntries() []*Entry {
 	var out []*Entry
-	for _, p := range c.Pairs() {
-		if e := c.entries[p]; e.Provenance == Asked || e.Provenance == Machine {
+	for e := range c.Entries() {
+		if e.Provenance == Asked || e.Provenance == Machine {
 			out = append(out, e)
 		}
 	}
@@ -291,11 +376,23 @@ func (e *Entry) Reserve(n int) {
 // HITs that incidentally cover extra pairs are still recorded. A pair
 // judged in full sheds any partial answers an earlier aborted resolution
 // left behind: the complete set supersedes the fragment.
-func (c *Cache) AddAnswers(answers []aggregate.Answer) {
+func (c *Cache) AddAnswers(answers []aggregate.Answer) { c.AddAnswersVia(answers, nil) }
+
+// AddAnswersVia is AddAnswers for a caller that knows where the answers
+// go: entry, if not nil, returns the entry of an answer's pair, or nil
+// to have it looked up. An entry of another pair counts as nil.
+func (c *Cache) AddAnswersVia(answers []aggregate.Answer, entry func(record.Pair) *Entry) {
+	shed := len(c.partial) > 0
 	for _, a := range answers {
-		e, ok := c.entries[a.Pair]
-		if !ok {
-			e = c.Put(a.Pair, 0)
+		var e *Entry
+		if entry != nil {
+			e = entry(a.Pair)
+		}
+		if e == nil || e.Pair != a.Pair {
+			var ok bool
+			if e, ok = c.entries[a.Pair]; !ok {
+				e = c.Put(a.Pair, 0)
+			}
 		}
 		if e.Provenance == Machine {
 			// Real crowd evidence supersedes the classifier's guess: the
@@ -303,7 +400,9 @@ func (c *Cache) AddAnswers(answers []aggregate.Answer) {
 			e.Provenance = Asked
 		}
 		e.Answers = append(e.Answers, a)
-		delete(c.partial, a.Pair)
+		if shed {
+			delete(c.partial, a.Pair)
+		}
 	}
 }
 
@@ -339,23 +438,39 @@ func (c *Cache) PartialLen() int { return len(c.partial) }
 // the maintained pair order and sorting each pair's few answers yields
 // it without a global sort.
 func (c *Cache) AllAnswers() []aggregate.Answer {
-	n := 0
-	for _, e := range c.entries {
-		n += len(e.Answers)
-	}
-	out := make([]aggregate.Answer, 0, n)
-	for _, p := range c.Pairs() {
-		lo := len(out)
-		out = append(out, c.entries[p].Answers...)
-		aggregate.SortCanonical(out[lo:])
-	}
-	return out
+	_, answers := c.Answered()
+	return answers
 }
 
-// Pairs returns every judged pair in canonical order, as a fresh slice
-// merged from the maintained runs. It only reads the cache.
+// Answered returns the entries holding answers, in canonical pair order,
+// and AllAnswers: their answers in the same order, so the i-th distinct
+// pair of the answers is the i-th entry.
+func (c *Cache) Answered() ([]*Entry, []aggregate.Answer) {
+	var es []*Entry
+	n := 0
+	for e := range c.Entries() {
+		if len(e.Answers) > 0 {
+			es = append(es, e)
+			n += len(e.Answers)
+		}
+	}
+	out := make([]aggregate.Answer, 0, n)
+	for _, e := range es {
+		lo := len(out)
+		out = append(out, e.Answers...)
+		aggregate.SortCanonical(out[lo:])
+	}
+	return es, out
+}
+
+// Pairs returns every judged pair in canonical order, as a fresh slice.
+// It only reads the cache.
 func (c *Cache) Pairs() []record.Pair {
-	return mergeRuns(append(make([]record.Pair, 0, len(c.entries)), c.sorted...), c.recent)
+	out := make([]record.Pair, 0, len(c.entries))
+	for e := range c.Entries() {
+		out = append(out, e.Pair)
+	}
+	return out
 }
 
 // SetPosteriors records the latest aggregation result on the entries.

@@ -1,7 +1,9 @@
 package verdicts
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -440,5 +442,96 @@ func TestReservedAnswersAllocateOnce(t *testing.T) {
 	e.Reserve(8)
 	if !slices.Equal(e.Answers, answers) || cap(e.Answers) != 3 {
 		t.Errorf("Reserve on an answered entry changed it: %v (cap %d)", e.Answers, cap(e.Answers))
+	}
+}
+
+// refAddAnswers is AddAnswers as it was before entries could be named by
+// the caller: one map lookup per answer.
+func refAddAnswers(c *Cache, answers []aggregate.Answer) {
+	for _, a := range answers {
+		e, ok := c.entries[a.Pair]
+		if !ok {
+			e = c.Put(a.Pair, 0)
+		}
+		if e.Provenance == Machine {
+			e.Provenance = Asked
+		}
+		e.Answers = append(e.Answers, a)
+		delete(c.partial, a.Pair)
+	}
+}
+
+// randomHistory builds a cache over 12 records: asked entries with
+// answers, machine and deduced entries, and partial fragments.
+func randomHistory(rng *rand.Rand) *Cache {
+	c := NewCache()
+	for i := 0; i < 30; i++ {
+		p := mk(rng.Intn(12), 12+rng.Intn(12))
+		switch rng.Intn(4) {
+		case 0:
+			c.Put(p, rng.Float64())
+			c.AddAnswers([]aggregate.Answer{{Pair: p, Worker: rng.Intn(5), Match: rng.Intn(2) == 0}})
+		case 1:
+			c.PutMachine(p, rng.Float64(), rng.Float64())
+		case 2:
+			c.PutDeduced(rng.Float64(), transitivity.Deduction{Pair: p, Match: rng.Intn(2) == 0})
+		default:
+			c.AddPartialAnswers([]aggregate.Answer{{Pair: p, Worker: rng.Intn(5)}})
+		}
+	}
+	return c
+}
+
+func sameCache(t *testing.T, label string, got, want *Cache) {
+	t.Helper()
+	ge, gp := got.Dump()
+	we, wp := want.Dump()
+	if !reflect.DeepEqual(ge, we) || !reflect.DeepEqual(gp, wp) || !slices.Equal(got.Pairs(), want.Pairs()) {
+		t.Fatalf("%s: caches differ\n%+v\n%+v", label, ge, we)
+	}
+}
+
+// PutAll is Put then Reserve, pair by pair — over new pairs, repeats
+// and deduced or machine entries it upgrades — and AddAnswersVia, with
+// right, wrong or no entries named, is the per-answer reference.
+func TestPutAllAndAddAnswersViaMatchPerPair(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		hist := rand.New(rand.NewSource(seed)).Int63()
+		build := func() *Cache { return randomHistory(rand.New(rand.NewSource(hist))) }
+		rng := rand.New(rand.NewSource(seed))
+		var pairs []record.Pair
+		var likelihoods []float64
+		for i := 0; i < rng.Intn(40); i++ {
+			pairs = append(pairs, mk(rng.Intn(12), 12+rng.Intn(12)))
+			likelihoods = append(likelihoods, float64(rng.Intn(3))/2)
+		}
+		n := rng.Intn(4)
+		got, want := build(), build()
+		es := got.PutAll(pairs, likelihoods, n)
+		for i, p := range pairs {
+			want.Put(p, likelihoods[i]).Reserve(n)
+			if es[i].Pair != p || got.Get(p) != es[i] {
+				t.Fatalf("seed %d: PutAll's entry %d is not pair %v's", seed, i, p)
+			}
+		}
+		sameCache(t, fmt.Sprintf("seed %d PutAll", seed), got, want)
+
+		var answers []aggregate.Answer
+		for i := 0; i < rng.Intn(60); i++ {
+			answers = append(answers, aggregate.Answer{Pair: mk(rng.Intn(12), 12+rng.Intn(12)), Worker: rng.Intn(5), Match: rng.Intn(2) == 0})
+		}
+		got.AddAnswersVia(answers, func(p record.Pair) *Entry {
+			switch rng.Intn(3) {
+			case 0:
+				return got.Get(p)
+			case 1:
+				if len(es) > 0 {
+					return es[rng.Intn(len(es))] // often another pair's
+				}
+			}
+			return nil
+		})
+		refAddAnswers(want, answers)
+		sameCache(t, fmt.Sprintf("seed %d AddAnswersVia", seed), got, want)
 	}
 }

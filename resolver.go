@@ -346,8 +346,7 @@ func (r *Resolver) WorkerStats() []WorkerStat {
 func (r *Resolver) workerStatsLocked() []WorkerStat {
 	var out []WorkerStat
 	at := make(map[int]int) // worker → index into out
-	for _, p := range r.cache.Pairs() {
-		e := r.cache.Get(p)
+	for e := range r.cache.Entries() {
 		decided := e.Posterior >= 0.5
 		for _, a := range e.Answers {
 			i, ok := at[a.Worker]
@@ -380,21 +379,26 @@ func (r *Resolver) workerStatsLocked() []WorkerStat {
 // aggregateLocked is the session's aggregation commit: it re-aggregates
 // every cached answer with the session's aggregator, records the
 // posteriors on the cache and re-derives the deduced verdicts'
-// confidences from them, returning the aggregated posteriors (empty
-// before the first answer). All of it is a pure function of facts the
-// log already holds — answers, proofs — so none of it is logged:
-// stageAggregate runs it every delta and RestoreResolver once. The
-// caller holds r.mu for writing (or owns r exclusively).
-func (r *Resolver) aggregateLocked() aggregate.Posterior {
-	var post aggregate.Posterior
-	if answers := r.cache.AllAnswers(); len(answers) > 0 {
+// confidences from them, returning the entries holding answers and
+// their aggregated posteriors, aligned (both empty before the first
+// answer). All of it is a pure function of facts the log already holds
+// — answers, proofs — so none of it is logged: stageAggregate runs it
+// every delta and RestoreResolver once. The caller holds r.mu for
+// writing (or owns r exclusively).
+func (r *Resolver) aggregateLocked() ([]*verdicts.Entry, []float64) {
+	answered, answers := r.cache.Answered()
+	var post []float64
+	if len(answers) > 0 {
 		// The cache was bound to this aggregator's identity when the
-		// session was created, so one session never mixes modes.
-		post = r.agg.Aggregate(answers)
-		r.cache.SetPosteriors(post)
+		// session was created, so one session never mixes modes. The
+		// answers are canonical, so the posteriors follow the entries.
+		post = r.agg.Dense(answers)
+		for i, e := range answered {
+			e.Posterior = post[i]
+		}
 	}
 	deriveDeduced(r.cache)
-	return post
+	return answered, post
 }
 
 // Verdict returns the cached confidence for a pair (crowd posterior, or

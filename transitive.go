@@ -118,11 +118,18 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	// and, once nothing remains, clears the pending set. It all logs as
 	// one atomic commit: a crash replays either none of it (the pairs
 	// retry) or all of it (judged, never re-asked). With no round yet
-	// (window and run nil) it only sweeps.
-	commit := func(window []simjoin.ScoredPair, answered record.PairSet, run *crowd.Result) error {
+	// (window and run nil) it only sweeps. A session without a store
+	// builds no per-pair ops: they would be a window's worth of garbage.
+	_, noLog := rv.log.(store.Noop)
+	commit := func(window []simjoin.ScoredPair, batch hitBatch, answered record.PairSet, run *crowd.Result) error {
 		rv.mu.Lock()
 		defer rv.mu.Unlock()
-		ops := make([]store.Op, 0, len(window)+2)
+		var ops []store.Op
+		var puts []store.PutOp
+		if !noLog {
+			ops, puts = make([]store.Op, 0, len(window)+2), make([]store.PutOp, 0, len(window))
+		}
+		asked := make([]bool, len(window))
 		var requeue []simjoin.ScoredPair
 		deduce := func(sp simjoin.ScoredPair) bool {
 			d, ok := g.Deduce(sp.Pair)
@@ -133,19 +140,24 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 			}
 			return ok
 		}
-		for _, sp := range window {
+		for i, sp := range window {
 			if g == nil || answered.Has(sp.Pair.A, sp.Pair.B) {
-				rv.cache.Put(sp.Pair, sp.Likelihood).Reserve(opts.Assignments)
-				ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
+				asked[i] = true
+				if !noLog {
+					puts = append(puts, store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood})
+					ops = append(ops, store.Op{Put: &puts[len(puts)-1]})
+				}
 			} else if !deduce(sp) {
 				requeue = append(requeue, sp)
 			}
 		}
+		putWindow(rv.cache, window, asked, batch, run, opts.Assignments)
 		if run != nil {
-			rv.cache.AddAnswers(run.Answers)
 			ops = append(ops, store.Op{Answers: run.Answers})
 		}
-		remaining = append(requeue, remaining...)
+		if len(requeue) > 0 {
+			remaining = append(requeue, remaining...)
+		}
 		if g != nil {
 			keep := remaining[:0]
 			for _, sp := range remaining {
@@ -159,7 +171,7 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 			rv.pending = rv.pending[:0]
 			ops = append(ops, store.Op{ClearPending: true})
 		}
-		if len(ops) == 0 {
+		if len(ops) == 0 || noLog {
 			return nil
 		}
 		return rv.log.Log(&store.Commit{Ops: ops})
@@ -168,7 +180,7 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	resume := rv.takeResume()
 	defer func() { rv.returnResume(resume) }()
 
-	if err := commit(nil, nil, nil); err != nil {
+	if err := commit(nil, hitBatch{}, nil, nil); err != nil {
 		return nil, err
 	}
 	for len(remaining) > 0 {
@@ -260,7 +272,7 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 		completed += len(hits) - run.RetractedHITs
 		answers += len(run.Answers)
 
-		if err := commit(window, answered, run); err != nil {
+		if err := commit(window, batch, answered, run); err != nil {
 			return nil, err
 		}
 	}
@@ -277,6 +289,46 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	st.res.CostDollars = cost
 	st.res.ElapsedSeconds = elapsed
 	return st, nil
+}
+
+// putWindow is the asked half of an execute commit: Put of each window
+// pair marked asked, Reserve(n) on its entry, then AddAnswers of the
+// round's answers — bit for bit, but the pairs go in as one batch and
+// each answer reaches its entry by slot. A window pair's index is its
+// slot; batch.slots lists each HIT's, and run.Spans bounds each HIT's
+// answers.
+func putWindow(cache *verdicts.Cache, window []simjoin.ScoredPair, asked []bool, batch hitBatch, run *crowd.Result, n int) {
+	pairs, likelihoods := make([]record.Pair, 0, len(window)), make([]float64, 0, len(window))
+	at := make([]int32, len(window)) // slot → index in pairs, or −1
+	for i, sp := range window {
+		at[i] = -1
+		if asked[i] {
+			at[i] = int32(len(pairs))
+			pairs, likelihoods = append(pairs, sp.Pair), append(likelihoods, sp.Likelihood)
+		}
+	}
+	entries := cache.PutAll(pairs, likelihoods, n)
+	if run == nil {
+		return
+	}
+	if len(run.Spans) != len(batch.pairs)+1 {
+		cache.AddAnswers(run.Answers) // an empty run has no spans
+		return
+	}
+	for h, ps := range batch.pairs {
+		// A HIT's answers visit its pairs in order, pair-major (a pair's
+		// replicas adjacent) or assignment-major (a worker's pass), so an
+		// answer's pair is the previous answer's or the one after it.
+		slots, j := batch.slots[h], 0
+		cache.AddAnswersVia(run.Answers[run.Spans[h]:run.Spans[h+1]], func(p record.Pair) *verdicts.Entry {
+			for try := 0; try < 2 && len(ps) > 0; try, j = try+1, (j+1)%len(ps) {
+				if ps[j] == p && at[slots[j]] >= 0 {
+					return entries[at[slots[j]]]
+				}
+			}
+			return nil
+		})
+	}
 }
 
 // rebuildGraph reconstructs the deduction graph from the cache's
@@ -429,21 +481,23 @@ func unanimous(answers []aggregate.Answer, match bool) bool {
 // visiting order, nor of values an earlier delta left behind, which a
 // restored session does not have.
 func deriveDeduced(cache *verdicts.Cache) {
-	done := make(map[record.Pair]bool)
+	done := make(map[*verdicts.Entry]bool)
 	var post func(record.Pair) (float64, bool)
-	post = func(p record.Pair) (float64, bool) {
-		e := cache.Get(p)
-		if e == nil {
-			return 0, false
-		}
-		if e.Provenance == verdicts.Deduced && !done[p] {
-			done[p] = true // marked first: a cyclic proof (a corrupt log) reads the stored value
+	derive := func(e *verdicts.Entry) float64 {
+		if e.Provenance == verdicts.Deduced && !done[e] {
+			done[e] = true // marked first: a cyclic proof (a corrupt log) reads the stored value
 			e.Posterior = deducedConfidence(e.Deduction, post)
 		}
-		return e.Posterior, true
+		return e.Posterior
 	}
-	for _, p := range cache.Pairs() {
-		post(p)
+	post = func(p record.Pair) (float64, bool) {
+		if e := cache.Get(p); e != nil {
+			return derive(e), true
+		}
+		return 0, false
+	}
+	for e := range cache.Entries() {
+		derive(e)
 	}
 }
 
@@ -454,10 +508,10 @@ func deriveDeduced(cache *verdicts.Cache) {
 // aggregation posterior.
 func appendInferredMatches(cache *verdicts.Cache, ms *[]Match) int {
 	n := len(*ms)
-	for _, p := range cache.Pairs() {
-		if e := cache.Get(p); e.Provenance != verdicts.Asked {
+	for e := range cache.Entries() {
+		if e.Provenance != verdicts.Asked {
 			*ms = append(*ms, Match{
-				Pair:       Pair{A: int(p.A), B: int(p.B)},
+				Pair:       Pair{A: int(e.Pair.A), B: int(e.Pair.B)},
 				Confidence: e.Posterior,
 			})
 		}
