@@ -184,9 +184,10 @@ func TestPutWindowWithoutSpans(t *testing.T) {
 	}
 }
 
-// rankedMatches ranks as aggregate.Posterior.Ranked does: ties, zeros
-// and ones by the radix path, and negative zero, negatives and NaN by
-// the comparison fallback.
+// rankedMatches ranks the judged entries — asked with answers, machine —
+// as aggregate.Posterior.Ranked ranks their posteriors: ties, zeros and
+// ones by the radix path, and negative zero, negatives and NaN by the
+// comparison fallback. Asked entries without answers are not ranked.
 func TestRankedMatchesEqualsPosteriorRanked(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -195,22 +196,27 @@ func TestRankedMatchesEqualsPosteriorRanked(t *testing.T) {
 		if seed%4 == 0 {
 			values = append(values, math.Copysign(0, -1), -0.25, math.NaN())
 		}
-		var pairs []record.Pair
-		var likelihoods []float64
 		for i := 0; i < rng.Intn(200); i++ {
-			pairs = append(pairs, record.MakePair(record.ID(rng.Intn(40)), record.ID(40+rng.Intn(40))))
-			likelihoods = append(likelihoods, 0)
+			p := record.MakePair(record.ID(rng.Intn(40)), record.ID(40+rng.Intn(40)))
+			v := values[rng.Intn(len(values))]
+			switch rng.Intn(3) {
+			case 0:
+				cache.PutMachine(p, 0, v)
+			case 1:
+				cache.Put(p, 0)
+			default:
+				e := cache.Put(p, 0)
+				e.Answers = append(e.Answers, aggregate.Answer{Pair: p, Match: true})
+				e.Posterior = v
+			}
 		}
-		cache.PutAll(pairs, likelihoods, 0)
-		var answered []*verdicts.Entry
-		var post []float64
 		want := aggregate.Posterior{}
 		for e := range cache.Entries() {
-			v := values[rng.Intn(len(values))]
-			answered, post = append(answered, e), append(post, v)
-			want[e.Pair] = v
+			if len(e.Answers) > 0 || e.Provenance != verdicts.Asked {
+				want[e.Pair] = e.Posterior
+			}
 		}
-		got := rankedMatches(answered, post)
+		got := rankedMatches(cache)
 		for i, p := range want.Ranked() {
 			if g := got[i]; g.Pair != (Pair{A: int(p.A), B: int(p.B)}) || math.Float64bits(g.Confidence) != math.Float64bits(want[p]) {
 				t.Fatalf("seed %d: rank %d is %+v; Posterior.Ranked has %v at %v", seed, i, g, p, want[p])

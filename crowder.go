@@ -66,7 +66,6 @@ package crowder
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -274,7 +273,10 @@ type Options struct {
 	// non-matches.
 	Oracle []Pair
 	// MachineOnly skips the crowd entirely and returns the machine
-	// likelihood ranking (the "simjoin" baseline of Section 7.3).
+	// likelihood ranking (the "simjoin" baseline of Section 7.3): the
+	// route stage judges every candidate by machine, with its likelihood
+	// as the verdict's confidence, so the pairs count as machine-judged
+	// (Result.MachinePairs, Estimate.MachinePairs, HybridStats).
 	MachineOnly bool
 	// Parallelism bounds the worker goroutines used by the machine pass
 	// (tokenizing and interning the appended records, sorting their
@@ -423,8 +425,8 @@ func (o *Options) validate() error {
 }
 
 // hybrid reports whether this session routes candidates through the
-// learning router. MachineOnly is already an all-machine baseline, so
-// there is nothing to route.
+// learning router. MachineOnly is the all-machine baseline: its route
+// stage judges every candidate by machine, with no classifier.
 func (o *Options) hybrid() bool {
 	return o.Hybrid == HybridOn && !o.MachineOnly
 }
@@ -461,7 +463,8 @@ func (o *Options) defaults() {
 const NoSpammers = crowd.NoSpammers
 
 // Match is one output pair with the workflow's confidence that it is a
-// true match (crowd posterior, or machine likelihood under MachineOnly).
+// true match (crowd posterior, deduced or router confidence, or machine
+// likelihood under MachineOnly).
 type Match struct {
 	Pair       Pair
 	Confidence float64
@@ -506,9 +509,9 @@ type Result struct {
 	// (Transitivity on; always 0 otherwise).
 	DeducedPairs int
 	// MachinePairs is the number of this resolve's new candidate pairs
-	// the hybrid router's classifier resolved outside its uncertainty
-	// band — no HIT was issued for them (Hybrid on; always 0
-	// otherwise).
+	// judged by machine, with no HIT issued: those the hybrid router's
+	// classifier resolved outside its uncertainty band (Hybrid on), or
+	// every new candidate under MachineOnly. Always 0 otherwise.
 	MachinePairs int
 	// HITsSaved is the number of tasks the one-shot batching would have
 	// generated for this resolve's new candidate pairs minus the tasks
@@ -530,8 +533,10 @@ type Result struct {
 	// ElapsedSeconds is the simulated crowd completion time (makespan)
 	// of this resolve's HITs.
 	ElapsedSeconds float64
-	// Matches lists all judged pairs ranked by confidence descending.
-	// Callers typically keep those with Confidence ≥ 0.5.
+	// Matches lists all judged pairs ranked by confidence descending,
+	// ties in pair order (SortMatches' order), each pair once: asked
+	// pairs with their aggregated posterior, deduced and machine pairs
+	// with theirs. Callers typically keep those with Confidence ≥ 0.5.
 	Matches []Match
 	// Stages reports the engine's per-stage wall-clock timings, in
 	// execution order (prune, route, generate, execute, aggregate).
@@ -560,17 +565,11 @@ type resolverPipeline = engine.Pipeline[*resolveState]
 // deltas.
 type resolveState struct {
 	rv *Resolver
-	// planOnly marks an EstimateCost / EstimateDelta run: prune, route
-	// and generate execute normally but nothing is judged, so the
-	// verdict cache stays untouched.
+	// planOnly marks an EstimateDelta run: prune, route and generate
+	// execute normally but nothing is judged, so the verdict cache stays
+	// untouched. The machine pass still absorbs the delta into the join
+	// index, so its candidates are recorded as pending, as for any delta.
 	planOnly bool
-	// keepPending marks a plan-only run over a *live* session
-	// (EstimateDelta): the machine pass genuinely absorbs the delta into
-	// the join index as a side effect, so the discovered candidates must
-	// be recorded as pending (and the prune boundary logged) exactly as
-	// a resolving delta would — otherwise the estimate would silently
-	// lose them. Never set together with a throwaway session.
-	keepPending bool
 
 	// prune → the delta's genuinely new candidate pairs (not in the
 	// verdict cache), ranked by likelihood.
@@ -584,12 +583,6 @@ type resolveState struct {
 	batch hitBatch
 
 	res *Result
-}
-
-// skipCrowd reports whether the crowd stages have nothing to do: the
-// machine-only baseline, or no new candidate pairs this delta.
-func (st *resolveState) skipCrowd() bool {
-	return st.rv.opts.MachineOnly || len(st.scored) == 0
 }
 
 // stagePrune is the machine pass: generate the delta's candidate pairs,
@@ -616,27 +609,20 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 	// workers; every later TokenIDs call finds the cache warm.
 	rv.table.inner.WarmTokens(engine.WorkerCount(rv.opts.Parallelism, rv.table.inner.Len()))
 	pendBefore := len(rv.pending)
-	// A plan-only run over a live session (keepPending) records its
-	// discoveries exactly as a resolving delta: the join index absorbed
-	// the delta as a side effect of the stream, so the candidates must
-	// land in the pending set or they would be lost to every later delta.
-	recording := !st.planOnly || st.keepPending
 	rank := engine.NewTopK(rv.opts.MaxCandidates, simjoin.CompareScored)
-	if recording {
-		// Fold in candidates left pending by a failed delta. They cannot
-		// recur in this delta's stream: both endpoints are already indexed.
-		for _, sp := range rv.pending {
-			if !rv.cache.Has(sp.Pair) {
-				rank.Push(sp)
-			}
+	// Fold in candidates left pending by a failed delta or an estimate.
+	// They cannot recur in this delta's stream: both endpoints are
+	// already indexed.
+	for _, sp := range rv.pending {
+		if !rv.cache.Has(sp.Pair) {
+			rank.Push(sp)
 		}
 	}
 	// Draining the stream absorbs the delta into the index: it must run
-	// exactly once per prune.
+	// exactly once per prune, and its candidates land in the pending set
+	// or they would be lost to every later delta.
 	for sp := range rv.idx.UpdateSeq() {
-		if recording {
-			rv.pending = append(rv.pending, sp)
-		}
+		rv.pending = append(rv.pending, sp)
 		if !rv.cache.Has(sp.Pair) {
 			rank.Push(sp)
 		}
@@ -646,10 +632,8 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 	st.res.NewCandidates = len(st.scored)
 	st.res.CachedCandidates = rv.cache.Len()
 	st.res.Candidates = st.res.NewCandidates + st.res.CachedCandidates
-	if recording {
-		if err := rv.logPrune(rv.pending[pendBefore:]); err != nil {
-			return nil, err
-		}
+	if err := rv.logPrune(rv.pending[pendBefore:]); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -657,11 +641,11 @@ func stagePrune(_ context.Context, st *resolveState) (*resolveState, error) {
 // stageGenerate batches the new candidate pairs into HITs: the one-shot
 // batching every mode starts from. Cached pairs never reach this stage:
 // their HITs were issued (and paid for) by the delta that first
-// discovered them. A plan-only run (EstimateCost) reports this batch; the
+// discovered them. A plan-only run (EstimateDelta) reports this batch; the
 // execute stage posts it as its first round unless deduction resolved
 // some of the pairs first, and Result.HITsSaved is measured against it.
 func stageGenerate(_ context.Context, st *resolveState) (*resolveState, error) {
-	if st.skipCrowd() {
+	if len(st.scored) == 0 {
 		return st, nil
 	}
 	b, err := batchHITs(simjoin.Pairs(st.scored), st.rv.opts)
@@ -793,46 +777,15 @@ func (st *resolveState) newBackend() (crowd.Backend, error) {
 // session aggregates exactly what a from-scratch run would. The
 // aggregator's identity is bound to the verdict cache: one cache, one
 // method, across every delta of the session. The posteriors are derived
-// state and are not logged (see aggregateLocked).
+// state and are not logged (see aggregateLocked). Every verdict — asked,
+// deduced or machine — then ranks in one pass (rankedMatches).
 func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	if rv.opts.MachineOnly {
-		// The machine baseline "judges" a pair by recording its
-		// likelihood; the ranking covers every pair seen so far.
-		ops := make([]store.Op, 0, len(st.scored)+2)
-		post := make([]store.PairVal, 0, len(st.scored))
-		for _, sp := range st.scored {
-			rv.cache.Put(sp.Pair, sp.Likelihood).Posterior = sp.Likelihood
-			ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
-			post = append(post, store.PairVal{Pair: sp.Pair, Val: sp.Likelihood})
-		}
-		rv.pending = rv.pending[:0]
-		ops = append(ops, store.Op{Posteriors: post}, store.Op{ClearPending: true})
-		if err := rv.log.Log(&store.Commit{Ops: ops}); err != nil {
-			return nil, err
-		}
-		for e := range rv.cache.Entries() {
-			st.res.Matches = append(st.res.Matches, Match{
-				Pair:       Pair{A: int(e.Pair.A), B: int(e.Pair.B)},
-				Confidence: e.Likelihood,
-			})
-		}
-		SortMatches(st.res.Matches)
-		return st, nil
-	}
-	answered, post := rv.aggregateLocked()
-	if len(post) == 0 && rv.cache.MachineLen() == 0 {
-		// Nothing judged yet. (The machine-count guard keeps this early
-		// return bit-identical to the pre-hybrid build when Hybrid is off:
-		// machine entries exist only in hybrid sessions, where a delta the
-		// router resolved entirely by machine must still rank matches.)
-		return st, nil
-	}
-	st.res.Matches = append(st.res.Matches, rankedMatches(answered, post)...)
-	if appendInferredMatches(rv.cache, &st.res.Matches) > 0 {
-		SortMatches(st.res.Matches)
+	rv.aggregateLocked()
+	if st.res.Matches = rankedMatches(rv.cache); st.res.Matches == nil {
+		return st, nil // nothing judged yet: nothing to rank or train from
 	}
 	if rv.opts.hybrid() {
 		// Budget accounting and the retrain at the aggregation commit —
@@ -860,26 +813,49 @@ func stageAggregate(_ context.Context, st *resolveState) (*resolveState, error) 
 	return st, nil
 }
 
-// rankedMatches ranks the answered entries as aggregate.Posterior.Ranked
-// ranks their posteriors: posterior descending, then canonical pair
-// order — the entries' order, so ties keep their indices' order. For
-// posteriors ≥ +0, as probabilities are, the bits of the posterior
-// complemented are a sort key in that order.
-func rankedMatches(answered []*verdicts.Entry, post []float64) []Match {
-	rank, keys := make([]int32, len(post)), make([]uint64, len(post))
+// rankedMatches ranks every verdict in the cache — asked entries holding
+// answers, deduced and machine ones — by posterior descending, then
+// canonical pair order: SortMatches' order. The walk is canonical, so a
+// stable sort keeps ties in pair order, and for posteriors ≥ +0, as
+// probabilities are, the bits of the posterior complemented are a sort
+// key in that order. It returns nil when nothing is judged.
+func rankedMatches(cache *verdicts.Cache) []Match {
+	ms, keys := make([]Match, 0, cache.Len()), make([]uint64, 0, cache.Len())
 	plain := true
-	for i, p := range post {
-		rank[i], keys[i] = int32(i), ^math.Float64bits(p)
-		plain = plain && !math.Signbit(p) && !math.IsNaN(p)
+	for e := range cache.Entries() {
+		if len(e.Answers) == 0 && e.Provenance == verdicts.Asked {
+			continue // a likelihood without a verdict
+		}
+		ms = append(ms, Match{Pair: Pair{A: int(e.Pair.A), B: int(e.Pair.B)}, Confidence: e.Posterior})
+		keys = append(keys, ^math.Float64bits(e.Posterior))
+		plain = plain && !math.Signbit(e.Posterior) && !math.IsNaN(e.Posterior)
+	}
+	if len(ms) == 0 {
+		return nil
+	}
+	rank := make([]int32, len(ms))
+	for i := range rank {
+		rank[i] = int32(i)
 	}
 	if plain {
 		engine.SortByKey(keys, rank)
 	} else {
-		slices.SortFunc(rank, func(a, b int32) int { return cmp.Or(cmp.Compare(post[b], post[a]), cmp.Compare(a, b)) })
+		slices.SortFunc(rank, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(ms[b].Confidence, ms[a].Confidence), cmp.Compare(a, b))
+		})
 	}
-	ms := make([]Match, len(rank))
-	for k, i := range rank {
-		ms[k] = Match{Pair: Pair{A: int(answered[i].Pair.A), B: int(answered[i].Pair.B)}, Confidence: post[i]}
+	// Permute in place, cycle by cycle: slot k takes the match ranked k,
+	// and a filled slot's rank becomes −1.
+	for k := range rank {
+		if rank[k] < 0 {
+			continue
+		}
+		m, j := ms[k], k
+		for int(rank[j]) != k {
+			next := int(rank[j])
+			ms[j], rank[j], j = ms[next], -1, next
+		}
+		ms[j], rank[j] = m, -1
 	}
 	return ms
 }
@@ -946,13 +922,14 @@ func generatorFor(g Generator, seed int64) hitgen.ClusterGenerator {
 type Estimate struct {
 	// Candidates is the number of fresh pairs the resolve would judge.
 	Candidates int
-	// MachinePairs is how many of those candidates the hybrid router
-	// would resolve by machine, outside its uncertainty band. Always 0
-	// with Hybrid off, and for a fresh session (whose learner has no
+	// MachinePairs is how many of those candidates would be judged by
+	// machine: all of them under MachineOnly; with Hybrid on, those the
+	// router would resolve outside its uncertainty band. Always 0
+	// otherwise, and for a fresh hybrid session (whose learner has no
 	// verdicts to train from — see EstimateCost vs Resolver.EstimateDelta).
 	MachinePairs int
-	// CrowdPairs is the uncertain remainder that would be batched into
-	// HITs (Candidates − MachinePairs).
+	// CrowdPairs is the remainder that would be batched into HITs
+	// (Candidates − MachinePairs).
 	CrowdPairs int
 	// HITs is the number of tasks that would be generated for CrowdPairs.
 	HITs int
@@ -963,14 +940,14 @@ type Estimate struct {
 // EstimateCost prunes at the configured threshold, routes through the
 // hybrid classifier (when Hybrid is on) and generates — but does not
 // crowdsource — the HITs, returning the projected task count and cost.
-// It runs the same prune → route → generate stages as Resolve,
-// truncated before the crowd ever executes, so the estimate agrees with
-// an actual run by construction. Because it estimates over a throwaway
-// session, its learner state is exactly a fresh session's: untrained,
-// every candidate projected to the crowd — which is also what a
-// one-shot Resolve with the same options would do, so the projection
-// stays faithful. To project a *live* hybrid session's next delta with
-// the session's trained learner, use Resolver.EstimateDelta.
+// It is Resolver.EstimateDelta over a fresh throwaway session, so the
+// estimate runs the same prune → route → generate stages as Resolve,
+// truncated before the crowd ever executes, and agrees with an actual
+// run by construction. Its learner state is exactly a fresh session's:
+// untrained, every candidate projected to the crowd — which is also
+// what a one-shot Resolve with the same options would do, so the
+// projection stays faithful. To project a *live* hybrid session's next
+// delta with the session's trained learner, use Resolver.EstimateDelta.
 func EstimateCost(t *Table, opts Options) (*Estimate, error) {
 	// An estimate is a throwaway session: never log it to the caller's
 	// store, which belongs to the live session with the same options.
@@ -979,29 +956,7 @@ func EstimateCost(t *Table, opts Options) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.resolveMu.Lock()
-	defer r.resolveMu.Unlock()
-	if r.Len() == 0 {
-		return nil, errors.New("crowder: empty table")
-	}
-	st := &resolveState{rv: r, planOnly: true, res: &Result{}}
-	final, _, err := resolvePipeline().Upto("generate").Run(context.Background(), st)
-	if err != nil {
-		return nil, err
-	}
-	return estimateFromPlan(final.res, r.opts), nil
-}
-
-// estimateFromPlan converts a plan-only run's Result into an Estimate.
-func estimateFromPlan(res *Result, opts Options) *Estimate {
-	est := &Estimate{
-		Candidates:   res.NewCandidates,
-		MachinePairs: res.MachinePairs,
-		HITs:         res.HITs,
-	}
-	est.CrowdPairs = est.Candidates - est.MachinePairs
-	est.CostDollars = float64(est.HITs*opts.Assignments) * crowd.DollarsPerAssignment
-	return est
+	return r.EstimateDelta()
 }
 
 // SortMatches orders matches by confidence descending (tie-break by pair),

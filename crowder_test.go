@@ -81,6 +81,46 @@ func TestResolveMachineOnly(t *testing.T) {
 	}
 }
 
+// Machine-only pairs are machine verdicts: a resolve counts them as
+// machine-judged, ranks exactly the cache's verdicts, and an estimate
+// projects no crowd work.
+func TestMachineOnlyPairsAreMachineVerdicts(t *testing.T) {
+	rows, schema, _ := resolverDataset(3, 180, 30)
+	tab := NewTable(schema...)
+	for _, row := range rows {
+		tab.Append(row...)
+	}
+	opts := Options{Threshold: 0.3, MachineOnly: true}
+	est, err := EstimateCost(tab, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Candidates == 0 || est.MachinePairs != est.Candidates || est.CrowdPairs != 0 || est.HITs != 0 || est.CostDollars != 0 {
+		t.Errorf("machine-only estimate = %+v; want every candidate machine-judged and no HITs", est)
+	}
+
+	opts.MaxCandidates = est.Candidates / 2
+	rv, err := NewResolver(tab, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rv.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NewCandidates != opts.MaxCandidates || res.MachinePairs != res.NewCandidates || res.HITs != 0 {
+		t.Errorf("machine-only resolve: %d new candidates, %d machine pairs, %d HITs; want %d, %d, 0",
+			res.NewCandidates, res.MachinePairs, res.HITs, opts.MaxCandidates, opts.MaxCandidates)
+	}
+	if hs := rv.HybridStats(); hs.MachinePairs != rv.JudgedPairs() || hs.CrowdPairs != 0 || hs.DeducedPairs != 0 || hs.Enabled {
+		t.Errorf("machine-only HybridStats = %+v; want %d machine pairs only", hs, rv.JudgedPairs())
+	}
+	if rv.PendingPairs() != 0 {
+		t.Errorf("PendingPairs = %d after a machine-only resolve; want 0", rv.PendingPairs())
+	}
+	assertMatchesRankCache(t, "machine-only top-k", rv, res.Matches)
+}
+
 func TestResolvePairHITs(t *testing.T) {
 	tab, oracle := paperTable()
 	res, err := Resolve(tab, Options{

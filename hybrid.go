@@ -42,82 +42,94 @@ import (
 // re-asks exactly the machine verdicts the final model disputes, which
 // is the one deliberate exception to "no new records, no crowd cost".
 //
+// The machine-only baseline (Options.MachineOnly) is the router with an
+// empty band: every candidate is a machine verdict whose confidence is
+// its likelihood, nothing goes to the crowd, and nothing is reviewed.
 // With Hybrid off, or before the session has accumulated enough
 // verdicts to train (HybridMinLabels, both classes), the stage is a
 // pure pass-through and every candidate goes to the crowd.
 func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
-	if !rv.opts.hybrid() {
+	if !rv.opts.hybrid() && !rv.opts.MachineOnly {
 		return st, nil
 	}
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	if rv.learner == nil {
-		// First route of a fresh session: train from the cache now. (A
-		// recovered session's learner was restored from the journal.)
-		if _, err := rv.trainLearnerLocked(); err != nil {
-			return nil, err
+	// judge returns candidate i's machine confidence, or false to leave
+	// it to the crowd.
+	judge := func(i int) (float64, bool) { return st.scored[i].Likelihood, true }
+	var l *learn.Learner
+	var band learn.Band
+	if rv.opts.hybrid() {
+		if rv.learner == nil {
+			// First route of a fresh session: train from the cache now. (A
+			// recovered session's learner was restored from the journal.)
+			if _, err := rv.trainLearnerLocked(); err != nil {
+				return nil, err
+			}
 		}
-	}
-	l := rv.learner
-	if !l.Ready() {
-		// Not enough paid verdicts yet: everything to the crowd, exactly
-		// as a non-hybrid delta. The aggregation commit retrains.
-		rv.lastBand, rv.lastRisk = learn.Band{}, 0
-		return st, nil
-	}
-
-	// Margins are computed once; band search and partitioning reuse them.
-	margins := make([]float64, len(st.scored))
-	for i, sp := range st.scored {
-		margins[i] = rv.feats.Margin(l, sp.Pair)
-	}
-
-	risk := learn.AdaptRisk(rv.opts.HybridRisk, rv.poolAccuracyLocked())
-	band := l.Band(risk)
-	if budget := rv.opts.HybridBudgetDollars; budget > 0 {
-		// Budget ladder: deterministically double the risk until the
-		// uncertain band's projected crowd cost fits the remaining
-		// session budget, or the risk cap is reached (past it the budget
-		// is advisory — quality floors beat overspend-avoidance).
-		remaining := budget - rv.spent
-		if remaining < 0 {
-			remaining = 0
+		if l = rv.learner; !l.Ready() {
+			// Not enough paid verdicts yet: everything to the crowd, exactly
+			// as a non-hybrid delta. The aggregation commit retrains.
+			rv.lastBand, rv.lastRisk = learn.Band{}, 0
+			return st, nil
 		}
-		for risk < learn.MaxRisk {
-			uncertain := 0
-			for _, m := range margins {
-				if band.Decide(m) == learn.DecideCrowd {
-					uncertain++
+
+		// Margins are computed once; band search and partitioning reuse them.
+		margins := make([]float64, len(st.scored))
+		for i, sp := range st.scored {
+			margins[i] = rv.feats.Margin(l, sp.Pair)
+		}
+
+		risk := learn.AdaptRisk(rv.opts.HybridRisk, rv.poolAccuracyLocked())
+		band = l.Band(risk)
+		if budget := rv.opts.HybridBudgetDollars; budget > 0 {
+			// Budget ladder: deterministically double the risk until the
+			// uncertain band's projected crowd cost fits the remaining
+			// session budget, or the risk cap is reached (past it the
+			// budget is advisory — quality floors beat
+			// overspend-avoidance).
+			remaining := max(budget-rv.spent, 0)
+			for risk < learn.MaxRisk {
+				uncertain := 0
+				for _, m := range margins {
+					if band.Decide(m) == learn.DecideCrowd {
+						uncertain++
+					}
 				}
+				if projectedCrowdCost(uncertain, rv.opts) <= remaining {
+					break
+				}
+				risk = min(2*risk, learn.MaxRisk)
+				band = l.Band(risk)
 			}
-			if projectedCrowdCost(uncertain, rv.opts) <= remaining {
-				break
+		}
+		rv.lastBand, rv.lastRisk = band, risk
+		judge = func(i int) (float64, bool) {
+			if band.Decide(margins[i]) == learn.DecideCrowd {
+				return 0, false
 			}
-			risk = min(2*risk, learn.MaxRisk)
-			band = l.Band(risk)
+			return band.Confidence(margins[i]), true
 		}
 	}
-	rv.lastBand, rv.lastRisk = band, risk
 
 	var uncertain []simjoin.ScoredPair
 	var ops []store.Op
 	machine := 0
 	for i, sp := range st.scored {
-		switch band.Decide(margins[i]) {
-		case learn.DecideMatch, learn.DecideNonMatch:
-			machine++
-			if !st.planOnly {
-				conf := band.Confidence(margins[i])
-				rv.cache.PutMachine(sp.Pair, sp.Likelihood, conf)
-				ops = append(ops, store.Op{Machine: &store.MachineOp{
-					Pair:       sp.Pair,
-					Likelihood: sp.Likelihood,
-					Posterior:  conf,
-				}})
-			}
-		default:
+		conf, ok := judge(i)
+		if !ok {
 			uncertain = append(uncertain, sp)
+			continue
+		}
+		machine++
+		if !st.planOnly {
+			rv.cache.PutMachine(sp.Pair, sp.Likelihood, conf)
+			ops = append(ops, store.Op{Machine: &store.MachineOp{
+				Pair:       sp.Pair,
+				Likelihood: sp.Likelihood,
+				Posterior:  conf,
+			}})
 		}
 	}
 	// Self-correction: re-score the machine verdicts of earlier deltas
@@ -127,7 +139,10 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 	// once and the crowd arbitrates it for good. This is what lets the
 	// young model route aggressively: its early mistakes are revisited,
 	// not frozen.
-	demoted := rv.reviewMachineVerdictsLocked(l, band)
+	var demoted []simjoin.ScoredPair
+	if l != nil {
+		demoted = rv.reviewMachineVerdictsLocked(l, band)
+	}
 	if len(demoted) > 0 {
 		st.demoted = record.NewPairSet()
 		for _, sp := range demoted {
@@ -334,7 +349,8 @@ type HybridStats struct {
 	// Enabled reports Options.Hybrid for the session.
 	Enabled bool
 	// MachinePairs, CrowdPairs and DeducedPairs split the cache's judged
-	// pairs by provenance (CrowdPairs counts asked entries).
+	// pairs by provenance (CrowdPairs counts asked entries). A
+	// MachineOnly session's pairs are all machine pairs.
 	MachinePairs, CrowdPairs, DeducedPairs int
 	// TrainingPos and TrainingNeg are the per-class label counts the
 	// current learner was trained from (0 before the first training).
@@ -354,9 +370,9 @@ type HybridStats struct {
 }
 
 // HybridStats reports the session's current hybrid-routing posture. It
-// is meaningful for any session (a non-hybrid one reports zero machine
-// pairs and Enabled false) and safe to call while a resolve is waiting
-// on the crowd.
+// is meaningful for any session (a crowd-only one reports zero machine
+// pairs, a MachineOnly one zero crowd pairs, and both Enabled false) and
+// safe to call while a resolve is waiting on the crowd.
 func (r *Resolver) HybridStats() HybridStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -398,10 +414,17 @@ func (r *Resolver) EstimateDelta() (*Estimate, error) {
 	if empty {
 		return nil, errors.New("crowder: empty table")
 	}
-	st := &resolveState{rv: r, planOnly: true, keepPending: true, res: &Result{}}
+	st := &resolveState{rv: r, planOnly: true, res: &Result{}}
 	final, _, err := resolvePipeline().Upto("generate").Run(context.Background(), st)
 	if err != nil {
 		return nil, err
 	}
-	return estimateFromPlan(final.res, r.opts), nil
+	res := final.res
+	return &Estimate{
+		Candidates:   res.NewCandidates,
+		MachinePairs: res.MachinePairs,
+		CrowdPairs:   res.NewCandidates - res.MachinePairs,
+		HITs:         res.HITs,
+		CostDollars:  float64(res.HITs*r.opts.Assignments) * crowd.DollarsPerAssignment,
+	}, nil
 }

@@ -134,6 +134,7 @@ func TestHybridSessionFewerHITsEqualOrBetterF1(t *testing.T) {
 	// and re-asks any it no longer endorses. Their HITs are part of the
 	// session's crowd cost.
 	onResults = drainAudits(t, rvOn, onResults)
+	assertMatchesRankCache(t, "hybrid session", rvOn, onResults[len(onResults)-1].Matches)
 
 	offHITs, offMachine := sumHITs(offResults)
 	onHITs, onMachine := sumHITs(onResults)

@@ -424,6 +424,42 @@ func TestServiceErrors(t *testing.T) {
 	}
 }
 
+// TestServiceMetricsMachineOnly: a machine_only table's pairs are
+// machine verdicts, and its /metrics resolution row reports them so.
+func TestServiceMetricsMachineOnly(t *testing.T) {
+	schema, rows, _, _ := serviceDataset(t)
+	srv := httptest.NewServer(New(Options{}))
+	defer srv.Close()
+	c := srv.Client()
+	call(t, c, "POST", srv.URL+"/tables/mo", tableRequest{Schema: schema, Options: optionsRequest{MachineOnly: true, Threshold: 0.4}}, nil)
+	call(t, c, "POST", srv.URL+"/tables/mo/records", map[string]any{"rows": rows}, nil)
+	var kicked struct {
+		Job int `json:"job"`
+	}
+	call(t, c, "POST", srv.URL+"/tables/mo/resolve", map[string]any{}, &kicked)
+	pollJob(t, c, srv.URL, "mo", kicked.Job)
+	judged := len(getMatches(t, c, srv.URL, "mo"))
+	if judged == 0 {
+		t.Fatal("fixture judged no pairs; the metrics check is vacuous")
+	}
+	var metrics struct {
+		Resolution []struct {
+			Table        string `json:"table"`
+			MachinePairs int    `json:"machine_pairs"`
+			CrowdPairs   int    `json:"crowd_pairs"`
+		} `json:"resolution"`
+	}
+	if code := call(t, c, "GET", srv.URL+"/metrics", nil, &metrics); code != http.StatusOK {
+		t.Fatalf("metrics returned %d", code)
+	}
+	if len(metrics.Resolution) != 1 || metrics.Resolution[0].Table != "mo" {
+		t.Fatalf("metrics resolution rows = %+v; want one for table mo", metrics.Resolution)
+	}
+	if row := metrics.Resolution[0]; row.MachinePairs != judged || row.CrowdPairs != 0 {
+		t.Errorf("machine_only row reports %d machine and %d crowd pairs; want %d and 0", row.MachinePairs, row.CrowdPairs, judged)
+	}
+}
+
 // TestServiceTransitivity: a table created with transitivity enabled
 // resolves with the adaptive scheduler and the job result surfaces the
 // savings (deduced pairs, HITs saved) next to the HIT count.

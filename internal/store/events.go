@@ -100,7 +100,7 @@ type Prune struct {
 func (*Prune) tag() byte     { return tagPrune }
 func (*Prune) durable() bool { return false }
 
-// PutOp records a cache Put: a pair judged by the crowd (or machine).
+// PutOp records a cache Put: a pair judged by the crowd.
 type PutOp struct {
 	Pair       record.Pair `json:"pair"`
 	Likelihood float64     `json:"lik"`
@@ -133,11 +133,12 @@ type PairVal struct {
 // interleaves asked and deduced verdicts within one commit, and replay
 // must observe the same first-insert semantics the cache applied live.
 //
-// Posteriors is written only by machine-only sessions, whose "posterior"
-// is each new pair's machine likelihood: a fact, logged per delta. Crowd
-// sessions log answers and let recovery re-aggregate them; logs written
-// before that carry a full posterior set per delta, which replay still
-// applies and the resolver's restore then overwrites.
+// Posteriors is no longer written. Crowd sessions log answers and let
+// recovery re-aggregate them, and machine-only sessions log their pairs
+// as MachineOp. Older logs carry Posteriors ops — a crowd session's full
+// posterior set per delta, or a machine-only session's likelihoods next
+// to Put ops — which replay still applies; the resolver's restore then
+// re-aggregates the former and turns the latter into machine entries.
 type Op struct {
 	Put          *PutOp             `json:"put,omitempty"`
 	Deduce       *DeduceOp          `json:"ded,omitempty"`
@@ -227,7 +228,7 @@ func (*Pending) durable() bool { return true }
 // The posteriors it carries are not authoritative: the log does not see
 // a crowd session's aggregations, so asked and deduced entries hold
 // whatever replay left them, and the resolver's restore re-derives them.
-// Machine entries' posteriors and machine-only likelihoods are facts.
+// Machine entries' posteriors are facts.
 type CacheState struct {
 	Entries  []verdicts.Entry   `json:"entries"`
 	Partials []aggregate.Answer `json:"partials,omitempty"`

@@ -31,8 +31,7 @@ import (
 type Provenance int
 
 const (
-	// Asked: the crowd judged the pair directly (or, under machine-only
-	// resolution, the machine likelihood stands in). The zero value, so
+	// Asked: the crowd judged the pair directly. The zero value, so
 	// every pre-transitivity entry is asked by construction.
 	Asked Provenance = iota
 	// Deduced: the verdict follows from other pairs' crowd answers by
@@ -41,7 +40,8 @@ const (
 	Deduced
 	// Machine: the hybrid router's classifier — trained online from the
 	// session's accumulated asked and deduced verdicts — resolved the
-	// pair outside the band of uncertainty, so no HIT was issued. Like
+	// pair outside the band of uncertainty, or a machine-only session
+	// judged it by its likelihood, so no HIT was issued. Like
 	// asked verdicts, machine verdicts are first-hand observations (not
 	// inferences over other pairs), so transitivity may deduce over them;
 	// like every cache entry, they are never re-asked by later deltas.
@@ -67,7 +67,7 @@ type Entry struct {
 	// became a candidate.
 	Likelihood float64
 	// Answers are the raw crowd judgments collected for the pair. Empty
-	// for machine-only resolution and for deduced verdicts.
+	// for machine and deduced verdicts.
 	Answers []aggregate.Answer
 	// Posterior is the pair's match probability from the most recent
 	// aggregation over the whole cache. For deduced entries it is derived

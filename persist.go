@@ -7,6 +7,7 @@ import (
 	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/store"
+	"github.com/crowder/crowder/internal/verdicts"
 )
 
 // Store is the durable session log (see internal/store): every fact a
@@ -90,6 +91,11 @@ func RestoreQueue(opts QueueOptions, s *QueueSnapshot) *QueueBackend {
 // round committed its answers but before the delta aggregated them
 // therefore restores the fresh aggregate of the answers on disk.
 //
+// A MachineOnly session's verdicts are machine verdicts. Logs written
+// before that logged them as asked pairs with posteriors and no answers;
+// restoring such a session turns each into the machine verdict it is,
+// keeping its recovered posterior.
+//
 // The next ResolveDelta adopts the recovered in-flight HITs by content
 // instead of re-posting them — a restarted session re-issues zero HITs
 // for pairs the crowd already judged or still holds.
@@ -126,6 +132,13 @@ func RestoreResolver(rec *Recovered, opts Options) (*Resolver, error) {
 	// fell between a round's answers and the aggregation commit's Meta,
 	// retrained from it by the step that commit would have run.
 	r.spent = rec.Meta.Spent
+	if r.opts.MachineOnly {
+		for e := range r.cache.Entries() {
+			if e.Provenance == verdicts.Asked && len(e.Answers) == 0 {
+				e.Provenance = verdicts.Machine
+			}
+		}
+	}
 	r.aggregateLocked()
 	if r.opts.hybrid() {
 		var s learn.State

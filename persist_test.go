@@ -1,6 +1,7 @@
 package crowder
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/crowder/crowder/internal/simjoin"
+	"github.com/crowder/crowder/internal/store"
 )
 
 // openTestStore opens a FileStore in a fresh temp dir and returns it
@@ -419,6 +421,144 @@ func TestRestoreResolverIgnoresLegacyBlockedCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameMatches(t, "legacy log", want.Matches, got.Matches)
+}
+
+// TestRestoreResolverLegacyMachineOnly: logs written before machine-only
+// pairs became machine verdicts commit each delta's pairs as Put ops plus
+// one Posteriors op carrying their likelihoods, with ClearPending; their
+// snapshots hold asked entries without answers. Either as a WAL tail or
+// compacted into the snapshot's cache state, such a log restores to the
+// matches a fresh machine-only resolve ranks, as machine verdicts.
+func TestRestoreResolverLegacyMachineOnly(t *testing.T) {
+	rows, schema, _ := resolverDataset(5, 60, 10)
+	opts := Options{Threshold: 0.3, MachineOnly: true}
+	fresh := NewTable(schema...)
+	for _, row := range rows {
+		fresh.Append(row...)
+	}
+	want, err := Resolve(fresh, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compacted := range []bool{false, true} {
+		dir := t.TempDir()
+		fl := openTestStore(t, dir)
+		dopts := opts
+		dopts.Store = fl
+		rv, err := NewResolver(NewTable(schema...), dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv.AppendBatch(rows...)
+		if err := fl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cands := simjoin.Join(rv.table.inner, simjoin.Options{Threshold: opts.Threshold})
+		if len(cands) == 0 {
+			t.Fatal("fixture has no candidates; the legacy commit is vacuous")
+		}
+		ops := make([]store.Op, 0, len(cands)+2)
+		post := make([]store.PairVal, 0, len(cands))
+		for _, sp := range cands {
+			ops = append(ops, store.Op{Put: &store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood}})
+			post = append(post, store.PairVal{Pair: sp.Pair, Val: sp.Likelihood})
+		}
+		ops = append(ops, store.Op{Posteriors: post}, store.Op{ClearPending: true})
+		const tagPrune, tagCommit = 3, 4 // the store's Prune and Commit event tags
+		for _, ev := range []struct {
+			tag byte
+			v   any
+		}{{tagPrune, &store.Prune{Absorbed: len(rows), Discovered: cands}}, {tagCommit, &store.Commit{Ops: ops}}} {
+			payload, err := json.Marshal(ev.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendWALFrame(t, filepath.Join(dir, "wal-00000000.log"), append([]byte{ev.tag}, payload...))
+		}
+		if compacted {
+			// Any durable event past the threshold compacts the log.
+			fl, _, err := OpenStore(dir, StoreOptions{CompactBytes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fl.Log(&store.Commit{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fl.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		fl2, rec, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compacted != (rec.SnapshotBytes > 0) {
+			t.Fatalf("compacted %v, yet the store recovered %d snapshot bytes", compacted, rec.SnapshotBytes)
+		}
+		ropts := opts
+		ropts.Store = fl2
+		restored, err := RestoreResolver(rec, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hs := restored.HybridStats(); hs.MachinePairs != len(cands) || hs.CrowdPairs != 0 {
+			t.Errorf("compacted %v: restored %d machine and %d crowd pairs; want %d and 0", compacted, hs.MachinePairs, hs.CrowdPairs, len(cands))
+		}
+		got, err := restored.ResolveDelta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameMatches(t, fmt.Sprintf("legacy machine-only log (compacted %v)", compacted), want.Matches, got.Matches)
+		fl2.Close()
+	}
+}
+
+// TestDurableSessionLogIsByteReproducible: the same durable session,
+// written twice, leaves byte-identical files, although the parallel join
+// discovers each delta's candidates in no fixed order.
+func TestDurableSessionLogIsByteReproducible(t *testing.T) {
+	rows, schema, oracle := resolverDataset(11, 400, 60)
+	opts := Options{Threshold: 0.3, Seed: 3, Parallelism: 8, Oracle: oracle}
+	write := func() map[string][]byte {
+		dir := t.TempDir()
+		fl := openTestStore(t, dir)
+		o := opts
+		o.Store = fl
+		rv, err := NewResolver(NewTable(schema...), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range [][][]string{rows[:280], rows[280:320], rows[320:360], rows[360:]} {
+			rv.AppendBatch(batch...)
+			if _, err := rv.ResolveDelta(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(files))
+		for _, f := range files {
+			if out[f.Name()], err = os.ReadFile(filepath.Join(dir, f.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	a, b := write(), write()
+	if len(a) != len(b) {
+		t.Fatalf("the runs left %d and %d files", len(a), len(b))
+	}
+	for name, data := range a {
+		if !bytes.Equal(data, b[name]) {
+			t.Errorf("%s differs between two runs of the same session (%d vs %d bytes)", name, len(data), len(b[name]))
+		}
+	}
 }
 
 // appendWALFrame appends one frame to a store log file in its on-disk

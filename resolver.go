@@ -246,9 +246,16 @@ func (r *Resolver) returnResume(rs *crowd.ResumeState) {
 
 // logPrune records a machine pass: the join index's absorb boundary
 // (replayed by RestoreResolver via Absorb) and the candidates this delta
-// discovered (the pending set's new tail). The caller holds r.mu for
+// discovered (the pending set's new tail). The parallel join discovers
+// in no fixed order, so a durable session sorts them by pair first and
+// its log is byte-reproducible; their order matters nowhere else, as
+// every prune re-ranks the pending set. The caller holds r.mu for
 // writing.
 func (r *Resolver) logPrune(discovered []simjoin.ScoredPair) error {
+	if _, noop := r.log.(store.Noop); noop {
+		return nil
+	}
+	slices.SortFunc(discovered, func(a, b simjoin.ScoredPair) int { return record.ComparePairs(a.Pair, b.Pair) })
 	return r.log.Log(&store.Prune{
 		Absorbed:   r.idx.Indexed(),
 		Discovered: discovered,
@@ -379,26 +386,21 @@ func (r *Resolver) workerStatsLocked() []WorkerStat {
 // aggregateLocked is the session's aggregation commit: it re-aggregates
 // every cached answer with the session's aggregator, records the
 // posteriors on the cache and re-derives the deduced verdicts'
-// confidences from them, returning the entries holding answers and
-// their aggregated posteriors, aligned (both empty before the first
-// answer). All of it is a pure function of facts the log already holds
-// — answers, proofs — so none of it is logged: stageAggregate runs it
-// every delta and RestoreResolver once. The caller holds r.mu for
-// writing (or owns r exclusively).
-func (r *Resolver) aggregateLocked() ([]*verdicts.Entry, []float64) {
+// confidences from them. All of it is a pure function of facts the log
+// already holds — answers, proofs — so none of it is logged:
+// stageAggregate runs it every delta and RestoreResolver once. The
+// caller holds r.mu for writing (or owns r exclusively).
+func (r *Resolver) aggregateLocked() {
 	answered, answers := r.cache.Answered()
-	var post []float64
 	if len(answers) > 0 {
 		// The cache was bound to this aggregator's identity when the
 		// session was created, so one session never mixes modes. The
 		// answers are canonical, so the posteriors follow the entries.
-		post = r.agg.Dense(answers)
-		for i, e := range answered {
-			e.Posterior = post[i]
+		for i, p := range r.agg.Dense(answers) {
+			answered[i].Posterior = p
 		}
 	}
 	deriveDeduced(r.cache)
-	return answered, post
 }
 
 // Verdict returns the cached confidence for a pair (crowd posterior, or

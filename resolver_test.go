@@ -13,6 +13,7 @@ import (
 	"github.com/crowder/crowder/internal/dataset"
 	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
+	"github.com/crowder/crowder/internal/verdicts"
 )
 
 // resolverDataset builds a crowdable synthetic dataset plus its oracle in
@@ -42,6 +43,28 @@ func assertSameMatches(t *testing.T, label string, want, got []Match) {
 			t.Fatalf("%s: match %d differs: %+v vs %+v", label, i, got[i], want[i])
 		}
 	}
+}
+
+// assertMatchesRankCache is the ranking oracle: the matches are the
+// cache's verdicts — entries holding answers, and every entry not asked —
+// each pair once, sorted with SortMatches.
+func assertMatchesRankCache(t *testing.T, label string, rv *Resolver, got []Match) {
+	t.Helper()
+	var want []Match
+	for e := range rv.cache.Entries() {
+		if len(e.Answers) > 0 || e.Provenance != verdicts.Asked {
+			want = append(want, Match{Pair: Pair{A: int(e.Pair.A), B: int(e.Pair.B)}, Confidence: e.Posterior})
+		}
+	}
+	SortMatches(want)
+	seen := make(map[Pair]bool, len(got))
+	for _, m := range got {
+		if seen[m.Pair] {
+			t.Fatalf("%s: pair %v ranked twice", label, m.Pair)
+		}
+		seen[m.Pair] = true
+	}
+	assertSameMatches(t, label, want, got)
 }
 
 // Acceptance: resolving k delta batches incrementally produces
@@ -229,6 +252,7 @@ func TestResolverVerdictAccess(t *testing.T) {
 	if _, ok := rv.Verdict(Pair{A: 4, B: 8}); ok {
 		t.Error("unjudged pair should not have a verdict")
 	}
+	assertMatchesRankCache(t, "cluster HITs", rv, res.Matches)
 	if rv.PendingPairs() != 0 {
 		t.Errorf("PendingPairs = %d after a clean resolve; want 0", rv.PendingPairs())
 	}

@@ -51,7 +51,7 @@ const transitiveMaxProof = 3
 // batch completion) and the delta's candidates stay pending for retry.
 func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) {
 	rv := st.rv
-	if st.skipCrowd() {
+	if len(st.scored) == 0 {
 		// A recovered session with nothing left to crowdsource: every
 		// recovered in-flight HIT covers already-judged pairs, so retract
 		// them from the backend instead of leaving zombies for workers.
@@ -71,7 +71,6 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	// canonical order: deltas resume deducing from everything the crowd
 	// has already answered. Only unanimous verdicts carry proofs. The
 	// rebuild holds the session lock shared — it only reads the cache.
-	// Machine-only runs, with no crowd to deduce from, returned above.
 	var g *transitivity.Graph
 	if opts.Transitivity == TransitivityOn {
 		rv.mu.RLock()
@@ -444,33 +443,28 @@ func hitVerdicts(h crowd.HIT, answers []aggregate.Answer) []pairVerdict {
 		}
 		seen[p] = true
 		match := 2*matches[p] > total[p]
-		out = append(out, pairVerdict{
-			pair:   p,
-			match:  match,
-			strong: total[p] > 0 && (matches[p] == total[p]) == match && (matches[p] == 0) != match,
-		})
+		out = append(out, pairVerdict{pair: p, match: match, strong: strong(matches[p], total[p], match)})
 	}
 	return out
 }
 
-// unanimous reports whether a cached entry's raw answers unanimously
-// support its aggregated verdict — the strength bar for cached verdicts
-// feeding a delta's deduction graph, mirroring hitVerdicts' bar for
-// fresh ones.
+// strong is the strength bar deduction proofs rest on, for fresh and
+// cached verdicts alike: m of total answers said match, and all of them
+// agree with the verdict.
+func strong(m, total int, match bool) bool {
+	return total > 0 && (m == total) == match && (m == 0) != match
+}
+
+// unanimous reports whether a cached entry's raw answers clear the
+// strength bar for its aggregated verdict.
 func unanimous(answers []aggregate.Answer, match bool) bool {
-	if len(answers) == 0 {
-		return false
-	}
 	m := 0
 	for _, a := range answers {
 		if a.Match {
 			m++
 		}
 	}
-	if match {
-		return m == len(answers)
-	}
-	return m == 0
+	return strong(m, len(answers), match)
 }
 
 // deriveDeduced re-derives every deduced verdict's confidence from the
@@ -499,24 +493,6 @@ func deriveDeduced(cache *verdicts.Cache) {
 	for e := range cache.Entries() {
 		derive(e)
 	}
-}
-
-// appendInferredMatches adds the cache's deduced and machine-resolved
-// verdicts to the match list, returning how many were added: deduced
-// pairs with their derived confidence, machine pairs with the router's
-// calibrated one. Asked pairs are already in the list via the
-// aggregation posterior.
-func appendInferredMatches(cache *verdicts.Cache, ms *[]Match) int {
-	n := len(*ms)
-	for e := range cache.Entries() {
-		if e.Provenance != verdicts.Asked {
-			*ms = append(*ms, Match{
-				Pair:       Pair{A: int(e.Pair.A), B: int(e.Pair.B)},
-				Confidence: e.Posterior,
-			})
-		}
-	}
-	return len(*ms) - n
 }
 
 // deducedConfidence converts a deduction's proof into a match
