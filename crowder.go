@@ -705,9 +705,11 @@ func batchHITs(pairs []record.Pair, opts Options) (hitBatch, error) {
 }
 
 // tasks converts the batch into backend tasks with ordinals starting at
-// ord, so every round of a delta draws fresh RNG streams. It allocates
-// the tasks' HIT IDs: call it only to post them.
-func (b hitBatch) tasks(assignments, ord int) []crowd.HIT {
+// ord, so every round of a delta draws fresh RNG streams, each HIT
+// carrying its pairs' likelihoods from scored — the pair list the batch
+// was built from — by slot. It allocates the tasks' HIT IDs: call it
+// only to post them.
+func (b hitBatch) tasks(assignments, ord int, scored []simjoin.ScoredPair) []crowd.HIT {
 	var hits []crowd.HIT
 	if b.records != nil {
 		hits = crowd.ClusterHITsFromGen(b.records, b.pairs, assignments)
@@ -715,6 +717,12 @@ func (b hitBatch) tasks(assignments, ord int) []crowd.HIT {
 		hits = crowd.PairHITsFromGen(b.pairs, assignments)
 	}
 	crowd.OffsetOrds(hits, ord)
+	for i, slots := range b.slots {
+		hits[i].Likelihoods = make([]float64, len(slots))
+		for j, s := range slots {
+			hits[i].Likelihoods[j] = scored[s].Likelihood
+		}
+	}
 	return hits
 }
 
@@ -736,32 +744,32 @@ func retractLeftovers(b crowd.Backend, rs *crowd.ResumeState) {
 
 // newBackend returns the crowd executing this resolution's HITs: the
 // caller-supplied Options.Backend, or the reference simulator fed by the
-// Oracle. Simulated workers err most on genuinely ambiguous pairs; the
-// machine likelihoods from the prune stage calibrate that per-pair
-// difficulty.
+// Oracle, whose pair set the session builds once. Simulated workers err
+// most on genuinely ambiguous pairs; the machine likelihoods from the
+// prune stage, which the posted HITs carry, calibrate that per-pair
+// difficulty (a pair without one is of middling difficulty). The
+// caller holds the session's resolveMu.
 func (st *resolveState) newBackend() (crowd.Backend, error) {
-	opts := st.rv.opts
+	rv, opts := st.rv, st.rv.opts
 	if opts.Backend != nil {
 		return opts.Backend, nil
 	}
-	truth := record.NewPairSet()
-	for _, p := range opts.Oracle {
-		truth.Add(record.ID(p.A), record.ID(p.B))
+	if rv.truth == nil {
+		rv.truth = record.NewPairSet()
+		for _, p := range opts.Oracle {
+			rv.truth.Add(record.ID(p.A), record.ID(p.B))
+		}
 	}
 	pop := crowd.NewPopulation(opts.Seed, crowd.PopulationOptions{
 		Size:        opts.Workers,
 		SpammerRate: opts.SpammerRate,
 	})
-	likelihood := make(map[record.Pair]float64, len(st.scored))
-	for _, sp := range st.scored {
-		likelihood[sp.Pair] = sp.Likelihood
-	}
-	sim, err := crowd.NewSimulator(truth, pop, crowd.Config{
+	sim, err := crowd.NewSimulator(rv.truth, pop, crowd.Config{
 		Assignments:       opts.Assignments,
 		QualificationTest: opts.QualificationTest,
 		Seed:              opts.Seed,
 		Parallelism:       opts.Parallelism,
-		Difficulty:        crowd.DifficultyFromLikelihood(likelihood),
+		Difficulty:        crowd.DifficultyFromLikelihood(nil),
 	})
 	if err != nil {
 		return nil, err

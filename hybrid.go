@@ -240,7 +240,7 @@ func (r *Resolver) learnOptions() learn.Options {
 // trainingLabelsLocked gathers trainLearnerLocked's labels. The caller
 // holds rv.mu.
 func (r *Resolver) trainingLabelsLocked() []learn.Label {
-	var labels []learn.Label
+	labels := make([]learn.Label, 0, r.cache.Len())
 	pos, neg, maxID := 0, 0, record.ID(0)
 	for e := range r.cache.Entries() {
 		if e.Pair.B > maxID {

@@ -8,7 +8,6 @@ package aggregate
 
 import (
 	"cmp"
-	"encoding/binary"
 	"math"
 	"slices"
 
@@ -168,54 +167,96 @@ type answerIndex struct {
 	codeStart, codeSigs []int32
 	nWorkers            int
 	post                []float64 // per signature: majority-vote initialization, mutated by EM
+
+	// Scratch a reused index builds and runs EM in, so a rebuild
+	// allocates nothing once the buffers have grown to the answer set.
+	of, codes, start, votes []int32
+	workerAt                []int32          // dense worker + 1 by worker ID, below denseWorkers
+	sigIdx                  map[uint64]int32 // signature by its codes' hash
+	counts, conf            []confusion
+	logConf                 [][2]float64
 }
 
-// indexAnswers builds the index in any answer order. It looks a pair up
-// only when the pair changes from the previous answer, and numbers
-// workers by first appearance: MAP's pool sums run in worker order.
+// denseWorkers bounds the worker IDs numbered through a slice; IDs
+// outside [0, denseWorkers) go through a map.
+const denseWorkers = 1 << 16
+
+// indexAnswers builds a fresh index over the answers.
 func indexAnswers(answers []Answer) *answerIndex {
-	pairIdx := make(map[record.Pair]int32)
-	var pairs []record.Pair
-	workerIdx := make(map[int]int32)
-	of := make([]int32, len(answers)) // pair of each answer; later, signature of each vote
-	codes := make([]int32, len(answers))
+	ix := new(answerIndex)
+	ix.build(answers)
+	return ix
+}
+
+// build rebuilds the index over the answers, in any order, reusing its
+// buffers. Canonical input — pair-major, as Cache.Answered hands it —
+// numbers pairs by run; other input looks a pair up in a map when the
+// pair changes from the previous answer. Workers are numbered by first
+// appearance, because MAP's pool sums run in worker order.
+func (ix *answerIndex) build(answers []Answer) {
+	var pairIdx map[record.Pair]int32
+	if !slices.IsSortedFunc(answers, func(a, b Answer) int { return record.ComparePairs(a.Pair, b.Pair) }) {
+		pairIdx = make(map[record.Pair]int32)
+	}
+	workerIdx := map[int]*int32{}
+	clear(ix.workerAt)
+	ix.pairs, ix.nWorkers = ix.pairs[:0], 0
+	ix.of, ix.codes = resize(ix.of, len(answers)), resize(ix.codes, len(answers))
+	of := ix.of // pair of each answer; later, signature of each vote
 	for i, a := range answers {
-		if i == 0 || a.Pair != answers[i-1].Pair {
-			p, ok := pairIdx[a.Pair]
-			if !ok {
-				p = int32(len(pairs))
-				pairIdx[a.Pair] = p
-				pairs = append(pairs, a.Pair)
-			}
+		if i > 0 && a.Pair == answers[i-1].Pair {
+			of[i] = of[i-1]
+		} else if p, ok := pairIdx[a.Pair]; ok {
 			of[i] = p
 		} else {
-			of[i] = of[i-1]
+			of[i] = int32(len(ix.pairs))
+			ix.pairs = append(ix.pairs, a.Pair)
+			if pairIdx != nil {
+				pairIdx[a.Pair] = of[i]
+			}
 		}
-		w, ok := workerIdx[a.Worker]
-		if !ok {
-			w = int32(len(workerIdx))
+		var w *int32 // the worker's number + 1, 0 when unnumbered
+		if 0 <= a.Worker && a.Worker < denseWorkers {
+			if a.Worker >= len(ix.workerAt) {
+				ix.workerAt = append(ix.workerAt, make([]int32, a.Worker+1-len(ix.workerAt))...)
+			}
+			w = &ix.workerAt[a.Worker]
+		} else if w = workerIdx[a.Worker]; w == nil {
+			w = new(int32)
 			workerIdx[a.Worker] = w
 		}
-		codes[i] = w << 1
+		if *w == 0 {
+			ix.nWorkers++
+			*w = int32(ix.nWorkers)
+		}
+		ix.codes[i] = (*w - 1) << 1
 		if a.Match {
-			codes[i] |= 1
+			ix.codes[i] |= 1
 		}
 	}
-	start, votes := bucket(of, codes, len(pairs))
+	ix.start, ix.votes = bucket(of, ix.codes, len(ix.pairs), ix.start, ix.votes)
 
-	ix := &answerIndex{pairs: pairs, sigOf: make([]int32, len(pairs)), sigStart: []int32{0}, nWorkers: len(workerIdx)}
-	sigIdx := make(map[string]int32)
-	var key []byte
-	for i := range pairs {
-		vs := votes[start[i]:start[i+1]]
-		key = key[:0]
+	// A hash hit is compared code by code; a pair whose hash collides
+	// with another signature's starts a signature of its own, which EM
+	// runs on the same operands, so the posteriors are the same.
+	ix.sigOf, ix.sigStart, ix.sigCodes = resize(ix.sigOf, len(ix.pairs)), append(ix.sigStart[:0], 0), ix.sigCodes[:0]
+	ix.post = ix.post[:0]
+	if ix.sigIdx == nil {
+		ix.sigIdx = make(map[uint64]int32)
+	}
+	clear(ix.sigIdx)
+	for i := range ix.pairs {
+		vs := ix.votes[ix.start[i]:ix.start[i+1]]
+		h := uint64(len(vs))
 		for _, c := range vs {
-			key = binary.LittleEndian.AppendUint32(key, uint32(c))
+			h = (h ^ uint64(c)) * 0x100000001b3
 		}
-		s, ok := sigIdx[string(key)]
-		if !ok {
+		s, ok := ix.sigIdx[h]
+		if !ok || !slices.Equal(ix.sigCodes[ix.sigStart[s]:ix.sigStart[s+1]], vs) {
 			s = int32(len(ix.post))
-			sigIdx[string(key)] = s
+			if !ok {
+				ix.sigIdx[h] = s
+			}
 			ix.sigCodes = append(ix.sigCodes, vs...)
 			ix.sigStart = append(ix.sigStart, int32(len(ix.sigCodes)))
 			yes := 0
@@ -225,31 +266,39 @@ func indexAnswers(answers []Answer) *answerIndex {
 			ix.post = append(ix.post, float64(yes)/float64(len(vs)))
 		}
 		ix.sigOf[i] = s
-		for j := start[i]; j < start[i+1]; j++ {
+		for j := ix.start[i]; j < ix.start[i+1]; j++ {
 			of[j] = s
 		}
 	}
-	ix.codeStart, ix.codeSigs = bucket(votes, of, 2*ix.nWorkers)
-	return ix
+	ix.codeStart, ix.codeSigs = bucket(ix.votes, of, 2*ix.nWorkers, ix.codeStart, ix.codeSigs)
 }
 
-// bucket is a stable counting sort: it groups vals by their keys (each
-// below n), in input order within a key; key k's values are
-// out[start[k]:start[k+1]].
-func bucket(keys, vals []int32, n int) (start, out []int32) {
-	start = make([]int32, n+1)
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// bucket is a stable counting sort into the start and out buffers: it
+// groups vals by their keys (each below n), in input order within a key;
+// key k's values are out[start[k]:start[k+1]].
+func bucket(keys, vals []int32, n int, start, out []int32) ([]int32, []int32) {
+	start = resize(start, n+1)
+	clear(start)
 	for _, k := range keys {
 		start[k+1]++
 	}
 	for k := 0; k < n; k++ {
 		start[k+1] += start[k]
 	}
-	out = make([]int32, len(keys))
-	fill := slices.Clone(start[:n])
+	out = resize(out, len(keys))
 	for i, k := range keys {
-		out[fill[k]] = vals[i]
-		fill[k]++
+		out[start[k]] = vals[i]
+		start[k]++
 	}
+	// Each start[k] advanced to the end of bucket k: shift them back.
+	copy(start[1:], start[:n])
+	start[0] = 0
 	return start, out
 }
 
@@ -291,11 +340,11 @@ func (ix *answerIndex) posterior() Posterior {
 // The E-step takes the logs of the confusion rows and of the prior once
 // per iteration, not once per vote; math.Log is pure, so this too adds
 // the same operands.
-func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(counts, conf []confusion)) *answerIndex {
+func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(counts, conf []confusion)) {
 	post := ix.post
-	counts := make([]confusion, ix.nWorkers)
-	conf := make([]confusion, ix.nWorkers)
-	logConf := make([][2]float64, 2*ix.nWorkers) // logConf[code][c]
+	ix.counts, ix.conf = resize(ix.counts, ix.nWorkers), resize(ix.conf, ix.nWorkers)
+	ix.logConf = resize(ix.logConf, 2*ix.nWorkers) // logConf[code][c]
+	counts, conf, logConf := ix.counts, ix.conf, ix.logConf
 	for iter := 0; iter < maxIter; iter++ {
 		var priorSum float64
 		for _, s := range ix.sigOf {
@@ -341,7 +390,6 @@ func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(count
 			break
 		}
 	}
-	return ix
 }
 
 // DawidSkene runs the EM algorithm: it alternates estimating each pair's
@@ -349,19 +397,21 @@ func (ix *answerIndex) em(maxIter int, tol, alpha, beta float64, rows func(count
 // re-estimating worker confusion matrices and the class prior given the
 // posteriors (M-step), initialized from majority vote.
 func DawidSkene(answers []Answer, opts DawidSkeneOptions) Posterior {
-	return dawidSkene(answers, opts).posterior()
+	ix := indexAnswers(answers)
+	ix.dawidSkene(opts)
+	return ix.posterior()
 }
 
-// dawidSkene is DawidSkene's EM, returning the index it ran on.
-func dawidSkene(answers []Answer, opts DawidSkeneOptions) *answerIndex {
+// dawidSkene is DawidSkene's EM on the built index.
+func (ix *answerIndex) dawidSkene(opts DawidSkeneOptions) {
 	opts.defaults()
-	if len(answers) == 0 {
-		return &answerIndex{}
+	if len(ix.pairs) == 0 {
+		return
 	}
 
 	// Confusion rows are the additively smoothed expected counts.
 	s := opts.Smoothing
-	return indexAnswers(answers).em(opts.MaxIterations, opts.Tolerance, opts.PriorAlpha, opts.PriorBeta, func(counts, conf []confusion) {
+	ix.em(opts.MaxIterations, opts.Tolerance, opts.PriorAlpha, opts.PriorBeta, func(counts, conf []confusion) {
 		for w := range conf {
 			for c := 0; c < 2; c++ {
 				den := counts[w][c][0] + counts[w][c][1] + 2*s

@@ -386,12 +386,19 @@ func encodeAnswers(answers []Answer) []byte {
 // FuzzEMBitExact decodes an answer set (byte 0 picks the options, the
 // rest is encodeAnswers' encoding) and requires DawidSkene and
 // DawidSkeneMAP to reproduce the reference loop to the last bit of every
-// posterior. The seed corpus is emEdgeInputs.
+// posterior. Each set also runs in canonical order (pairs numbered by
+// run), shuffled, and with its worker IDs moved below zero, to 1<<20 and
+// above, and half of them below zero (the map fallbacks beside the dense
+// worker table); and each of those runs twice through the default
+// aggregators, whose index is reused across calls and inputs. The seed
+// corpus is emEdgeInputs.
 func FuzzEMBitExact(f *testing.F) {
 	inputs := emEdgeInputs()
 	for i, name := range slices.Sorted(maps.Keys(inputs)) {
 		f.Add(append([]byte{byte(i)}, encodeAnswers(inputs[name])...))
 	}
+	ds, _ := New(MethodDawidSkene)
+	mp, _ := New(MethodDawidSkeneMAP)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -412,8 +419,51 @@ func FuzzEMBitExact(f *testing.F) {
 				}
 			}
 		}
-		ds, mp := dsOpts[int(data[0])%len(dsOpts)], mapOpts[int(data[0])%len(mapOpts)]
-		check("DawidSkene", DawidSkene(answers, ds), refDawidSkene(answers, ds))
-		check("DawidSkeneMAP", DawidSkeneMAP(answers, mp), refDawidSkeneMAP(answers, mp))
+		remap := func(f func(int) int) []Answer {
+			out := slices.Clone(answers)
+			for i := range out {
+				out[i].Worker = f(out[i].Worker)
+			}
+			return out
+		}
+		canonical, shuffled := slices.Clone(answers), slices.Clone(answers)
+		SortCanonical(canonical)
+		rand.New(rand.NewSource(int64(len(data)))).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		variants := map[string][]Answer{
+			"as given":  answers,
+			"canonical": canonical,
+			"shuffled":  shuffled,
+			"negative":  remap(func(w int) int { return -1 - w }),
+			"large":     remap(func(w int) int { return 1<<20 + w }),
+			"mixed": remap(func(w int) int {
+				if w%2 == 1 {
+					return -w
+				}
+				return w
+			}),
+		}
+		dsOpt, mpOpt := dsOpts[int(data[0])%len(dsOpts)], mapOpts[int(data[0])%len(mapOpts)]
+		for name, in := range variants {
+			check(name+" DawidSkene", DawidSkene(in, dsOpt), refDawidSkene(in, dsOpt))
+			check(name+" DawidSkeneMAP", DawidSkeneMAP(in, mpOpt), refDawidSkeneMAP(in, mpOpt))
+			wantDS, wantMAP := refDawidSkene(in, DawidSkeneOptions{}), refDawidSkeneMAP(in, MAPOptions{})
+			for run := 0; run < 2; run++ {
+				check(fmt.Sprintf("%s reused DawidSkene, run %d", name, run), ds.Aggregate(in), wantDS)
+				check(fmt.Sprintf("%s reused DawidSkeneMAP, run %d", name, run), mp.Aggregate(in), wantMAP)
+				dense := mp.Dense(in)
+				if len(dense) != len(wantMAP) {
+					t.Fatalf("%s reused Dense, run %d: %d posteriors; reference %d", name, run, len(dense), len(wantMAP))
+				}
+				seen := map[record.Pair]bool{}
+				for _, a := range in {
+					if !seen[a.Pair] {
+						if g, w := dense[len(seen)], wantMAP[a.Pair]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s reused Dense, run %d: pair %v posterior %v; reference %v", name, run, a.Pair, g, w)
+						}
+						seen[a.Pair] = true
+					}
+				}
+			}
+		}
 	})
 }

@@ -88,19 +88,21 @@ const coverageUnit = 1.0
 // path does not use this estimator; it ships as its own Aggregator,
 // gated by TestDawidSkeneMAPNeverInvertsUnanimous.
 func DawidSkeneMAP(answers []Answer, opts MAPOptions) Posterior {
-	return dawidSkeneMAP(answers, opts).posterior()
+	ix := indexAnswers(answers)
+	ix.dawidSkeneMAP(opts)
+	return ix.posterior()
 }
 
-// dawidSkeneMAP is DawidSkeneMAP's EM, returning the index it ran on.
-func dawidSkeneMAP(answers []Answer, opts MAPOptions) *answerIndex {
+// dawidSkeneMAP is DawidSkeneMAP's EM on the built index.
+func (ix *answerIndex) dawidSkeneMAP(opts MAPOptions) {
 	opts.defaults()
-	if len(answers) == 0 {
-		return &answerIndex{}
+	if len(ix.pairs) == 0 {
+		return
 	}
 
 	// The prevalence is the MAP value under Beta(αp, βp); the rows below
 	// are the MAP confusion rows.
-	return indexAnswers(answers).em(opts.MaxIterations, opts.Tolerance, opts.PriorAlpha, opts.PriorBeta, func(counts, conf []confusion) {
+	ix.em(opts.MaxIterations, opts.Tolerance, opts.PriorAlpha, opts.PriorBeta, func(counts, conf []confusion) {
 		// Pool-mean confusion rows: the whole crowd's expected counts
 		// under the same diagonal prior — the anchor target for workers
 		// whose own history cannot support a row of their own.

@@ -1,6 +1,9 @@
 package aggregate
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Method enumerates the built-in answer aggregators.
 type Method int
@@ -70,46 +73,46 @@ type Aggregator interface {
 }
 
 // New returns the Aggregator for a method, with that method's default
-// options.
+// options. The aggregator keeps one answer index and rebuilds it in
+// place on every call, so a session re-aggregating each delta reuses its
+// storage; calls serialize on the aggregator's lock.
 func New(m Method) (Aggregator, error) {
+	var fit func(*answerIndex)
 	switch m {
 	case MethodDawidSkene:
-		return dawidSkeneAggregator{}, nil
+		fit = func(ix *answerIndex) { ix.dawidSkene(DawidSkeneOptions{}) }
 	case MethodMajorityVote:
-		return majorityVoteAggregator{}, nil
+		fit = func(*answerIndex) {}
 	case MethodDawidSkeneMAP:
-		return dawidSkeneMAPAggregator{}, nil
+		fit = func(ix *answerIndex) { ix.dawidSkeneMAP(MAPOptions{}) }
 	default:
 		return nil, fmt.Errorf("aggregate: unknown method %d", int(m))
 	}
+	return &aggregator{method: m, fit: fit}, nil
 }
 
-type dawidSkeneAggregator struct{}
-
-func (dawidSkeneAggregator) Name() string { return MethodDawidSkene.String() }
-func (dawidSkeneAggregator) Aggregate(answers []Answer) Posterior {
-	return DawidSkene(answers, DawidSkeneOptions{})
-}
-func (dawidSkeneAggregator) Dense(answers []Answer) []float64 {
-	return dawidSkene(answers, DawidSkeneOptions{}).dense()
+// aggregator is a built-in method with its reused index.
+type aggregator struct {
+	method Method
+	fit    func(*answerIndex)
+	mu     sync.Mutex
+	ix     answerIndex
 }
 
-type majorityVoteAggregator struct{}
+func (a *aggregator) Name() string { return a.method.String() }
 
-func (majorityVoteAggregator) Name() string { return MethodMajorityVote.String() }
-func (majorityVoteAggregator) Aggregate(answers []Answer) Posterior {
-	return MajorityVote(answers)
-}
-func (majorityVoteAggregator) Dense(answers []Answer) []float64 {
-	return indexAnswers(answers).dense()
+func (a *aggregator) Aggregate(answers []Answer) Posterior {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ix.build(answers)
+	a.fit(&a.ix)
+	return a.ix.posterior()
 }
 
-type dawidSkeneMAPAggregator struct{}
-
-func (dawidSkeneMAPAggregator) Name() string { return MethodDawidSkeneMAP.String() }
-func (dawidSkeneMAPAggregator) Aggregate(answers []Answer) Posterior {
-	return DawidSkeneMAP(answers, MAPOptions{})
-}
-func (dawidSkeneMAPAggregator) Dense(answers []Answer) []float64 {
-	return dawidSkeneMAP(answers, MAPOptions{}).dense()
+func (a *aggregator) Dense(answers []Answer) []float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ix.build(answers)
+	a.fit(&a.ix)
+	return a.ix.dense()
 }

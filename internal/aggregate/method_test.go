@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -110,4 +111,34 @@ func TestDenseMatchesAggregate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// One aggregator reuses one index, so calls on it from several
+// goroutines at once serialize: each still returns what a fresh run
+// returns, bit for bit.
+func TestAggregatorConcurrentCalls(t *testing.T) {
+	agg, err := New(MethodDawidSkeneMAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := emEdgeInputs()
+	var wg sync.WaitGroup
+	for name, answers := range inputs {
+		want := DawidSkeneMAP(answers, MAPOptions{})
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, p := range []Posterior{agg.Aggregate(answers), agg.Aggregate(answers)} {
+					for pr, w := range want {
+						if math.Float64bits(p[pr]) != math.Float64bits(w) {
+							t.Errorf("%s: pair %v posterior %v; a fresh run gives %v", name, pr, p[pr], w)
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

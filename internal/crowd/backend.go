@@ -39,6 +39,11 @@ type HIT struct {
 	Pairs []record.Pair
 	// Records lists the records shown to the worker (ClusterKind only).
 	Records []record.ID
+	// Likelihoods, when set, holds each listed pair's machine likelihood,
+	// in Pairs' order: the simulator derives a pair's difficulty from it
+	// (DifficultyFromLikelihood's rule) instead of asking its Config. It
+	// is the poster's annotation, never journaled.
+	Likelihoods []float64 `json:"-"`
 	// Assignments is the number of replicated assignments requested by
 	// this Post. The initial posting asks for the full replication factor;
 	// top-ups for expired assignments re-post the same HIT with 1.

@@ -141,6 +141,7 @@ func ExecuteHITs(ctx context.Context, b Backend, hits []HIT, opts ExecuteOptions
 			// backend valid, and the slots already paid for count here
 			// instead of being asked again.
 			hr.hit = rh.HIT
+			hr.hit.Likelihoods = h.Likelihoods // the same pairs: content-keyed
 			hr.needed = rh.HIT.Assignments
 			hr.slots = append(hr.slots, rh.Slots...)
 			hr.adopted = true

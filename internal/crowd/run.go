@@ -78,6 +78,15 @@ func (c *Config) difficultyOf(p record.Pair) float64 {
 	return c.Difficulty(p)
 }
 
+// pairDifficulty is the difficulty of h's i-th pair: from the
+// likelihood the HIT carries, else under the config.
+func (c *Config) pairDifficulty(h HIT, i int) float64 {
+	if h.Likelihoods != nil {
+		return likelihoodDifficulty(h.Likelihoods[i])
+	}
+	return c.difficultyOf(h.Pairs[i])
+}
+
 // DifficultyFromLikelihood builds a difficulty function from machine
 // similarity scores: pairs with similarity near 0.5 are ambiguous even for
 // people (difficulty → 1), while near-identical or clearly unrelated pairs
@@ -88,18 +97,23 @@ func DifficultyFromLikelihood(likelihood map[record.Pair]float64) func(record.Pa
 		if !ok {
 			return 0.5
 		}
-		d := 1 - 2*(s-0.5)
-		if s < 0.5 {
-			d = 1 - 2*(0.5-s)
-		}
-		if d < 0 {
-			return 0
-		}
-		if d > 1 {
-			return 1
-		}
-		return d
+		return likelihoodDifficulty(s)
 	}
+}
+
+// likelihoodDifficulty maps one similarity score to its difficulty.
+func likelihoodDifficulty(s float64) float64 {
+	d := 1 - 2*(s-0.5)
+	if s < 0.5 {
+		d = 1 - 2*(0.5-s)
+	}
+	if d < 0 {
+		return 0
+	}
+	if d > 1 {
+		return 1
+	}
+	return d
 }
 
 func (c *Config) defaults() {

@@ -150,10 +150,10 @@ func (s *Simulator) simulatePairHIT(h HIT) hitOutcome {
 	slotSpeed := make([]float64, r)
 	rng := simRands.Get().(*rand.Rand)
 	defer simRands.Put(rng)
-	for _, p := range h.Pairs {
+	for i, p := range h.Pairs {
 		rng.Seed(pairSeed(cfg.Seed, p))
 		isMatch := s.truth.Has(p.A, p.B)
-		difficulty := cfg.difficultyOf(p)
+		difficulty := cfg.pairDifficulty(h, i)
 		for slot, w := range pickDistinct(s.pool, r, rng) {
 			o.workers = append(o.workers, w.ID)
 			o.answers = append(o.answers, aggregate.Answer{
@@ -195,7 +195,7 @@ func (s *Simulator) simulateClusterHIT(h HIT) hitOutcome {
 	difficulty := make([]float64, n)
 	for i, p := range h.Pairs {
 		isMatch[i] = s.truth.Has(p.A, p.B)
-		difficulty[i] = cfg.difficultyOf(p)
+		difficulty[i] = cfg.pairDifficulty(h, i)
 	}
 	workers := pickDistinct(s.pool, h.Assignments, rng)
 	o := hitOutcome{

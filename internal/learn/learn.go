@@ -276,16 +276,22 @@ func (f *Features) tally(sorted []Label, fp uint64, opts Options) (*Learner, boo
 	return l, len(sorted) >= minLabels && l.pos >= minPerClass && l.neg >= minPerClass
 }
 
-// rows lays the labels' vectors out as a Pegasos training matrix.
+// rows lays the labels out as a Pegasos training set: a label's row is
+// a view of its memoised vector, and only synthetic labels are computed,
+// into a side buffer. Vectors are never modified, so a view stays valid
+// when a later append moves the buffer it points into.
 func (f *Features) rows(sorted []Label) *rows {
-	r := &rows{dim: 2*len(f.attrs) + 3}
-	r.x = make([]float64, 0, len(sorted)*r.dim)
+	r := &rows{dim: 2*len(f.attrs) + 3, x: make([][]float64, 0, len(sorted))}
+	var side []float64
 	for _, lb := range sorted {
+		v := side
 		if lb.Synthetic {
-			r.x = f.compute(r.x, lb.Pair)
+			side = f.compute(side, lb.Pair)
+			v = side[len(v):len(side):len(side)]
 		} else {
-			r.x = append(r.x, f.Vector(lb.Pair)...)
+			v = f.Vector(lb.Pair)
 		}
+		r.x = append(r.x, v)
 		r.label(lb.Match)
 	}
 	return r
@@ -295,6 +301,7 @@ func (f *Features) rows(sorted []Label) *rows {
 // learner's model and cuts its per-class training margins.
 func (l *Learner) fit(r *rows, w []float64) {
 	l.model = &SVM{W: w[:r.dim], B: w[r.dim]}
+	l.posMargins, l.negMargins = make([]float64, 0, r.pos), make([]float64, 0, r.neg)
 	for i, y := range r.y {
 		m := l.model.Score(r.row(i))
 		if y > 0 {

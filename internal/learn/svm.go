@@ -78,7 +78,7 @@ func TrainSVM(examples []Example, seed int64) (*SVM, error) {
 		if e.Label != 1 && e.Label != -1 {
 			return nil, errors.New("learn: labels must be +1 or -1")
 		}
-		r.x = append(r.x, e.X...)
+		r.x = append(r.x, e.X)
 		r.label(e.Label == 1)
 	}
 	w := make([]float64, r.dim+1)
@@ -86,12 +86,12 @@ func TrainSVM(examples []Example, seed int64) (*SVM, error) {
 	return &SVM{W: w[:r.dim], B: w[r.dim]}, nil
 }
 
-// rows is a Pegasos training set laid out for the inner loop: the
-// feature vectors back to back in one row-major matrix, each row with
-// its ±1 label and its class weight.
+// rows is a Pegasos training set: views of the feature vectors, which
+// the trainer only reads, each row with its ±1 label and its class
+// weight.
 type rows struct {
 	dim      int
-	x        []float64
+	x        [][]float64
 	y, cw    []float64
 	pos, neg int
 }
@@ -108,7 +108,7 @@ func (r *rows) label(match bool) {
 }
 
 // row returns example i's feature vector.
-func (r *rows) row(i int) []float64 { return r.x[i*r.dim : (i+1)*r.dim : (i+1)*r.dim] }
+func (r *rows) row(i int) []float64 { return r.x[i] }
 
 // pegasos runs epochs passes of Pegasos over the rows, updating w — the
 // weights with the bias in the last slot — in place, and returns the

@@ -53,29 +53,61 @@ type Deduction struct {
 	Negative bool
 }
 
-// forestEdge is one accepted asked pair seen from one endpoint. Weak
-// edges (non-unanimous crowd majorities) merge clusters but cannot
-// carry proofs: deductions built on contested links would compound the
-// noise they rest on.
+// forestEdge is one accepted asked pair seen from one endpoint, linked
+// to the next edge at that endpoint. Weak edges (non-unanimous crowd
+// majorities) merge clusters but cannot carry proofs: deductions built
+// on contested links would compound the noise they rest on.
 type forestEdge struct {
 	to     record.ID
 	via    record.Pair
 	strong bool
+	next   int32
 }
 
-// Graph is the deduction graph over crowd verdicts.
+// negEdge is one negative edge seen from one cluster root, linked to the
+// next edge at that root: the root on its far side (-1 once the edge is
+// dropped) and the asked non-match pair witnessing the separation.
+type negEdge struct {
+	to      record.ID
+	witness record.Pair
+	next    int32
+}
+
+// hop is one step of a proof search: the node reached, the index of the
+// hop it was reached from (-1 at the start), and the edge's asked pair.
+type hop struct {
+	node record.ID
+	prev int
+	via  record.Pair
+}
+
+// Graph is the deduction graph over crowd verdicts. Its state lives in
+// slices indexed by record ID, sized to the largest ID observed, and in
+// two edge arrays whose per-record lists those slices head: record IDs
+// are dense, so a lookup is an index instead of a hash, and Reset
+// empties the graph for a refill while keeping every slice's capacity.
 type Graph struct {
-	parent map[record.ID]record.ID
-	rank   map[record.ID]int
-	// forest is the spanning forest of accepted asked pairs: acyclic by
-	// construction (an edge is added only when it merges two clusters),
-	// it spans every cluster and provides proof paths.
-	forest map[record.ID][]forestEdge
-	// neg[r1][r2] is the asked non-match pair that witnessed cluster r1
-	// and cluster r2 being distinct entities (symmetric). Only strong
+	parent []record.ID
+	rank   []uint8
+	// The edges at v of the spanning forest of accepted asked pairs start
+	// at forest[forestAt[v]-1] (0 heads an empty list). The forest is
+	// acyclic by construction (an edge is added only when it merges two
+	// clusters), spans every cluster and provides proof paths.
+	forestAt []int32
+	forest   []forestEdge
+	// The negative edges at cluster root r start at neg[negAt[r]-1]: each
+	// far root with the asked non-match pair that witnessed the two
+	// clusters being distinct entities (symmetric). Only strong
 	// (unanimous) rejections become witnesses: a contested non-match is
 	// too thin a base for inferring other pairs apart.
-	neg map[record.ID]map[record.ID]record.Pair
+	negAt []int32
+	neg   []negEdge
+
+	// The proof search's scratch: seen[v] == gen marks v visited by the
+	// current search, so a search clears nothing.
+	hops []hop
+	seen []uint32
+	gen  uint32
 
 	// MaxProof, when positive, bounds the number of asked pairs a
 	// deduction may rest on (path edges, plus the witness for negative
@@ -87,27 +119,40 @@ type Graph struct {
 }
 
 // New creates an empty deduction graph.
-func New() *Graph {
-	return &Graph{
-		parent: make(map[record.ID]record.ID),
-		rank:   make(map[record.ID]int),
-		forest: make(map[record.ID][]forestEdge),
-		neg:    make(map[record.ID]map[record.ID]record.Pair),
+func New() *Graph { return &Graph{} }
+
+// Reset empties the graph, keeping its storage (and MaxProof) for the
+// next sequence of observations.
+func (g *Graph) Reset() {
+	for v := range g.parent {
+		g.parent[v], g.rank[v] = record.ID(v), 0
+	}
+	clear(g.forestAt)
+	clear(g.negAt)
+	g.forest, g.neg = g.forest[:0], g.neg[:0]
+}
+
+// ensure registers every ID up to v as its own singleton cluster.
+func (g *Graph) ensure(v record.ID) {
+	for n := record.ID(len(g.parent)); n <= v; n++ {
+		g.parent, g.rank = append(g.parent, n), append(g.rank, 0)
+		g.forestAt, g.negAt = append(g.forestAt, 0), append(g.negAt, 0)
 	}
 }
 
 // find returns the cluster root of v with path compression. Records
 // never observed are their own singleton cluster.
 func (g *Graph) find(v record.ID) record.ID {
-	p, ok := g.parent[v]
-	if !ok {
+	if int(v) >= len(g.parent) {
 		return v
 	}
-	if p == v {
-		return v
+	root := v
+	for g.parent[root] != root {
+		root = g.parent[root]
 	}
-	root := g.find(p)
-	g.parent[v] = root
+	for v != root {
+		v, g.parent[v] = g.parent[v], root
+	}
 	return root
 }
 
@@ -138,37 +183,27 @@ func (g *Graph) Observe(p record.Pair, match bool) {
 // therefore stop deduction chains cold instead of silently compounding
 // their noise into pairs nobody asked about.
 func (g *Graph) ObserveStrength(p record.Pair, match, strong bool) {
+	ra, rb := g.find(p.A), g.find(p.B)
+	if ra == rb {
+		// A rejection conflicts with the positive closure (positive wins);
+		// a match is already connected (the forest keeps its proof).
+		return
+	}
+	if !match && !strong {
+		return // a contested rejection is too thin to separate clusters
+	}
+	g.ensure(max(p.A, p.B))
 	if !match {
-		ra, rb := g.find(p.A), g.find(p.B)
-		if ra == rb {
-			return // conflicts with the positive closure; positive wins
-		}
-		if !strong {
-			return // a contested rejection is too thin to separate clusters
-		}
-		g.ensure(p.A)
-		g.ensure(p.B)
 		g.addNegative(ra, rb, p)
 		return
 	}
-	ra, rb := g.find(p.A), g.find(p.B)
-	if ra == rb {
-		return // already connected; the forest keeps its existing proof
-	}
-	g.ensure(p.A)
-	g.ensure(p.B)
 	// The accepted pair becomes a forest edge — it merges two trees, so
 	// the forest stays acyclic and spanning.
-	g.forest[p.A] = append(g.forest[p.A], forestEdge{to: p.B, via: p, strong: strong})
-	g.forest[p.B] = append(g.forest[p.B], forestEdge{to: p.A, via: p, strong: strong})
-	g.union(ra, rb)
-}
-
-// ensure registers v as its own cluster if unseen.
-func (g *Graph) ensure(v record.ID) {
-	if _, ok := g.parent[v]; !ok {
-		g.parent[v] = v
+	for _, e := range [2][2]record.ID{{p.A, p.B}, {p.B, p.A}} {
+		g.forest = append(g.forest, forestEdge{to: e[1], via: p, strong: strong, next: g.forestAt[e[0]]})
+		g.forestAt[e[0]] = int32(len(g.forest))
 	}
+	g.union(ra, rb)
 }
 
 // union merges the clusters rooted at ra and rb (by rank) and re-keys
@@ -184,36 +219,54 @@ func (g *Graph) union(ra, rb record.ID) {
 		g.rank[ra]++
 	}
 	// Fold rb's negative edges into ra's.
-	delete(g.neg[ra], rb)
-	for other, witness := range g.neg[rb] {
-		delete(g.neg[other], rb)
-		if other == ra {
-			continue // the dropped conflicting edge, seen from the far side
+	g.dropNegative(ra, rb)
+	for e := g.negAt[rb]; e != 0; e = g.neg[e-1].next {
+		if other, witness := g.neg[e-1].to, g.neg[e-1].witness; other >= 0 {
+			g.dropNegative(other, rb)
+			if other != ra { // else the dropped conflicting edge
+				g.addNegative(ra, other, witness)
+			}
 		}
-		g.addNegative(ra, other, witness)
 	}
-	delete(g.neg, rb)
+	g.negAt[rb] = 0
+}
+
+// negative returns the position + 1 in g.neg of root ra's edge to root
+// rb, or 0 when the two are not separated.
+func (g *Graph) negative(ra, rb record.ID) int32 {
+	if int(ra) < len(g.negAt) {
+		for e := g.negAt[ra]; e != 0; e = g.neg[e-1].next {
+			if g.neg[e-1].to == rb {
+				return e
+			}
+		}
+	}
+	return 0
 }
 
 // addNegative records a negative edge between two cluster roots. When
 // both merging clusters were distinct from the same third cluster, two
 // witnesses compete for one edge; the canonically smaller pair wins so
-// the surviving witness is independent of map iteration order.
+// the surviving witness is independent of the order edges are folded.
 func (g *Graph) addNegative(ra, rb record.ID, witness record.Pair) {
-	if existing, ok := g.neg[ra][rb]; ok && !pairLess(witness, existing) {
+	if e := g.negative(ra, rb); e != 0 {
+		if pairLess(witness, g.neg[e-1].witness) {
+			g.neg[e-1].witness = witness
+			g.neg[g.negative(rb, ra)-1].witness = witness
+		}
 		return
 	}
-	g.setNegative(ra, rb, witness)
-	g.setNegative(rb, ra, witness)
+	for _, e := range [2][2]record.ID{{ra, rb}, {rb, ra}} {
+		g.neg = append(g.neg, negEdge{to: e[1], witness: witness, next: g.negAt[e[0]]})
+		g.negAt[e[0]] = int32(len(g.neg))
+	}
 }
 
-func (g *Graph) setNegative(from, to record.ID, witness record.Pair) {
-	m, ok := g.neg[from]
-	if !ok {
-		m = make(map[record.ID]record.Pair)
-		g.neg[from] = m
+// dropNegative drops root from's edge to root to, if it has one.
+func (g *Graph) dropNegative(from, to record.ID) {
+	if e := g.negative(from, to); e != 0 {
+		g.neg[e-1].to = -1
 	}
-	m[to] = witness
 }
 
 func pairLess(a, b record.Pair) bool {
@@ -241,10 +294,11 @@ func (g *Graph) Deduce(p record.Pair) (Deduction, bool) {
 		}
 		return Deduction{Pair: p, Match: true, Path: path}, true
 	}
-	witness, ok := g.neg[ra][rb]
-	if !ok {
+	e := g.negative(ra, rb)
+	if e == 0 {
 		return Deduction{}, false
 	}
+	witness := g.neg[e-1].witness
 	// Orient the witness: wa is the witness endpoint on A's side.
 	wa, wb := witness.A, witness.B
 	if g.find(wa) != ra {
@@ -268,19 +322,20 @@ func (g *Graph) Deduce(p record.Pair) (Deduction, bool) {
 // Deducible reports whether Deduce would succeed for p, without
 // materializing the proof. Schedulers poll it on hot paths — mid-flight
 // retraction checks every in-flight HIT after every completion — where
-// building hop records and path slices per probe would dominate the
-// collector loop. It must agree with Deduce exactly; both sides
-// traverse only strong edges and apply the same MaxProof arithmetic.
+// building path slices per probe would dominate the collector loop. It
+// must agree with Deduce exactly; both sides traverse only strong edges
+// and apply the same MaxProof arithmetic.
 func (g *Graph) Deducible(p record.Pair) bool {
 	ra, rb := g.find(p.A), g.find(p.B)
 	if ra == rb && p.A != p.B {
 		d, ok := g.strongDist(p.A, p.B)
 		return ok && (g.MaxProof <= 0 || d <= g.MaxProof)
 	}
-	witness, ok := g.neg[ra][rb]
-	if !ok {
+	e := g.negative(ra, rb)
+	if e == 0 {
 		return false
 	}
+	witness := g.neg[e-1].witness
 	wa, wb := witness.A, witness.B
 	if g.find(wa) != ra {
 		wa, wb = wb, wa
@@ -296,33 +351,53 @@ func (g *Graph) Deducible(p record.Pair) bool {
 	return g.MaxProof <= 0 || da+db+1 <= g.MaxProof
 }
 
-// strongDist returns the length of the strong-edge forest path from a
-// to b. Paths in a forest are unique, so BFS depth is the path length.
-func (g *Graph) strongDist(a, b record.ID) (int, bool) {
+// search runs a breadth-first search from a to b over strong forest
+// edges and returns the index in g.hops of the hop reaching b, or -1
+// when no strong path exists. Paths in a forest are unique, so the
+// hops back from b are the path.
+func (g *Graph) search(a, b record.ID) int {
+	g.hops = append(g.hops[:0], hop{node: a, prev: -1})
 	if a == b {
-		return 0, true
+		return 0
 	}
-	type at struct {
-		node record.ID
-		dist int
+	if g.gen++; g.gen == 0 {
+		clear(g.seen)
+		g.gen = 1
 	}
-	queue := []at{{node: a}}
-	seen := map[record.ID]bool{a: true}
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
-		for _, e := range g.forest[h.node] {
-			if seen[e.to] || !e.strong {
+	g.seen = append(g.seen, make([]uint32, len(g.parent)-len(g.seen))...)
+	if int(a) < len(g.seen) {
+		g.seen[a] = g.gen
+	}
+	for i := 0; i < len(g.hops); i++ {
+		if int(g.hops[i].node) >= len(g.forestAt) {
+			continue
+		}
+		for j := g.forestAt[g.hops[i].node]; j != 0; j = g.forest[j-1].next {
+			e := g.forest[j-1]
+			if g.seen[e.to] == g.gen || !e.strong {
 				continue
 			}
+			g.seen[e.to] = g.gen
+			g.hops = append(g.hops, hop{node: e.to, prev: i, via: e.via})
 			if e.to == b {
-				return h.dist + 1, true
+				return len(g.hops) - 1
 			}
-			seen[e.to] = true
-			queue = append(queue, at{node: e.to, dist: h.dist + 1})
 		}
 	}
-	return 0, false
+	return -1
+}
+
+// strongDist returns the length of the strong-edge forest path from a
+// to b.
+func (g *Graph) strongDist(a, b record.ID) (int, bool) {
+	d, j := 0, g.search(a, b)
+	if j < 0 {
+		return 0, false
+	}
+	for ; g.hops[j].prev >= 0; j = g.hops[j].prev {
+		d++
+	}
+	return d, true
 }
 
 // forestPath returns the asked pairs along the strong-edge forest path
@@ -330,38 +405,14 @@ func (g *Graph) strongDist(a, b record.ID) (int, bool) {
 // connection runs through a weak, contested link). a == b yields an
 // empty (non-nil) path.
 func (g *Graph) forestPath(a, b record.ID) []record.Pair {
-	if a == b {
-		return []record.Pair{}
+	d, ok := g.strongDist(a, b)
+	if !ok {
+		return nil
 	}
-	// BFS over the proof forest; cluster trees are small relative to the
-	// candidate set, and paths are unique in a forest.
-	type hop struct {
-		node record.ID
-		prev int // index into hops, -1 at the start
-		via  record.Pair
+	path := make([]record.Pair, d)
+	for j := len(g.hops) - 1; g.hops[j].prev >= 0; j = g.hops[j].prev {
+		d--
+		path[d] = g.hops[j].via
 	}
-	hops := []hop{{node: a, prev: -1}}
-	seen := map[record.ID]bool{a: true}
-	for i := 0; i < len(hops); i++ {
-		h := hops[i]
-		for _, e := range g.forest[h.node] {
-			if seen[e.to] || !e.strong {
-				continue
-			}
-			seen[e.to] = true
-			hops = append(hops, hop{node: e.to, prev: i, via: e.via})
-			if e.to == b {
-				var path []record.Pair
-				for j := len(hops) - 1; hops[j].prev >= 0; j = hops[j].prev {
-					path = append(path, hops[j].via)
-				}
-				// Reverse into a-to-b order.
-				for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-					path[l], path[r] = path[r], path[l]
-				}
-				return path
-			}
-		}
-	}
-	return nil
+	return path
 }

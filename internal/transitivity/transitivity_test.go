@@ -1,7 +1,9 @@
 package transitivity
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/crowder/crowder/internal/record"
@@ -252,4 +254,206 @@ func TestDeducibleAgreesWithDeduce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refGraph is the map-based deduction graph the dense Graph replaced,
+// kept as its reference: union-find, proof forest and negative edges in
+// hash maps keyed by record ID, proofs found by a map-marked BFS.
+type refGraph struct {
+	parent   map[record.ID]record.ID
+	rank     map[record.ID]int
+	forest   map[record.ID][]forestEdge
+	neg      map[record.ID]map[record.ID]record.Pair
+	maxProof int
+}
+
+func newRef(maxProof int) *refGraph {
+	return &refGraph{
+		parent:   map[record.ID]record.ID{},
+		rank:     map[record.ID]int{},
+		forest:   map[record.ID][]forestEdge{},
+		neg:      map[record.ID]map[record.ID]record.Pair{},
+		maxProof: maxProof,
+	}
+}
+
+func (g *refGraph) find(v record.ID) record.ID {
+	p, ok := g.parent[v]
+	if !ok || p == v {
+		return v
+	}
+	root := g.find(p)
+	g.parent[v] = root
+	return root
+}
+
+func (g *refGraph) ensure(v record.ID) {
+	if _, ok := g.parent[v]; !ok {
+		g.parent[v] = v
+	}
+}
+
+func (g *refGraph) observe(p record.Pair, match, strong bool) {
+	ra, rb := g.find(p.A), g.find(p.B)
+	if ra == rb || (!match && !strong) {
+		return
+	}
+	g.ensure(p.A)
+	g.ensure(p.B)
+	if !match {
+		g.addNegative(ra, rb, p)
+		return
+	}
+	g.forest[p.A] = append(g.forest[p.A], forestEdge{to: p.B, via: p, strong: strong})
+	g.forest[p.B] = append(g.forest[p.B], forestEdge{to: p.A, via: p, strong: strong})
+	if g.rank[ra] < g.rank[rb] {
+		ra, rb = rb, ra
+	}
+	g.parent[rb] = ra
+	if g.rank[ra] == g.rank[rb] {
+		g.rank[ra]++
+	}
+	delete(g.neg[ra], rb)
+	for other, witness := range g.neg[rb] {
+		delete(g.neg[other], rb)
+		if other != ra {
+			g.addNegative(ra, other, witness)
+		}
+	}
+	delete(g.neg, rb)
+}
+
+func (g *refGraph) addNegative(ra, rb record.ID, witness record.Pair) {
+	if existing, ok := g.neg[ra][rb]; ok && !pairLess(witness, existing) {
+		return
+	}
+	for _, e := range [2][2]record.ID{{ra, rb}, {rb, ra}} {
+		if g.neg[e[0]] == nil {
+			g.neg[e[0]] = map[record.ID]record.Pair{}
+		}
+		g.neg[e[0]][e[1]] = witness
+	}
+}
+
+func (g *refGraph) deduce(p record.Pair) (Deduction, bool) {
+	ra, rb := g.find(p.A), g.find(p.B)
+	if ra == rb && p.A != p.B {
+		path := g.forestPath(p.A, p.B)
+		if path == nil || (g.maxProof > 0 && len(path) > g.maxProof) {
+			return Deduction{}, false
+		}
+		return Deduction{Pair: p, Match: true, Path: path}, true
+	}
+	witness, ok := g.neg[ra][rb]
+	if !ok {
+		return Deduction{}, false
+	}
+	wa, wb := witness.A, witness.B
+	if g.find(wa) != ra {
+		wa, wb = wb, wa
+	}
+	pathA, pathB := g.forestPath(p.A, wa), g.forestPath(p.B, wb)
+	if pathA == nil || pathB == nil {
+		return Deduction{}, false
+	}
+	path := append(pathA, pathB...)
+	if g.maxProof > 0 && len(path)+1 > g.maxProof {
+		return Deduction{}, false
+	}
+	return Deduction{Pair: p, Path: path, Witness: witness, Negative: true}, true
+}
+
+func (g *refGraph) forestPath(a, b record.ID) []record.Pair {
+	if a == b {
+		return []record.Pair{}
+	}
+	type step struct {
+		node record.ID
+		prev int
+		via  record.Pair
+	}
+	steps := []step{{node: a, prev: -1}}
+	seen := map[record.ID]bool{a: true}
+	for i := 0; i < len(steps); i++ {
+		for _, e := range g.forest[steps[i].node] {
+			if seen[e.to] || !e.strong {
+				continue
+			}
+			seen[e.to] = true
+			steps = append(steps, step{node: e.to, prev: i, via: e.via})
+			if e.to == b {
+				var path []record.Pair
+				for j := len(steps) - 1; steps[j].prev >= 0; j = steps[j].prev {
+					path = append([]record.Pair{steps[j].via}, path...)
+				}
+				return path
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzGraphMatchesReference replays observation sequences on one dense
+// Graph, Reset between sequences, and on a fresh refGraph each, and
+// requires both to agree on every pair of touched IDs: Deduce (verdict,
+// proof path and witness), Deducible, and the cluster root. Byte 0 picks
+// the first sequence's MaxProof (each later one takes the next, mod 4);
+// 0xff separates sequences; within one, each observation is two bytes:
+// the first carries A in its low five bits, the verdict in bit 5 and the
+// strength in bit 6, the second carries B in its low five bits.
+func FuzzGraphMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 0x61, 1, 0x62, 2, 0x43, 5, 0x40, 5, 0x65, 6, 0xff, 0x21, 2, 0x61, 1, 0x43, 2})
+	f.Add([]byte{0, 0x40, 5, 0x60, 1, 0x65, 6, 0x41, 6, 0x60, 1, 0x66, 7, 0x40, 7})
+	rng := rand.New(rand.NewSource(5))
+	for s := 0; s < 4; s++ {
+		seq := []byte{byte(s)}
+		for i := 0; i < 120; i++ {
+			if i%40 == 39 {
+				seq = append(seq, 0xff)
+			}
+			seq = append(seq, byte(rng.Intn(12))|byte(rng.Intn(2))<<5|byte(min(rng.Intn(4), 1))<<6, byte(rng.Intn(12)))
+		}
+		f.Add(seq)
+	}
+	g := New()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		for s, seq := range bytes.Split(data[1:], []byte{0xff}) {
+			g.Reset()
+			g.MaxProof = (int(data[0]) + s) % 4
+			ref := newRef(g.MaxProof)
+			var ids []record.ID
+			touched := map[record.ID]bool{}
+			for i := 0; i+1 < len(seq); i += 2 {
+				p := pair(int(seq[i]&31), int(seq[i+1]&31))
+				match, strong := seq[i]&0x20 != 0, seq[i]&0x40 != 0
+				g.ObserveStrength(p, match, strong)
+				ref.observe(p, match, strong)
+				for _, v := range []record.ID{p.A, p.B} {
+					if !touched[v] {
+						touched[v] = true
+						ids = append(ids, v)
+					}
+				}
+			}
+			for _, a := range ids {
+				if g.Root(a) != ref.find(a) {
+					t.Fatalf("sequence %d: Root(%d) = %d; reference %d", s, a, g.Root(a), ref.find(a))
+				}
+				for _, b := range ids {
+					p := record.Pair{A: a, B: b}
+					got, ok := g.Deduce(p)
+					want, wantOK := ref.deduce(p)
+					if ok != wantOK || !reflect.DeepEqual(got, want) {
+						t.Fatalf("sequence %d, MaxProof %d: Deduce(%v) = %+v, %v; reference %+v, %v", s, g.MaxProof, p, got, ok, want, wantOK)
+					}
+					if g.Deducible(p) != ok {
+						t.Fatalf("sequence %d, MaxProof %d: Deducible(%v) = %v; Deduce %v", s, g.MaxProof, p, !ok, ok)
+					}
+				}
+			}
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/store"
+	"github.com/crowder/crowder/internal/transitivity"
 	"github.com/crowder/crowder/internal/verdicts"
 )
 
@@ -99,6 +100,13 @@ type Resolver struct {
 	// memoised), is written only under mu held for writing, and is
 	// derived state: never persisted, refilled lazily after recovery.
 	feats *learn.Features
+	// truth is the simulated crowd's reference pair set, built from
+	// Options.Oracle by the first resolve that needs it. Guarded by
+	// resolveMu.
+	truth record.PairSet
+	// graph is the session's deduction graph, rebuilt in place by each
+	// delta's execute stage (rebuildGraph). Guarded by resolveMu.
+	graph *transitivity.Graph
 	// lastBand and lastRisk record the uncertainty band the most recent
 	// route stage actually used, for observability (HybridStats).
 	lastBand learn.Band
@@ -174,6 +182,7 @@ func newResolverWith(t *Table, opts Options, cache *verdicts.Cache) (*Resolver, 
 		cache: cache,
 		log:   log,
 		feats: learn.NewFeatures(t.inner),
+		graph: transitivity.New(),
 		idx: simjoin.NewIndex(t.inner, simjoin.Options{
 			Threshold:       opts.Threshold,
 			CrossSourceOnly: opts.CrossSourceOnly,
@@ -349,20 +358,25 @@ func (r *Resolver) WorkerStats() []WorkerStat {
 
 // workerStatsLocked is WorkerStats for a caller holding r.mu in either
 // mode: one pass over the cached answers, each judged against its
-// pair's current posterior.
+// pair's current posterior and tallied in a table indexed by worker ID
+// (a map for IDs outside [0, 4096)).
 func (r *Resolver) workerStatsLocked() []WorkerStat {
-	var out []WorkerStat
-	at := make(map[int]int) // worker → index into out
+	var dense []WorkerStat
+	far := map[int]*WorkerStat{}
 	for e := range r.cache.Entries() {
 		decided := e.Posterior >= 0.5
 		for _, a := range e.Answers {
-			i, ok := at[a.Worker]
-			if !ok {
-				i = len(out)
-				at[a.Worker] = i
-				out = append(out, WorkerStat{Worker: a.Worker})
+			var s *WorkerStat
+			if 0 <= a.Worker && a.Worker < 1<<12 {
+				if a.Worker >= len(dense) {
+					dense = append(dense, make([]WorkerStat, a.Worker+1-len(dense))...)
+				}
+				s = &dense[a.Worker]
+			} else if s = far[a.Worker]; s == nil {
+				s = new(WorkerStat)
+				far[a.Worker] = s
 			}
-			s := &out[i]
+			s.Worker = a.Worker
 			s.Answers++
 			if decided {
 				s.MatchesSeen++
@@ -373,6 +387,15 @@ func (r *Resolver) workerStatsLocked() []WorkerStat {
 				s.Accuracy++ // agreements, normalised below
 			}
 		}
+	}
+	var out []WorkerStat
+	for _, s := range dense {
+		if s.Answers > 0 {
+			out = append(out, s)
+		}
+	}
+	for _, s := range far {
+		out = append(out, *s)
 	}
 	for i := range out {
 		s := &out[i]

@@ -70,7 +70,10 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	// The deduction graph is rebuilt from the session's asked verdicts in
 	// canonical order: deltas resume deducing from everything the crowd
 	// has already answered. Only unanimous verdicts carry proofs. The
-	// rebuild holds the session lock shared — it only reads the cache.
+	// session's one graph, on slices indexed by record ID, is reset and
+	// refilled rather than maintained across deltas (rebuildGraph says
+	// why). The rebuild holds the session lock shared — it only reads
+	// the cache.
 	var g *transitivity.Graph
 	if opts.Transitivity == TransitivityOn {
 		rv.mu.RLock()
@@ -215,7 +218,7 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 				return nil, err
 			}
 		}
-		hits := batch.tasks(opts.Assignments, posted)
+		hits := batch.tasks(opts.Assignments, posted, window)
 		posted += len(hits)
 
 		eo := crowd.ExecuteOptions{
@@ -330,9 +333,17 @@ func putWindow(cache *verdicts.Cache, window []simjoin.ScoredPair, asked []bool,
 	}
 }
 
-// rebuildGraph reconstructs the deduction graph from the cache's
-// first-hand verdicts — asked and machine-resolved. The caller holds
-// the session lock (shared suffices).
+// rebuildGraph reconstructs the session's deduction graph from the
+// cache's first-hand verdicts — asked and machine-resolved — and returns
+// it. The graph lives on slices indexed by record ID, kept by the
+// Resolver across deltas: each round resets it, keeping its storage, and
+// refills it in canonical order. The plain recompute is kept over
+// semi-naive evaluation on purpose: re-aggregation moves posteriors
+// across 0.5 and the router demotes machine verdicts, so edges can
+// vanish between rounds, and a refill from the canonical walk is what
+// makes the graph — and every proof — identical to a from-scratch
+// session's. The caller holds rv.resolveMu and the session lock (shared
+// suffices).
 //
 // Machine verdicts observe as strong edges: the hybrid router only
 // resolves a pair by machine when its margin clears the session's
@@ -341,24 +352,17 @@ func putWindow(cache *verdicts.Cache, window []simjoin.ScoredPair, asked []bool,
 // the cache holds no machine entries and the rebuild is bit-identical
 // to the asked-only one.
 func rebuildGraph(rv *Resolver, underReview record.PairSet) *transitivity.Graph {
-	asked := rv.cache.GroundEntries()
-	if underReview != nil {
-		// Machine verdicts the router demoted this delta are not ground
-		// truth while under review: their edges are dropped so the sweep
-		// cannot deduce a demoted pair right back from its own contested
-		// verdict. Deduction from *independent* evidence remains fine.
-		kept := asked[:0]
-		for _, e := range asked {
-			if e.Provenance == verdicts.Machine && underReview.Has(e.Pair.A, e.Pair.B) {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		asked = kept
-	}
-	g := transitivity.New()
+	g := rv.graph
+	g.Reset()
 	g.MaxProof = transitiveMaxProof
-	for _, e := range asked {
+	for _, e := range rv.cache.GroundEntries() {
+		if e.Provenance == verdicts.Machine && underReview.Has(e.Pair.A, e.Pair.B) {
+			// Machine verdicts the router demoted this delta are not ground
+			// truth while under review: their edges are dropped so the sweep
+			// cannot deduce a demoted pair right back from its own contested
+			// verdict. Deduction from *independent* evidence remains fine.
+			continue
+		}
 		match := e.Posterior >= 0.5
 		strong := e.Provenance == verdicts.Machine || unanimous(e.Answers, match)
 		g.ObserveStrength(e.Pair, match, strong)
@@ -376,21 +380,21 @@ func rebuildGraph(rv *Resolver, underReview record.PairSet) *transitivity.Graph 
 // selectable — the sweep already removed everything deducible — so
 // every round makes progress.
 func selectWindow(g *transitivity.Graph, remaining []simjoin.ScoredPair, max int) (window, rest []simjoin.ScoredPair) {
-	// Union-find over cluster roots, seeded lazily: the speculative
-	// "every in-flight pair matches" closure for this window only.
-	spec := make(map[record.ID]record.ID)
-	var root func(record.ID) record.ID
-	root = func(v record.ID) record.ID {
-		r, ok := spec[v]
-		if !ok {
-			return v
+	// The speculative "every in-flight pair matches" closure for this
+	// window only: at most one link per window pair, each from a cluster
+	// root to the root it was merged into, few enough to scan.
+	links := make([][2]record.ID, 0, max)
+	root := func(v record.ID) record.ID {
+		for i := 0; i < len(links); i++ {
+			if links[i][0] == v {
+				v, i = links[i][1], -1
+			}
 		}
-		r = root(r)
-		spec[v] = r
-		return r
+		return v
 	}
-
-	i := 0
+	// The deferred pairs are compacted to the front of remaining, which
+	// becomes the rest.
+	i, k := 0, 0
 	for ; i < len(remaining) && len(window) < max; i++ {
 		sp := remaining[i]
 		ga, gb := g.Root(sp.Pair.A), g.Root(sp.Pair.B)
@@ -403,14 +407,14 @@ func selectWindow(g *transitivity.Graph, remaining []simjoin.ScoredPair, max int
 		}
 		ra, rb := root(ga), root(gb)
 		if ra == rb {
-			rest = append(rest, sp) // would close a speculative cycle: defer
+			remaining[k] = sp // would close a speculative cycle: defer
+			k++
 			continue
 		}
-		spec[ra] = rb
+		links = append(links, [2]record.ID{ra, rb})
 		window = append(window, sp)
 	}
-	rest = append(rest, remaining[i:]...)
-	return window, rest
+	return window, append(remaining[:k], remaining[i:]...)
 }
 
 // pairVerdict is one pair's majority verdict from a completed HIT.
