@@ -3,184 +3,93 @@ package crowder
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/record"
-	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/transitivity"
 	"github.com/crowder/crowder/internal/verdicts"
 )
 
-// slotCase is one random execute commit: a cache with history, a window,
-// which of its pairs the round asked, the HITs batched over it and the
-// round's answers laid out as the lifecycle manager assembles them.
-type slotCase struct {
-	window []simjoin.ScoredPair
-	asked  []bool
-	batch  hitBatch
-	run    *crowd.Result
-	n      int
+// putMachine, putDeduced and addPartial apply one verdict, or one
+// fragment, as a window.
+func putMachine(c *verdicts.Cache, p record.Pair, likelihood, posterior float64) {
+	c.Apply(verdicts.Window{Machine: []verdicts.MachineVerdict{{Pair: p, Likelihood: likelihood, Posterior: posterior}}})
 }
 
-// newSlotCase draws a commit and returns it with a builder of the cache
-// it starts from, so the slot path and the per-pair path each get their
-// own copy. The history holds asked entries with answers, deduced and
-// machine entries for window pairs (upgraded by the commit) and partial
-// fragments on window and other pairs (shed when answers arrive).
-func newSlotCase(seed int64) (slotCase, func() *verdicts.Cache) {
-	rng := rand.New(rand.NewSource(seed))
-	records := 4 + rng.Intn(30)
-	seen := record.NewPairSet()
-	pair := func() record.Pair {
-		for {
-			a, b := rng.Intn(records), rng.Intn(records)
-			if a != b && !seen.Has(record.ID(a), record.ID(b)) {
-				seen.Add(record.ID(a), record.ID(b))
-				return record.MakePair(record.ID(a), record.ID(b))
-			}
-		}
-	}
-	answer := func(p record.Pair) aggregate.Answer {
-		return aggregate.Answer{Pair: p, Worker: rng.Intn(12), Match: rng.Intn(2) == 0}
-	}
-	var c slotCase
-	c.n = 1 + rng.Intn(4)
-	for i := 0; i < 1+rng.Intn(min(40, records*(records-1)/4)); i++ {
-		c.window = append(c.window, simjoin.ScoredPair{Pair: pair(), Likelihood: float64(rng.Intn(5)) / 4})
-		c.asked = append(c.asked, rng.Intn(5) > 0)
-	}
-	var outside []record.Pair
-	for i := 0; i < rng.Intn(8) && len(seen) < records*(records-1)/2-1; i++ {
-		outside = append(outside, pair())
-	}
-
-	// History, replayed identically by every builder.
-	hist := rng.Int63()
-	build := func() *verdicts.Cache {
-		r := rand.New(rand.NewSource(hist))
-		cache := verdicts.NewCache()
-		for _, p := range outside {
-			if r.Intn(2) == 0 {
-				cache.Put(p, r.Float64())
-				cache.AddAnswers([]aggregate.Answer{{Pair: p, Worker: r.Intn(12), Match: true}})
-			} else {
-				cache.AddPartialAnswers([]aggregate.Answer{{Pair: p, Worker: r.Intn(12)}})
-			}
-		}
-		for _, sp := range c.window {
-			switch r.Intn(5) {
-			case 0:
-				cache.PutDeduced(sp.Likelihood/2, transitivity.Deduction{Pair: sp.Pair, Match: true, Path: outside[:min(len(outside), 2)]})
-			case 1:
-				cache.PutMachine(sp.Pair, 0, 0.9)
-			case 2:
-				cache.AddPartialAnswers([]aggregate.Answer{{Pair: sp.Pair, Worker: r.Intn(12)}, {Pair: sp.Pair, Worker: r.Intn(12), Match: true}})
-			}
-		}
-		return cache
-	}
-
-	// HITs over the asked slots: some pairs in two HITs, some HITs
-	// retracted (an empty span), answers pair-major or assignment-major,
-	// and now and then an answer for a pair outside the HIT.
-	var askedSlots []int32
-	for i, a := range c.asked {
-		if a {
-			askedSlots = append(askedSlots, int32(i))
-		}
-	}
-	c.run = &crowd.Result{Spans: []int{0}}
-	for h := 0; h < 1+rng.Intn(6); h++ {
-		var ps []record.Pair
-		var slots []int32
-		for _, s := range askedSlots {
-			if rng.Intn(3) == 0 {
-				ps, slots = append(ps, c.window[s].Pair), append(slots, s)
-			}
-		}
-		c.batch.pairs, c.batch.slots = append(c.batch.pairs, ps), append(c.batch.slots, slots)
-		if rng.Intn(5) > 0 {
-			if rng.Intn(2) == 0 {
-				for _, p := range ps {
-					for r := 0; r < c.n; r++ {
-						c.run.Answers = append(c.run.Answers, answer(p))
-					}
-				}
-			} else {
-				for r := 0; r < c.n; r++ {
-					for _, p := range ps {
-						c.run.Answers = append(c.run.Answers, answer(p))
-					}
-				}
-			}
-			if rng.Intn(4) == 0 {
-				p := c.window[rng.Intn(len(c.window))].Pair
-				if len(outside) > 0 && rng.Intn(2) == 0 {
-					p = outside[rng.Intn(len(outside))]
-				}
-				c.run.Answers = append(c.run.Answers, answer(p))
-			}
-		}
-		c.run.Spans = append(c.run.Spans, len(c.run.Answers))
-	}
-	return c, build
+func putDeduced(c *verdicts.Cache, likelihood float64, d transitivity.Deduction) {
+	c.Apply(verdicts.Window{Deduced: []verdicts.DeducedVerdict{{Likelihood: likelihood, Proof: d}}})
 }
 
-// The slot commit equals per-pair Put + Reserve, then AddAnswers: every
-// entry's answers (order included), provenance, likelihood, posterior
-// and proof, the canonical order, and the partial fragments left.
-func TestPutWindowMatchesPerPair(t *testing.T) {
+func addPartial(c *verdicts.Cache, answers []aggregate.Answer) {
+	c.Apply(verdicts.Window{Partial: answers})
+}
+
+// answerIndex names, for each answer of a round, its pair's index in
+// the asked window, or −1: the cache then finds the pair itself. Every
+// index it names is right, and when a HIT's answers are its own pairs,
+// pair-major or assignment-major, it names every one — an answer for a
+// pair outside its HIT may cost the next answer its index, never its
+// entry. A run without spans (an empty run) names none.
+func TestAnswerIndexNamesEachAnswersPair(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
-		c, build := newSlotCase(seed)
-		got, want := build(), build()
-		putWindow(got, c.window, c.asked, c.batch, c.run, c.n)
-		for i, sp := range c.window {
-			if c.asked[i] {
-				want.Put(sp.Pair, sp.Likelihood).Reserve(c.n)
+		rng := rand.New(rand.NewSource(seed))
+		slots := 1 + rng.Intn(40)
+		at := make([]int32, slots)
+		var asked []record.Pair
+		var askedSlots []int32
+		for s := range slots {
+			at[s] = -1
+			if rng.Intn(5) > 0 {
+				at[s] = int32(len(asked))
+				asked, askedSlots = append(asked, record.MakePair(record.ID(s), record.ID(s+100))), append(askedSlots, int32(s))
 			}
 		}
-		want.AddAnswers(c.run.Answers)
-
-		ge, gp := got.Dump()
-		we, wp := want.Dump()
-		if !reflect.DeepEqual(ge, we) || !reflect.DeepEqual(gp, wp) {
-			t.Fatalf("seed %d: slot commit\n%+v\n%+v\nper-pair\n%+v\n%+v", seed, ge, gp, we, wp)
-		}
-		if !reflect.DeepEqual(got.Pairs(), want.Pairs()) || got.PartialLen() != want.PartialLen() {
-			t.Fatalf("seed %d: canonical order or partial count differs", seed)
-		}
-		var walked []record.Pair
-		for e := range got.Entries() {
-			if got.Get(e.Pair) != e {
-				t.Fatalf("seed %d: the walk yields an entry the map does not hold", seed)
+		var batch hitBatch
+		run := &crowd.Result{Spans: []int{0}}
+		extras := rng.Intn(3) == 0
+		for range 1 + rng.Intn(6) {
+			var ps []record.Pair
+			var ss []int32
+			for _, s := range askedSlots {
+				if rng.Intn(3) == 0 {
+					ps, ss = append(ps, asked[at[s]]), append(ss, s)
+				}
 			}
-			walked = append(walked, e.Pair)
+			batch.pairs, batch.slots = append(batch.pairs, ps), append(batch.slots, ss)
+			if rng.Intn(5) > 0 { // else retracted: an empty span
+				reps, pairMajor := 1+rng.Intn(4), rng.Intn(2) == 0
+				for k := range reps * len(ps) {
+					p := ps[k%len(ps)]
+					if pairMajor {
+						p = ps[k/reps]
+					}
+					run.Answers = append(run.Answers, aggregate.Answer{Pair: p, Worker: k})
+					if extras && rng.Intn(4) == 0 {
+						run.Answers = append(run.Answers, aggregate.Answer{Pair: record.MakePair(1000, record.ID(k))})
+					}
+				}
+			}
+			run.Spans = append(run.Spans, len(run.Answers))
 		}
-		if !reflect.DeepEqual(walked, want.Pairs()) {
-			t.Fatalf("seed %d: Entries walks %v; want %v", seed, walked, want.Pairs())
-		}
-	}
-}
 
-// Without spans — an empty run — the commit falls back to AddAnswers.
-func TestPutWindowWithoutSpans(t *testing.T) {
-	c, build := newSlotCase(7)
-	got, want := build(), build()
-	c.run.Spans = nil
-	putWindow(got, c.window, c.asked, c.batch, c.run, c.n)
-	for i, sp := range c.window {
-		if c.asked[i] {
-			want.Put(sp.Pair, sp.Likelihood).Reserve(c.n)
+		got := answerIndex(batch, run, at)
+		if len(got) != len(run.Answers) {
+			t.Fatalf("seed %d: %d indices for %d answers", seed, len(got), len(run.Answers))
 		}
-	}
-	want.AddAnswers(c.run.Answers)
-	ge, _ := got.Dump()
-	we, _ := want.Dump()
-	if !reflect.DeepEqual(ge, we) {
-		t.Fatal("the span-less commit differs from per-pair AddAnswers")
+		for i, k := range got {
+			if k >= 0 && asked[k] != run.Answers[i].Pair {
+				t.Fatalf("seed %d: answer %d of %v is indexed to %v", seed, i, run.Answers[i].Pair, asked[k])
+			}
+			if k < 0 && !extras {
+				t.Fatalf("seed %d: answer %d of its HIT's own pair %v has no index", seed, i, run.Answers[i].Pair)
+			}
+		}
+		run.Spans = nil
+		if got := answerIndex(batch, run, at); got != nil {
+			t.Fatalf("seed %d: a run without spans is indexed %v", seed, got)
+		}
 	}
 }
 
@@ -201,7 +110,7 @@ func TestRankedMatchesEqualsPosteriorRanked(t *testing.T) {
 			v := values[rng.Intn(len(values))]
 			switch rng.Intn(3) {
 			case 0:
-				cache.PutMachine(p, 0, v)
+				putMachine(cache, p, 0, v)
 			case 1:
 				cache.Put(p, 0)
 			default:

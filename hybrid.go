@@ -9,7 +9,6 @@ import (
 	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
-	"github.com/crowder/crowder/internal/store"
 	"github.com/crowder/crowder/internal/verdicts"
 )
 
@@ -114,23 +113,18 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 	}
 
 	var uncertain []simjoin.ScoredPair
-	var ops []store.Op
-	machine := 0
+	var machine []verdicts.MachineVerdict
 	for i, sp := range st.scored {
-		conf, ok := judge(i)
-		if !ok {
+		if conf, ok := judge(i); ok {
+			machine = append(machine, verdicts.MachineVerdict{Pair: sp.Pair, Likelihood: sp.Likelihood, Posterior: conf})
+		} else {
 			uncertain = append(uncertain, sp)
-			continue
 		}
-		machine++
-		if !st.planOnly {
-			rv.cache.PutMachine(sp.Pair, sp.Likelihood, conf)
-			ops = append(ops, store.Op{Machine: &store.MachineOp{
-				Pair:       sp.Pair,
-				Likelihood: sp.Likelihood,
-				Posterior:  conf,
-			}})
-		}
+	}
+	var ws []verdicts.Window
+	if len(machine) > 0 && !st.planOnly {
+		ws = []verdicts.Window{{Machine: machine}}
+		rv.cache.Apply(ws[0])
 	}
 	// Self-correction: re-score the machine verdicts of earlier deltas
 	// under the retrained model. Any verdict the mature model no longer
@@ -150,24 +144,18 @@ func stageRoute(_ context.Context, st *resolveState) (*resolveState, error) {
 		}
 		uncertain = append(uncertain, demoted...)
 	}
-	st.res.MachinePairs = machine
-	if machine == 0 && len(demoted) == 0 {
+	st.res.MachinePairs = len(machine)
+	if len(machine) == 0 && len(demoted) == 0 {
 		return st, nil
 	}
 	st.scored = uncertain
 	if st.planOnly {
 		return st, nil
 	}
-	if len(uncertain) == 0 {
-		// The whole delta resolved by machine: no crowd stage will run to
-		// clear the pending set, so clear it in this same commit.
-		rv.pending = rv.pending[:0]
-		ops = append(ops, store.Op{ClearPending: true})
-	}
-	if len(ops) > 0 {
-		if err := rv.log.Log(&store.Commit{Ops: ops}); err != nil {
-			return nil, err
-		}
+	// When the whole delta resolved by machine, no crowd stage will run
+	// to clear the pending set, so this same commit clears it.
+	if err := rv.logCommitLocked(ws, len(uncertain) == 0); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -8,9 +8,7 @@ import (
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/learn"
-	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
-	"github.com/crowder/crowder/internal/transitivity"
 	"github.com/crowder/crowder/internal/verdicts"
 )
 
@@ -44,6 +42,7 @@ const (
 	tagPending
 	tagCacheState
 	tagQueueState
+	tagWindows
 )
 
 // Meta records session identity: the table schema, the aggregator bound
@@ -100,65 +99,18 @@ type Prune struct {
 func (*Prune) tag() byte     { return tagPrune }
 func (*Prune) durable() bool { return false }
 
-// PutOp records a cache Put: a pair judged by the crowd.
-type PutOp struct {
-	Pair       record.Pair `json:"pair"`
-	Likelihood float64     `json:"lik"`
+// Windows is one atomic verdict-cache transaction: the windows a
+// lock-held commit section applied, in order, and whether it cleared
+// the pending set, in one frame so a torn tail cannot split a commit.
+// Replay applies them through the same verdicts.Cache.Apply. Logs from
+// before this tag hold Commit frames instead (see legacy.go).
+type Windows struct {
+	W            []verdicts.Window `json:"w,omitempty"`
+	ClearPending bool              `json:"clear,omitempty"`
 }
 
-// DeduceOp records a cache PutDeduced: a verdict inferred by
-// transitivity, with its full proof (path and witness) as provenance.
-type DeduceOp struct {
-	D          transitivity.Deduction `json:"d"`
-	Likelihood float64                `json:"lik"`
-}
-
-// MachineOp records a cache PutMachine: a pair the hybrid router's
-// classifier resolved outside its uncertainty band, with the calibrated
-// match confidence the router assigned. No HIT was issued.
-type MachineOp struct {
-	Pair       record.Pair `json:"pair"`
-	Likelihood float64     `json:"lik"`
-	Posterior  float64     `json:"post"`
-}
-
-// PairVal carries one pair's posterior.
-type PairVal struct {
-	Pair record.Pair `json:"pair"`
-	Val  float64     `json:"val"`
-}
-
-// Op is one step of an atomic Commit. Exactly one field group is set.
-// Ops preserve the live mutation order — the transitive scheduler
-// interleaves asked and deduced verdicts within one commit, and replay
-// must observe the same first-insert semantics the cache applied live.
-//
-// Posteriors is no longer written. Crowd sessions log answers and let
-// recovery re-aggregate them, and machine-only sessions log their pairs
-// as MachineOp. Older logs carry Posteriors ops — a crowd session's full
-// posterior set per delta, or a machine-only session's likelihoods next
-// to Put ops — which replay still applies; the resolver's restore then
-// re-aggregates the former and turns the latter into machine entries.
-type Op struct {
-	Put          *PutOp             `json:"put,omitempty"`
-	Deduce       *DeduceOp          `json:"ded,omitempty"`
-	Machine      *MachineOp         `json:"mach,omitempty"`
-	Answers      []aggregate.Answer `json:"ans,omitempty"`
-	Partial      []aggregate.Answer `json:"part,omitempty"`
-	Posteriors   []PairVal          `json:"post,omitempty"`
-	ClearPending bool               `json:"clear,omitempty"`
-}
-
-// Commit is one atomic verdict-cache transaction: everything a single
-// lock-held commit section mutated, logged as one frame so a torn tail
-// can never split a commit in half (judged pairs without their answers,
-// or vice versa).
-type Commit struct {
-	Ops []Op `json:"ops"`
-}
-
-func (*Commit) tag() byte     { return tagCommit }
-func (*Commit) durable() bool { return true }
+func (*Windows) tag() byte     { return tagWindows }
+func (*Windows) durable() bool { return true }
 
 // QueuePosted records HITs opened (or topped up) on the queue backend.
 type QueuePosted struct {
@@ -273,6 +225,8 @@ func decodeEvent(payload []byte) (Event, error) {
 		ev = &Prune{}
 	case tagCommit:
 		ev = &Commit{}
+	case tagWindows:
+		ev = &Windows{}
 	case tagQueuePosted:
 		ev = &QueuePosted{}
 	case tagQueueClaimed:

@@ -25,6 +25,7 @@ func TestEventVocabulary(t *testing.T) {
 		{&Pending{}, tagPending, true},
 		{&CacheState{}, tagCacheState, true},
 		{&QueueState{}, tagQueueState, true},
+		{&Windows{}, tagWindows, true},
 	}
 	seen := map[byte]bool{}
 	for _, c := range cases {

@@ -10,6 +10,7 @@ import (
 	"github.com/crowder/crowder/internal/learn"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
+	"github.com/crowder/crowder/internal/transitivity"
 	"github.com/crowder/crowder/internal/verdicts"
 )
 
@@ -45,6 +46,18 @@ func seedPayloads(tb testing.TB) [][]byte {
 			Collected: map[int][]crowd.Assignment{3: {answered}},
 			NextHITID: 4,
 		}},
+		&Windows{W: []verdicts.Window{
+			{Asked: &verdicts.AskedWindow{
+				Pairs: []simjoin.ScoredPair{{Pair: record.MakePair(0, 1), Likelihood: 0.5}}, Reserve: 3,
+				Answers: []aggregate.Answer{{Pair: record.MakePair(0, 1), Match: true}, {Pair: record.MakePair(2, 3), Worker: 1}},
+				At:      []int32{0, -1},
+			}},
+			{Machine: []verdicts.MachineVerdict{{Pair: record.MakePair(1, 2), Likelihood: 0.4, Posterior: 0.03}}},
+			{Deduced: []verdicts.DeducedVerdict{{Likelihood: 0.25, Proof: transitivity.Deduction{
+				Pair: record.MakePair(0, 2), Match: true, Path: []record.Pair{record.MakePair(0, 1), record.MakePair(1, 2)},
+			}}}},
+			{Partial: []aggregate.Answer{{Pair: record.MakePair(4, 5), Worker: 2}}},
+		}, ClearPending: true},
 	}
 	var out [][]byte
 	for _, ev := range events {
@@ -76,7 +89,7 @@ func TestSeedPayloadsCoverEveryTag(t *testing.T) {
 		}
 		seen[p[0]] = true
 	}
-	for tag := tagMeta; tag <= tagQueueState; tag++ {
+	for tag := tagMeta; tag <= tagWindows; tag++ {
 		if !seen[tag] {
 			t.Errorf("no seed payload for tag 0x%02x", tag)
 		}

@@ -64,28 +64,16 @@ func (st *replayState) apply(ev Event) error {
 			st.boundaries = append(st.boundaries, e.Absorbed)
 		}
 		st.pending = append(st.pending, e.Discovered...)
+	case *Windows:
+		for _, w := range e.W {
+			st.cache.Apply(w)
+		}
+		if e.ClearPending {
+			st.pending = nil
+		}
 	case *Commit:
-		for _, op := range e.Ops {
-			switch {
-			case op.Put != nil:
-				st.cache.Put(op.Put.Pair, op.Put.Likelihood)
-			case op.Deduce != nil:
-				st.cache.PutDeduced(op.Deduce.Likelihood, op.Deduce.D)
-			case op.Machine != nil:
-				st.cache.PutMachine(op.Machine.Pair, op.Machine.Likelihood, op.Machine.Posterior)
-			case op.Answers != nil:
-				st.cache.AddAnswers(op.Answers)
-			case op.Partial != nil:
-				st.cache.AddPartialAnswers(op.Partial)
-			case op.Posteriors != nil:
-				post := make(aggregate.Posterior, len(op.Posteriors))
-				for _, pv := range op.Posteriors {
-					post[pv.Pair] = pv.Val
-				}
-				st.cache.SetPosteriors(post)
-			case op.ClearPending:
-				st.pending = nil
-			}
+		if e.replay(st.cache) {
+			st.pending = nil
 		}
 	case *Pending:
 		st.pending = append(st.pending[:0], e.Scored...)
@@ -246,7 +234,7 @@ func (st *replayState) recovered() *Recovered {
 			rec.Resume = rs
 		}
 		if len(inflight) > 0 {
-			rec.Cache.AddPartialAnswers(inflight)
+			rec.Cache.Apply(verdicts.Window{Partial: inflight})
 		}
 	}
 	return rec

@@ -1,7 +1,9 @@
 // Package store is the durable session storage behind the resolver: a
 // write-ahead log of every fact a session learns — record appends,
-// candidate prunes, verdict commits (asked, deduced and machine, with
-// provenance), posted HITs, claim leases, raw answers, retractions —
+// candidate prunes, verdict commits (windows of asked, deduced and
+// machine verdicts, with provenance, that replay applies through the
+// same verdicts.Cache.Apply the live commit did), posted HITs, claim
+// leases, raw answers, retractions —
 // but not what the session derives from them, plus periodic
 // compacting snapshots, so recovering a session is "load snapshot, replay
 // WAL tail" rather than re-running (and re-paying) any crowd work.

@@ -11,7 +11,7 @@ import (
 // RestoreCache are the persistence layer's snapshot format — dumping the
 // cache wholesale, rather than replaying the mutations that built it,
 // is what makes a restored cache bit-identical regardless of the
-// Put/PutDeduced/AddAnswers order the live session happened to use.
+// order of windows the live session happened to apply.
 func (c *Cache) Dump() (entries []Entry, partials []aggregate.Answer) {
 	entries = make([]Entry, 0, len(c.entries))
 	for e := range c.Entries() {

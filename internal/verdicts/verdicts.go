@@ -227,42 +227,6 @@ func (c *Cache) Entries() iter.Seq[*Entry] {
 	}
 }
 
-// PutAll is Put of each pair with its likelihood, in order, followed by
-// Reserve(n) on its entry, and returns the entries in the pairs' order.
-// The pairs new to the cache join the canonical order through one sort
-// and one merge, and take their entries and answers from shared chunks.
-func (c *Cache) PutAll(pairs []record.Pair, likelihoods []float64, n int) []*Entry {
-	out, fresh := make([]*Entry, len(pairs)), make([]*Entry, 0, len(pairs))
-	var slab []Entry
-	var answers []aggregate.Answer
-	for i, p := range pairs {
-		if _, ok := c.entries[p]; ok {
-			out[i] = c.Put(p, likelihoods[i])
-			out[i].Reserve(n)
-			continue
-		}
-		if len(slab) == cap(slab) {
-			// Chunks within the allocator's small size classes: one
-			// block per window raised a batch resolve's peak heap.
-			slab = make([]Entry, 0, min(entryChunk, len(pairs)-i))
-			answers = make([]aggregate.Answer, cap(slab)*n)
-		}
-		k := len(slab)
-		slab = append(slab, Entry{Pair: p, Likelihood: likelihoods[i], Answers: answers[k*n : k*n : (k+1)*n]})
-		out[i] = &slab[k]
-		c.entries[p] = out[i]
-		fresh = append(fresh, out[i])
-	}
-	if len(fresh) > 0 {
-		sortEntries(fresh)
-		c.addRecent(fresh)
-	}
-	return out
-}
-
-// entryChunk is how many entries PutAll allocates at a time.
-const entryChunk = 256
-
 // sortEntries orders entries by pair: a radix sort on A<<32|B when every
 // ID fits in 32 bits, as record IDs do, else a comparison sort.
 func sortEntries(es []*Entry) {
@@ -283,13 +247,13 @@ func sortEntries(es []*Entry) {
 	copy(es, sorted)
 }
 
-// PutMachine records a machine-resolved verdict: the hybrid router's
+// putMachine records a machine-resolved verdict: the hybrid router's
 // classifier scored the pair outside its uncertainty band, so the pair
 // is judged without a HIT. The posterior is the router's calibrated
 // match confidence (> 0.5 accept, < 0.5 reject). An existing entry of
 // any provenance wins — a pair the crowd judged, deduction proved, or
 // an earlier delta machine-resolved is never re-judged.
-func (c *Cache) PutMachine(p record.Pair, likelihood, posterior float64) *Entry {
+func (c *Cache) putMachine(p record.Pair, likelihood, posterior float64) *Entry {
 	if e, ok := c.entries[p]; ok {
 		return e
 	}
@@ -303,7 +267,7 @@ func (c *Cache) PutMachine(p record.Pair, likelihood, posterior float64) *Entry 
 // classifier rather than asked or deduced.
 func (c *Cache) MachineLen() int { return c.count(Machine) }
 
-// PutDeduced records a deduced verdict with its proof. An existing asked
+// putDeduced records a deduced verdict with its proof. An existing asked
 // entry is never downgraded (the crowd's direct judgment wins); an
 // existing deduced entry keeps its original proof. A machine entry is
 // replaced: deduction only reaches a machine-resolved pair when the
@@ -311,7 +275,7 @@ func (c *Cache) MachineLen() int { return c.count(Machine) }
 // independent evidence supersedes the contested classifier call. The
 // initial posterior is the hard deduced verdict (1 or 0); each
 // aggregation pass re-derives it from the proof's supporting pairs.
-func (c *Cache) PutDeduced(likelihood float64, d transitivity.Deduction) *Entry {
+func (c *Cache) putDeduced(likelihood float64, d transitivity.Deduction) *Entry {
 	old, ok := c.entries[d.Pair]
 	if ok && old.Provenance != Machine {
 		return old
@@ -362,58 +326,24 @@ func (c *Cache) GroundEntries() []*Entry {
 	return out
 }
 
-// Reserve makes room for n answers on an entry that holds none yet, so
-// a pair whose HITs are replicated n times takes its answers in one
-// allocation instead of regrowing the slice answer by answer.
-func (e *Entry) Reserve(n int) {
-	if e.Answers == nil {
-		e.Answers = make([]aggregate.Answer, 0, n)
-	}
+// AddAnswers appends crowd answers to their pairs' entries: Apply of an
+// Asked window holding only the answers. Answers for pairs without an
+// entry create one (with zero likelihood), so cluster HITs that
+// incidentally cover extra pairs are still recorded. A pair judged in
+// full sheds any partial answers an earlier aborted resolution left
+// behind: the complete set supersedes the fragment.
+func (c *Cache) AddAnswers(answers []aggregate.Answer) {
+	c.Apply(Window{Asked: &AskedWindow{Answers: answers}})
 }
 
-// AddAnswers appends crowd answers to their pairs' entries. Answers for
-// pairs without an entry create one (with zero likelihood), so cluster
-// HITs that incidentally cover extra pairs are still recorded. A pair
-// judged in full sheds any partial answers an earlier aborted resolution
-// left behind: the complete set supersedes the fragment.
-func (c *Cache) AddAnswers(answers []aggregate.Answer) { c.AddAnswersVia(answers, nil) }
-
-// AddAnswersVia is AddAnswers for a caller that knows where the answers
-// go: entry, if not nil, returns the entry of an answer's pair, or nil
-// to have it looked up. An entry of another pair counts as nil.
-func (c *Cache) AddAnswersVia(answers []aggregate.Answer, entry func(record.Pair) *Entry) {
-	shed := len(c.partial) > 0
-	for _, a := range answers {
-		var e *Entry
-		if entry != nil {
-			e = entry(a.Pair)
-		}
-		if e == nil || e.Pair != a.Pair {
-			var ok bool
-			if e, ok = c.entries[a.Pair]; !ok {
-				e = c.Put(a.Pair, 0)
-			}
-		}
-		if e.Provenance == Machine {
-			// Real crowd evidence supersedes the classifier's guess: the
-			// pair re-aggregates with the answer set from here on.
-			e.Provenance = Asked
-		}
-		e.Answers = append(e.Answers, a)
-		if shed {
-			delete(c.partial, a.Pair)
-		}
-	}
-}
-
-// AddPartialAnswers records answers from a resolution that ended before
+// addPartialAnswers records answers from a resolution that ended before
 // all of its HITs completed. Partial answers never feed aggregation (the
 // retry re-issues the pair's HITs and commits the full set); they persist
 // the crowd work already paid for across the failure. A pair's latest
 // fragment replaces any earlier one — repeatedly cancelled retries
 // re-collect overlapping answers, and keeping every attempt's copy would
 // grow without bound and double-count the work.
-func (c *Cache) AddPartialAnswers(answers []aggregate.Answer) {
+func (c *Cache) addPartialAnswers(answers []aggregate.Answer) {
 	fresh := make(map[record.Pair]bool)
 	for _, a := range answers {
 		if c.Has(a.Pair) {

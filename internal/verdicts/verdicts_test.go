@@ -1,7 +1,6 @@
 package verdicts
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,6 +9,7 @@ import (
 
 	"github.com/crowder/crowder/internal/aggregate"
 	"github.com/crowder/crowder/internal/record"
+	"github.com/crowder/crowder/internal/simjoin"
 	"github.com/crowder/crowder/internal/transitivity"
 )
 
@@ -91,7 +91,7 @@ func TestSetPosteriorsAndPairs(t *testing.T) {
 func TestPartialAnswersLifecycle(t *testing.T) {
 	c := NewCache()
 	p1, p2 := mk(0, 1), mk(1, 2)
-	c.AddPartialAnswers([]aggregate.Answer{
+	c.addPartialAnswers([]aggregate.Answer{
 		{Pair: p1, Worker: 1, Match: true},
 		{Pair: p1, Worker: 2, Match: false},
 		{Pair: p2, Worker: 1, Match: true},
@@ -119,13 +119,13 @@ func TestPartialAnswersLifecycle(t *testing.T) {
 		t.Error("other pairs' partial answers must survive")
 	}
 	// Fragments arriving for an already-judged pair are moot.
-	c.AddPartialAnswers([]aggregate.Answer{{Pair: p1, Worker: 9, Match: true}})
+	c.addPartialAnswers([]aggregate.Answer{{Pair: p1, Worker: 9, Match: true}})
 	if len(c.partial[p1]) != 0 {
 		t.Error("partial answers for a judged pair should be dropped")
 	}
 	// A retried-and-cancelled run's fragment replaces the previous one
 	// instead of accumulating duplicates.
-	c.AddPartialAnswers([]aggregate.Answer{{Pair: p2, Worker: 5, Match: true}})
+	c.addPartialAnswers([]aggregate.Answer{{Pair: p2, Worker: 5, Match: true}})
 	if got := c.partial[p2]; len(got) != 1 || got[0].Worker != 5 {
 		t.Errorf("latest fragment should replace the old one; got %v", got)
 	}
@@ -148,9 +148,9 @@ func TestProvenanceLifecycle(t *testing.T) {
 		Match: true,
 		Path:  []record.Pair{record.MakePair(0, 1), record.MakePair(1, 2)},
 	}
-	e := c.PutDeduced(0.7, ded)
+	e := c.putDeduced(0.7, ded)
 	if e.Provenance != Deduced || e.Deduction == nil || !e.Deduction.Match {
-		t.Fatalf("PutDeduced produced %+v", e)
+		t.Fatalf("putDeduced produced %+v", e)
 	}
 	if e.Posterior != 1 {
 		t.Errorf("deduced match initial posterior = %v; want 1", e.Posterior)
@@ -163,9 +163,9 @@ func TestProvenanceLifecycle(t *testing.T) {
 	}
 
 	// Asked entries never downgrade to deduced.
-	c.PutDeduced(0, transitivity.Deduction{Pair: asked, Match: false})
+	c.putDeduced(0, transitivity.Deduction{Pair: asked, Match: false})
 	if e := c.Get(asked); e.Provenance != Asked {
-		t.Error("PutDeduced downgraded an asked entry")
+		t.Error("putDeduced downgraded an asked entry")
 	}
 	// A deduced entry later asked directly upgrades and sheds its proof.
 	up := c.Put(ded.Pair, 0.9)
@@ -180,11 +180,11 @@ func TestProvenanceLifecycle(t *testing.T) {
 func TestPutDeducedSupersedesPartialFragments(t *testing.T) {
 	c := NewCache()
 	p := record.MakePair(3, 4)
-	c.AddPartialAnswers([]aggregate.Answer{{Pair: p, Worker: 1, Match: true}})
+	c.addPartialAnswers([]aggregate.Answer{{Pair: p, Worker: 1, Match: true}})
 	if c.PartialLen() != 1 {
 		t.Fatal("partial fragment not recorded")
 	}
-	c.PutDeduced(0.5, transitivity.Deduction{Pair: p, Match: false, Negative: true, Witness: record.MakePair(2, 3)})
+	c.putDeduced(0.5, transitivity.Deduction{Pair: p, Match: false, Negative: true, Witness: record.MakePair(2, 3)})
 	if c.PartialLen() != 0 {
 		t.Error("deduced verdict left the partial fragment behind")
 	}
@@ -231,9 +231,9 @@ func TestBindAggregator(t *testing.T) {
 func TestMachineProvenanceLifecycle(t *testing.T) {
 	c := NewCache()
 	p := mk(0, 1)
-	e := c.PutMachine(p, 0.7, 0.95)
+	e := c.putMachine(p, 0.7, 0.95)
 	if e.Provenance != Machine || e.Posterior != 0.95 || e.Likelihood != 0.7 {
-		t.Fatalf("PutMachine produced %+v", e)
+		t.Fatalf("putMachine produced %+v", e)
 	}
 	if Machine.String() != "machine" {
 		t.Errorf("Machine.String() = %q", Machine.String())
@@ -242,14 +242,14 @@ func TestMachineProvenanceLifecycle(t *testing.T) {
 		t.Fatalf("MachineLen=%d Len=%d; want 1, 1", c.MachineLen(), c.Len())
 	}
 	// First verdict wins: a re-route of the same pair is a no-op.
-	if again := c.PutMachine(p, 0.2, 0.1); again != e || e.Posterior != 0.95 {
-		t.Error("re-PutMachine must keep the original verdict")
+	if again := c.putMachine(p, 0.2, 0.1); again != e || e.Posterior != 0.95 {
+		t.Error("re-putMachine must keep the original verdict")
 	}
 	// An existing asked or deduced entry is never downgraded to machine.
 	asked := mk(1, 2)
 	c.Put(asked, 0.6)
-	if got := c.PutMachine(asked, 0.1, 0.2); got.Provenance != Asked {
-		t.Errorf("PutMachine over an asked entry changed provenance to %v", got.Provenance)
+	if got := c.putMachine(asked, 0.1, 0.2); got.Provenance != Asked {
+		t.Errorf("putMachine over an asked entry changed provenance to %v", got.Provenance)
 	}
 
 	// The crowd's direct judgment supersedes the model's guess: Put and
@@ -261,7 +261,7 @@ func TestMachineProvenanceLifecycle(t *testing.T) {
 		t.Errorf("MachineLen = %d after upgrade; want 0", c.MachineLen())
 	}
 	p2 := mk(2, 3)
-	c.PutMachine(p2, 0.5, 0.1)
+	c.putMachine(p2, 0.5, 0.1)
 	c.AddAnswers([]aggregate.Answer{{Pair: p2, Worker: 1, Match: true}})
 	e2 := c.Get(p2)
 	if e2.Provenance != Asked || len(e2.Answers) != 1 {
@@ -274,17 +274,17 @@ func TestMachineProvenanceLifecycle(t *testing.T) {
 // and exactly the asked entries when no machine verdicts exist.
 func TestGroundEntriesOrderAndFilter(t *testing.T) {
 	c := NewCache()
-	c.PutMachine(mk(4, 5), 0.5, 0.9)
+	c.putMachine(mk(4, 5), 0.5, 0.9)
 	c.Put(mk(0, 1), 0.8)
-	c.PutDeduced(0.6, transitivity.Deduction{Pair: mk(2, 3), Match: true, Path: []record.Pair{mk(0, 1)}})
-	c.PutMachine(mk(1, 2), 0.4, 0.05)
+	c.putDeduced(0.6, transitivity.Deduction{Pair: mk(2, 3), Match: true, Path: []record.Pair{mk(0, 1)}})
+	c.putMachine(mk(1, 2), 0.4, 0.05)
 	checkGround(t, c, []record.Pair{mk(0, 1), mk(1, 2), mk(4, 5)})
 
 	plain := NewCache()
 	plain.Put(mk(5, 6), 0.1)
 	plain.Put(mk(0, 9), 0.2)
 	plain.Put(mk(0, 3), 0.3)
-	plain.PutDeduced(0, transitivity.Deduction{Pair: mk(1, 2), Match: true})
+	plain.putDeduced(0, transitivity.Deduction{Pair: mk(1, 2), Match: true})
 	checkGround(t, plain, []record.Pair{mk(0, 3), mk(0, 9), mk(5, 6)})
 	for _, e := range plain.GroundEntries() {
 		if e.Provenance != Asked {
@@ -326,9 +326,9 @@ func TestPairsOrderMaintainedOnInsert(t *testing.T) {
 		case 0:
 			c.Put(p, 0.5)
 		case 1:
-			c.PutMachine(p, 0.5, 0.9)
+			c.putMachine(p, 0.5, 0.9)
 		case 2:
-			c.PutDeduced(0.5, transitivity.Deduction{Pair: p, Match: true})
+			c.putDeduced(0.5, transitivity.Deduction{Pair: p, Match: true})
 		default:
 			c.AddAnswers([]aggregate.Answer{{Pair: p, Worker: i, Match: true}})
 		}
@@ -346,13 +346,13 @@ func TestPairsOrderMaintainedOnInsert(t *testing.T) {
 	}
 }
 
-// PutMachine supersedes partial fragments (the pair is judged now) and
+// putMachine supersedes partial fragments (the pair is judged now) and
 // machine entries survive a Dump/Restore round trip with provenance.
 func TestMachineDumpRestoreAndPartials(t *testing.T) {
 	c := NewCache()
 	p := mk(0, 1)
-	c.AddPartialAnswers([]aggregate.Answer{{Pair: p, Worker: 3, Match: true}})
-	c.PutMachine(p, 0.7, 0.88)
+	c.addPartialAnswers([]aggregate.Answer{{Pair: p, Worker: 3, Match: true}})
+	c.putMachine(p, 0.7, 0.88)
 	if len(c.partial[p]) != 0 {
 		t.Error("machine judgment should clear the pair's partial answers")
 	}
@@ -380,9 +380,9 @@ func TestAddAnswersBatchMatchesPerAnswer(t *testing.T) {
 		c := NewCache()
 		c.Put(asked, 0.7)
 		c.AddAnswers([]aggregate.Answer{{Pair: asked, Worker: 7, Match: true}})
-		c.AddPartialAnswers([]aggregate.Answer{{Pair: fragment, Worker: 1, Match: false}})
-		c.AddPartialAnswers([]aggregate.Answer{{Pair: untouched, Worker: 2, Match: true}})
-		c.PutMachine(machine, 0.6, 0.9)
+		c.addPartialAnswers([]aggregate.Answer{{Pair: fragment, Worker: 1, Match: false}})
+		c.addPartialAnswers([]aggregate.Answer{{Pair: untouched, Worker: 2, Match: true}})
+		c.putMachine(machine, 0.6, 0.9)
 		return c
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -423,23 +423,27 @@ func TestAddAnswersBatchMatchesPerAnswer(t *testing.T) {
 	}
 }
 
-// An entry reserved for the replication factor takes a pair's three
-// answers in one allocation, the reservation; appended one at a time
-// they would regrow the slice from capacity 1 to 2 to 4. Reserving an
-// entry that already holds answers leaves them as they are.
+// An Asked window reserving the replication factor gives a pair its
+// three answers in one allocation, the reservation; appended one at a
+// time they would regrow the slice from capacity 1 to 2 to 4. An entry
+// that already holds answers keeps them as they are.
 func TestReservedAnswersAllocateOnce(t *testing.T) {
 	p := mk(0, 1)
 	answers := []aggregate.Answer{{Pair: p, Worker: 1, Match: true}, {Pair: p, Worker: 2}, {Pair: p, Worker: 3, Match: true}}
 	c := NewCache()
 	e := c.Put(p, 0.5)
-	if allocs := testing.AllocsPerRun(100, func() {
-		e.Answers = nil
-		e.Reserve(3)
-		c.AddAnswers(answers)
-	}); allocs != 1 {
-		t.Errorf("a reserved pair's 3 answers cost %v allocations; want 1", allocs)
+	allocs := func(w *AskedWindow) float64 {
+		return testing.AllocsPerRun(100, func() {
+			e.Answers = nil
+			c.Apply(Window{Asked: w})
+		})
 	}
-	e.Reserve(8)
+	pairs, at := []simjoin.ScoredPair{{Pair: p, Likelihood: 0.5}}, []int32{0, 0, 0}
+	bare := allocs(&AskedWindow{Pairs: pairs, Reserve: 3})
+	if got := allocs(&AskedWindow{Pairs: pairs, Reserve: 3, Answers: answers, At: at}); got != bare {
+		t.Errorf("a reserved pair's 3 answers cost %v allocations beyond the window's %v; want none", got-bare, bare)
+	}
+	c.Apply(Window{Asked: &AskedWindow{Pairs: pairs, Reserve: 8}})
 	if !slices.Equal(e.Answers, answers) || cap(e.Answers) != 3 {
 		t.Errorf("Reserve on an answered entry changed it: %v (cap %d)", e.Answers, cap(e.Answers))
 	}
@@ -472,16 +476,19 @@ func randomHistory(rng *rand.Rand) *Cache {
 			c.Put(p, rng.Float64())
 			c.AddAnswers([]aggregate.Answer{{Pair: p, Worker: rng.Intn(5), Match: rng.Intn(2) == 0}})
 		case 1:
-			c.PutMachine(p, rng.Float64(), rng.Float64())
+			c.putMachine(p, rng.Float64(), rng.Float64())
 		case 2:
-			c.PutDeduced(rng.Float64(), transitivity.Deduction{Pair: p, Match: rng.Intn(2) == 0})
+			c.putDeduced(rng.Float64(), transitivity.Deduction{Pair: p, Match: rng.Intn(2) == 0})
 		default:
-			c.AddPartialAnswers([]aggregate.Answer{{Pair: p, Worker: rng.Intn(5)}})
+			c.addPartialAnswers([]aggregate.Answer{{Pair: p, Worker: rng.Intn(5)}})
 		}
 	}
 	return c
 }
 
+// sameCache fails unless the caches hold the same entries and
+// fragments (Dump), in the same canonical order (Pairs), with as many
+// fragment pairs, and the walk yields the entries the map holds.
 func sameCache(t *testing.T, label string, got, want *Cache) {
 	t.Helper()
 	ge, gp := got.Dump()
@@ -489,49 +496,17 @@ func sameCache(t *testing.T, label string, got, want *Cache) {
 	if !reflect.DeepEqual(ge, we) || !reflect.DeepEqual(gp, wp) || !slices.Equal(got.Pairs(), want.Pairs()) {
 		t.Fatalf("%s: caches differ\n%+v\n%+v", label, ge, we)
 	}
-}
-
-// PutAll is Put then Reserve, pair by pair — over new pairs, repeats
-// and deduced or machine entries it upgrades — and AddAnswersVia, with
-// right, wrong or no entries named, is the per-answer reference.
-func TestPutAllAndAddAnswersViaMatchPerPair(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		hist := rand.New(rand.NewSource(seed)).Int63()
-		build := func() *Cache { return randomHistory(rand.New(rand.NewSource(hist))) }
-		rng := rand.New(rand.NewSource(seed))
-		var pairs []record.Pair
-		var likelihoods []float64
-		for i := 0; i < rng.Intn(40); i++ {
-			pairs = append(pairs, mk(rng.Intn(12), 12+rng.Intn(12)))
-			likelihoods = append(likelihoods, float64(rng.Intn(3))/2)
+	if got.PartialLen() != want.PartialLen() {
+		t.Fatalf("%s: %d fragment pairs; want %d", label, got.PartialLen(), want.PartialLen())
+	}
+	var walked []record.Pair
+	for e := range got.Entries() {
+		if got.Get(e.Pair) != e {
+			t.Fatalf("%s: the walk yields an entry the map does not hold", label)
 		}
-		n := rng.Intn(4)
-		got, want := build(), build()
-		es := got.PutAll(pairs, likelihoods, n)
-		for i, p := range pairs {
-			want.Put(p, likelihoods[i]).Reserve(n)
-			if es[i].Pair != p || got.Get(p) != es[i] {
-				t.Fatalf("seed %d: PutAll's entry %d is not pair %v's", seed, i, p)
-			}
-		}
-		sameCache(t, fmt.Sprintf("seed %d PutAll", seed), got, want)
-
-		var answers []aggregate.Answer
-		for i := 0; i < rng.Intn(60); i++ {
-			answers = append(answers, aggregate.Answer{Pair: mk(rng.Intn(12), 12+rng.Intn(12)), Worker: rng.Intn(5), Match: rng.Intn(2) == 0})
-		}
-		got.AddAnswersVia(answers, func(p record.Pair) *Entry {
-			switch rng.Intn(3) {
-			case 0:
-				return got.Get(p)
-			case 1:
-				if len(es) > 0 {
-					return es[rng.Intn(len(es))] // often another pair's
-				}
-			}
-			return nil
-		})
-		refAddAnswers(want, answers)
-		sameCache(t, fmt.Sprintf("seed %d AddAnswersVia", seed), got, want)
+		walked = append(walked, e.Pair)
+	}
+	if !slices.Equal(walked, want.Pairs()) {
+		t.Fatalf("%s: Entries walks %v; want %v", label, walked, want.Pairs())
 	}
 }

@@ -36,12 +36,12 @@ func (h *hookStore) Log(ev store.Event) error {
 // hasAnswers reports whether ev is a verdict commit carrying crowd
 // answers: an execute round's commit.
 func hasAnswers(ev store.Event) bool {
-	c, ok := ev.(*store.Commit)
+	c, ok := ev.(*store.Windows)
 	if !ok {
 		return false
 	}
-	for _, op := range c.Ops {
-		if op.Answers != nil {
+	for _, w := range c.W {
+		if w.Asked != nil && len(w.Asked.Answers) > 0 {
 			return true
 		}
 	}
@@ -220,21 +220,19 @@ func TestJournalHoldsNoPosteriors(t *testing.T) {
 	}
 	var answers, machine, deduced int
 	_, torn, err := store.ReadEvents("wal", data, func(ev store.Event) error {
-		c, ok := ev.(*store.Commit)
+		if _, ok := ev.(*store.Commit); ok {
+			t.Error("the session wrote a legacy commit, the only frame that carries aggregated posteriors")
+		}
+		c, ok := ev.(*store.Windows)
 		if !ok {
 			return nil
 		}
-		for _, op := range c.Ops {
-			if op.Posteriors != nil {
-				t.Errorf("a crowd session's commit carries %d posteriors", len(op.Posteriors))
+		for _, w := range c.W {
+			if w.Asked != nil {
+				answers += len(w.Asked.Answers)
 			}
-			answers += len(op.Answers)
-			if op.Machine != nil {
-				machine++
-			}
-			if op.Deduce != nil {
-				deduced++
-			}
+			machine += len(w.Machine)
+			deduced += len(w.Deduced)
 		}
 		return nil
 	})
@@ -275,12 +273,12 @@ func randomCache(rng *rand.Rand) *verdicts.Cache {
 		p := pair()
 		switch rng.Intn(5) {
 		case 0:
-			c.PutMachine(p, rng.Float64(), rng.Float64())
+			putMachine(c, p, rng.Float64(), rng.Float64())
 			machine = append(machine, p)
 		case 1:
-			c.PutDeduced(rng.Float64(), transitivity.Deduction{Pair: p, Match: rng.Intn(2) == 0})
+			putDeduced(c, rng.Float64(), transitivity.Deduction{Pair: p, Match: rng.Intn(2) == 0})
 		case 2:
-			c.AddPartialAnswers(answers(p))
+			addPartial(c, answers(p))
 		default:
 			c.Put(p, rng.Float64())
 			c.AddAnswers(answers(p))
@@ -391,7 +389,7 @@ func TestWorkerStatsSparseCoverage(t *testing.T) {
 		{Pair: mk(4, 5), Worker: 2, Match: true},
 	})
 	// Worker 3 answered only a pair still awaiting its full answer set.
-	c.AddPartialAnswers([]aggregate.Answer{{Pair: mk(8, 9), Worker: 3, Match: true}})
+	addPartial(c, []aggregate.Answer{{Pair: mk(8, 9), Worker: 3, Match: true}})
 	c.SetPosteriors(aggregate.Posterior{mk(0, 1): 0.9, mk(2, 3): 0.1, mk(4, 5): 0.2})
 
 	got := (&Resolver{cache: c}).workerStatsLocked()
@@ -418,11 +416,11 @@ func TestDeriveDeducedIgnoresStoredPosteriors(t *testing.T) {
 			{Pair: mk(1, 3), Worker: 1, Match: true},
 			{Pair: mk(2, 3), Worker: 1, Match: true},
 		})
-		c.PutMachine(mk(1, 2), 0.6, 0.95)
+		putMachine(c, mk(1, 2), 0.6, 0.95)
 		// (0,2) was deduced over the machine edge (1,2) ...
-		c.PutDeduced(0.5, transitivity.Deduction{Pair: mk(0, 2), Match: true, Path: []record.Pair{mk(0, 1), mk(1, 2)}})
+		putDeduced(c, 0.5, transitivity.Deduction{Pair: mk(0, 2), Match: true, Path: []record.Pair{mk(0, 1), mk(1, 2)}})
 		// ... which was later demoted and deduced over (1,3), (2,3).
-		c.PutDeduced(0.6, transitivity.Deduction{Pair: mk(1, 2), Match: true, Path: []record.Pair{mk(1, 3), mk(2, 3)}})
+		putDeduced(c, 0.6, transitivity.Deduction{Pair: mk(1, 2), Match: true, Path: []record.Pair{mk(1, 3), mk(2, 3)}})
 		c.SetPosteriors(aggregate.Posterior{mk(0, 1): 0.9, mk(1, 3): 0.8, mk(2, 3): 0.7})
 		c.Get(mk(1, 2)).Posterior = stale
 		deriveDeduced(c)
@@ -651,5 +649,108 @@ func TestRestoreResolverWithoutJournaledModel(t *testing.T) {
 	}
 	if res.NewCandidates == 0 || res.MachinePairs == 0 {
 		t.Errorf("the continued session found %d candidates and routed %d by machine", res.NewCandidates, res.MachinePairs)
+	}
+}
+
+// testdata/legacy-session is a durable session written in the per-pair
+// Commit format, compaction off: the base and first two deltas of a
+// hybrid, transitive, MAP-aggregated session over the first 420
+// product+dup rows in batches of 84. It restores, and its third delta
+// equals a store-less session's third delta: match list and cache dump.
+func TestLegacyCommitLogFixture(t *testing.T) {
+	rows, schema, oracle, _ := productDupDataset()
+	const size = 84
+	opts := Options{
+		Threshold: 0.5, HITType: PairHITs, Oracle: oracle, Seed: 5,
+		Hybrid: HybridOn, Transitivity: TransitivityOn,
+		Aggregation: AggregationDawidSkeneMAP,
+	}
+	control, err := NewResolver(NewTable(schema...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *Result
+	for i := 0; i < 4; i++ {
+		control.AppendBatch(rows[i*size : (i+1)*size]...)
+		if want, err = control.ResolveDelta(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "legacy-session"), dir)
+	data, err := os.ReadFile(filepath.Join(dir, "wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := 0
+	if _, _, err := store.ReadEvents("wal", data, func(ev store.Event) error {
+		if _, ok := ev.(*store.Commit); ok {
+			commits++
+		}
+		return nil
+	}); err != nil || commits == 0 {
+		t.Fatalf("the fixture holds %d legacy commits (err %v)", commits, err)
+	}
+	fl, rec, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ropts := opts
+	ropts.Store = fl
+	restored, err := RestoreResolver(rec, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.AppendBatch(rows[3*size : 4*size]...)
+	got, err := restored.ResolveDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.HITs == 0 || got.DeducedPairs == 0 {
+		t.Fatalf("the restored delta posted %d HITs and deduced %d pairs; want crowd work and deductions", got.HITs, got.DeducedPairs)
+	}
+	assertSameMatches(t, "legacy fixture, delta 3", want.Matches, got.Matches)
+	we, wp := control.cache.Dump()
+	ge, gp := restored.cache.Dump()
+	if !reflect.DeepEqual(we, ge) || !reflect.DeepEqual(wp, gp) {
+		t.Fatal("legacy fixture, delta 3: the cache dump differs from the store-less session's")
+	}
+
+	// The log now holds legacy commits, then windows. It restores the
+	// same cache as it is and once compacted.
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, compacted := range []bool{false, true} {
+		if compacted {
+			fl, _, err := OpenStore(dir, StoreOptions{CompactBytes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fl.Log(&store.Windows{}); err != nil { // any durable event compacts
+				t.Fatal(err)
+			}
+			if err := fl.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fl, rec, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compacted != (rec.SnapshotBytes > 0) {
+			t.Fatalf("compacted %v, yet the store recovered %d snapshot bytes", compacted, rec.SnapshotBytes)
+		}
+		ropts.Store = fl
+		again, err := RestoreResolver(rec, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ae, ap := again.cache.Dump()
+		if !reflect.DeepEqual(ae, ge) || !reflect.DeepEqual(ap, gp) {
+			t.Fatalf("legacy fixture and windows (compacted %v): the restored cache differs from the session's", compacted)
+		}
+		fl.Close()
 	}
 }

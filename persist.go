@@ -15,8 +15,9 @@ import (
 // claim leases, raw answers, verdicts with provenance (asked, deduced
 // with their proofs, machine with the router's confidence),
 // retractions, the hybrid router's retrained model — is logged as an
-// event, and a crashed session recovers
-// from the log bit-identically to one that never crashed. Aggregated
+// event. A verdict commit logs the windows it applied to the cache, and
+// replay applies the same windows the same way, so a crashed session
+// recovers bit-identically to one that never crashed. Aggregated
 // posteriors are not logged: they are a function of the answers, and
 // recovery re-aggregates once. The default (Options.Store nil) is the
 // in-memory no-op store: behavior identical to a build without
@@ -152,4 +153,17 @@ func RestoreResolver(rec *Recovered, opts Options) (*Resolver, error) {
 		r.learner = l
 	}
 	return r, nil
+}
+
+// logCommitLocked ends a commit whose windows the caller applied, in
+// order: it clears the pending set if asked and logs both as one frame,
+// nothing for an empty commit. The caller holds r.mu for writing.
+func (r *Resolver) logCommitLocked(ws []verdicts.Window, clearPending bool) error {
+	if clearPending {
+		r.pending = r.pending[:0]
+	}
+	if len(ws) == 0 && !clearPending {
+		return nil
+	}
+	return r.log.Log(&store.Windows{W: ws, ClearPending: clearPending})
 }

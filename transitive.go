@@ -7,7 +7,6 @@ import (
 	"github.com/crowder/crowder/internal/crowd"
 	"github.com/crowder/crowder/internal/record"
 	"github.com/crowder/crowder/internal/simjoin"
-	"github.com/crowder/crowder/internal/store"
 	"github.com/crowder/crowder/internal/transitivity"
 	"github.com/crowder/crowder/internal/verdicts"
 )
@@ -117,45 +116,48 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	// a retracted HIT's unanswered pairs are deduced (any pair that somehow
 	// is not — a conservative impossibility — is simply re-batched). It
 	// then sweeps the remaining pairs for everything the graph now implies
-	// and, once nothing remains, clears the pending set. It all logs as
-	// one atomic commit: a crash replays either none of it (the pairs
-	// retry) or all of it (judged, never re-asked). With no round yet
-	// (window and run nil) it only sweeps. A session without a store
-	// builds no per-pair ops: they would be a window's worth of garbage.
-	_, noLog := rv.log.(store.Noop)
+	// and, once nothing remains, clears the pending set. The cache takes
+	// it as three windows — the window's deductions, its asked pairs, the
+	// sweep's deductions, on disjoint pairs — logged as one atomic commit:
+	// a crash replays either none of it (the pairs retry) or all of it
+	// (judged, never re-asked). With no round yet (window and run nil) it
+	// only sweeps.
 	commit := func(window []simjoin.ScoredPair, batch hitBatch, answered record.PairSet, run *crowd.Result) error {
 		rv.mu.Lock()
 		defer rv.mu.Unlock()
-		var ops []store.Op
-		var puts []store.PutOp
-		if !noLog {
-			ops, puts = make([]store.Op, 0, len(window)+2), make([]store.PutOp, 0, len(window))
-		}
-		asked := make([]bool, len(window))
-		var requeue []simjoin.ScoredPair
+		var ws []verdicts.Window
+		var ded []verdicts.DeducedVerdict
 		deduce := func(sp simjoin.ScoredPair) bool {
 			d, ok := g.Deduce(sp.Pair)
 			if ok {
-				rv.cache.PutDeduced(sp.Likelihood, d)
-				deduced++
-				ops = append(ops, store.Op{Deduce: &store.DeduceOp{D: d, Likelihood: sp.Likelihood}})
+				ded = append(ded, verdicts.DeducedVerdict{Likelihood: sp.Likelihood, Proof: d})
 			}
 			return ok
 		}
+		flush := func() {
+			if len(ded) > 0 {
+				deduced += len(ded)
+				ws, ded = append(ws, verdicts.Window{Deduced: ded}), nil
+			}
+		}
+		asked := verdicts.AskedWindow{Pairs: make([]simjoin.ScoredPair, 0, len(window)), Reserve: opts.Assignments}
+		at := make([]int32, len(window)) // slot → index in asked.Pairs, or −1
+		var requeue []simjoin.ScoredPair
 		for i, sp := range window {
+			at[i] = -1
 			if g == nil || answered.Has(sp.Pair.A, sp.Pair.B) {
-				asked[i] = true
-				if !noLog {
-					puts = append(puts, store.PutOp{Pair: sp.Pair, Likelihood: sp.Likelihood})
-					ops = append(ops, store.Op{Put: &puts[len(puts)-1]})
-				}
+				at[i] = int32(len(asked.Pairs))
+				asked.Pairs = append(asked.Pairs, sp)
 			} else if !deduce(sp) {
 				requeue = append(requeue, sp)
 			}
 		}
-		putWindow(rv.cache, window, asked, batch, run, opts.Assignments)
+		flush()
 		if run != nil {
-			ops = append(ops, store.Op{Answers: run.Answers})
+			asked.Answers, asked.At = run.Answers, answerIndex(batch, run, at)
+		}
+		if len(asked.Pairs)+len(asked.Answers) > 0 {
+			ws = append(ws, verdicts.Window{Asked: &asked})
 		}
 		if len(requeue) > 0 {
 			remaining = append(requeue, remaining...)
@@ -169,14 +171,11 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 			}
 			remaining = keep
 		}
-		if len(remaining) == 0 {
-			rv.pending = rv.pending[:0]
-			ops = append(ops, store.Op{ClearPending: true})
+		flush()
+		for _, w := range ws {
+			rv.cache.Apply(w)
 		}
-		if len(ops) == 0 || noLog {
-			return nil
-		}
-		return rv.log.Log(&store.Commit{Ops: ops})
+		return rv.logCommitLocked(ws, len(remaining) == 0)
 	}
 
 	resume := rv.takeResume()
@@ -259,9 +258,10 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 				// Partial assignment sets survive the failure: the crowd
 				// work is already paid for. The log error (if any) is
 				// sticky and surfaces on the next commit.
+				w := verdicts.Window{Partial: run.Answers}
 				rv.mu.Lock()
-				rv.cache.AddPartialAnswers(run.Answers)
-				rv.log.Log(&store.Commit{Ops: []store.Op{{Partial: run.Answers}}})
+				rv.cache.Apply(w)
+				rv.logCommitLocked([]verdicts.Window{w}, false)
 				rv.mu.Unlock()
 			}
 			return nil, err
@@ -293,44 +293,33 @@ func stageExecute(ctx context.Context, st *resolveState) (*resolveState, error) 
 	return st, nil
 }
 
-// putWindow is the asked half of an execute commit: Put of each window
-// pair marked asked, Reserve(n) on its entry, then AddAnswers of the
-// round's answers — bit for bit, but the pairs go in as one batch and
-// each answer reaches its entry by slot. A window pair's index is its
-// slot; batch.slots lists each HIT's, and run.Spans bounds each HIT's
-// answers.
-func putWindow(cache *verdicts.Cache, window []simjoin.ScoredPair, asked []bool, batch hitBatch, run *crowd.Result, n int) {
-	pairs, likelihoods := make([]record.Pair, 0, len(window)), make([]float64, 0, len(window))
-	at := make([]int32, len(window)) // slot → index in pairs, or −1
-	for i, sp := range window {
-		at[i] = -1
-		if asked[i] {
-			at[i] = int32(len(pairs))
-			pairs, likelihoods = append(pairs, sp.Pair), append(likelihoods, sp.Likelihood)
-		}
-	}
-	entries := cache.PutAll(pairs, likelihoods, n)
-	if run == nil {
-		return
-	}
+// answerIndex is the At column of a round's asked window: each answer's
+// pair's index in the window, found through its HIT's slots (at maps a
+// slot to the index, −1 if not asked) within the answer's span, or −1.
+// An empty run has no spans: nil, every answer found by pair.
+func answerIndex(batch hitBatch, run *crowd.Result, at []int32) []int32 {
 	if len(run.Spans) != len(batch.pairs)+1 {
-		cache.AddAnswers(run.Answers) // an empty run has no spans
-		return
+		return nil
+	}
+	out := make([]int32, len(run.Answers))
+	for i := range out {
+		out[i] = -1
 	}
 	for h, ps := range batch.pairs {
 		// A HIT's answers visit its pairs in order, pair-major (a pair's
 		// replicas adjacent) or assignment-major (a worker's pass), so an
 		// answer's pair is the previous answer's or the one after it.
 		slots, j := batch.slots[h], 0
-		cache.AddAnswersVia(run.Answers[run.Spans[h]:run.Spans[h+1]], func(p record.Pair) *verdicts.Entry {
+		for i := run.Spans[h]; i < run.Spans[h+1]; i++ {
 			for try := 0; try < 2 && len(ps) > 0; try, j = try+1, (j+1)%len(ps) {
-				if ps[j] == p && at[slots[j]] >= 0 {
-					return entries[at[slots[j]]]
+				if ps[j] == run.Answers[i].Pair && at[slots[j]] >= 0 {
+					out[i] = at[slots[j]]
+					break
 				}
 			}
-			return nil
-		})
+		}
 	}
+	return out
 }
 
 // rebuildGraph reconstructs the session's deduction graph from the
